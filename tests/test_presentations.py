@@ -277,6 +277,26 @@ def test_solutions_match_homs_and_solve():
             assert sorted(lin.enumerate()) == sols_zd
 
 
+def test_solutions_match_brute_force():
+    """Sol(A,b;G) against every map columns -> G_(d), checked by is_solution."""
+    from simplcs.simplicial import is_solution
+    rng = random.Random(2305)
+    panel = {2: ("cyclic:2", "cyclic:4:2", "dihedral:8", "quaternion"),
+             3: ("cyclic:3", "heisenberg:3", "e1:3:1"),
+             6: ("cyclic:6",)}
+    panel = {d: [build_group(s) for s in specs] for d, specs in panel.items()}
+    for trial in range(36):
+        d = (2, 3, 6)[trial % 3]
+        r, c = rng.randrange(1, 4), rng.randrange(1, 4)
+        sys_ = make_system([[rng.randrange(d) for _ in range(c)]
+                            for _ in range(r)],
+                           [rng.randrange(d) for _ in range(r)], d)
+        for g in panel[d]:
+            brute = [t for t in itertools.product(g.torsion(d), repeat=c)
+                     if is_solution(t, sys_, g)]
+            assert solutions(sys_, g) == brute
+
+
 def test_solutions_k33_examples():
     d8d8 = central_product(dihedral(8), dihedral(8))
     odd = k33_system([1, 0, 0, 0, 0, 0])
