@@ -1,8 +1,14 @@
 """Finitely presented groups for linear systems and simplicial sets.
 
 Solution groups, (commutative) fundamental groups, the K-group of the E-space,
-bounded Todd-Coxeter coset enumeration, hom-set enumeration (= solution sets),
-abelianization via integer Smith form, and the word-level reduction maps.
+bounded Todd-Coxeter coset enumeration, hom-set enumeration, abelianization
+via integer Smith form, and the word-level reduction maps.
+
+Solution sets are hom sets: Sol(A,b;G) is computed as Hom_J(Gamma(A,b), G),
+the homomorphisms of the solution group that send J to J_G, so
+`enumerate_homs` is the one search engine behind both. It forces the image
+of a relator's last unknown generator through per-exponent root tables, for
+any exponent, not only +-1.
 
 Isomorphism claims are always settled by completed coset tables or hom-set
 bijections, never by free-group rewriting.
@@ -96,8 +102,6 @@ def commutator_word(a: int, b: int) -> Word:
 def solution_group(system: LinearSystem) -> Presentation:
     """Generators e_v and J; torsion, per-facet commutativity, row products."""
     d = system.modulus
-    cols = (system.col_labels if system.col_labels is not None
-            else tuple(range(system.num_cols)))
     gens = [f"e{v}" for v in range(system.num_cols)] + ["J"]
     jdx = len(gens) - 1
     relators: list[Word] = [word_simplify([(i, d)]) for i in range(len(gens))]
@@ -667,120 +671,134 @@ class Hom:
 
 def enumerate_homs(pres: Presentation, g: FinGroupJ,
                    pin_j: bool = True) -> list[Hom]:
-    """All homomorphisms into g by backtracking with relator propagation.
+    """All homomorphisms pres -> g, sorted by their image tuples.
 
-    Candidates are pruned by single-generator torsion relators; a relator with
-    exactly one unassigned generator (occurring once, exponent +-1) forces its
-    image. With pin_j, the distinguished generator maps to g.j.
+    With pin_j the distinguished generator maps to g.j, so the result is
+    Hom_J(pres, g); `solutions` is this search run on the solution group.
+
+    Backtracking with relator propagation. Each generator's candidates are
+    the elements that satisfy its single-generator relators (for the pinned
+    generator: g.j, if it does), so those relators hold by construction,
+    and so do commutators with the pinned generator, g.j being central. The
+    other relators are compiled once per call into (generator, row of x^e,
+    e) letters, with one power row per exponent that occurs. Whenever a
+    generator is assigned, each relator through it is evaluated in one
+    pass: with no unknown left it must give the identity; when its only
+    unknown x occurs once, with exponent e, it reads pre x^e post = 1, and
+    the roots of pre^-1 post^-1 (the x with x^e equal to it, from a root
+    table built per exponent on first use) among x's candidates decide:
+    none fails the branch, one is forced and propagated, several are left
+    to branching. Every relator is checked as its last generator is
+    assigned, and the first 20 homs are re-validated in full.
     """
     k = pres.num_gens()
-    exponent_bound: dict[int, int] = {}
-    for rel in pres.relators:
-        if len(rel) == 1 and rel[0][1] > 0:
-            gen, e = rel[0]
-            exponent_bound[gen] = min(exponent_bound.get(gen, e), e)
-    candidates: list[list[int]] = []
-    for gen in range(k):
-        if pin_j and pres.j_index == gen:
-            candidates.append([g.j])
-        elif gen in exponent_bound:
-            e = exponent_bound[gen]
-            candidates.append([x for x in range(g.n)
-                               if g.power(x, e) == g.identity])
-        else:
-            candidates.append(list(range(g.n)))
+    n, table, ident = g.n, g.table, g.identity
+    inv = [g.inv(x) for x in range(n)]
+    pinned = pres.j_index if pin_j else None
+    powers: dict[int, list[int]] = {}       # e -> [x^e for x in g]
+    for e in {e for rel in pres.relators for _, e in rel}:
+        # x -> x^e for every x at once, by squaring whole rows
+        base, row, m = inv if e < 0 else range(n), None, abs(e)
+        while m:
+            if m & 1:
+                row = base if row is None else [
+                    table[a][b] for a, b in zip(row, base)]
+            m >>= 1
+            if m:
+                base = [table[b][b] for b in base]
+        powers[e] = [ident] * n if row is None else row
+    roots: dict[int, list[list[int]]] = {}  # e -> y -> [x with x^e = y]
 
-    rel_of_gen: dict[int, list[int]] = {i: [] for i in range(k)}
-    for r, rel in enumerate(pres.relators):
-        for gen in {g for g, _ in rel}:
-            rel_of_gen[gen].append(r)
-    rel_gens = [tuple({g for g, _ in rel}) for rel in pres.relators]
+    def root_table(e: int) -> list[list[int]]:
+        roots[e] = [[] for _ in range(n)]
+        for x, y in enumerate(powers[e]):
+            roots[e][y].append(x)
+        return roots[e]
+
+    # candidates satisfy every relator on their generator alone
+    allowed: dict[tuple, set[int]] = {}  # exponents of x^a x^b ... -> {x}
+    cand_sets: list[Optional[set[int]]] = [None] * k
+    if pinned is not None:
+        cand_sets[pinned] = {g.j}
+    live: list[Word] = []
+    for rel in pres.relators:
+        gens = {rel[0][0]} if len(rel) == 1 else {gen for gen, _ in rel}
+        if len(gens) == 1:
+            shape = tuple(e for _, e in rel)
+            if shape not in allowed:
+                acc = [ident] * n
+                for e in shape:
+                    acc = [table[a][b] for a, b in zip(acc, powers[e])]
+                allowed[shape] = {x for x in range(n) if acc[x] == ident}
+            gen, = gens
+            cand_sets[gen] = (allowed[shape] if cand_sets[gen] is None
+                              else cand_sets[gen] & allowed[shape])
+        elif gens and not (pinned in gens and len(rel) == 4 and tuple(rel)
+                           == commutator_word(rel[0][0], rel[1][0])):
+            live.append(rel)
+    cand_sets = [set(range(n)) if c is None else c for c in cand_sets]
+    candidates = [sorted(c) for c in cand_sets]
+    rel_gens = [{gen for gen, _ in rel} for rel in live]
+    rels_at: list[list[int]] = [[] for _ in range(k)]
+    rel_of_gen: list[list[list]] = [[] for _ in range(k)]
+    for r, (rel, gens) in enumerate(zip(live, rel_gens)):
+        crel = [(gen, powers[e], e) for gen, e in rel]
+        for gen in gens:
+            rels_at[gen].append(r)
+            rel_of_gen[gen].append(crel)
 
     # order generators so relators close (and start forcing) early
     order: list[int] = []
-    placed = [False] * k
-    for _ in range(k):
-        def score(gen: int):
-            done = touched = 0
-            for r in rel_of_gen[gen]:
-                others = [h for h in rel_gens[r] if h != gen]
-                if all(placed[h] for h in others):
-                    done += 1
-                elif any(placed[h] for h in others):
-                    touched += 1
-            return (-done, -touched, len(candidates[gen]), gen)
-        nxt = min((gen for gen in range(k) if not placed[gen]), key=score)
+    unplaced = [len(gens) for gens in rel_gens]  # per relator
+
+    def score(gen: int):
+        done = touched = 0
+        for r in rels_at[gen]:
+            if unplaced[r] == 1:
+                done += 1
+            elif unplaced[r] < len(rel_gens[r]):
+                touched += 1
+        return (-done, -touched, len(candidates[gen]), gen)
+
+    rest = list(range(k))
+    while rest:
+        nxt = min(rest, key=score)
         order.append(nxt)
-        placed[nxt] = True
+        rest.remove(nxt)
+        for r in rels_at[nxt]:
+            unplaced[r] -= 1
     images: list[Optional[int]] = [None] * k
     out: list[tuple[int, ...]] = []
 
-    def eval_known(rel) -> Optional[int]:
-        acc = g.identity
-        for gen, e in rel:
-            img = images[gen]
-            if img is None:
-                return None
-            acc = g.mul(acc, g.power(img, e))
-        return acc
-
-    def forced_value(rel) -> Optional[tuple[int, int]]:
-        """(gen, forced image) if exactly one unassigned, single +-1 occurrence."""
-        missing = [(gen, e) for gen, e in rel if images[gen] is None]
-        if len(missing) != 1 or abs(missing[0][1]) != 1:
-            return None
-        gen, e = missing[0]
-        if sum(1 for h, _ in rel if h == gen) != 1:
-            return None
-        pre = g.identity
-        post = g.identity
-        seen = False
-        for h, ee in rel:
-            if h == gen and not seen:
-                seen = True
-                continue
-            img = g.power(images[h], ee)
-            if not seen:
-                pre = g.mul(pre, img)
-            else:
-                post = g.mul(post, img)
-        val = g.mul(g.inv(pre), g.inv(post))  # g^e = pre^-1 post^-1
-        if e == -1:
-            val = g.inv(val)
-        return gen, val
-
-    def assign(gen: int, val: int, trail: list[int]) -> bool:
-        if images[gen] is not None:
-            return images[gen] == val
-        if val not in cand_sets[gen]:
-            return False
-        images[gen] = val
-        trail.append(gen)
+    def propagate(gen: int, trail: list[int]) -> bool:
         queue = [gen]
         while queue:
-            cur = queue.pop()
-            for r in rel_of_gen[cur]:
-                rel = pres.relators[r]
-                got = eval_known(rel)
-                if got is not None:
-                    if got != g.identity:
-                        return False
-                    continue
-                forced = forced_value(rel)
-                if forced is not None:
-                    fgen, fval = forced
-                    if images[fgen] is not None:
-                        if images[fgen] != fval:
-                            return False
-                    elif fval not in cand_sets[fgen]:
-                        return False
+            for crel in rel_of_gen[queue.pop()]:
+                acc, free = ident, None
+                for h, row, e in crel:
+                    x = images[h]
+                    if x is not None:
+                        acc = table[acc][row[x]]
+                    elif free is None:
+                        free, pre, acc = (h, e), acc, ident
                     else:
-                        images[fgen] = fval
-                        trail.append(fgen)
-                        queue.append(fgen)
+                        break  # two unknown occurrences: nothing to deduce
+                else:
+                    if free is None:
+                        if acc != ident:
+                            return False
+                        continue
+                    h, e = free
+                    rts = roots.get(e) or root_table(e)
+                    vals = [x for x in rts[table[inv[pre]][inv[acc]]]
+                            if x in cand_sets[h]]
+                    if not vals:
+                        return False
+                    if len(vals) == 1:
+                        images[h] = vals[0]
+                        trail.append(h)
+                        queue.append(h)
         return True
-
-    cand_sets = [set(c) for c in candidates]
 
     def search(pos: int) -> None:
         while pos < k and images[order[pos]] is not None:
@@ -790,8 +808,9 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
             return
         gen = order[pos]
         for val in candidates[gen]:
-            trail: list[int] = []
-            if assign(gen, val, trail):
+            images[gen] = val
+            trail = [gen]
+            if propagate(gen, trail):
                 search(pos + 1)
             for t in trail:
                 images[t] = None
@@ -808,105 +827,18 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
 # -------------------------------------------------------------- solution sets
 
 def solutions(system: LinearSystem, g: FinGroupJ) -> list[tuple[int, ...]]:
-    """All T: vertices -> G_(d) satisfying commutativity and row products."""
+    """Sol(A,b;G), sorted: all T: columns -> G with T(v)^d = 1, T(v) and T(w)
+    commuting whenever v and w share a row, and prod_v T(v)^{A_iv} = J^{b_i}.
+
+    Computed as Hom_J(Gamma(A,b), G): e_v -> T(v), J -> J_G is a bijection
+    onto the J-pinned homs of the solution group, and J is its last
+    generator, so dropping J's image from each sorted hom gives T.
+    """
     d = system.modulus
     if g.d != d:
         raise ValueError(f"group J-order {g.d} != system modulus {d}")
-    c = system.num_cols
-    tor = list(g.torsion(d))
-    tor_set = set(tor)
-    rows = [[(v, e) for v, e in enumerate(row) if e]
-            for row in system.matrix.rows]
-    # rows with empty support assert J^b = 1 outright
-    for row, bval in zip(rows, system.rhs):
-        if not row and g.j_power(bval) != g.identity:
-            return []
-    rowmates: dict[int, set[int]] = {v: set() for v in range(c)}
-    rows_of: dict[int, list[int]] = {v: [] for v in range(c)}
-    for r, row in enumerate(rows):
-        supp = [v for v, _ in row]
-        for v in supp:
-            rows_of[v].append(r)
-            rowmates[v].update(w for w in supp if w != v)
-
-    # order columns so rows complete as early as possible
-    order: list[int] = []
-    remaining = set(range(c))
-    while remaining:
-        def score(v):
-            done = sum(1 for r in rows_of[v]
-                       if all(w in order or w == v for w, _ in rows[r]))
-            touched = sum(1 for r in rows_of[v]
-                          if any(w in order for w, _ in rows[r]))
-            return (-done, -touched, v)
-        v = min(remaining, key=score)
-        order.append(v)
-        remaining.remove(v)
-
-    pow_inv: dict[tuple[int, int], list[int]] = {}
-    for x in tor:
-        for e in range(1, d):
-            pow_inv.setdefault((e, g.power(x, e)), []).append(x)
-
-    images: list[Optional[int]] = [None] * c
-    out: list[tuple[int, ...]] = []
-
-    def row_candidates(v: int) -> list[int]:
-        """Intersect forced values from any row where v is the only unknown."""
-        cands: Optional[list[int]] = None
-        for r in rows_of[v]:
-            row = rows[r]
-            missing = [(w, e) for w, e in row if images[w] is None]
-            if len(missing) != 1 or missing[0][0] != v:
-                continue
-            e_v = missing[0][1]
-            pre, post = g.identity, g.identity
-            before = True
-            for w, e in row:
-                if w == v:
-                    before = False
-                    continue
-                img = g.power(images[w], e)
-                if before:
-                    pre = g.mul(pre, img)
-                else:
-                    post = g.mul(post, img)
-            target = g.mul(g.inv(pre),
-                           g.mul(g.j_power(system.rhs[r]), g.inv(post)))
-            vals = pow_inv.get((e_v % d, target), []) if e_v % d else None
-            if vals is None:
-                continue
-            cands = vals if cands is None else [x for x in cands if x in vals]
-        return cands if cands is not None else tor
-
-    def consistent(v: int, val: int) -> bool:
-        for w in rowmates[v]:
-            if images[w] is not None and not g.commute(val, images[w]):
-                return False
-        for r in rows_of[v]:
-            row = rows[r]
-            if any(images[w] is None and w != v for w, _ in row):
-                continue
-            acc = g.identity
-            for w, e in row:
-                acc = g.mul(acc, g.power(val if w == v else images[w], e))
-            if acc != g.j_power(system.rhs[r]):
-                return False
-        return True
-
-    def search(pos: int) -> None:
-        if pos == c:
-            out.append(tuple(images))
-            return
-        v = order[pos]
-        for val in row_candidates(v):
-            if val in tor_set and consistent(v, val):
-                images[v] = val
-                search(pos + 1)
-                images[v] = None
-
-    search(0)
-    return sorted(out)
+    return [h.images[:-1]
+            for h in enumerate_homs(solution_group(system), g, pin_j=True)]
 
 
 def hom_of_solution(pres: Presentation, g: FinGroupJ,
@@ -1118,18 +1050,13 @@ def theorem_iso_check(x: TruncatedSSet, gamma, d: int,
             images1.add(tuple(imgs))
         if len(images1) != len(homs2):
             passed = False
-        homs1 = enumerate_homs_pinned_e1(p1, g, e1_gen)
+        # Hom_J(p1, g) with e_1 in the role of J
+        homs1 = enumerate_homs(Presentation(p1.gens, p1.relators,
+                                            p1.gens[e1_gen]), g, pin_j=True)
         hom_counts[g.name] = (len(homs1), len(homs2))
         if len(homs1) != len(homs2) or images1 != {h.images for h in homs1}:
             passed = False
     return IsoCheckReport(relator_results, hom_counts, passed)
-
-
-def enumerate_homs_pinned_e1(pres: Presentation, g: FinGroupJ,
-                             e1_gen: int) -> list[Hom]:
-    """Homs with the designated generator pinned to J_G (no J in the gens)."""
-    pinned = Presentation(pres.gens, pres.relators, pres.gens[e1_gen])
-    return enumerate_homs(pinned, g, pin_j=True)
 
 
 # --------------------------------------------------------- opposite word check
