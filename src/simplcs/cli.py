@@ -75,14 +75,6 @@ def _load_system(path: str) -> linsys.LinearSystem:
     return sys_
 
 
-def _builtin_system(name: str, b: list[int], d: int) -> linsys.LinearSystem:
-    if name == "k33":
-        return linsys.k33_system(b if b else [0, 0, 0, 0, 0, 1], d)
-    if name == "two-vertex":
-        return linsys.two_vertex_system(b if b else [1, 0], d)
-    raise InputError(f"unknown builtin {name!r}")
-
-
 # ------------------------------------------------------------------ commands
 
 def cmd_solve(args) -> int:
@@ -140,6 +132,11 @@ def cmd_realize(args) -> int:
     d = args.d
     cap = max(args.cap, 2)
     if args.builtin:
+        want = {"two-vertex": 2, "k33": len(simplicial.K33_TRIANGLES)}
+        if args.b and len(args.b) != want[args.builtin]:
+            raise InputError(f"--builtin {args.builtin} takes "
+                             f"{want[args.builtin]} --b values, "
+                             f"got {len(args.b)}")
         if args.builtin == "two-vertex":
             b = args.b if args.b else [1, 0]
             gam, host = cohomology.gamma_b(

@@ -457,11 +457,6 @@ def embed_e1(x: MonomialElement) -> MonomialElement:
     return MonomialElement(tuple(x.p * c for c in x.diag), x.shift, x.p, 2)
 
 
-def monomial_split_tensor(xs: Sequence[MonomialElement]) -> tuple[MonomialElement, ...]:
-    """Componentwise splitting on tensor factors of E_n(p^2)."""
-    return tuple(monomial_split(x) for x in xs)
-
-
 # ------------------------------------------------------------ group-spec I/O
 
 _ATOM = re.compile(r"^[a-z0-9_]+(:[^:(),]+)*$")
@@ -501,6 +496,15 @@ def build_group(spec: str) -> FinGroupJ:
     if not _ATOM.match(spec):
         raise GroupValidationError(f"cannot parse group spec {spec!r}")
     head, *rest = spec.split(":")
+    try:
+        return _build_family(head, rest)
+    except (ValueError, ArithmeticError, IndexError, KeyError) as exc:
+        # bad parameters: non-integers, zero orders, missing fields
+        raise GroupValidationError(
+            f"cannot build group {spec!r}: {exc}") from exc
+
+
+def _build_family(head: str, rest: list[str]) -> FinGroupJ:
     if head == "cyclic":
         if not rest:
             raise GroupValidationError("cyclic:n[:jorder]")
@@ -524,8 +528,12 @@ def build_group(spec: str) -> FinGroupJ:
 
 def load_cayley(path: str) -> FinGroupJ:
     """Cayley file: first line `n d identity_idx J_idx`, then n rows of n indices."""
-    with open(path) as fh:
-        lines = [ln.split("#")[0].strip() for ln in fh]
+    try:
+        with open(path) as fh:
+            lines = [ln.split("#")[0].strip() for ln in fh]
+    except OSError as exc:
+        raise GroupValidationError(
+            f"cannot read cayley file {path!r}: {exc.strerror}") from exc
     lines = [ln for ln in lines if ln]
     n, d, ident, j = map(int, lines[0].split())
     rows = [list(map(int, ln.split())) for ln in lines[1:n + 1]]

@@ -48,6 +48,13 @@ def test_solve_group_modulus_mismatch(k33_file, capsys):
     assert main(["solve", k33_file, "--group", "cyclic:3"]) == 3
 
 
+@pytest.mark.parametrize("spec", ["cyclic:0", "cayley:{tmp}/missing.cayley"])
+def test_solve_unbuildable_group_spec(k33_file, tmp_path, capsys, spec):
+    spec = spec.format(tmp=tmp_path)
+    assert main(["solve", k33_file, "--group", spec]) == 3
+    assert spec in capsys.readouterr().err
+
+
 def test_parse_error_has_line_number(tmp_path, capsys):
     path = tmp_path / "bad.lcs"
     path.write_text("2 2 2\n1 1\n1 x\n0 0\n")
@@ -109,6 +116,17 @@ def test_realize_zero_cochain_zero_b(capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert set(lines[-1].split()) == {"0"}
+
+
+@pytest.mark.parametrize("builtin, b, want", [
+    ("two-vertex", ["1", "0", "1", "1", "1"], 2),
+    ("k33", ["1", "0"], 6),
+])
+def test_realize_builtin_b_length(capsys, builtin, b, want):
+    assert main(["realize", "--builtin", builtin, "--b", *b]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"takes {want} --b values, got {len(b)}" in captured.err
 
 
 def test_realize_from_files(tmp_path, capsys):
