@@ -722,7 +722,7 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
         cand_sets[pinned] = {g.j}
     live: list[Word] = []
     for rel in pres.relators:
-        gens = {rel[0][0]} if len(rel) == 1 else {gen for gen, _ in rel}
+        gens = {gen for gen, _ in rel}
         if len(gens) == 1:
             shape = tuple(e for _, e in rel)
             if shape not in allowed:
