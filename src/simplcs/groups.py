@@ -120,8 +120,18 @@ class GroupTable:
         self.inv(0)  # forces inverse existence check
         arr = np.array(self.table, dtype=np.int64)
         if n <= FULL_ASSOC_CHECK:
+            # (ab)c against a(bc) for all b, c, one a at a time, into buffers
+            # made once: a fresh n x n temporary per a is a fresh mmap (and
+            # its page faults) whenever it is above malloc's mmap threshold
+            left = np.empty((n, n), dtype=np.int64)
+            right = np.empty((n, n), dtype=np.int64)
+            same = np.empty((n, n), dtype=bool)
             for a in range(n):
-                if not np.array_equal(arr[arr[a]], arr[a][arr]):
+                # mode="clip" writes into `out` directly (entries are in
+                # range, checked above); "raise" would buffer it
+                np.take(arr, arr[a], axis=0, out=left, mode="clip")
+                np.take(arr[a], arr, out=right, mode="clip")
+                if not np.equal(left, right, out=same).all():
                     raise GroupValidationError(f"associativity fails at {a}")
         else:
             rng = np.random.default_rng(0)
