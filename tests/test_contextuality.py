@@ -271,3 +271,48 @@ def test_verdict_report_shapes():
     verdict = is_contextual(delta_distribution(dets[0]), dets)
     blob = verdict_report(verdict)
     assert '"verdict": "noncontextual"' in blob
+
+
+def _random_lp(rng):
+    """A small system Ax = c with dependent and duplicated rows."""
+    m, n = rng.randint(1, 5), rng.randint(1, 8)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    for i in range(1, m):
+        kind = rng.random()
+        if kind < 0.2:
+            rows[i] = list(rows[rng.randrange(i)])
+        elif kind < 0.4:
+            j, k = rng.randrange(i), rng.randrange(i)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[i] = [a * u + b * v for u, v in zip(rows[j], rows[k])]
+    if rng.random() < 0.5:
+        # c = A x0 for some x0 >= 0, so the system is feasible
+        x0 = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
+        c = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    else:
+        c = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in rows]
+    return rows, c
+
+
+def test_phase1_simplex_oracle():
+    from simplcs.contextuality import _phase1_simplex
+    rng = random.Random(20231)
+    feasible = infeasible = 0
+    for _ in range(400):
+        rows, c = _random_lp(rng)
+        x, y = _phase1_simplex(rows, c)
+        assert (x is None) != (y is None)
+        if x is not None:
+            feasible += 1
+            assert len(x) == len(rows[0])
+            assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+            for row, rhs in zip(rows, c):
+                assert sum(a * v for a, v in zip(row, x)) == rhs
+        else:
+            infeasible += 1
+            assert len(y) == len(rows)
+            assert all(isinstance(v, Fraction) for v in y)
+            for j in range(len(rows[0])):
+                assert sum(yi * row[j] for yi, row in zip(y, rows)) <= 0
+            assert sum(yi * ci for yi, ci in zip(y, c)) > 0
+    assert feasible >= 50 and infeasible >= 50
