@@ -316,3 +316,22 @@ def test_phase1_simplex_oracle():
                 assert sum(yi * row[j] for yi, row in zip(y, rows)) <= 0
             assert sum(yi * ci for yi, ci in zip(y, c)) > 0
     assert feasible >= 50 and infeasible >= 50
+
+
+def test_criterion_verdict_reports_are_pinned():
+    # sha256 prefixes of the two criterion-4 verdict reports: the certificates
+    # themselves, not only the verdicts, must not drift with the LP's arithmetic
+    import hashlib
+
+    def digest(verdict):
+        return hashlib.sha256(verdict_report(verdict).encode()).hexdigest()[:16]
+
+    sys_ = k33_system([0, 0, 0, 0, 0, 1])
+    host = host_of(sys_)
+    q = quantum_distribution(sys_, mermin_peres_solution(), maximally_mixed(4),
+                             host=host)
+    assert digest(is_contextual(q, enumerate_deterministic(host, 2))) \
+        == "ee23858a82678f6d"
+    dets0 = enumerate_deterministic(host_of(k33_system([0] * 6)), 2)
+    uniform = theta({f: Fraction(1, len(dets0)) for f in dets0})
+    assert digest(is_contextual(uniform, dets0)) == "76880e12cc145382"
