@@ -1,10 +1,12 @@
 """Simplicial distributions and contextuality certification.
 
 Deterministic distributions are enumerated exactly (kernel of the additive
-edge condition over Z_d); the noncontextuality decision is an exact-rational
-LP feasibility problem solved by phase-1 simplex with Bland's rule, so every
-verdict carries a machine-checkable certificate: a convex decomposition, or a
-Farkas vector against the marginal constraints.
+edge condition over Z_d); the noncontextuality decision is an exact LP
+feasibility problem, so every verdict carries a machine-checkable certificate:
+a convex decomposition, or a Farkas vector against the marginal constraints.
+Probabilities stay exact rationals; the phase-1 simplex (Dantzig pricing,
+then Bland's rule) runs on an integer-preserving tableau over one common
+denominator, and its answer is converted back to `Fraction`s.
 
 The quantum side (commuting d-torsion unitaries, projective measurements,
 density operators) lives in floating complex arithmetic and is snapped to
@@ -17,6 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -196,21 +199,33 @@ def theta(weights: dict) -> SimplicialDistribution:
     some = next(iter(lam))
     host, d = some.host, some.d
     pos = _edge_positions(host)
+    # integer numerators over one common denominator; one Fraction per outcome
+    den = lcm(*(v.denominator for v in lam.values()))
+    nums = [v.numerator * (den // v.denominator) for v in lam.values()]
+    vals = np.array([f.values for f in lam], dtype=np.int64
+                    ).reshape(len(lam), len(host.simplices[1]))
     dists = {}
     for n in range(min(host.cap, 2) + 1):
         for tok in host.simplices[n]:
             if n == 0:
-                idxs: tuple = ()
+                code = np.zeros(len(lam), dtype=np.int64)
             elif n == 1:
-                idxs = (pos[tok],)
+                code = vals[:, pos[tok]]
             else:
-                idxs = (pos[host.face(2, 2, tok)], pos[host.face(2, 0, tok)])
+                code = (vals[:, pos[host.face(2, 2, tok)]] * d
+                        + vals[:, pos[host.face(2, 0, tok)]])
             acc: dict = {}
-            for f, v in lam.items():
-                th = tuple(f.values[i] for i in idxs)
-                acc[th] = acc.get(th, Fraction(0)) + v
-            dists[(n, tok)] = RationalDist.from_dict(acc)
+            for o, v in zip(code.tolist(), nums):
+                acc[o] = acc.get(o, 0) + v
+            dists[(n, tok)] = RationalDist.from_dict(
+                {_decode_outcome(o, n, d): Fraction(v, den)
+                 for o, v in acc.items()})
     return SimplicialDistribution(host, d, dists)
+
+
+def _decode_outcome(code: int, n: int, d: int) -> tuple:
+    """The outcome tuple of length n whose base-d digits form `code`."""
+    return tuple(code // d ** (n - 1 - j) % d for j in range(n))
 
 
 # ------------------------------------------------------------ exact LP core
@@ -232,15 +247,16 @@ def _marginal_rows(p: SimplicialDistribution,
     host, d = p.host, p.d
     pos = _edge_positions(host)
     nf = len(dets)
+    vals = np.array([f.values for f in dets], dtype=np.int64
+                    ).reshape(nf, len(host.simplices[1]))
     rows = [(frozenset(range(nf)), Fraction(1), ("norm",))]
     for sig in host.nondegenerate(2):
         i2, i0 = pos[host.face(2, 2, sig)], pos[host.face(2, 0, sig)]
-        fibers: dict = {}
-        for k, f in enumerate(dets):
-            fibers.setdefault((f.values[i2], f.values[i0]), []).append(k)
+        key = vals[:, i2] * d + vals[:, i0]
         pdist = p(2, sig)
         for theta_out in itertools.product(range(d), repeat=2):
-            rows.append((frozenset(fibers.get(theta_out, ())),
+            fiber = np.flatnonzero(key == theta_out[0] * d + theta_out[1])
+            rows.append((frozenset(fiber.tolist()),
                          pdist(theta_out), (sig, theta_out)))
     return rows
 
@@ -289,32 +305,37 @@ def _eliminate(rows, nf):
     return basis, None
 
 
-def _phase1_simplex(a_rows: list[list[Fraction]], c: list[Fraction]
+def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
                     ) -> tuple[Optional[list[Fraction]],
                                Optional[list[Fraction]]]:
-    """Feasibility of Ax = c, x >= 0.
+    """Feasibility of Ax = c, x >= 0, for an integer matrix A.
 
     Returns (x, None) when feasible, (None, y) with y'A <= 0, y'c > 0 when not.
+
+    The tableau is integer-preserving (Bareiss 1968; Edmonds 1967): every
+    entry is the rational phase-1 tableau entry times `den`, the last pivot
+    (the basis determinant, always > 0), so each pivot decision is the one
+    the rational tableau would make, and after each pivot the division by
+    the previous `den` is exact.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
+    c = [Fraction(v) for v in c]
+    scale = lcm(*(v.denominator for v in c))
     sign = []
     tab = []
-    for row, rhs in zip(a_rows, c):
-        if rhs < 0:
-            sign.append(-1)
-            row = [-v for v in row]
-            rhs = -rhs
-        else:
-            sign.append(1)
-        tab.append([Fraction(v) for v in row]
-                   + [Fraction(1 if j == len(tab) else 0) for j in range(m)]
-                   + [Fraction(rhs)])
+    for i, (row, rhs) in enumerate(zip(a_rows, c)):
+        rhs = rhs.numerator * (scale // rhs.denominator)
+        s = -1 if rhs < 0 else 1
+        sign.append(s)
+        tab.append([s * v for v in row] + [0] * m + [s * rhs])
+        tab[i][n + i] = 1
     basis = [n + i for i in range(m)]
     total = n + m
     zrow = [sum(tab[i][j] for i in range(m)) for j in range(total + 1)]
     for j in range(n, total):
         zrow[j] -= 1
+    den = 1
 
     iterations = 0
     bland_after = 20 * (m + 2)  # Dantzig first; Bland guarantees termination
@@ -331,38 +352,45 @@ def _phase1_simplex(a_rows: list[list[Fraction]], c: list[Fraction]
                     enter = j
         if enter is None:
             break
-        best = None
+        piv = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+            a = tab[i][enter]
+            if a > 0:
+                if piv is None:
+                    piv = i
+                    continue
+                lhs = tab[i][total] * tab[piv][enter]
+                rhs = tab[piv][total] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[piv]):
+                    piv = i
+        if piv is None:
             raise ArithmeticError("phase-1 unbounded (cannot happen)")
-        _, piv = best
-        pv = tab[piv][enter]
-        if pv != 1:
-            tab[piv] = [v / pv for v in tab[piv]]
+        prow = tab[piv]
+        pv = prow[enter]
         for i in range(m):
-            if i != piv and tab[i][enter]:
-                f = tab[i][enter]
-                prow = tab[piv]
-                tab[i] = [v - f * w if w else v
-                          for v, w in zip(tab[i], prow)]
-        if zrow[enter]:
-            f = zrow[enter]
-            prow = tab[piv]
-            zrow = [v - f * w if w else v for v, w in zip(zrow, prow)]
+            if i == piv:
+                continue
+            row = tab[i]
+            f = row[enter]
+            if f:
+                tab[i] = [(pv * v - f * w) // den for v, w in zip(row, prow)]
+            elif pv != den:
+                tab[i] = [pv * v // den for v in row]
+        f = zrow[enter]
+        if f:
+            zrow = [(pv * v - f * w) // den for v, w in zip(zrow, prow)]
+        elif pv != den:
+            zrow = [pv * v // den for v in zrow]
+        den = pv
         basis[piv] = enter
 
     if zrow[total] == 0:
         x = [Fraction(0)] * n
         for i, b in enumerate(basis):
             if b < n:
-                x[b] = tab[i][total]
+                x[b] = Fraction(tab[i][total], den * scale)
         return x, None
-    y = [(zrow[n + i] + 1) * sign[i] for i in range(m)]
+    y = [(Fraction(zrow[n + i], den) + 1) * sign[i] for i in range(m)]
     return None, y
 
 
@@ -409,7 +437,7 @@ def is_contextual(p: SimplicialDistribution,
         verify_verdict(p, verdict, dets)
         return verdict
 
-    a_rows = [[Fraction(v) for v in vec] for vec, _, _ in basis]
+    a_rows = [vec for vec, _, _ in basis]
     rhs = [r for _, r, _ in basis]
     x, y_red = _phase1_simplex(a_rows, rhs)
     if x is not None:
