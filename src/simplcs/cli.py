@@ -130,6 +130,8 @@ def cmd_solgroup(args) -> int:
 
 def cmd_realize(args) -> int:
     d = args.d
+    if d < 2:
+        raise InputError(f"--d must be at least 2, got {d}")
     cap = max(args.cap, 2)
     if args.builtin:
         want = {"two-vertex": 2, "k33": len(simplicial.K33_TRIANGLES)}

@@ -129,6 +129,16 @@ def test_realize_builtin_b_length(capsys, builtin, b, want):
     assert f"takes {want} --b values, got {len(b)}" in captured.err
 
 
+@pytest.mark.parametrize("builtin, d", [
+    ("two-vertex", "0"), ("two-vertex", "1"), ("k33", "0"),
+])
+def test_realize_modulus_below_two(capsys, builtin, d):
+    assert main(["realize", "--builtin", builtin, "--d", d]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--d must be at least 2, got {d}" in captured.err
+
+
 def test_realize_from_files(tmp_path, capsys):
     from simplcs.simplicial import cells_sset, dump_sset
     x = cells_sset(2, {0: {"v": ()}, 1: {"e": ("v", "v")},
