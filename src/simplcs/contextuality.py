@@ -324,12 +324,16 @@ def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
     scale = lcm(*(v.denominator for v in c))
     sign = []
     tab = []
-    for i, (row, rhs) in enumerate(zip(a_rows, c)):
+    for row, rhs in zip(a_rows, c):
         rhs = rhs.numerator * (scale // rhs.denominator)
-        s = -1 if rhs < 0 else 1
-        sign.append(s)
-        tab.append([s * v for v in row] + [0] * m + [s * rhs])
-        tab[i][n + i] = 1
+        if rhs < 0:
+            sign.append(-1)
+            row = [-v for v in row]
+            rhs = -rhs
+        else:
+            sign.append(1)
+        tab.append(list(row) + [1 if j == len(tab) else 0 for j in range(m)]
+                   + [rhs])
     basis = [n + i for i in range(m)]
     total = n + m
     zrow = [sum(tab[i][j] for i in range(m)) for j in range(total + 1)]
@@ -355,7 +359,7 @@ def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
         piv = None
         for i in range(m):
             a = tab[i][enter]
-            if a > 0:
+            if a > 0:  # ratio test, cross-multiplied since a, a_piv > 0
                 if piv is None:
                     piv = i
                     continue
