@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,14 +6,14 @@ import numpy as np
 import pytest
 
 from simplcs.contextuality import (DistributionError, PAULI_X, PAULI_Z,
-                                   RationalDist, delta_distribution,
-                                   dump_distribution, enumerate_deterministic,
-                                   is_contextual, is_matrix_solution,
-                                   maximally_mixed, mermin_peres_solution,
-                                   parse_distribution, quantum_distribution,
-                                   random_phase_state, snap_probability,
-                                   spectral_measurement, theta, verdict_report,
-                                   verify_verdict)
+                                   RationalDist, _phase1_simplex,
+                                   delta_distribution, dump_distribution,
+                                   enumerate_deterministic, is_contextual,
+                                   is_matrix_solution, maximally_mixed,
+                                   mermin_peres_solution, parse_distribution,
+                                   quantum_distribution, random_phase_state,
+                                   snap_probability, spectral_measurement,
+                                   theta, verdict_report, verify_verdict)
 from simplcs.linsys import two_vertex_system, k33_system, single_vertex_system
 from simplcs.simplicial import complex_of_system, nerve, nzd_sigma
 
@@ -295,7 +296,6 @@ def _random_lp(rng):
 
 
 def test_phase1_simplex_oracle():
-    from simplcs.contextuality import _phase1_simplex
     rng = random.Random(20231)
     feasible = infeasible = 0
     for _ in range(400):
@@ -319,12 +319,12 @@ def test_phase1_simplex_oracle():
 
 
 def test_criterion_verdict_reports_are_pinned():
-    # sha256 prefixes of the two criterion-4 verdict reports: the certificates
-    # themselves, not only the verdicts, must not drift with the LP's arithmetic
-    import hashlib
-
+    # sha256 prefixes of the two criterion-4 verdict reports: the
+    # certificates, not only the verdicts, must not drift with the LP's
+    # arithmetic
     def digest(verdict):
-        return hashlib.sha256(verdict_report(verdict).encode()).hexdigest()[:16]
+        blob = verdict_report(verdict).encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
 
     sys_ = k33_system([0, 0, 0, 0, 0, 1])
     host = host_of(sys_)
