@@ -198,29 +198,40 @@ def theta(weights: dict) -> SimplicialDistribution:
         raise DistributionError("weights must be a rational distribution")
     some = next(iter(lam))
     host, d = some.host, some.d
-    pos = _edge_positions(host)
     # integer numerators over one common denominator; one Fraction per outcome
     den = lcm(*(v.denominator for v in lam.values()))
     nums = [v.numerator * (den // v.denominator) for v in lam.values()]
-    vals = np.array([f.values for f in lam], dtype=np.int64
-                    ).reshape(len(lam), len(host.simplices[1]))
+    vals = _value_array(host, lam)
     dists = {}
     for n in range(min(host.cap, 2) + 1):
         for tok in host.simplices[n]:
-            if n == 0:
-                code = np.zeros(len(lam), dtype=np.int64)
-            elif n == 1:
-                code = vals[:, pos[tok]]
-            else:
-                code = (vals[:, pos[host.face(2, 2, tok)]] * d
-                        + vals[:, pos[host.face(2, 0, tok)]])
             acc: dict = {}
-            for o, v in zip(code.tolist(), nums):
+            codes = _outcome_codes(vals, host, n, tok, d)
+            for o, v in zip(codes.tolist(), nums):
                 acc[o] = acc.get(o, 0) + v
             dists[(n, tok)] = RationalDist.from_dict(
                 {_decode_outcome(o, n, d): Fraction(v, den)
                  for o, v in acc.items()})
     return SimplicialDistribution(host, d, dists)
+
+
+def _value_array(host: TruncatedSSet, dets) -> np.ndarray:
+    """The values of deterministic distributions, one int row per member."""
+    return np.array([f.values for f in dets], dtype=np.int64
+                    ).reshape(len(dets), len(host.simplices[1]))
+
+
+def _outcome_codes(vals: np.ndarray, host: TruncatedSSet, n: int, tok,
+                   d: int) -> np.ndarray:
+    """Each row's outcome on the n-simplex tok (as `on_simplex` reads it),
+    encoded as the base-d number that `_decode_outcome` inverts."""
+    pos = _edge_positions(host)
+    if n == 0:
+        return np.zeros(len(vals), dtype=np.int64)
+    if n == 1:
+        return vals[:, pos[tok]]
+    return (vals[:, pos[host.face(2, 2, tok)]] * d
+            + vals[:, pos[host.face(2, 0, tok)]])
 
 
 def _decode_outcome(code: int, n: int, d: int) -> tuple:
@@ -245,18 +256,14 @@ def _marginal_rows(p: SimplicialDistribution,
     Rows are returned as (support frozenset over det indices, rhs, label).
     """
     host, d = p.host, p.d
-    pos = _edge_positions(host)
-    nf = len(dets)
-    vals = np.array([f.values for f in dets], dtype=np.int64
-                    ).reshape(nf, len(host.simplices[1]))
-    rows = [(frozenset(range(nf)), Fraction(1), ("norm",))]
+    vals = _value_array(host, dets)
+    rows = [(frozenset(range(len(dets))), Fraction(1), ("norm",))]
     for sig in host.nondegenerate(2):
-        i2, i0 = pos[host.face(2, 2, sig)], pos[host.face(2, 0, sig)]
-        key = vals[:, i2] * d + vals[:, i0]
+        codes = _outcome_codes(vals, host, 2, sig, d)
         pdist = p(2, sig)
-        for theta_out in itertools.product(range(d), repeat=2):
-            fiber = np.flatnonzero(key == theta_out[0] * d + theta_out[1])
-            rows.append((frozenset(fiber.tolist()),
+        for o in range(d * d):
+            theta_out = _decode_outcome(o, 2, d)
+            rows.append((frozenset(np.flatnonzero(codes == o).tolist()),
                          pdist(theta_out), (sig, theta_out)))
     return rows
 
