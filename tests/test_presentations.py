@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -306,6 +307,22 @@ def test_solutions_k33_examples():
     zero = k33_system([0] * 6)
     t0 = tuple([d8d8.identity] * 9)
     assert t0 in set(solutions(zero, d8d8))
+
+
+def test_solution_sets_are_pinned():
+    # sha256 prefixes of the sorted Sol lists: the search's output must not
+    # drift with how it prunes
+    d8d8 = "central_product(dihedral:8,dihedral:8)"
+    cases = [
+        ([1, 0, 0, 0, 0, 0], 2, d8d8, 1152, "b1eb3ef7c23a3eec"),
+        ([0, 1, 1, 0, 0, 0], 2, d8d8, 22336, "0cc47df511a6c090"),
+        ([1, 2, 0, 0, 0, 0], 3, "heisenberg:3", 26001, "0399f93355fa328f"),
+        ([1, 2, 0, 0, 0, 0], 3, "e1:3:1", 26001, "1bd0b304c0af7887"),
+    ]
+    for b, d, spec, count, digest in cases:
+        sols = solutions(k33_system(b, d=d), build_group(spec))
+        assert len(sols) == count
+        assert hashlib.sha256(repr(sols).encode()).hexdigest()[:16] == digest
 
 
 def test_sol_nonempty_implies_j_order_d():
