@@ -37,6 +37,7 @@ class GroupTable:
             raise GroupValidationError(f"group too large ({self.n} > {MAX_ORDER})")
         self._inv: Optional[tuple[int, ...]] = None
         self._orders: Optional[tuple[int, ...]] = None
+        self._cent: Optional[tuple[int, ...]] = None
         if validate:
             self._validate()
 
@@ -85,6 +86,16 @@ class GroupTable:
 
     def commute(self, a: int, b: int) -> bool:
         return self.mul(a, b) == self.mul(b, a)
+
+    def centralizer_masks(self) -> tuple[int, ...]:
+        """Per element x, the bitmask of its centralizer: bit y is set iff
+        xy = yx. Computed on first use and cached."""
+        if self._cent is None:
+            t = self.table
+            self._cent = tuple(
+                sum(1 << y for y, (a, b) in enumerate(zip(row, col)) if a == b)
+                for row, col in zip(t, zip(*t)))
+        return self._cent
 
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self.inv(a), self.inv(b)),

@@ -676,20 +676,27 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
     With pin_j the distinguished generator maps to g.j, so the result is
     Hom_J(pres, g); `solutions` is this search run on the solution group.
 
-    Backtracking with relator propagation. Each generator's candidates are
-    the elements that satisfy its single-generator relators (for the pinned
-    generator: g.j, if it does), so those relators hold by construction,
-    and so do commutators with the pinned generator, g.j being central. The
-    other relators are compiled once per call into (generator, row of x^e,
-    e) letters, with one power row per exponent that occurs. Whenever a
-    generator is assigned, each relator through it is evaluated in one
-    pass: with no unknown left it must give the identity; when its only
-    unknown x occurs once, with exponent e, it reads pre x^e post = 1, and
-    the roots of pre^-1 post^-1 (the x with x^e equal to it, from a root
-    table built per exponent on first use) among x's candidates decide:
-    none fails the branch, one is forced and propagated, several are left
-    to branching. Every relator is checked as its last generator is
-    assigned, and the first 20 homs are re-validated in full.
+    Backtracking with forward checking and relator propagation. Each
+    generator's candidates are the elements that satisfy its
+    single-generator relators (for the pinned generator: g.j, if it does),
+    so those relators hold by construction, and so do commutators with the
+    pinned generator, g.j being central. Every other commutator [a, b] is a
+    domain filter: each generator keeps its candidates as an int bitmask,
+    and assigning a := x ANDs x's centralizer mask (`centralizer_masks`)
+    into the domain of each unassigned commutator partner of a. Saved
+    domains are restored on backtrack and an emptied domain fails the
+    branch, so branching tries only values that commute with the assigned
+    partners. The other relators are compiled once per call into
+    (generator, row of x^e, e) letters, with one power row per exponent
+    that occurs. Whenever a generator is assigned, each such relator
+    through it is evaluated in one pass: with no unknown left it must give
+    the identity; when its only unknown x occurs once, with exponent e, it
+    reads pre x^e post = 1, and the roots of pre^-1 post^-1 (the x with
+    x^e equal to it, from a root table built per exponent on first use)
+    within x's domain decide: none fails the branch, one is forced and
+    propagated, several are left to branching. Every relator is checked by
+    the time its last generator is assigned, and the first 20 homs are
+    re-validated in full.
     """
     k = pres.num_gens()
     n, table, ident = g.n, g.table, g.identity
@@ -720,7 +727,8 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
     cand_sets: list[Optional[set[int]]] = [None] * k
     if pinned is not None:
         cand_sets[pinned] = {g.j}
-    live: list[Word] = []
+    live: list[Word] = []   # propagated
+    comms: list[Word] = []  # domain filters
     for rel in pres.relators:
         gens = {gen for gen, _ in rel}
         if len(gens) == 1:
@@ -733,21 +741,31 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
             gen, = gens
             cand_sets[gen] = (allowed[shape] if cand_sets[gen] is None
                               else cand_sets[gen] & allowed[shape])
-        elif gens and not (pinned in gens and len(rel) == 4 and tuple(rel)
-                           == commutator_word(rel[0][0], rel[1][0])):
+        elif len(rel) == 4 and rel == commutator_word(rel[0][0], rel[1][0]):
+            if pinned not in gens:
+                comms.append(rel)
+        elif gens:
             live.append(rel)
     cand_sets = [set(range(n)) if c is None else c for c in cand_sets]
-    candidates = [sorted(c) for c in cand_sets]
-    rel_gens = [{gen for gen, _ in rel} for rel in live]
+    dom = [sum(1 << x for x in c) for c in cand_sets]  # bitmask domains
+    partners: list[set[int]] = [set() for _ in range(k)]
+    for (a, _), (b, _), _, _ in comms:
+        partners[a].add(b)
+        partners[b].add(a)
+    cent = g.centralizer_masks() if comms else ()
+    rel_gens = [{gen for gen, _ in rel} for rel in live + comms]
     rels_at: list[list[int]] = [[] for _ in range(k)]
-    rel_of_gen: list[list[list]] = [[] for _ in range(k)]
-    for r, (rel, gens) in enumerate(zip(live, rel_gens)):
-        crel = [(gen, powers[e], e) for gen, e in rel]
+    for r, gens in enumerate(rel_gens):
         for gen in gens:
             rels_at[gen].append(r)
+    rel_of_gen: list[list[list]] = [[] for _ in range(k)]
+    for rel, gens in zip(live, rel_gens):
+        crel = [(gen, powers[e], e) for gen, e in rel]
+        for gen in gens:
             rel_of_gen[gen].append(crel)
 
-    # order generators so relators close (and start forcing) early
+    # order generators so relators (commutators too) close, and start
+    # forcing, early
     order: list[int] = []
     unplaced = [len(gens) for gens in rel_gens]  # per relator
 
@@ -758,7 +776,7 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
                 done += 1
             elif unplaced[r] < len(rel_gens[r]):
                 touched += 1
-        return (-done, -touched, len(candidates[gen]), gen)
+        return (-done, -touched, len(cand_sets[gen]), gen)
 
     rest = list(range(k))
     while rest:
@@ -770,7 +788,22 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
     images: list[Optional[int]] = [None] * k
     out: list[tuple[int, ...]] = []
 
-    def propagate(gen: int, trail: list[int]) -> bool:
+    def assign(h: int, x: int, trail: list[int], saved: list) -> bool:
+        """h := x, and x's centralizer filters h's unassigned partners."""
+        images[h] = x
+        trail.append(h)
+        for p in partners[h]:
+            if images[p] is None:
+                old = dom[p]
+                new = old & cent[x]
+                if new != old:
+                    if not new:
+                        return False
+                    saved.append((p, old))
+                    dom[p] = new
+        return True
+
+    def propagate(gen: int, trail: list[int], saved: list) -> bool:
         queue = [gen]
         while queue:
             for crel in rel_of_gen[queue.pop()]:
@@ -790,13 +823,14 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
                         continue
                     h, e = free
                     rts = roots.get(e) or root_table(e)
+                    mask = dom[h]
                     vals = [x for x in rts[table[inv[pre]][inv[acc]]]
-                            if x in cand_sets[h]]
+                            if mask >> x & 1]
                     if not vals:
                         return False
                     if len(vals) == 1:
-                        images[h] = vals[0]
-                        trail.append(h)
+                        if not assign(h, vals[0], trail, saved):
+                            return False
                         queue.append(h)
         return True
 
@@ -804,20 +838,26 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
         while pos < k and images[order[pos]] is not None:
             pos += 1
         if pos == k:
-            out.append(tuple(images))  # all relators checked by propagation
+            out.append(tuple(images))  # all relators checked on the way
             return
         gen = order[pos]
-        for val in candidates[gen]:
-            images[gen] = val
-            trail = [gen]
-            if propagate(gen, trail):
+        m = dom[gen]
+        while m:
+            low = m & -m
+            m ^= low
+            trail: list[int] = []
+            saved: list = []
+            if (assign(gen, low.bit_length() - 1, trail, saved)
+                    and propagate(gen, trail, saved)):
                 search(pos + 1)
             for t in trail:
                 images[t] = None
+            for p, old in reversed(saved):
+                dom[p] = old
 
     search(0)
     out.sort()
-    # propagation checked every relator as its last generator was assigned
+    # filtering and propagation checked every relator by its last generator
     homs = [Hom.unchecked(pres, g, tup) for tup in out]
     for h in homs[:20]:
         Hom(pres, g, h.images)  # spot re-validation

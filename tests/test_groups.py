@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,35 @@ CORPUS = [
     "heisenberg:3", "extraspecial:3:1:+",
     "central_product(dihedral:8,dihedral:8)",
 ]
+
+SWEEP_PANEL = [
+    "cyclic:2", "cyclic:4:2", "dihedral:8", "quaternion",
+    "central_product(dihedral:8,dihedral:8)", "cyclic:3", "heisenberg:3",
+    "e1:3:1", "wreath:3", "cyclic:6",
+]
+
+
+def relabelled(g: FinGroupJ, seed: int) -> FinGroupJ:
+    """An isomorphic copy of g with its elements renamed by a permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * g.n for _ in range(g.n)]
+    for a in range(g.n):
+        for b in range(g.n):
+            table[perm[a]][perm[b]] = perm[g.table[a][b]]
+    return FinGroupJ(table, perm[g.identity], perm[g.j], g.d)
+
+
+def test_centralizer_masks():
+    groups = [build_group(s) for s in SWEEP_PANEL]
+    groups.append(relabelled(groups[4], seed=5))
+    for g in groups:
+        masks = g.centralizer_masks()
+        assert len(masks) == g.n
+        for x in range(g.n):
+            for y in range(g.n):
+                assert (masks[x] >> y & 1) == g.commute(x, y)
+        assert g.centralizer_masks() is masks
 
 
 def test_build_group_examples():

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplcs.cohomology import cochain, gamma_b
 from simplcs.groups import (build_group, central_product, cyclic, dihedral,
@@ -423,6 +425,30 @@ def test_opposite_word_abelian_target():
     assert report["matches"] == report["checked"]  # abelian: w = w^op always
 
 
+def brute_homs(pres, g, pin_j):
+    """Every image tuple that satisfies every relator, tried one by one."""
+    k, jdx = pres.num_gens(), pres.j_index if pin_j else None
+    free = [i for i in range(k) if i != jdx]
+    powers = {e: [g.power(x, e) for x in range(g.n)]
+              for rel in pres.relators for _, e in rel}
+    out = []
+    for vals in itertools.product(range(g.n), repeat=len(free)):
+        images = [g.j] * k
+        for i, x in zip(free, vals):
+            images[i] = x
+        ok = True
+        for rel in pres.relators:
+            acc = g.identity
+            for gen, e in rel:
+                acc = g.mul(acc, powers[e][images[gen]])
+            if acc != g.identity:
+                ok = False
+                break
+        if ok:
+            out.append(tuple(images))
+    return sorted(out)
+
+
 def test_enumerate_homs_matches_brute_force():
     rng = random.Random(12)
     targets = [cyclic(2), cyclic(4, 2), dihedral(8)]
@@ -435,21 +461,59 @@ def test_enumerate_homs_matches_brute_force():
             rels.append(word)
         pres = make_presentation(["a", "b", "J"], rels, j_name="J")
         got = {h.images for h in enumerate_homs(pres, g, pin_j=True)}
-        brute = set()
-        for ia in range(g.n):
-            for ib in range(g.n):
-                images = (ia, ib, g.j)
-                ok = True
-                for rel in pres.relators:
-                    acc = g.identity
-                    for gen, e in rel:
-                        acc = g.mul(acc, g.power(images[gen], e))
-                    if acc != g.identity:
-                        ok = False
-                        break
-                if ok:
-                    brute.add(images)
-        assert got == brute
+        assert got == set(brute_homs(pres, g, pin_j=True))
+
+
+ORACLE_TARGETS = ("dihedral:8", "quaternion", "heisenberg:3")
+
+
+@st.composite
+def commutator_presentations(draw):
+    """A target and a presentation whose relators include exact commutators
+    commutator_word(a, b) (repeated, reversed, [a, a], with J), mixed with
+    torsion relators and short random words. Three generators are free:
+    a, b, c and a pinned J, or a, b and an unpinned J."""
+    spec = draw(st.sampled_from(ORACLE_TARGETS))
+    pin_j = draw(st.booleans())
+    names = ("a", "b", "c", "J") if pin_j else ("a", "b", "J")
+    gen = st.integers(0, len(names) - 1)
+    rels = [commutator_word(a, b) for a, b in
+            draw(st.lists(st.tuples(gen, gen), min_size=1, max_size=6))]
+    rels += [((x, e),) for x, e in draw(st.lists(
+        st.tuples(gen, st.sampled_from((2, 3, 4, 6))), max_size=2))]
+    letter = st.tuples(gen, st.sampled_from((-2, -1, 1, 2)))
+    rels += draw(st.lists(st.lists(letter, min_size=2, max_size=4)
+                          .map(word_simplify), max_size=2))
+    rels = draw(st.permutations(rels))
+    return spec, Presentation(names, tuple(rels), "J"), pin_j
+
+
+def _case(spec, pin_j, rels):
+    names = ("a", "b", "c", "J") if pin_j else ("a", "b", "J")
+    return spec, Presentation(names, tuple(rels), "J"), pin_j
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(commutator_presentations())
+@example(_case("dihedral:8", True, [commutator_word(0, 1),
+                                    commutator_word(0, 1),
+                                    commutator_word(1, 2)]))
+@example(_case("quaternion", True, [commutator_word(0, 0),
+                                    commutator_word(3, 0), ((1, 2),)]))
+@example(_case("heisenberg:3", True, [commutator_word(0, 1),
+                                      commutator_word(1, 0),
+                                      commutator_word(2, 1)]))
+@example(_case("dihedral:8", False, [commutator_word(0, 2),
+                                     commutator_word(2, 1), ((2, 2),),
+                                     ((0, 1), (1, 1), (2, -1))]))
+@example(_case("heisenberg:3", False, [commutator_word(2, 0),
+                                       commutator_word(1, 2),
+                                       commutator_word(0, 1), ((2, 3),)]))
+def test_enumerate_homs_commutators_match_brute_force(case):
+    spec, pres, pin_j = case
+    g = build_group(spec)
+    got = [h.images for h in enumerate_homs(pres, g, pin_j=pin_j)]
+    assert got == brute_homs(pres, g, pin_j)
 
 
 def test_tietze_preserves_group_order():
