@@ -477,8 +477,10 @@ def verify_verdict(p: SimplicialDistribution, verdict: Verdict,
     by_label = {label: (support, rhs) for support, rhs, label in rows}
     if not verdict.contextual:
         lam = verdict.weights
-        assert all(v > 0 for v in lam.values())
-        assert sum(lam.values()) == 1
+        if not all(v > 0 for v in lam.values()):
+            raise AssertionError("witness has a weight that is not positive")
+        if sum(lam.values()) != 1:
+            raise AssertionError("witness weights do not sum to 1")
         pos = {id(f): k for k, f in enumerate(dets)}
         sparse = {pos[id(f)]: v for f, v in lam.items()}
         for support, rhs, label in rows:

@@ -1,12 +1,16 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from simplcs.contextuality import (DistributionError, PAULI_X, PAULI_Z,
-                                   RationalDist, _phase1_simplex,
+                                   RationalDist, Verdict, _marginal_rows,
+                                   _phase1_simplex,
                                    delta_distribution, dump_distribution,
                                    enumerate_deterministic, is_contextual,
                                    is_matrix_solution, maximally_mixed,
@@ -335,3 +339,65 @@ def test_criterion_verdict_reports_are_pinned():
     dets0 = enumerate_deterministic(host_of(k33_system([0] * 6)), 2)
     uniform = theta({f: Fraction(1, len(dets0)) for f in dets0})
     assert digest(is_contextual(uniform, dets0)) == "76880e12cc145382"
+
+
+def negative_uniform_witness():
+    """The uniform K33 (b = 0) distribution and a convex-looking witness for
+    it that is not convex: the uniform weights plus a kernel vector of the
+    marginal rows, scaled so that some weights are negative. The weights
+    still sum to 1 and satisfy every marginal row."""
+    dets = enumerate_deterministic(host_of(k33_system([0] * 6)), 2)
+    n = len(dets)
+    uniform = theta({f: Fraction(1, n) for f in dets})
+    rows = _marginal_rows(uniform, dets)
+    # the first column that depends on the earlier ones gives the kernel
+    # vector: reduce each column against an echelon basis of the earlier
+    # ones, tracking which combination of columns each basis vector is
+    basis = []  # (pivot, vector, {column: coefficient})
+    for col in range(n):
+        vec = [Fraction(int(col in support)) for support, _, _ in rows]
+        combo = {col: Fraction(1)}
+        for piv, bvec, bcombo in basis:
+            if vec[piv]:
+                f = vec[piv] / bvec[piv]
+                vec = [a - f * b for a, b in zip(vec, bvec)]
+                for c, v in bcombo.items():
+                    combo[c] = combo.get(c, 0) - f * v
+        if not any(vec):
+            break
+        basis.append((next(i for i, v in enumerate(vec) if v), vec, combo))
+    kernel = [combo.get(k, Fraction(0)) for k in range(n)]
+    big = max(kernel, key=abs)
+    weights = [Fraction(1, n) - 2 * v / (n * big) for v in kernel]
+    witness = {f: w for f, w in zip(dets, weights) if w}
+    return uniform, Verdict(False, weights=witness), dets
+
+
+def test_verify_verdict_rejects_negative_witness():
+    uniform, verdict, dets = negative_uniform_witness()
+    assert min(verdict.weights.values()) < 0
+    assert sum(verdict.weights.values()) == 1
+    pos = {id(f): k for k, f in enumerate(dets)}
+    for support, rhs, _ in _marginal_rows(uniform, dets):
+        assert sum(v for f, v in verdict.weights.items()
+                   if pos[id(f)] in support) == rhs
+    with pytest.raises(AssertionError, match="not positive"):
+        verify_verdict(uniform, verdict, dets)
+    # the same check must hold where `assert` statements are stripped
+    script = (
+        "import sys\n"
+        "from test_contextuality import negative_uniform_witness\n"
+        "from simplcs.contextuality import verify_verdict\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "try:\n"
+        "    verify_verdict(*negative_uniform_witness())\n"
+        "except AssertionError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('negative witness accepted')\n")
+    src = os.path.dirname(os.path.dirname(sys.modules["simplcs"].__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(__file__), src]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
