@@ -6,9 +6,10 @@ via integer Smith form, and the word-level reduction maps.
 
 Solution sets are hom sets: Sol(A,b;G) is computed as Hom_J(Gamma(A,b), G),
 the homomorphisms of the solution group that send J to J_G, so
-`enumerate_homs` is the one search engine behind both. It forces the image
-of a relator's last unknown generator through per-exponent root tables, for
-any exponent, not only +-1.
+`enumerate_homs` is the one search engine behind both. Commutator relators
+narrow bitmask domains through cached centralizer masks, and it forces the
+image of another relator's last unknown generator through per-exponent root
+tables, for any exponent, not only +-1.
 
 Isomorphism claims are always settled by completed coset tables or hom-set
 bijections, never by free-group rewriting.
@@ -741,7 +742,8 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
             gen, = gens
             cand_sets[gen] = (allowed[shape] if cand_sets[gen] is None
                               else cand_sets[gen] & allowed[shape])
-        elif len(rel) == 4 and rel == commutator_word(rel[0][0], rel[1][0]):
+        elif len(rel) == 4 and tuple(rel) == commutator_word(rel[0][0],
+                                                            rel[1][0]):
             if pinned not in gens:
                 comms.append(rel)
         elif gens:

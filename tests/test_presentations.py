@@ -467,6 +467,11 @@ def test_enumerate_homs_matches_brute_force():
 ORACLE_TARGETS = ("dihedral:8", "quaternion", "heisenberg:3")
 
 
+def _case(spec, pin_j, rels):
+    names = ("a", "b", "c", "J") if pin_j else ("a", "b", "J")
+    return spec, Presentation(names, tuple(rels), "J"), pin_j
+
+
 @st.composite
 def commutator_presentations(draw):
     """A target and a presentation whose relators include exact commutators
@@ -475,8 +480,7 @@ def commutator_presentations(draw):
     a, b, c and a pinned J, or a, b and an unpinned J."""
     spec = draw(st.sampled_from(ORACLE_TARGETS))
     pin_j = draw(st.booleans())
-    names = ("a", "b", "c", "J") if pin_j else ("a", "b", "J")
-    gen = st.integers(0, len(names) - 1)
+    gen = st.integers(0, 3 if pin_j else 2)
     rels = [commutator_word(a, b) for a, b in
             draw(st.lists(st.tuples(gen, gen), min_size=1, max_size=6))]
     rels += [((x, e),) for x, e in draw(st.lists(
@@ -484,13 +488,7 @@ def commutator_presentations(draw):
     letter = st.tuples(gen, st.sampled_from((-2, -1, 1, 2)))
     rels += draw(st.lists(st.lists(letter, min_size=2, max_size=4)
                           .map(word_simplify), max_size=2))
-    rels = draw(st.permutations(rels))
-    return spec, Presentation(names, tuple(rels), "J"), pin_j
-
-
-def _case(spec, pin_j, rels):
-    names = ("a", "b", "c", "J") if pin_j else ("a", "b", "J")
-    return spec, Presentation(names, tuple(rels), "J"), pin_j
+    return _case(spec, pin_j, draw(st.permutations(rels)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
