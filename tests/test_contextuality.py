@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from simplcs.contextuality import (DistributionError, PAULI_X, PAULI_Z,
-                                   RationalDist, Verdict, _marginal_rows,
+                                   RationalDist, SimplicialDistribution,
+                                   Verdict, _marginal_rows,
                                    _phase1_simplex,
                                    delta_distribution, dump_distribution,
                                    enumerate_deterministic, is_contextual,
@@ -401,3 +402,116 @@ def test_verify_verdict_rejects_negative_witness():
     run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+def _phase_state_of_class(cls, seed):
+    """The first seeded phase state, from `seed` up, whose count of
+    amplitudes real relative to the first one has parity `cls` (odd
+    states give six distinct outcome probabilities instead of three)."""
+    while True:
+        rho = random_phase_state(4, random.Random(seed))
+        if sum(abs(rho[0][k].imag) < 1e-9 for k in range(4)) % 2 == cls:
+            return rho
+        seed += 1
+
+
+def _mix(t, p, q):
+    """t p + (1 - t) q, simplex by simplex."""
+    dists = {}
+    for key, a in p.dists.items():
+        acc = {}
+        for outcome, v in a.weights:
+            acc[outcome] = acc.get(outcome, 0) + t * v
+        for outcome, v in q.dists[key].weights:
+            acc[outcome] = acc.get(outcome, 0) + (1 - t) * v
+        dists[key] = RationalDist.from_dict(acc)
+    return SimplicialDistribution(p.host, p.d, dists)
+
+
+def _doctored(base, dets, rhs_of):
+    """`base` with each nondegenerate 2-simplex marginal rewritten so that
+    row (sigma, outcome) of the LP has right-hand side
+    rhs_of(index, support, old rhs); not validated, since the result
+    need not be a distribution."""
+    dists = dict(base.dists)
+    new: dict = {}
+    for idx, (support, rhs, label) in enumerate(_marginal_rows(base, dets)):
+        if label != ("norm",):
+            v = rhs_of(idx, support, rhs)
+            if v:
+                new.setdefault(label[0], []).append((label[1], v))
+    for sig in base.host.nondegenerate(2):
+        dists[(2, sig)] = RationalDist(tuple(sorted(
+            new.get(sig, []), key=lambda kv: repr(kv[0]))))
+    return SimplicialDistribution(base.host, base.d, dists, validate=False)
+
+
+def certify_batch():
+    """Seeded LP inputs on the Mermin-Peres K33 host (cap 2): the host, its
+    deterministic distributions and a list of (name, p) pairs."""
+    sys_ = k33_system([0, 0, 0, 0, 0, 1])
+    host = host_of(sys_)
+    dets = enumerate_deterministic(host, 2)
+    rng = random.Random(51)
+    ops = mermin_peres_solution()
+
+    def classical():
+        subset = rng.sample(range(len(dets)), 3)
+        weights = [rng.randrange(1, 10) for _ in subset]
+        return theta({dets[k]: Fraction(w, sum(weights))
+                      for k, w in zip(subset, weights)})
+
+    quantum = [quantum_distribution(
+        sys_, ops, _phase_state_of_class(cls, rng.randrange(2 ** 32)),
+        host=host) for cls in (0, 1)]
+    batch = [(f"mermin_peres_{cls}", q) for cls, q in enumerate(quantum)]
+    batch += [(f"theta_{i}", classical()) for i in range(2)]
+    batch += [(f"rational_{cls}",
+               _mix(Fraction(rng.randrange(1, 8), 8), q, classical()))
+              for cls, q in enumerate(quantum)]
+    base = classical()
+    rows = _marginal_rows(base, dets)
+    first: dict = {}
+    for idx, (support, _, _) in enumerate(rows):
+        first.setdefault(support, idx)
+    # one row of a repeated nonempty support gets a rhs its twin lacks:
+    # the duplicate-support contradiction
+    twin = next(idx for idx, (support, _, _) in enumerate(rows)
+                if support and first[support] != idx)
+    batch.append(("doctored_duplicate", _doctored(
+        base, dets,
+        lambda idx, s, rhs: rhs + Fraction(1, 3) if idx == twin else rhs)))
+    # every row with the last nonempty support gets the same changed rhs,
+    # so duplicates agree but a linear dependence among distinct
+    # supports fails: the dependent-row contradiction
+    last = [s for s in first if s][-1]
+    batch.append(("doctored_dependent", _doctored(
+        base, dets,
+        lambda idx, s, rhs: rhs + Fraction(1, 5) if s == last else rhs)))
+    return host, dets, batch
+
+
+PINNED_VERDICTS = {
+    "mermin_peres_0": "6edc5793ead9aee9", "mermin_peres_1": "ee23858a82678f6d",
+    "theta_0": "6d992b79b7450370", "theta_1": "f698aa285feee80d",
+    "rational_0": "b9d5305f111d7e92", "rational_1": "c460ad6b8d450799",
+    "doctored_duplicate": "5ae238dbb19cf7fc",
+    "doctored_dependent": "404c05e417a9082d",
+}
+PINNED_ROW_LABELS = "4c84a82370642360"
+
+
+def test_certify_batch_verdicts_are_pinned():
+    # sha256 prefixes of each verdict report and of the row labels: the
+    # LP's certificates must not drift with how the LP is organised
+    def digest(blob):
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    host, dets, batch = certify_batch()
+    got, labels = {}, set()
+    for name, p in batch:
+        verdict = is_contextual(p, dets)
+        got[name] = digest(verdict_report(verdict))
+        labels.add(digest(repr(verdict.row_labels)))
+    assert got == PINNED_VERDICTS
+    assert labels == {PINNED_ROW_LABELS}
