@@ -483,11 +483,14 @@ def certify_batch():
         lambda idx, s, rhs: rhs + Fraction(1, 3) if idx == twin else rhs)))
     # every row with the last nonempty support gets the same changed rhs,
     # so duplicates agree but a linear dependence among distinct
-    # supports fails: the dependent-row contradiction
+    # supports fails: the dependent-row contradiction, once for each sign
+    # of the failing combination's rhs
     last = [s for s in first if s][-1]
-    batch.append(("doctored_dependent", _doctored(
-        base, dets,
-        lambda idx, s, rhs: rhs + Fraction(1, 5) if s == last else rhs)))
+    for name, delta in (("doctored_dependent", Fraction(1, 5)),
+                        ("doctored_dependent_negated", Fraction(-1, 5))):
+        batch.append((name, _doctored(
+            base, dets, lambda idx, s, rhs, delta=delta:
+            rhs + delta if s == last else rhs)))
     return host, dets, batch
 
 
@@ -497,6 +500,7 @@ PINNED_VERDICTS = {
     "rational_0": "b9d5305f111d7e92", "rational_1": "c460ad6b8d450799",
     "doctored_duplicate": "5ae238dbb19cf7fc",
     "doctored_dependent": "404c05e417a9082d",
+    "doctored_dependent_negated": "e6ec1401e53eca68",
 }
 PINNED_ROW_LABELS = "4c84a82370642360"
 
