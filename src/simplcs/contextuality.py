@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -249,67 +249,104 @@ class Verdict:
     row_labels: Optional[list] = None
 
 
+def _marginal_supports(host: TruncatedSSet, d: int,
+                       dets: Sequence[DeterministicDist]) -> list:
+    """The marginal rows without their right-hand sides: (support frozenset
+    over det indices, label) for normalization first, then one 0/1 row per
+    (nondegenerate 2-simplex, outcome)."""
+    vals = _value_array(host, dets)
+    rows = [(frozenset(range(len(dets))), ("norm",))]
+    for sig in host.nondegenerate(2):
+        codes = _outcome_codes(vals, host, 2, sig, d)
+        for o in range(d * d):
+            rows.append((frozenset(np.flatnonzero(codes == o).tolist()),
+                         (sig, _decode_outcome(o, 2, d))))
+    return rows
+
+
+def _marginal_rhs(p: SimplicialDistribution, labels: Sequence) -> list:
+    """The right-hand sides for the row labels of `_marginal_supports`: 1 for
+    normalization (the first row), then p_sigma(outcome)."""
+    return [Fraction(1)] + [p(2, sig)(out) for sig, out in labels[1:]]
+
+
 def _marginal_rows(p: SimplicialDistribution,
                    dets: Sequence[DeterministicDist]):
     """One 0/1 row per (nondegenerate 2-simplex, outcome), plus normalization.
 
     Rows are returned as (support frozenset over det indices, rhs, label).
     """
-    host, d = p.host, p.d
-    vals = _value_array(host, dets)
-    rows = [(frozenset(range(len(dets))), Fraction(1), ("norm",))]
-    for sig in host.nondegenerate(2):
-        codes = _outcome_codes(vals, host, 2, sig, d)
-        pdist = p(2, sig)
-        for o in range(d * d):
-            theta_out = _decode_outcome(o, 2, d)
-            rows.append((frozenset(np.flatnonzero(codes == o).tolist()),
-                         pdist(theta_out), (sig, theta_out)))
-    return rows
+    rows = _marginal_supports(p.host, p.d, dets)
+    rhs = _marginal_rhs(p, [label for _, label in rows])
+    return [(support, c, label) for (support, label), c in zip(rows, rhs)]
 
 
-def _eliminate(rows, nf):
-    """Exact integer Gaussian elimination with provenance over the input rows.
+@dataclass(frozen=True)
+class _Presolve:
+    """The part of the LP that does not depend on p.
 
-    Returns (basis, contradiction): basis entries are (int vector, Fraction
-    rhs, provenance dict); a contradiction is a provenance dict y with
-    y'A = 0 and y'c != 0.
+    A provenance is a dict {row index: Fraction}; a row built from the input
+    rows with provenance y has right-hand side y . c for every p.
     """
-    basis: list[tuple[list[int], Fraction, dict]] = []
+    labels: tuple      # row labels, normalization first
+    duplicates: tuple  # (row index, index of the first row with its support)
+    basis: tuple       # (int vector, provenance) per independent row
+    dependent: tuple   # provenance of each row that reduces to zero, in order
+
+
+def _presolve(host: TruncatedSSet, d: int,
+              dets: Sequence[DeterministicDist]) -> _Presolve:
+    """The presolve for (host, dets), cached on the host: one entry, keyed by
+    content, so equal det lists built anew reuse it."""
+    key = (d, tuple(f.values for f in dets))
+    cached = getattr(host, "_lp_presolve", None)
+    if cached is None or cached[0] != key:
+        cached = (key, _build_presolve(host, d, dets))
+        host._lp_presolve = cached
+    return cached[1]
+
+
+def _build_presolve(host: TruncatedSSet, d: int,
+                    dets: Sequence[DeterministicDist]) -> _Presolve:
+    """Drop repeated supports, then exact integer Gaussian elimination with
+    provenance over the remaining rows, in order."""
+    rows = _marginal_supports(host, d, dets)
+    first: dict = {}
+    duplicates = []
+    basis: list[tuple[list[int], dict]] = []
     pivots: list[int] = []
-    for ridx, (support, rhs, _) in enumerate(rows):
-        vec = [0] * nf
+    dependent = []
+    for ridx, (support, _) in enumerate(rows):
+        j = first.setdefault(support, ridx)
+        if j != ridx:
+            duplicates.append((ridx, j))
+            continue
+        vec = [0] * len(dets)
         for k in support:
             vec[k] = 1
-        rhs = Fraction(rhs)
         prov = {ridx: Fraction(1)}
-        for (bvec, brhs, bprov), pcol in zip(basis, pivots):
+        for (bvec, bprov), pcol in zip(basis, pivots):
             if vec[pcol]:
                 q, pval = vec[pcol], bvec[pcol]
                 vec = [pval * a - q * b for a, b in zip(vec, bvec)]
-                rhs = pval * rhs - q * brhs
                 prov = {k: pval * v for k, v in prov.items()}
                 for k, v in bprov.items():
                     prov[k] = prov.get(k, Fraction(0)) - q * v
-        from math import gcd
-        g = 0
-        for a in vec:
-            g = gcd(g, a)
+        g = gcd(*vec)
         if g > 1:
             vec = [a // g for a in vec]
-            rhs = rhs / g
             prov = {k: v / g for k, v in prov.items()}
         if any(vec):
             pcol = next(k for k, a in enumerate(vec) if a)
             if vec[pcol] < 0:
                 vec = [-a for a in vec]
-                rhs = -rhs
                 prov = {k: -v for k, v in prov.items()}
-            basis.append((vec, rhs, prov))
+            basis.append((vec, prov))
             pivots.append(pcol)
-        elif rhs != 0:
-            return basis, prov
-    return basis, None
+        else:
+            dependent.append(prov)
+    return _Presolve(tuple(label for _, label in rows), tuple(duplicates),
+                     tuple(basis), tuple(dependent))
 
 
 def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
@@ -411,61 +448,51 @@ def is_contextual(p: SimplicialDistribution,
     """Exact LP: is p a convex mixture of deterministic distributions?
 
     The defining constraints are the marginal equalities on nondegenerate
-    2-simplices (plus normalization); presolve reduces them to an equivalent
-    independent system with provenance so certificates refer back to the
-    original rows.
+    2-simplices (plus normalization). Only their right-hand side c depends
+    on p: the presolve (repeated supports, and an equivalent independent
+    system with provenance, so certificates refer back to the original rows)
+    is computed once per (host, dets).
     """
     if dets is None:
         dets = enumerate_deterministic(p.host, p.d)
-    rows = _marginal_rows(p, dets)
-    nf = len(dets)
-    # dedupe identical supports; contradictions are immediate certificates
-    seen: dict = {}
-    dedup = []
-    for idx, (support, rhs, label) in enumerate(rows):
-        if support in seen:
-            j, other = seen[support]
-            if other != rhs:
-                hi, lo = (idx, j) if rhs > other else (j, idx)
-                verdict = Verdict(True, farkas=[(rows[hi][2], Fraction(1)),
-                                                (rows[lo][2], Fraction(-1))],
-                                  row_labels=[r[2] for r in rows])
-                verify_verdict(p, verdict, dets)
-                return verdict
-        else:
-            seen[support] = (idx, rhs)
-            dedup.append((support, rhs, label))
-
-    basis, contradiction = _eliminate(dedup, nf)
-    if contradiction is not None:
-        y = contradiction
-        if sum(v * dedup[k][1] for k, v in y.items()) < 0:
-            y = {k: -v for k, v in y.items()}
-        verdict = Verdict(True,
-                          farkas=[(dedup[k][2], v) for k, v in sorted(y.items())
-                                  if v],
-                          row_labels=[r[2] for r in rows])
-        verify_verdict(p, verdict, dets)
-        return verdict
-
-    a_rows = [vec for vec, _, _ in basis]
-    rhs = [r for _, r, _ in basis]
-    x, y_red = _phase1_simplex(a_rows, rhs)
-    if x is not None:
-        weights = {dets[k]: v for k, v in enumerate(x) if v}
-        verdict = Verdict(False, weights=weights,
-                          row_labels=[r[2] for r in rows])
-        verify_verdict(p, verdict, dets)
-        return verdict
-    y: dict = {}
-    for i, (_, _, prov) in enumerate(basis):
-        if y_red[i]:
-            for k, v in prov.items():
-                y[k] = y.get(k, Fraction(0)) + y_red[i] * v
-    farkas = [(dedup[k][2], v) for k, v in sorted(y.items()) if v]
-    verdict = Verdict(True, farkas=farkas, row_labels=[r[2] for r in rows])
+    pre = _presolve(p.host, p.d, dets)
+    verdict = _solve(pre, _marginal_rhs(p, pre.labels), dets)
+    verdict.row_labels = list(pre.labels)
     verify_verdict(p, verdict, dets)
     return verdict
+
+
+def _solve(pre: _Presolve, c: list, dets: Sequence[DeterministicDist]
+           ) -> Verdict:
+    """The verdict of the presolved LP for right-hand side c."""
+    labels = pre.labels
+    # identical supports with different rhs: an immediate certificate
+    for idx, j in pre.duplicates:
+        if c[idx] != c[j]:
+            hi, lo = (idx, j) if c[idx] > c[j] else (j, idx)
+            return Verdict(True, farkas=[(labels[hi], Fraction(1)),
+                                         (labels[lo], Fraction(-1))])
+    # a row in the span of earlier rows whose rhs disagrees with theirs
+    for y in pre.dependent:
+        dot = sum(v * c[k] for k, v in y.items())
+        if dot:
+            sign = 1 if dot > 0 else -1
+            return Verdict(True, farkas=[(labels[k], sign * v)
+                                         for k, v in sorted(y.items()) if v])
+
+    x, y_red = _phase1_simplex(
+        [vec for vec, _ in pre.basis],
+        [sum(v * c[k] for k, v in prov.items()) for _, prov in pre.basis])
+    if x is not None:
+        return Verdict(False, weights={dets[k]: v for k, v in enumerate(x)
+                                       if v})
+    y: dict = {}
+    for yi, (_, prov) in zip(y_red, pre.basis):
+        if yi:
+            for k, v in prov.items():
+                y[k] = y.get(k, Fraction(0)) + yi * v
+    return Verdict(True, farkas=[(labels[k], v) for k, v in sorted(y.items())
+                                 if v])
 
 
 def verify_verdict(p: SimplicialDistribution, verdict: Verdict,

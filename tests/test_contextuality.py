@@ -11,7 +11,7 @@ import pytest
 from simplcs.contextuality import (DistributionError, PAULI_X, PAULI_Z,
                                    RationalDist, SimplicialDistribution,
                                    Verdict, _marginal_rows,
-                                   _phase1_simplex,
+                                   _phase1_simplex, _presolve,
                                    delta_distribution, dump_distribution,
                                    enumerate_deterministic, is_contextual,
                                    is_matrix_solution, maximally_mixed,
@@ -519,3 +519,29 @@ def test_certify_batch_verdicts_are_pinned():
         labels.add(digest(repr(verdict.row_labels)))
     assert got == PINNED_VERDICTS
     assert labels == {PINNED_ROW_LABELS}
+
+
+def test_presolve_cache_is_keyed_by_content():
+    host = host_of(k33_system([0, 0, 0, 0, 0, 1]))
+    dets = enumerate_deterministic(host, 2)
+    p = theta({dets[3]: Fraction(1, 3), dets[200]: Fraction(2, 3)})
+    pre = _presolve(host, 2, dets)
+    # equal content built anew, and dets=None, reuse the cached presolve
+    for again in (enumerate_deterministic(host, 2), None):
+        assert not is_contextual(p, again).contextual
+        assert _presolve(host, 2, dets) is pre
+    # a reordered list is another LP: its witness is over its own columns
+    rev = dets[::-1]
+    verdict = is_contextual(p, rev)
+    assert _presolve(host, 2, rev) is not pre
+    assert not verdict.contextual
+    assert theta(verdict.weights).dists == p.dists
+    verify_verdict(p, verdict, rev)
+    # the entry lives on its host alone
+    kept = _presolve(host, 2, rev)
+    other = host_of(two_vertex_system((0, 0)))
+    assert getattr(other, "_lp_presolve", None) is None
+    other_dets = enumerate_deterministic(other, 2)
+    assert not is_contextual(delta_distribution(other_dets[1]),
+                             other_dets).contextual
+    assert _presolve(host, 2, rev) is kept
