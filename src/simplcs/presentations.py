@@ -1077,19 +1077,22 @@ def theorem_iso_check(x: TruncatedSSet, gamma, d: int,
     e1_gen = edge_idx[e1_tok]
     for g in test_groups:
         homs2 = enumerate_homs(p2, g, pin_j=True)
+        # generator k of p1 goes to J^a h(e_tau), with (a, tau) its token
+        jpow = [g.j_power(k) for k in range(g.d)]
+        transport = []
+        for k in range(p1.num_gens()):
+            a_vec, tau = xg_tokens[k]
+            transport.append((jpow[a_vec[0] % g.d], col_pos[tau]))
         images1 = set()
         for idx, h in enumerate(homs2):
-            imgs = []
-            for k in range(p1.num_gens()):
-                (a_vec, tau) = xg_tokens[k]
-                imgs.append(g.mul(g.j_power(a_vec[0]), h(col_pos[tau])))
+            imgs = tuple(g.mul(j, h(col)) for j, col in transport)
             if idx < 20:
-                hom1 = Hom(p1, g, tuple(imgs))  # re-validate a sample fully
+                hom1 = Hom(p1, g, imgs)  # re-validate a sample fully
             else:
-                hom1 = Hom.unchecked(p1, g, tuple(imgs))
+                hom1 = Hom.unchecked(p1, g, imgs)
             if hom1(e1_gen) != g.j:
                 raise AssertionError("transported hom does not pin e_1")
-            images1.add(tuple(imgs))
+            images1.add(imgs)
         if len(images1) != len(homs2):
             passed = False
         # Hom_J(p1, g) with e_1 in the role of J
