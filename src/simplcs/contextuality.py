@@ -4,9 +4,12 @@ Deterministic distributions are enumerated exactly (kernel of the additive
 edge condition over Z_d); the noncontextuality decision is an exact LP
 feasibility problem, so every verdict carries a machine-checkable certificate:
 a convex decomposition, or a Farkas vector against the marginal constraints.
-Probabilities stay exact rationals; the phase-1 simplex (Dantzig pricing,
-then Bland's rule) runs on an integer-preserving tableau over one common
-denominator, and its answer is converted back to `Fraction`s.
+Only the LP's right-hand side depends on the distribution: its presolve
+(repeated supports, exact elimination with provenance) is computed once per
+(host, deterministic distributions) and cached on the host. Probabilities
+stay exact rationals; the phase-1 simplex (Dantzig pricing, then Bland's
+rule) runs on an integer-preserving tableau over one common denominator,
+and its answer is converted back to `Fraction`s.
 
 The quantum side (commuting d-torsion unitaries, projective measurements,
 density operators) lives in floating complex arithmetic and is snapped to

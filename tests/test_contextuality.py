@@ -447,7 +447,7 @@ def _doctored(base, dets, rhs_of):
 
 
 def certify_batch():
-    """Seeded LP inputs on the Mermin-Peres K33 host (cap 2): the host, its
+    """Seeded LP inputs on the Mermin-Peres K33 host (cap 2): its
     deterministic distributions and a list of (name, p) pairs."""
     sys_ = k33_system([0, 0, 0, 0, 0, 1])
     host = host_of(sys_)
@@ -491,7 +491,7 @@ def certify_batch():
         batch.append((name, _doctored(
             base, dets, lambda idx, s, rhs, delta=delta:
             rhs + delta if s == last else rhs)))
-    return host, dets, batch
+    return dets, batch
 
 
 PINNED_VERDICTS = {
@@ -511,7 +511,7 @@ def test_certify_batch_verdicts_are_pinned():
     def digest(blob):
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    host, dets, batch = certify_batch()
+    dets, batch = certify_batch()
     got, labels = {}, set()
     for name, p in batch:
         verdict = is_contextual(p, dets)
