@@ -19,7 +19,8 @@ from simplcs.presentations import (Hom, Presentation, abelian_order,
                                    opposite_word_check, parse_presentation,
                                    pi1, pi1_commutative, reduction_maps,
                                    solution_group, solutions, theorem_iso_check,
-                                   todd_coxeter, word_inverse, word_simplify)
+                                   tietze_simplify, todd_coxeter, word_inverse,
+                                   word_simplify)
 from simplcs.simplicial import (comm_nerve, k33_torus_fixture, nerve,
                                 random_truncated_sset, twisted_product)
 from simplcs.zmod import ZModMatrix, solve
@@ -72,6 +73,31 @@ def test_tc_q8():
     table = todd_coxeter(q8)
     assert table.order == 8
     assert find_isomorphism(table.group, quaternion()) is not None
+
+
+def test_tc_tables_are_pinned():
+    # sha256 prefixes of (Cayley table, generator images, J image): coset
+    # numbering and how the table is filled must not drift
+    e2 = build_group("extraspecial:2:2:+")
+    cases = [
+        (solution_group(k33_system([1, 0, 0, 0, 0, 0])), 32,
+         "0d4f5e8188ecb2e3"),
+        (solution_group(k33_system([0] * 6)), 32, "33bb4ce40f7b1479"),
+        (solution_group(k33_system([1, 1, 1, 0, 0, 0], d=3)), 243,
+         "5e5f9043364b8464"),
+        (solution_group(make_system([[0, 0, 0, 2], [3, 1, 5, 2]], [0, 3], 6)),
+         432, "d747066028a7c3ec"),
+        (tietze_simplify(pi1(comm_nerve(e2, cap=2))[0]), 32,
+         "53ee426b4b094dc7"),
+    ]
+    for pres, order, digest in cases:
+        table = todd_coxeter(pres)
+        assert table.order == order
+        blob = repr((table.group.table, table.gen_images, table.j_image))
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+    # a generator that no relator touches leaves a free direction
+    assert todd_coxeter(make_presentation(["a", "b"], [])) is None
+    assert todd_coxeter(make_presentation(["a", "b"], [[("a", 2)]])) is None
 
 
 # ------------------------------------------------------------ solution group
