@@ -61,16 +61,6 @@ class LinearSystem:
         if bad:
             raise RowConditionError("; ".join(bad))
 
-    def reduce_mod(self, new_modulus: int) -> "LinearSystem":
-        """Entrywise reduction Z_d -> Z_{d'} (d' dividing d)."""
-        if self.modulus % new_modulus:
-            raise ValueError("new modulus must divide the old one")
-        return LinearSystem(
-            ZModMatrix([[e % new_modulus for e in row] for row in self.matrix.rows],
-                       new_modulus, num_cols=self.num_cols),
-            tuple(v % new_modulus for v in self.rhs),
-            self.row_labels, self.col_labels)
-
 
 def make_system(rows: Sequence[Sequence[int]], rhs: Sequence[int], d: int,
                 row_labels=None, col_labels=None) -> LinearSystem:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import FinGroupJ, GroupTable
+from .groups import MAX_ORDER, FinGroupJ, GroupTable
 from .linsys import LinearSystem
 from .simplicial import BASEPOINT, TruncatedSSet, twisted_product
 from .zmod import smith_normal_form
@@ -70,9 +70,6 @@ class Presentation:
     def j_index(self) -> Optional[int]:
         return self.gens.index(self.j_name) if self.j_name else None
 
-    def gen_index(self, name: str) -> int:
-        return self.gens.index(name)
-
     def num_gens(self) -> int:
         return len(self.gens)
 
@@ -107,11 +104,10 @@ def solution_group(system: LinearSystem) -> Presentation:
     jdx = len(gens) - 1
     relators: list[Word] = [word_simplify([(i, d)]) for i in range(len(gens))]
     # commutativity: pairs inside each row support, and J with every e_v
-    pairs = set()
+    pairs = {(v, jdx) for v in range(system.num_cols)}
     for row in system.matrix.rows:
         supp = [v for v, e in enumerate(row) if e]
         pairs.update(itertools.combinations(sorted(supp), 2))
-        pairs.update((v, jdx) for v in supp)
     for a, b in sorted(pairs):
         relators.append(commutator_word(a, b))
     # products: prod e_v^{A_iv} J^{-b_i}
@@ -511,12 +507,6 @@ class CosetTable:
     def order(self) -> int:
         return self.group.n
 
-    def word_image(self, word: Word) -> int:
-        acc = self.group.identity
-        for g, e in word:
-            acc = self.group.mul(acc, self.group.power(self.gen_images[g], e))
-        return acc
-
 
 def relator_to_path(word: Word, k: int) -> list[int]:
     path = []
@@ -528,56 +518,58 @@ def relator_to_path(word: Word, k: int) -> list[int]:
 
 def todd_coxeter(pres: Presentation, max_cosets: int = 10 ** 6
                  ) -> Optional[CosetTable]:
-    """Enumerate cosets of the trivial subgroup; None means inconclusive."""
+    """Enumerate cosets of the trivial subgroup; None means inconclusive.
+
+    The completed table is the regular action: one permutation of the cosets
+    per generator column. Coset c2 is reached from coset 0 along the word of
+    a BFS tree over the columns, so the Cayley table's column c2 (c1 times
+    c2) follows that word from every coset at once, one tree edge at a time.
+    """
     k = pres.num_gens()
     paths = [relator_to_path(w, k) for w in pres.relators if w]
     tc = TC(k, paths, max_cosets)
     if not tc.run():
         return None
     live = tc.live()
-    index = {c: i for i, c in enumerate(live)}
     n = len(live)
-
-    def move(i: int, col: int) -> int:
-        dest = tc.neigh[live[i]].get(col, -1)
-        if dest == -1:
-            # free direction never touched by a relator: group is infinite
-            raise _FreeDirection()
-        return index[tc.find(dest)]
-
-    class _FreeDirection(Exception):
-        pass
-
-    try:
-        # words for each coset by BFS over generator columns
-        words: dict[int, tuple[int, ...]] = {0: ()}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for col in range(2 * k):
-                    dest = tc.neigh[live[c]].get(col, -1)
-                    if dest == -1:
-                        continue
-                    dest = index[tc.find(dest)]
-                    if dest not in words:
-                        words[dest] = words[c] + (col,)
-                        nxt.append(dest)
-            frontier = nxt
-        if len(words) != n:
-            return None
-        table = []
-        for c1 in range(n):
-            row = []
-            for c2 in range(n):
-                c = c1
-                for col in words[c2]:
-                    c = move(c, col)
-                row.append(c)
-            table.append(row)
-        gen_images = tuple(move(0, g) for g in range(k))
-    except _FreeDirection:
+    if n > MAX_ORDER:
         return None
+    index = {c: i for i, c in enumerate(live)}
+    # perm[col][i]: coset i times col; n marks a free direction, never
+    # touched by a relator (the group is infinite), and is absorbing
+    perm = np.full((2 * k, n + 1), n, dtype=np.intp)
+    for i, c in enumerate(live):
+        for col, dest in tc.neigh[c].items():
+            perm[col, i] = index[tc.find(dest)]
+    # BFS tree over generator columns from coset 0, columns in order
+    step = perm.tolist()
+    seen = [False] * n
+    seen[0] = True
+    edges: list[tuple[int, int, int]] = []   # (coset, column, new coset)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for col, row in enumerate(step):
+                dest = row[c]
+                if dest < n and not seen[dest]:
+                    seen[dest] = True
+                    edges.append((c, col, dest))
+                    nxt.append(dest)
+        frontier = nxt
+    if len(edges) != n - 1:
+        return None
+    # columns[c2][c1] = c1 c2 (the transposed Cayley table)
+    columns = np.empty((n, n), dtype=np.intp)
+    columns[0] = np.arange(n)
+    for c, col, dest in edges:
+        columns[dest] = perm[col][columns[c]]
+    gen_images = tuple(row[0] for row in step[:k])
+    if n in gen_images or columns.max() == n:
+        return None
+    ids = list(range(n))  # one int object per element, shared by all rows
+    table = [tuple(map(ids.__getitem__, row.tolist())) for row in columns.T]
+    del columns  # before GroupTable makes its own n x n arrays
     group = GroupTable(table, 0, name="coset-group")
     j_image = (gen_images[pres.j_index]
                if pres.j_index is not None else None)

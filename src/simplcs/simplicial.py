@@ -97,9 +97,6 @@ class TruncatedSSet:
     def degeneracy(self, n: int, j: int, tok):
         return self.degeneracies[(n, j)][tok]
 
-    def degree(self, n: int) -> tuple:
-        return self.simplices[n]
-
     def size(self, n: int) -> int:
         return len(self.simplices[n])
 
@@ -267,15 +264,6 @@ class SMap:
             if len(set(imgs)) != len(imgs) or len(imgs) != self.target.size(n):
                 return False
         return True
-
-    def compose(self, other: "SMap") -> "SMap":
-        """self after other (other's target must be self's source)."""
-        cap = min(self.cap, other.cap)
-        mapping = {n: {tok: self.mapping[n][other.mapping[n][tok]]
-                       for tok in other.source.simplices[n]}
-                   for n in range(cap + 1)}
-        return SMap(other.source, self.target, mapping,
-                    name=f"{self.name}∘{other.name}")
 
 
 # ================================================================= nerve spaces

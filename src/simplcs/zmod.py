@@ -112,17 +112,10 @@ class ZModMatrix:
         return ZModMatrix([[1 if i == j else 0 for j in range(n)]
                            for i in range(n)], modulus)
 
-    @staticmethod
-    def zeros(r: int, c: int, modulus: int) -> "ZModMatrix":
-        return ZModMatrix([[0] * c for _ in range(r)], modulus, num_cols=c)
-
     def _check(self, other: "ZModMatrix") -> None:
         if self.modulus != other.modulus:
             raise ValueError(
                 f"mixed moduli: {self.modulus} vs {other.modulus}")
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from simplcs import groups
 from simplcs.cli import main
 from simplcs.linsys import k33_system, write_lcs
 
@@ -55,6 +56,22 @@ def test_solve_unbuildable_group_spec(k33_file, tmp_path, capsys, spec):
     assert spec in capsys.readouterr().err
 
 
+def test_solve_rejects_nonassociative_cayley_table(k33_file, tmp_path,
+                                                  capsys):
+    # order 576, above the size where associativity used to be sampled
+    g = groups.direct_product(
+        groups.build_group("central_product(dihedral:8,dihedral:8)"),
+        groups.cyclic(18))
+    rows = [list(r) for r in g.table]
+    rows[5][7], rows[5][11] = rows[5][11], rows[5][7]
+    path = tmp_path / "bad.cayley"
+    lines = [f"{g.n} {g.d} {g.identity} {g.j}"]
+    lines += [" ".join(map(str, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["solve", k33_file, "--group", f"cayley:{path}"]) == 3
+    assert "associativity fails" in capsys.readouterr().err
+
+
 def test_parse_error_has_line_number(tmp_path, capsys):
     path = tmp_path / "bad.lcs"
     path.write_text("2 2 2\n1 1\n1 x\n0 0\n")
@@ -91,6 +108,29 @@ def test_solgroup_inconclusive_exit_code(tmp_path, capsys):
     assert code == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["todd_coxeter"] == "inconclusive"
+
+
+def test_solgroup_zero_column_is_finite(tmp_path, capsys):
+    # J is central, so a column in no row gives a Z_2 factor, not Z_2 * Z_2
+    path = tmp_path / "zero_col.lcs"
+    path.write_text("2 1 1\n0\n0\n")
+    assert main(["solgroup", str(path), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["abelianization"] == {"torsion": [2, 2],
+                                                "free_rank": 0}
+    assert rep["results"]["todd_coxeter"]["order"] == 4
+
+
+def test_solgroup_above_max_order_is_inconclusive(tmp_path, capsys):
+    # Z_65 x Z_65 has 4225 > groups.MAX_ORDER elements: not an input error
+    path = tmp_path / "z65.lcs"
+    path.write_text("65 1 2\n1 1\n0\n")
+    assert main(["solgroup", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rep = json.loads(captured.out)
+    assert rep["results"]["todd_coxeter"] == "inconclusive"
+    assert rep["results"]["abelianization"]["torsion"] == [65, 65]
 
 
 def test_realize_example_215(capsys):

@@ -1,9 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from simplcs.groups import (FinGroupJ, GroupValidationError,
+from simplcs.groups import (FinGroupJ, GroupTable, GroupValidationError,
                             MonomialElement, build_e1, build_group,
                             central_product, cocycle_from_section, cyclic,
                             dihedral, direct_product, embed_e1, extraspecial,
@@ -33,6 +34,59 @@ def relabelled(g: FinGroupJ, seed: int) -> FinGroupJ:
         for b in range(g.n):
             table[perm[a]][perm[b]] = perm[g.table[a][b]]
     return FinGroupJ(table, perm[g.identity], perm[g.j], g.d)
+
+
+def associative(table) -> bool:
+    """Brute force over all n^3 triples: (ab)c = a(bc)."""
+    arr = np.array(table)
+    return all((arr[arr[a]] == arr[a][arr]).all() for a in range(len(arr)))
+
+
+def swapped(table, row: int, i: int, j: int) -> list[list[int]]:
+    """The table with entries i and j of one row exchanged."""
+    out = [list(r) for r in table]
+    out[row][i], out[row][j] = out[row][j], out[row][i]
+    return out
+
+
+def order_576_corrupted() -> tuple[FinGroupJ, list[list[int]]]:
+    g = direct_product(build_group("central_product(dihedral:8,dihedral:8)"),
+                       cyclic(18))
+    return g, swapped(g.table, 5, 7, 11)
+
+
+def test_associativity_check_matches_brute_force():
+    # single swaps away from the identity's row and column keep the
+    # identity and inverse laws, so only associativity can reject them
+    rng = random.Random(17)
+    rejected = 0
+    for spec in SWEEP_PANEL:
+        g = build_group(spec)
+        for h in (g, relabelled(g, seed=3)):
+            assert associative(h.table)
+            GroupTable(h.table, h.identity)
+            others = [x for x in range(h.n) if x != h.identity]
+            if len(others) < 2:
+                continue
+            for _ in range(8):
+                bad = swapped(h.table, rng.choice(others),
+                              *rng.sample(others, 2))
+                if not associative(bad):
+                    rejected += 1
+                    with pytest.raises(GroupValidationError,
+                                       match="associativity"):
+                        GroupTable(bad, h.identity)
+    assert rejected == 8 * 2 * (len(SWEEP_PANEL) - 1)
+
+
+def test_associativity_checked_above_order_512():
+    g, bad = order_576_corrupted()
+    assert g.n == 576
+    arr = np.array(bad)
+    assert sum(int((arr[arr[a]] != arr[a][arr]).sum())
+               for a in range(g.n)) == 4594
+    with pytest.raises(GroupValidationError, match="associativity"):
+        FinGroupJ(bad, g.identity, g.j, g.d)
 
 
 def test_centralizer_masks():

@@ -100,7 +100,22 @@ def test_tc_tables_are_pinned():
     assert todd_coxeter(make_presentation(["a", "b"], [[("a", 2)]])) is None
 
 
+def test_tc_above_max_order_is_inconclusive():
+    # Z_65 x Z_65 enumerates in full, but 4225 > groups.MAX_ORDER
+    z65sq = make_presentation(["a", "b"], [[("a", 65)], [("b", 65)],
+                                           commutator_word(0, 1)])
+    assert todd_coxeter(z65sq) is None
+
+
 # ------------------------------------------------------------ solution group
+
+def test_solution_group_j_commutes_with_zero_columns():
+    # e0 = J, and e1, in no row, still commutes with J: Z_3 x Z_3, not a
+    # free product
+    pres = solution_group(make_system([[1, 0]], [1], 3))
+    assert commutator_word(1, 2) in pres.relators
+    assert todd_coxeter(pres).order == 9
+
 
 def test_solution_group_single_vertex():
     p = solution_group(single_vertex_system(1, d=3))
