@@ -143,9 +143,11 @@ class GroupTable:
             gens.append(b)
             frontier, cols = np.flatnonzero(reached), [b]
             while frontier.size:
-                img = np.unique(arr[np.ix_(frontier, cols)])
-                frontier, cols = img[~reached[img]], gens
-                reached[frontier] = True
+                fresh = np.zeros(n, dtype=bool)
+                fresh[arr[np.ix_(frontier, cols)]] = True
+                fresh &= ~reached
+                reached |= fresh
+                frontier, cols = np.flatnonzero(fresh), gens
 
 
 class FinGroupJ(GroupTable):
