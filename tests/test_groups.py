@@ -36,10 +36,11 @@ def relabelled(g: FinGroupJ, seed: int) -> FinGroupJ:
     return FinGroupJ(table, perm[g.identity], perm[g.j], g.d)
 
 
-def associative(table) -> bool:
-    """Brute force over all n^3 triples: (ab)c = a(bc)."""
+def bad_triples(table) -> int:
+    """Brute force over all n^3 triples: how many have (ab)c != a(bc)."""
     arr = np.array(table)
-    return all((arr[arr[a]] == arr[a][arr]).all() for a in range(len(arr)))
+    return sum(int((arr[arr[a]] != arr[a][arr]).sum())
+               for a in range(len(arr)))
 
 
 def swapped(table, row: int, i: int, j: int) -> list[list[int]]:
@@ -49,29 +50,43 @@ def swapped(table, row: int, i: int, j: int) -> list[list[int]]:
     return out
 
 
-def order_576_corrupted() -> tuple[FinGroupJ, list[list[int]]]:
-    g = direct_product(build_group("central_product(dihedral:8,dihedral:8)"),
-                       cyclic(18))
-    return g, swapped(g.table, 5, 7, 11)
+# The smallest loop that is not a group: a Latin square with identity 0 and
+# x x = 0, so it is not Z_5
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def times_loop5(g: FinGroupJ) -> list[list[int]]:
+    """LOOP5 x g with the loop coordinate slowest: the first n elements,
+    LOOP5's identity times g, pass Light's test and generate only g, so a
+    check that stops early accepts this table."""
+    n = g.n
+    return [[LOOP5[l1][l2] * n + g.table[a][b] for l2 in range(5)
+             for b in range(n)] for l1 in range(5) for a in range(n)]
 
 
 def test_associativity_check_matches_brute_force():
-    # single swaps away from the identity's row and column keep the
-    # identity and inverse laws, so only associativity can reject them
+    # LOOP5 products and single swaps away from the identity's row and
+    # column keep the identity and inverse laws, so only associativity can
+    # reject them
     rng = random.Random(17)
     rejected = 0
     for spec in SWEEP_PANEL:
         g = build_group(spec)
         for h in (g, relabelled(g, seed=3)):
-            assert associative(h.table)
+            assert bad_triples(h.table) == 0
             GroupTable(h.table, h.identity)
+            bad = times_loop5(h)
+            assert bad_triples(bad)
+            with pytest.raises(GroupValidationError, match="associativity"):
+                GroupTable(bad, h.identity)
             others = [x for x in range(h.n) if x != h.identity]
             if len(others) < 2:
                 continue
             for _ in range(8):
                 bad = swapped(h.table, rng.choice(others),
                               *rng.sample(others, 2))
-                if not associative(bad):
+                if bad_triples(bad):
                     rejected += 1
                     with pytest.raises(GroupValidationError,
                                        match="associativity"):
@@ -80,11 +95,11 @@ def test_associativity_check_matches_brute_force():
 
 
 def test_associativity_checked_above_order_512():
-    g, bad = order_576_corrupted()
+    g = direct_product(build_group("central_product(dihedral:8,dihedral:8)"),
+                       cyclic(18))
     assert g.n == 576
-    arr = np.array(bad)
-    assert sum(int((arr[arr[a]] != arr[a][arr]).sum())
-               for a in range(g.n)) == 4594
+    bad = swapped(g.table, 5, 7, 11)
+    assert bad_triples(bad) == 4594
     with pytest.raises(GroupValidationError, match="associativity"):
         FinGroupJ(bad, g.identity, g.j, g.d)
 

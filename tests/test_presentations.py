@@ -556,7 +556,6 @@ def test_enumerate_homs_commutators_match_brute_force(case):
 
 
 def test_tietze_preserves_group_order():
-    from simplcs.presentations import tietze_simplify
     rng = random.Random(13)
     trials = 0
     while trials < 10:
