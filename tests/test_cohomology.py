@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,10 +10,13 @@ from simplcs.cohomology import (CochainError, Cochain, coboundary, cochain,
                                 is_cocycle, is_normalized, normalize_cocycle,
                                 parse_cochain, pullback, tilde_b)
 from simplcs.groups import build_group, cyclic, dihedral, quaternion, quotient_by_j
-from simplcs.linsys import two_vertex_system, k33_system
+from simplcs.linsys import (k33_system, make_system, two_vertex_system,
+                            write_lcs)
+from simplcs.presentations import reduction_maps
 from simplcs.simplicial import (BASEPOINT, K33_FUNDAMENTAL_CYCLE, SMap,
-                                bar_comm_nerve, comm_nerve, k33_torus_fixture,
-                                nerve, wedge_nzd)
+                                bar_comm_nerve, comm_nerve, complex_of_system,
+                                k33_torus_fixture, nerve, nzd_sigma, wedge_nzd,
+                                wedge_subset_of_nzd)
 from simplcs.zmod import ZModMatrix, howell_form
 
 
@@ -164,6 +168,39 @@ def test_gamma_b_k33_is_cocycle():
     g, q = gamma_b(k33_system([1, 0, 0, 0, 0, 0]), cap=3)
     assert is_cocycle(g)
     assert is_normalized(g)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def test_reduction_digests_are_pinned():
+    # sha256 prefixes of gamma_b's values and of the extracted .lcs text; the
+    # Z_4 and Z_6 systems have row spans that share a vector, with b agreeing
+    cases = [
+        (k33_system([1, 0, 0, 0, 0, 0]), "e5e40aecc222e799", "d010fe3e0f02bc84"),
+        (k33_system([1, 1, 0, 0, 0, 0]), "6fb801474d769300", "c0beba1a83bae7bb"),
+        (k33_system([1, 1, 1, 0, 0, 0], d=3),
+         "60d999b172051639", "e426d28fe8a4b38f"),
+        (two_vertex_system((1, 0)), "f0899a56e04327fb", "9dc7f31d4d3c9ecb"),
+        (two_vertex_system((1, 2), d=3), "683567ae31d519fe", "24da3a10ffcdfe03"),
+        (make_system([[1, 1], [1, 3]], [1, 3], 4),
+         "330cfaed4e2a2437", "9b583a87a23825cc"),
+        (make_system([[5, 2], [3, 4]], [3, 3], 6),
+         "2914e73637c90d8b", "2eabfd2d0b091dac"),
+    ]
+    for sys_, gamma_digest, lcs_digest in cases:
+        g, q = gamma_b(sys_, cap=2)
+        assert _digest([(tok, g(tok)) for tok in q.simplices[2]]) == gamma_digest
+        assert _digest(write_lcs(extract_linear_system(q, g))) == lcs_digest
+    # the collapsed subset and the delta columns of the reduction
+    for (sys_, *_), subset_digest, delta_digest in (
+            (cases[3], "ec771c20c882c6d5", "a4ec645407ab09ab"),
+            (cases[6], "d411164ef45736c7", "5eeb30efee32067a")):
+        x = nzd_sigma(complex_of_system(sys_), sys_.modulus, 2)
+        assert _digest(wedge_subset_of_nzd(sys_, x)) == subset_digest
+        delta_cols = sorted(reduction_maps(sys_).delta_cols.items())
+        assert _digest(delta_cols) == delta_digest
 
 
 # -------------------------------------------------- extract linear system
