@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from .groups import CentralExtensionData, GroupCocycle
 from .linsys import LinearSystem, make_system
 from .simplicial import (BASEPOINT, SMap, TruncatedSSet, bar_comm_nerve,
-                         complex_of_system, nzd_sigma, row_function,
+                         complex_of_system, nzd_sigma, quotient_by_subset,
                          wedge_subset_of_nzd)
 from .zmod import ZModMatrix, howell_form, kernel_basis, solve
 
@@ -181,37 +181,34 @@ def pullback(gamma: Cochain, f: SMap) -> Cochain:
 # --------------------------------------------------------------- gamma_b
 
 def tilde_b(system: LinearSystem, func: tuple) -> int:
-    """The 1-cochain lift: a*b_i on a*A_i, zero elsewhere."""
-    d = system.modulus
-    if all(v == 0 for v in func):
-        return 0
-    for i in range(system.num_rows):
-        for a in range(1, d):
-            if row_function(system, i, a) == func:
-                return (a * system.rhs[i]) % d
-    return 0
+    """The 1-cochain lift: a*b_i on a*A_i, zero elsewhere; read from
+    `system.row_lift`, so b disagreeing on a shared multiple raises."""
+    return system.row_lift.get(tuple(func), 0)
 
 
 def gamma_b(system: LinearSystem, cap: int = 3
             ) -> tuple[Cochain, TruncatedSSet]:
-    """The 2-cocycle d(tilde_b) on Nbar(Z_d, Sigma); b_i data lives in the rhs."""
+    """The 2-cocycle d(tilde_b) on Nbar(Z_d, Sigma); b_i data lives in the rhs.
+
+    Raises RowConditionError up front if A breaks the row conditions or if b
+    disagrees where two row spans share a vector (tilde_b is then undefined).
+    """
     system.check_row_conditions()
+    lift = system.row_lift
     d = system.modulus
     x = nzd_sigma(complex_of_system(system), d, cap)
     sub = wedge_subset_of_nzd(system, x)
-    from .simplicial import quotient_by_subset
     q = quotient_by_subset(x, sub)
     q.name = f"Nbar(Z_{d},Sigma)"
 
     def db(two_simplex) -> int:
-        s1, s2 = two_simplex
-        return (tilde_b(system, x.face(2, 0, two_simplex)[0])
-                - tilde_b(system, x.face(2, 1, two_simplex)[0])
-                + tilde_b(system, x.face(2, 2, two_simplex)[0])) % d
+        return (lift.get(x.face(2, 0, two_simplex)[0], 0)
+                - lift.get(x.face(2, 1, two_simplex)[0], 0)
+                + lift.get(x.face(2, 2, two_simplex)[0], 0)) % d
 
     # well-definedness: the coboundary must vanish on every collapsed 2-simplex
     for tok in sub[2]:
-        if db(tok) % d:
+        if db(tok):
             raise CochainError(
                 f"d(tilde b) nonzero on collapsed simplex {tok!r} "
                 "(row conditions violated)")

@@ -27,7 +27,7 @@ class GroupTable:
     """A finite group as an n x n multiplication table of element indices."""
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int,
-                 name: str = "", validate: bool = True):
+                 name: str = ""):
         self.table = tuple(tuple(int(x) for x in row) for row in table)
         self.n = len(self.table)
         self.identity = identity
@@ -37,8 +37,7 @@ class GroupTable:
         self._inv: Optional[tuple[int, ...]] = None
         self._orders: Optional[tuple[int, ...]] = None
         self._cent: Optional[tuple[int, ...]] = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- structure -----------------------------------------------------
 
@@ -154,18 +153,16 @@ class FinGroupJ(GroupTable):
     """Group table plus a central element J of order exactly d."""
 
     def __init__(self, table, identity: int, j: int, d: int,
-                 name: str = "", validate: bool = True,
-                 elements: Optional[tuple] = None):
-        super().__init__(table, identity, name=name, validate=validate)
+                 name: str = "", elements: Optional[tuple] = None):
+        super().__init__(table, identity, name=name)
         self.j = j
         self.d = d
         self.elements = elements  # optional concrete element objects
-        if validate:
-            if not all(self.commute(j, g) for g in range(self.n)):
-                raise GroupValidationError("J is not central")
-            if self.order(j) != d:
-                raise GroupValidationError(
-                    f"J has order {self.order(j)}, expected {d}")
+        if not all(self.commute(j, g) for g in range(self.n)):
+            raise GroupValidationError("J is not central")
+        if self.order(j) != d:
+            raise GroupValidationError(
+                f"J has order {self.order(j)}, expected {d}")
 
     def j_power(self, k: int) -> int:
         return self.power(self.j, k)

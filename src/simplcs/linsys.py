@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .zmod import ZModMatrix, span_generates_zd, spans_equal
+from .zmod import ZModMatrix
 
 
 class RowConditionError(ValueError):
-    """A system violates the generate-Z_d / distinct-spans row conditions."""
+    """A system violates the generate-Z_d / distinct-spans row conditions, or
+    b disagrees on a vector that two row multiples share."""
 
 
 @dataclass(frozen=True)
@@ -43,17 +46,42 @@ class LinearSystem:
     def num_cols(self) -> int:
         return self.matrix.num_cols
 
+    @cached_property
+    def row_multiples(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """row_multiples[i][a] = a*A_i mod d, for a = 0..d-1: the row circles."""
+        d = self.modulus
+        return tuple(tuple(tuple(a * e % d for e in row) for a in range(d))
+                     for row in self.matrix.rows)
+
+    @cached_property
+    def row_lift(self) -> dict[tuple[int, ...], int]:
+        """b lifted to the row circles: each nonzero a*A_i maps to a*b_i mod d.
+        RowConditionError if one vector gets two b values."""
+        d = self.modulus
+        seen: dict[tuple[int, ...], tuple[int, int]] = {}
+        for i, mults in enumerate(self.row_multiples):
+            for a, vec in enumerate(mults):
+                if not any(vec):
+                    continue
+                val = a * self.rhs[i] % d
+                first, first_val = seen.setdefault(vec, (i, val))
+                if first_val != val:
+                    raise RowConditionError(
+                        f"rows {first} and {i} both reach {vec} but give it "
+                        f"the b values {first_val} and {val}")
+        return {vec: val for vec, (_, val) in seen.items()}
+
     def row_condition_violations(self) -> list[str]:
-        """Rows whose span is not Z_d, and row pairs with equal spans."""
-        out = []
-        m, d = self.matrix, self.modulus
-        for i in range(m.num_rows):
-            if not span_generates_zd(m.row(i), d):
-                out.append(f"row {i} does not generate Z_{d}")
-        for i in range(m.num_rows):
-            for j in range(i + 1, m.num_rows):
-                if spans_equal(m.row(i), m.row(j), d):
-                    out.append(f"rows {i} and {j} have equal spans")
+        """Rows whose span is not Z_d (its d multiples are not distinct), and
+        row pairs with equal spans. Conditions on A alone: `row_lift` checks
+        that b agrees where two spans share a vector."""
+        d = self.modulus
+        spans = [frozenset(mults) for mults in self.row_multiples]
+        out = [f"row {i} does not generate Z_{d}"
+               for i, span in enumerate(spans) if len(span) != d]
+        out += [f"rows {i} and {j} have equal spans"
+                for i, j in combinations(range(len(spans)), 2)
+                if spans[i] == spans[j]]
         return out
 
     def check_row_conditions(self) -> None:

@@ -249,6 +249,10 @@ def k_group(g: FinGroupJ, d: Optional[int] = None) -> KGroupData:
 
 # ------------------------------------------------------- Tietze simplification
 
+# longest relator that a greedy Tietze elimination may leave behind
+TIETZE_MAX_WORD = 400
+
+
 def _cyclic_simplify(word: Word) -> Word:
     w = list(word_simplify(word))
     while len(w) >= 2 and w[0][0] == w[-1][0]:
@@ -270,13 +274,16 @@ def _canonical_cyclic(word: Word) -> Word:
     return best if best is not None else ()
 
 
-def tietze_simplify(pres: Presentation, max_word: int = 400) -> Presentation:
+def tietze_simplify(pres: Presentation) -> Presentation:
     """Shrink a presentation by unit kills, pair merges, and bounded greedy
     generator elimination. The presented group is unchanged (generator names
     are not preserved)."""
     words = [list(w) for w in pres.relators]
     k = pres.num_gens()
     alive = [True] * k
+    # canonical cyclic form of each relator the last normalize() kept, keyed
+    # by the relator: most relators survive a pass unchanged
+    forms: dict[Word, Word] = {}
 
     def substitute(gen: int, repl: Word) -> None:
         alive[gen] = False
@@ -293,17 +300,24 @@ def tietze_simplify(pres: Presentation, max_word: int = 400) -> Presentation:
             words[idx] = list(_cyclic_simplify(out))
 
     def normalize() -> None:
+        nonlocal forms
         seen = set()
         out = []
+        kept: dict[Word, Word] = {}
         for w in words:
-            cw = _cyclic_simplify(tuple(w))
-            if not cw:
-                continue
-            canon = _canonical_cyclic(cw)
+            cw = tuple(w)
+            canon = forms.get(cw)
+            if canon is None:
+                cw = _cyclic_simplify(cw)
+                if not cw:
+                    continue
+                canon = _canonical_cyclic(cw)
             if canon not in seen:
                 seen.add(canon)
                 out.append(list(cw))
+                kept[cw] = canon
         words[:] = out
+        forms = kept
 
     while True:
         normalize()
@@ -349,7 +363,7 @@ def tietze_simplify(pres: Presentation, max_word: int = 400) -> Presentation:
         rest = w[pos + 1:] + w[:pos]       # relator = g^e * rest (cyclically)
         repl = word_inverse(tuple(rest)) if e == 1 else tuple(rest)
         if occ[g] > 1 and (len(repl) - 1) * (occ[g] - 1) + max(
-                (len(x) for x in words), default=0) > max_word:
+                (len(x) for x in words), default=0) > TIETZE_MAX_WORD:
             break
         del words[ridx]
         substitute(g, repl)

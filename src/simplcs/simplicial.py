@@ -77,7 +77,7 @@ class TruncatedSSet:
     def __init__(self, cap: int, simplices: dict[int, Sequence],
                  faces: dict[tuple[int, int], dict],
                  degeneracies: dict[tuple[int, int], dict],
-                 name: str = "", basepoint=None, validate: bool = True):
+                 name: str = "", basepoint=None):
         self.cap = cap
         self.simplices = {n: tuple(sorted(set(simplices.get(n, ())), key=_token_key))
                           for n in range(cap + 1)}
@@ -86,8 +86,7 @@ class TruncatedSSet:
         self.name = name or "sset"
         self.basepoint = basepoint
         self._nondeg: dict[int, tuple] = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- structure maps -----------------------------------------------
 
@@ -198,8 +197,7 @@ class TruncatedSSet:
 def build_sset(cap: int, degrees: dict[int, Sequence],
                face_fn: Callable[[int, int, object], object],
                deg_fn: Callable[[int, int, object], object],
-               name: str = "", basepoint=None,
-               validate: bool = True) -> TruncatedSSet:
+               name: str = "", basepoint=None) -> TruncatedSSet:
     """Materialize a formula-defined simplicial set into explicit dictionaries."""
     faces = {}
     degeneracies = {}
@@ -210,7 +208,7 @@ def build_sset(cap: int, degrees: dict[int, Sequence],
         for j in range(n + 1):
             degeneracies[(n, j)] = {tok: deg_fn(n, j, tok) for tok in degrees[n]}
     return TruncatedSSet(cap, degrees, faces, degeneracies, name=name,
-                         basepoint=basepoint, validate=validate)
+                         basepoint=basepoint)
 
 
 # ===================================================================== smap
@@ -219,14 +217,13 @@ class SMap:
     """Simplicial map: per-degree functions commuting with the structure maps."""
 
     def __init__(self, source: TruncatedSSet, target: TruncatedSSet,
-                 mapping: dict[int, dict], name: str = "", validate: bool = True):
+                 mapping: dict[int, dict], name: str = ""):
         self.source = source
         self.target = target
         self.mapping = mapping
         self.name = name or "smap"
         self.cap = min(source.cap, target.cap)
-        if validate:
-            self.validate()
+        self.validate()
 
     def __call__(self, n: int, tok):
         return self.mapping[n][tok]
@@ -368,8 +365,7 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
 
 def row_function(system: LinearSystem, i: int, a: int = 1) -> tuple:
     """The function a*A_i on the vertex set."""
-    d = system.modulus
-    return tuple((a * e) % d for e in system.matrix.row(i))
+    return system.row_multiples[i][a % system.modulus]
 
 
 def wedge_nzd(system: LinearSystem, cap: int = 3
@@ -406,12 +402,13 @@ def wedge_nzd(system: LinearSystem, cap: int = 3
 
     target = nzd_sigma(complex_of_system(system), d, cap)
     nzd = nerve(d, cap)
+    mults = system.row_multiples
 
     def alpha_of(n, tok):
         if tok == BASEPOINT:
-            return tuple(row_function(system, 0, 0) for _ in range(n))
+            return (mults[0][0],) * n
         fac, t = tok
-        return tuple(row_function(system, fac, a) for a in t)
+        return tuple(mults[fac][a] for a in t)
 
     def beta_of(n, tok):
         if tok == BASEPOINT:
@@ -453,9 +450,8 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
     """Collapse a simplicial subset to a basepoint (one per degree)."""
     sub = {n: set(subset.get(n, ())) for n in range(x.cap + 1)}
     for n in range(x.cap + 1):
-        for tok in sub[n]:
-            if tok not in set(x.simplices[n]):
-                raise SimplicialValidationError(
+        for tok in sub[n] - set(x.simplices[n]):
+            raise SimplicialValidationError(
                     f"subset member {tok!r} not a degree-{n} simplex")
     for n in range(1, x.cap + 1):
         for tok in sub[n]:
@@ -493,15 +489,9 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
 def wedge_subset_of_nzd(system: LinearSystem, x: TruncatedSSet
                         ) -> dict[int, list]:
     """The simplicial subset of N(Z_d,Sigma) swept out by the row circles."""
-    d = system.modulus
-    out: dict[int, list] = {}
-    for n in range(x.cap + 1):
-        toks = set()
-        for i in range(system.num_rows):
-            for t in itertools.product(range(d), repeat=n):
-                toks.add(tuple(row_function(system, i, a) for a in t))
-        out[n] = sorted(toks)
-    return out
+    return {n: sorted({t for mults in system.row_multiples
+                       for t in itertools.product(mults, repeat=n)})
+            for n in range(x.cap + 1)}
 
 
 def bar_nzd_sigma(system: LinearSystem, cap: int = 3) -> TruncatedSSet:
@@ -748,10 +738,6 @@ def cells_sset(cap: int, cells: dict[int, dict[str, tuple]],
                 raise SimplicialValidationError(
                     f"cell {cname} needs {m + 1} faces")
             stored_faces[cname] = tuple(wrap(f, m - 1) for f in facelist)
-
-    def token_dim(tok):
-        word, base = tok
-        return len(word) + dims[base]
 
     def apply_deg(j, tok):
         word, base = tok

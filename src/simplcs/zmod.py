@@ -286,23 +286,6 @@ def howell_form(matrix: ZModMatrix) -> HowellBasis:
                        ZModMatrix(trans, n, num_cols=nrows))
 
 
-def span_generates_zd(row: Sequence[int], modulus: int) -> bool:
-    """True iff the cyclic group generated by the row is all of Z_d (order d)."""
-    g = 0
-    for e in row:
-        g = gcd(g, int(e) % modulus)
-    return gcd(g, modulus) == 1
-
-
-def spans_equal(row_i: Sequence[int], row_j: Sequence[int], modulus: int) -> bool:
-    """True iff each row is a Z_d-multiple of the other."""
-    if len(row_i) != len(row_j):
-        raise ValueError("length mismatch")
-    a = howell_form(ZModMatrix([row_i], modulus))
-    b = howell_form(ZModMatrix([row_j], modulus))
-    return a.matrix == b.matrix
-
-
 def smith_normal_form(mat: Sequence[Sequence[int]]
                       ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Integer Smith normal form: returns (D, U, V) with U*mat*V = D.

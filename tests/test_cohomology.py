@@ -10,8 +10,8 @@ from simplcs.cohomology import (CochainError, Cochain, coboundary, cochain,
                                 is_cocycle, is_normalized, normalize_cocycle,
                                 parse_cochain, pullback, tilde_b)
 from simplcs.groups import build_group, cyclic, dihedral, quaternion, quotient_by_j
-from simplcs.linsys import (k33_system, make_system, two_vertex_system,
-                            write_lcs)
+from simplcs.linsys import (RowConditionError, k33_system, make_system,
+                            two_vertex_system, write_lcs)
 from simplcs.presentations import reduction_maps
 from simplcs.simplicial import (BASEPOINT, K33_FUNDAMENTAL_CYCLE, SMap,
                                 bar_comm_nerve, comm_nerve, complex_of_system,
@@ -147,6 +147,96 @@ def test_tilde_b_values():
     assert tilde_b(sys_, (1, 0)) == 1  # A_2, b_2 = 1
     assert tilde_b(sys_, (0, 1)) == 0
     assert tilde_b(sys_, (0, 0)) == 0
+
+
+def _span_graph(row, b, d) -> set:
+    """Brute force: the cyclic span of the augmented row (A_i | b_i), built
+    by repeated addition; its pairs (a*A_i, a*b_i) are the graph of the lift."""
+    pairs, vec, val = set(), tuple([0] * len(row)), 0
+    while (vec, val) not in pairs:
+        pairs.add((vec, val))
+        vec = tuple((x + e) % d for x, e in zip(vec, row))
+        val = (val + b) % d
+    return pairs
+
+
+def _equal_spans(row_i, row_j, d) -> bool:
+    bad = make_system([row_i, row_j], [0, 0], d).row_condition_violations()
+    return "rows 0 and 1 have equal spans" in bad
+
+
+def test_row_table_matches_span_oracle():
+    # fixed cases: (2, 4) has order 3 in Z_6^2, (1, 2) and (2, 4) span the
+    # same line over Z_5
+    assert make_system([[1, 1, 0]], [0], 2).row_condition_violations() == []
+    for row, d in (((2, 4), 6), ((0, 0, 0), 5)):
+        bad = make_system([row], [0], d).row_condition_violations()
+        assert bad == [f"row 0 does not generate Z_{d}"]
+    assert len(_span_graph((2, 4), 0, 6)) == 3
+    assert _equal_spans((1, 1), (1, 1), 2)
+    assert not _equal_spans((1, 0), (1, 1), 2)
+    assert _equal_spans((1, 2), (2, 4), 5)
+    # equal spans is an equivalence relation on nonzero vectors of Z_6^2
+    rng = random.Random(4)
+    vecs = [tuple(rng.randrange(6) for _ in range(2)) for _ in range(12)]
+    vecs = [v for v in vecs if any(v)]
+    for a in vecs:
+        assert _equal_spans(a, a, 6)
+        for b in vecs:
+            assert _equal_spans(a, b, 6) == _equal_spans(b, a, 6)
+            for c in vecs:
+                if _equal_spans(a, b, 6) and _equal_spans(b, c, 6):
+                    assert _equal_spans(a, c, 6)
+    # random systems against spans built as sets
+    rng = random.Random(7)
+    outcomes = set()
+    for d in (2, 3, 4, 6):
+        for _ in range(150):
+            r, c = rng.randrange(1, 4), rng.randrange(1, 4)
+            rows = [[rng.randrange(d) for _ in range(c)] for _ in range(r)]
+            b = [rng.randrange(d) for _ in range(r)]
+            sys_ = make_system(rows, b, d)
+            graphs = [_span_graph(rows[i], b[i], d) for i in range(r)]
+            spans = [{vec for vec, _ in g} for g in graphs]
+            expected = [f"row {i} does not generate Z_{d}"
+                        for i in range(r) if len(spans[i]) != d]
+            expected += [f"rows {i} and {j} have equal spans"
+                         for i in range(r) for j in range(i + 1, r)
+                         if spans[i] == spans[j]]
+            assert sys_.row_condition_violations() == expected
+            graph = {(vec, val) for g in graphs for vec, val in g if any(vec)}
+            lift = dict(graph)
+            probes = [tuple(rng.randrange(d) for _ in range(c))
+                      for _ in range(4)] + sorted(lift)
+            if len(lift) < len(graph):      # some vector gets two b values
+                outcomes.add("conflict")
+                with pytest.raises(RowConditionError, match="both reach"):
+                    sys_.row_lift
+                with pytest.raises(RowConditionError):
+                    tilde_b(sys_, probes[0])
+                continue
+            outcomes.add("lift")
+            assert sys_.row_lift == lift
+            for vec in probes:
+                assert tilde_b(sys_, vec) == lift.get(vec, 0)
+    assert outcomes == {"conflict", "lift"}
+
+
+def test_row_lift_conflict_is_a_row_condition_error():
+    # (3, 0) = 3*(5, 2) = 3*(3, 4) over Z_6, but 3*4 = 0 and 3*1 = 3: the row
+    # conditions on A hold, yet tilde b is not well defined
+    bad = make_system([[5, 2], [3, 4]], [4, 1], 6)
+    assert bad.row_condition_violations() == []
+    msg = r"rows 0 and 1 both reach \(3, 0\) but give it the b values 0 and 3"
+    with pytest.raises(RowConditionError, match=msg):
+        gamma_b(bad, cap=2)
+    with pytest.raises(RowConditionError, match=msg):
+        tilde_b(bad, (3, 0))
+    with pytest.raises(RowConditionError, match=msg):
+        reduction_maps(bad)
+    # with b agreeing at (3, 0) the same rows realize
+    good = make_system([[5, 2], [3, 4]], [3, 3], 6)
+    assert tilde_b(good, (3, 0)) == 3
 
 
 def test_gamma_b_example_215_block_array():

@@ -5,8 +5,7 @@ from math import gcd
 import pytest
 
 from simplcs.zmod import (ZMod, ZModMatrix, howell_form, kernel_basis,
-                          smith_normal_form, solve, span_generates_zd,
-                          spans_equal, stab_unit, xgcd)
+                          smith_normal_form, solve, stab_unit, xgcd)
 
 
 # ---------------------------------------------------------------- oracles
@@ -138,42 +137,6 @@ def test_howell_idempotent_and_span_preserving():
             assert h.contains(v)
         for v in itertools.product(range(d), repeat=len(rows[0])):
             assert h.contains(v) == (v in span)
-
-
-# ---------------------------------------------------------------- row predicates
-
-def test_span_generates_zd_examples():
-    assert span_generates_zd((1, 1, 0), 2)
-    assert not span_generates_zd((2, 4), 6)   # order 3, oracle below
-    assert not span_generates_zd((0, 0, 0), 5)
-    # oracle: order of (2,4) in Z_6^2 by repeated addition
-    v, order = (0, 0), 0
-    while True:
-        v = ((v[0] + 2) % 6, (v[1] + 4) % 6)
-        order += 1
-        if v == (0, 0):
-            break
-    assert order == 3
-
-
-def test_spans_equal_examples():
-    assert spans_equal((1, 1), (1, 1), 2)
-    assert not spans_equal((1, 0), (1, 1), 2)
-    assert spans_equal((1, 2), (2, 4), 5)  # 2*(1,2)=(2,4), 3*(2,4)=(1,2)
-
-
-def test_spans_equal_equivalence_relation():
-    rng = random.Random(4)
-    d, c = 6, 2
-    vecs = [tuple(rng.randrange(d) for _ in range(c)) for _ in range(12)]
-    vecs = [v for v in vecs if any(v)]
-    for a in vecs:
-        assert spans_equal(a, a, d)
-        for b in vecs:
-            assert spans_equal(a, b, d) == spans_equal(b, a, d)
-            for cvec in vecs:
-                if spans_equal(a, b, d) and spans_equal(b, cvec, d):
-                    assert spans_equal(a, cvec, d)
 
 
 # ---------------------------------------------------------------- smith form
