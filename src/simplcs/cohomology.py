@@ -189,10 +189,7 @@ def tilde_b(system: LinearSystem, func: tuple) -> int:
 def gamma_b(system: LinearSystem, cap: int = 3
             ) -> tuple[Cochain, TruncatedSSet]:
     """The 2-cocycle d(tilde_b) on Nbar(Z_d, Sigma); b_i data lives in the rhs.
-
-    Raises RowConditionError up front if A breaks the row conditions or if b
-    disagrees where two row spans share a vector (tilde_b is then undefined).
-    """
+    RowConditionError up front if A or the lift of b breaks a row condition."""
     system.check_row_conditions()
     lift = system.row_lift
     d = system.modulus

@@ -11,8 +11,8 @@ from .zmod import ZModMatrix
 
 
 class RowConditionError(ValueError):
-    """A system violates the generate-Z_d / distinct-spans row conditions, or
-    b disagrees on a vector that two row multiples share."""
+    """Row conditions: each row generates Z_d, spans are distinct, and b
+    agrees on every vector that two row multiples share."""
 
 
 @dataclass(frozen=True)

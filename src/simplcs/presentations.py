@@ -249,8 +249,7 @@ def k_group(g: FinGroupJ, d: Optional[int] = None) -> KGroupData:
 
 # ------------------------------------------------------- Tietze simplification
 
-# longest relator that a greedy Tietze elimination may leave behind
-TIETZE_MAX_WORD = 400
+TIETZE_MAX_WORD = 400  # longest relator a greedy elimination may leave
 
 
 def _cyclic_simplify(word: Word) -> Word:
@@ -281,8 +280,8 @@ def tietze_simplify(pres: Presentation) -> Presentation:
     words = [list(w) for w in pres.relators]
     k = pres.num_gens()
     alive = [True] * k
-    # canonical cyclic form of each relator the last normalize() kept, keyed
-    # by the relator: most relators survive a pass unchanged
+    # canonical form of every cyclically reduced relator seen: most relators
+    # survive a pass unchanged, so each is canonicalized once
     forms: dict[Word, Word] = {}
 
     def substitute(gen: int, repl: Word) -> None:
@@ -300,10 +299,8 @@ def tietze_simplify(pres: Presentation) -> Presentation:
             words[idx] = list(_cyclic_simplify(out))
 
     def normalize() -> None:
-        nonlocal forms
         seen = set()
         out = []
-        kept: dict[Word, Word] = {}
         for w in words:
             cw = tuple(w)
             canon = forms.get(cw)
@@ -311,13 +308,11 @@ def tietze_simplify(pres: Presentation) -> Presentation:
                 cw = _cyclic_simplify(cw)
                 if not cw:
                     continue
-                canon = _canonical_cyclic(cw)
+                canon = forms[cw] = _canonical_cyclic(cw)
             if canon not in seen:
                 seen.add(canon)
                 out.append(list(cw))
-                kept[cw] = canon
         words[:] = out
-        forms = kept
 
     while True:
         normalize()
