@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from simplcs.linsys import make_system
 from simplcs.zmod import (ZMod, ZModMatrix, howell_form, kernel_basis,
                           smith_normal_form, solve, stab_unit, xgcd)
 
@@ -137,6 +138,52 @@ def test_howell_idempotent_and_span_preserving():
             assert h.contains(v)
         for v in itertools.product(range(d), repeat=len(rows[0])):
             assert h.contains(v) == (v in span)
+
+
+# ---------------------------------------------------------------- row predicates
+# the span predicates on rows of Z_d^c, read from LinearSystem's row multiples
+
+def generates_zd(row, d) -> bool:
+    return make_system([row], [0], d).row_condition_violations() == []
+
+
+def equal_spans(row_i, row_j, d) -> bool:
+    bad = make_system([row_i, row_j], [0, 0], d).row_condition_violations()
+    return "rows 0 and 1 have equal spans" in bad
+
+
+def test_span_generates_zd_examples():
+    assert generates_zd((1, 1, 0), 2)
+    assert not generates_zd((2, 4), 6)   # order 3, oracle below
+    assert not generates_zd((0, 0, 0), 5)
+    # oracle: order of (2,4) in Z_6^2 by repeated addition
+    v, order = (0, 0), 0
+    while True:
+        v = ((v[0] + 2) % 6, (v[1] + 4) % 6)
+        order += 1
+        if v == (0, 0):
+            break
+    assert order == 3
+
+
+def test_spans_equal_examples():
+    assert equal_spans((1, 1), (1, 1), 2)
+    assert not equal_spans((1, 0), (1, 1), 2)
+    assert equal_spans((1, 2), (2, 4), 5)  # 2*(1,2)=(2,4), 3*(2,4)=(1,2)
+
+
+def test_spans_equal_equivalence_relation():
+    rng = random.Random(4)
+    d, c = 6, 2
+    vecs = [tuple(rng.randrange(d) for _ in range(c)) for _ in range(12)]
+    vecs = [v for v in vecs if any(v)]
+    for a in vecs:
+        assert equal_spans(a, a, d)
+        for b in vecs:
+            assert equal_spans(a, b, d) == equal_spans(b, a, d)
+            for cvec in vecs:
+                if equal_spans(a, b, d) and equal_spans(b, cvec, d):
+                    assert equal_spans(a, cvec, d)
 
 
 # ---------------------------------------------------------------- smith form
