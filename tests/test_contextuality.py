@@ -260,6 +260,41 @@ def test_quantum_identity_solution_single_vertex():
         quantum_distribution(sys_, [PAULI_Z], maximally_mixed(2), host=host)
 
 
+PINNED_QUANTUM = {
+    "maximally_mixed": "c773fa6ffa7b76ab",
+    0: "de7ef8d00d493c47", 1: "748f7f98e216d3a3",
+    2: "2fdb504f4895afac", 3: "6cf4b0f3aae181ce",
+}
+
+
+def test_quantum_distribution_digests_are_pinned():
+    # sha256 prefixes of the dumped distributions: every snapped probability
+    # of every simplex, not only the verdicts, must not drift with how the
+    # projectors are computed
+    def digest(p):
+        return hashlib.sha256(dump_distribution(p).encode()).hexdigest()[:16]
+
+    sys_ = k33_system([0, 0, 0, 0, 0, 1])
+    host = host_of(sys_)
+    ops = mermin_peres_solution()
+    states = {"maximally_mixed": maximally_mixed(4)}
+    states.update({s: random_phase_state(4, random.Random(s))
+                   for s in range(4)})
+    # both state classes (parity of the amplitudes real relative to the
+    # first one) are among the seeded states
+    assert {sum(abs(states[s][0][k].imag) < 1e-9 for k in range(4)) % 2
+            for s in range(4)} == {0, 1}
+    got = {name: digest(quantum_distribution(sys_, ops, rho, host=host))
+           for name, rho in states.items()}
+    assert got == PINNED_QUANTUM
+    from simplcs.linsys import make_system
+    zz = make_system([[1, 1]], [0], 2)
+    rho = np.array([[1, 0], [0, 0]], dtype=complex)
+    assert digest(quantum_distribution(zz, [PAULI_Z, PAULI_Z], rho,
+                                       host=host_of(zz))) \
+        == "81048cd0cd5344aa"
+
+
 # --------------------------------------------------------------- file formats
 
 def test_distribution_roundtrip():
