@@ -1,9 +1,10 @@
 """Simplicial distributions and contextuality certification.
 
 Deterministic distributions are enumerated exactly (kernel of the additive
-edge condition over Z_d); the noncontextuality decision is an exact LP
-feasibility problem, so every verdict carries a machine-checkable certificate:
-a convex decomposition, or a Farkas vector against the marginal constraints.
+edge condition over Z_d), once per (host, d), and kept on the host; the
+noncontextuality decision is an exact LP feasibility problem, so every
+verdict carries a machine-checkable certificate: a convex decomposition, or
+a Farkas vector against the marginal constraints.
 Only the LP's right-hand side depends on the distribution: its presolve
 (repeated supports, exact elimination with provenance) is computed once per
 (host, deterministic distributions) and cached on the host. Probabilities
@@ -13,7 +14,12 @@ and its answer is converted back to `Fraction`s.
 
 The quantum side (commuting d-torsion unitaries, projective measurements,
 density operators) lives in floating complex arithmetic and is snapped to
-exact rationals before the LP sees it.
+exact rationals before the LP sees it. `quantum_distribution` builds U(f)
+and its d spectral components once per distinct function f, then the joint
+projectors of all simplices of one degree as one array; every simplex's
+measurement is checked (torsion, commutation, sum to the identity,
+idempotence, Hermiticity, real traces) within `TOL`, by the same kernel
+that `spectral_measurement` runs on a single simplex.
 """
 
 from __future__ import annotations
@@ -49,18 +55,10 @@ class RationalDist:
 
     @staticmethod
     def from_dict(d: dict) -> "RationalDist":
-        items = []
-        total = Fraction(0)
-        for k, v in d.items():
-            v = Fraction(v)
-            if v < 0:
-                raise DistributionError(f"negative weight at {k!r}")
-            if v:
-                items.append((k, v))
-                total += v
-        if total != 1:
-            raise DistributionError(f"weights sum to {total}, not 1")
-        return RationalDist(tuple(sorted(items, key=lambda kv: repr(kv[0]))))
+        items = [(k, Fraction(v)) for k, v in d.items()]
+        _check_weights(items)
+        return RationalDist(tuple(sorted(((k, v) for k, v in items if v),
+                                         key=lambda kv: repr(kv[0]))))
 
     def __call__(self, outcome) -> Fraction:
         for k, v in self.weights:
@@ -71,12 +69,26 @@ class RationalDist:
     def support(self):
         return [k for k, _ in self.weights]
 
-    def push(self, fn: Callable) -> "RationalDist":
-        out: dict = {}
-        for k, v in self.weights:
-            kk = fn(k)
-            out[kk] = out.get(kk, Fraction(0)) + v
-        return RationalDist.from_dict(out)
+
+def _check_weights(items) -> None:
+    """Raise unless the (outcome, Fraction) pairs are nonnegative and sum
+    to 1."""
+    total = Fraction(0)
+    for k, v in items:
+        if v < 0:
+            raise DistributionError(f"negative weight at {k!r}")
+        total += v
+    if total != 1:
+        raise DistributionError(f"weights sum to {total}, not 1")
+
+
+def _pushed(weights, fn: Callable) -> dict:
+    """The outcome weights pushed forward along fn, as a dict."""
+    out: dict = {}
+    for k, v in weights:
+        kk = fn(k)
+        out[kk] = out.get(kk, 0) + v
+    return out
 
 
 def _outcome_face(i: int, theta: tuple, d: int) -> tuple:
@@ -113,16 +125,19 @@ class SimplicialDistribution:
             for tok in host.simplices[n]:
                 if (n, tok) not in self.dists:
                     raise DistributionError(f"missing distribution at {tok!r}")
-                for theta, _ in self.dists[(n, tok)].weights:
+                weights = self.dists[(n, tok)].weights
+                for theta, _ in weights:
                     if len(theta) != n or any(not 0 <= a < d for a in theta):
                         raise DistributionError(f"bad outcome {theta!r}")
+                _check_weights(weights)
         for n in range(1, cap + 1):
             for tok in host.simplices[n]:
                 p = self.dists[(n, tok)]
                 for i in range(n + 1):
                     want = self.dists[(n - 1, host.face(n, i, tok))]
-                    got = p.push(lambda th: _outcome_face(i, th, d))
-                    if got != want:
+                    got = _pushed(p.weights,
+                                  lambda th: _outcome_face(i, th, d))
+                    if got != dict(want.weights):
                         raise DistributionError(
                             f"face compatibility fails at {tok!r} (d_{i})")
         for n in range(cap):
@@ -130,8 +145,8 @@ class SimplicialDistribution:
                 p = self.dists[(n, tok)]
                 for j in range(n + 1):
                     want = self.dists[(n + 1, host.degeneracy(n, j, tok))]
-                    got = p.push(lambda th: _outcome_deg(j, th))
-                    if got != want:
+                    got = _pushed(p.weights, lambda th: _outcome_deg(j, th))
+                    if got != dict(want.weights):
                         raise DistributionError(
                             f"degeneracy compatibility fails at {tok!r} (s_{j})")
 
@@ -168,7 +183,18 @@ class DeterministicDist:
 
 def enumerate_deterministic(host: TruncatedSSet, d: int
                             ) -> list[DeterministicDist]:
-    """All solutions of the additive edge condition, via kernel enumeration."""
+    """All solutions of the additive edge condition, via kernel enumeration.
+
+    The members are computed once per (host, d) and kept on the host; each
+    call returns a new list of them."""
+    cached = getattr(host, "_dets", None)
+    if cached is None or cached[0] != d:
+        cached = (d, tuple(_kernel_dets(host, d)))
+        host._dets = cached
+    return list(cached[1])
+
+
+def _kernel_dets(host: TruncatedSSet, d: int) -> list[DeterministicDist]:
     edges = list(host.simplices[1])
     pos = {tok: k for k, tok in enumerate(edges)}
     rows = []
@@ -511,8 +537,11 @@ def verify_verdict(p: SimplicialDistribution, verdict: Verdict,
             raise AssertionError("witness has a weight that is not positive")
         if sum(lam.values()) != 1:
             raise AssertionError("witness weights do not sum to 1")
-        pos = {id(f): k for k, f in enumerate(dets)}
-        sparse = {pos[id(f)]: v for f, v in lam.items()}
+        pos = {f: k for k, f in enumerate(dets)}
+        if any(f not in pos for f in lam):
+            raise AssertionError(
+                "witness uses a deterministic distribution outside dets")
+        sparse = {pos[f]: v for f, v in lam.items()}
         for support, rhs, label in rows:
             got = sum(v for k, v in sparse.items() if k in support)
             if got != rhs:
@@ -546,37 +575,66 @@ def spectral_measurement(unitaries: Sequence[np.ndarray], d: int
     if not us:
         return {(): np.eye(1, dtype=complex)}
     dim = us[0].shape[0]
-    ident = np.eye(dim, dtype=complex)
-    for u in us:
-        if u.shape != (dim, dim):
-            raise DistributionError("dimension mismatch")
-        if np.linalg.norm(np.linalg.matrix_power(u, d) - ident) > TOL:
-            raise DistributionError("unitary is not d-torsion")
-    for u, v in itertools.combinations(us, 2):
-        if np.linalg.norm(u @ v - v @ u) > TOL:
-            raise DistributionError("unitaries do not commute")
+    if any(u.shape != (dim, dim) for u in us):
+        raise DistributionError("dimension mismatch")
+    stacked = np.stack(us)
+    projs = _joint_projectors(stacked, _spectral_components(stacked, d),
+                              np.arange(len(us))[None, :], d)
+    return dict(zip(itertools.product(range(d), repeat=len(us)), projs[0]))
+
+
+def _spectral_components(us: np.ndarray, d: int) -> np.ndarray:
+    """The (F, d, dim, dim) array of (1/d) sum_k w^{-ak} U_f^k for a stack
+    of F unitaries, after checking that each one is d-torsion."""
+    ident = np.eye(us.shape[-1], dtype=complex)
+    powers = [np.broadcast_to(ident, us.shape)]
+    for _ in range(d - 1):
+        powers.append(powers[-1] @ us)
+    if (_frobenius(powers[-1] @ us - ident) > TOL).any():
+        raise DistributionError("unitary is not d-torsion")
     w = omega(d)
-    powers = []
-    for u in us:
-        pows = [ident]
-        for _ in range(d - 1):
-            pows.append(pows[-1] @ u)
-        powers.append(pows)
-    out = {}
-    for a in itertools.product(range(d), repeat=len(us)):
-        proj = ident
-        for i, ai in enumerate(a):
-            comp = sum(w ** (-ai * k) * powers[i][k] for k in range(d)) / d
-            proj = proj @ comp
-        out[a] = proj
-    total = sum(out.values())
-    if np.linalg.norm(total - ident) > TOL:
+    phases = np.array([[w ** (-a * k) for k in range(d)] for a in range(d)])
+    return np.einsum("ak,kfij->faij", phases, np.stack(powers)) / d
+
+
+def _joint_projectors(us: np.ndarray, comps: np.ndarray, funcs: np.ndarray,
+                      d: int) -> np.ndarray:
+    """The (S, d^n, dim, dim) joint projectors of S simplices of degree n,
+    outcomes in `itertools.product` order.
+
+    funcs is an (S, n) array of indices into `us` (the unitaries) and
+    `comps` (their spectral components). Every simplex is checked: its
+    unitaries commute pairwise, and its projectors sum to the identity and
+    are idempotent and Hermitian, each within TOL in the Frobenius norm.
+    """
+    num, n = funcs.shape
+    dim = us.shape[-1]
+    ident = np.eye(dim, dtype=complex)
+    for i, j in itertools.combinations(range(n), 2):
+        u, v = us[funcs[:, i]], us[funcs[:, j]]
+        if (_frobenius(u @ v - v @ u) > TOL).any():
+            raise DistributionError("unitaries do not commute")
+    projs = np.broadcast_to(ident, (num, 1, dim, dim))
+    for i in range(n):
+        projs = np.einsum("spij,sajk->spaik", projs, comps[funcs[:, i]]
+                          ).reshape(num, -1, dim, dim)
+    if (_frobenius(projs.sum(axis=1) - ident) > TOL).any():
         raise DistributionError("projectors do not sum to the identity")
-    for a, proj in out.items():
-        if np.linalg.norm(proj @ proj - proj) > TOL or \
-                np.linalg.norm(proj - proj.conj().T) > TOL:
-            raise DistributionError("projector validation failed")
-    return out
+    err = projs @ projs
+    err -= projs
+    idempotence = _frobenius(err)
+    np.conjugate(np.swapaxes(projs, -2, -1), out=err)
+    err -= projs
+    if (idempotence > TOL).any() or (_frobenius(err) > TOL).any():
+        raise DistributionError("projector validation failed")
+    return projs
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix in a stack; unlike
+    `np.linalg.norm`, it makes no complex temporary of the stack's size."""
+    return np.sqrt(np.einsum("...ij,...ij->...", x.real, x.real)
+                   + np.einsum("...ij,...ij->...", x.imag, x.imag))
 
 
 def snap_probability(value: float) -> Fraction:
@@ -629,27 +687,42 @@ def quantum_distribution(system: LinearSystem, t_mats: Sequence[np.ndarray],
     if host is None:
         host = nzd_sigma(complex_of_system(system), d, cap=cap)
 
+    dim = t_mats[0].shape[0]
+
     def u_of(func) -> np.ndarray:
-        dim = t_mats[0].shape[0]
         acc = np.eye(dim, dtype=complex)
         for v, a in enumerate(func):
             if a:
                 acc = acc @ np.linalg.matrix_power(t_mats[v], a)
         return acc
 
-    dists = {}
-    for n in range(min(host.cap, 2) + 1):
+    top = min(host.cap, 2)
+    index: dict = {}  # each distinct function, numbered in first-seen order
+    for n in range(1, top + 1):
         for tok in host.simplices[n]:
-            if n == 0:
-                dists[(n, tok)] = RationalDist.from_dict({(): Fraction(1)})
-                continue
-            projs = spectral_measurement([u_of(f) for f in tok], d)
+            for f in tok:
+                index.setdefault(f, len(index))
+    us = np.array([u_of(f) for f in index], dtype=complex
+                  ).reshape(len(index), dim, dim)
+    comps = _spectral_components(us, d)
+    dists = {(0, tok): RationalDist.from_dict({(): Fraction(1)})
+             for tok in host.simplices[0]}
+    snapped: dict = {}
+    for n in range(1, top + 1):
+        toks = host.simplices[n]
+        idx = np.array([[index[f] for f in tok] for tok in toks],
+                       dtype=np.intp).reshape(len(toks), n)
+        traces = np.einsum("ij,spji->sp", rho,
+                           _joint_projectors(us, comps, idx, d))
+        if (np.abs(traces.imag) > TOL).any():
+            raise DistributionError("complex probability")
+        outcomes = list(itertools.product(range(d), repeat=n))
+        for tok, row in zip(toks, np.maximum(traces.real, 0.0).tolist()):
             vals = {}
-            for a, proj in projs.items():
-                tr = np.trace(rho @ proj)
-                if abs(tr.imag) > TOL:
-                    raise DistributionError("complex probability")
-                vals[a] = snap_probability(max(tr.real, 0.0))
+            for a, x in zip(outcomes, row):
+                if x not in snapped:
+                    snapped[x] = snap_probability(x)
+                vals[a] = snapped[x]
             total = sum(vals.values())
             if total != 1:
                 raise DistributionError(f"snapped weights sum to {total}")

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from simplcs.contextuality import (DistributionError, PAULI_X, PAULI_Z,
-                                   RationalDist, SimplicialDistribution,
-                                   Verdict, _marginal_rows,
-                                   _phase1_simplex, _presolve,
+                                   DeterministicDist, RationalDist,
+                                   SimplicialDistribution, Verdict,
+                                   _frobenius, _joint_projectors,
+                                   _marginal_rows, _phase1_simplex, _presolve,
                                    delta_distribution, dump_distribution,
                                    enumerate_deterministic, is_contextual,
                                    is_matrix_solution, maximally_mixed,
@@ -63,6 +64,16 @@ def test_theta_point_mass_is_delta():
 def test_theta_empty_support_error():
     with pytest.raises(DistributionError):
         theta({})
+
+
+def test_validate_rejects_weights_that_do_not_sum_to_one():
+    # doubled weights keep every face and degeneracy compatible
+    p = delta_distribution(
+        enumerate_deterministic(host_of(two_vertex_system((0, 0))), 2)[1])
+    doubled = {key: RationalDist(tuple((o, 2 * v) for o, v in a.weights))
+               for key, a in p.dists.items()}
+    with pytest.raises(DistributionError, match="weights sum to 2, not 1"):
+        SimplicialDistribution(p.host, p.d, doubled)
 
 
 def test_theta_output_validates():
@@ -185,8 +196,33 @@ def test_spectral_measurement_identity():
 
 
 def test_spectral_rejects_noncommuting():
-    with pytest.raises(DistributionError):
+    with pytest.raises(DistributionError, match="do not commute"):
         spectral_measurement([PAULI_X, PAULI_Z], 2)
+
+
+def test_spectral_rejects_non_torsion_and_non_hermitian():
+    with pytest.raises(DistributionError, match="not d-torsion"):
+        spectral_measurement([np.diag([1, 1j])], 2)
+    # an involution that is not unitary: its spectral components are
+    # idempotent and sum to the identity, but are not Hermitian
+    with pytest.raises(DistributionError, match="projector validation"):
+        spectral_measurement([np.array([[1, 1], [0, -1]])], 2)
+
+
+def test_joint_projectors_check_every_simplex():
+    # spectral components that no unitary has: each check of the batched
+    # kernel fires on the one bad simplex of a batch
+    us = np.stack([np.eye(2, dtype=complex)] * 2)
+    good = np.stack([np.diag([1, 0]), np.diag([0, 1])]).astype(complex)
+    for bad, message in (
+            (np.stack([np.diag([1, 0]), np.diag([0, 0])]), "identity"),
+            (np.stack([np.eye(2) / 2, np.eye(2) / 2]), "validation"),
+            (np.array([[[1, 1], [0, 0]], [[0, -1], [0, 1]]]),
+             "validation")):
+        comps = np.stack([good, bad.astype(complex)])
+        _joint_projectors(us, comps, np.array([[0], [0]]), 2)
+        with pytest.raises(DistributionError, match=message):
+            _joint_projectors(us, comps, np.array([[0], [1], [0]]), 2)
 
 
 def test_snap_probability():
@@ -258,6 +294,32 @@ def test_quantum_identity_solution_single_vertex():
     # Z does not satisfy the product relation of x = 0
     with pytest.raises(DistributionError):
         quantum_distribution(sys_, [PAULI_Z], maximally_mixed(2), host=host)
+
+
+def test_frobenius_matches_numpy_norm():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((5, 3, 4, 4)) + 1j * rng.standard_normal(
+        (5, 3, 4, 4))
+    assert np.allclose(_frobenius(x), np.linalg.norm(x, axis=(-2, -1)),
+                       rtol=1e-12, atol=0)
+
+
+def test_quantum_distribution_rejects_unsnappable_outcome():
+    from simplcs.linsys import make_system
+    sys_ = make_system([[1, 1]], [0], 2)
+    rho = np.diag([0.1234567891234, 1 - 0.1234567891234]).astype(complex)
+    with pytest.raises(DistributionError, match="does not snap"):
+        quantum_distribution(sys_, [PAULI_Z, PAULI_Z], rho,
+                             host=host_of(sys_))
+
+    # each probability snaps, but the snapped values do not sum to 1:
+    # 1 - 1/65536 - 1/65535 lies within 1e-9 of 32767/32768
+    sys3 = make_system([[1, 2]], [0], 3)
+    u = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    rho = np.diag([1 / 65536, 1 / 65535, 1 - 1 / 65536 - 1 / 65535]
+                  ).astype(complex)
+    with pytest.raises(DistributionError, match="snapped weights sum"):
+        quantum_distribution(sys3, [u, u], rho, host=host_of(sys3))
 
 
 PINNED_QUANTUM = {
@@ -580,3 +642,38 @@ def test_presolve_cache_is_keyed_by_content():
     assert not is_contextual(delta_distribution(other_dets[1]),
                              other_dets).contextual
     assert _presolve(host, 2, rev) is kept
+
+
+def test_verify_verdict_reads_witness_members_by_value():
+    host = host_of(two_vertex_system((0, 0)))
+    dets = enumerate_deterministic(host, 2)
+    p = delta_distribution(dets[1])
+    verdict = is_contextual(p)
+    assert not verdict.contextual
+    verify_verdict(p, verdict)
+    # equal members that are other objects
+    verify_verdict(p, verdict, [DeterministicDist(f.host, f.d, f.values)
+                                for f in dets])
+    with pytest.raises(AssertionError, match="outside dets"):
+        verify_verdict(p, verdict, [f for f in dets if f != dets[1]])
+
+
+def test_dets_are_enumerated_once_per_host(monkeypatch):
+    import simplcs.contextuality as cx
+    calls = []
+    kernel = cx.kernel_basis
+
+    def counting(matrix):
+        calls.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(cx, "kernel_basis", counting)
+    host = host_of(k33_system([0, 0, 0, 0, 0, 1]))
+    dets = enumerate_deterministic(host, 2)
+    p = theta({dets[3]: Fraction(1, 3), dets[200]: Fraction(2, 3)})
+    first, second = is_contextual(p), is_contextual(p)
+    verify_verdict(p, first)
+    assert verdict_report(first) == verdict_report(second)
+    again = enumerate_deterministic(host, 2)
+    assert again == dets and again is not dets
+    assert len(calls) == 1
