@@ -244,16 +244,17 @@ def extract_linear_system(x: TruncatedSSet, gamma: Cochain,
         rows_idx = list(x.simplices[2])
         cols_idx = list(x.simplices[1])
     col_pos = {tok: k for k, tok in enumerate(cols_idx)}
+    signed_faces = [(x.faces[(2, i)], (-1) ** i) for i in range(3)]
     rows = []
-    rhs = []
     for sigma in rows_idx:
         entries = [0] * len(cols_idx)
-        for i in range(3):
-            face = x.face(2, i, sigma)
-            if face in col_pos:
-                entries[col_pos[face]] += (-1) ** i
-        rows.append([e % d for e in entries])
-        rhs.append((-gamma(sigma)) % d)
+        for face, sign in signed_faces:
+            k = col_pos.get(face[sigma])
+            if k is not None:
+                entries[k] += sign
+        rows.append(entries)
+    # ZModMatrix and LinearSystem reduce the entries and b mod d
+    rhs = [-gamma(sigma) for sigma in rows_idx]
     return make_system(rows, rhs, d, row_labels=rows_idx, col_labels=cols_idx)
 
 

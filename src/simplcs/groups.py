@@ -28,7 +28,7 @@ class GroupTable:
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int,
                  name: str = ""):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(map(int, row)) for row in table)
         self.n = len(self.table)
         self.identity = identity
         self.name = name or f"group{self.n}"
@@ -46,15 +46,13 @@ class GroupTable:
 
     def inv(self, a: int) -> int:
         if self._inv is None:
-            e = self.identity
-            inv = [None] * self.n
-            for g in range(self.n):
-                for h in range(self.n):
-                    if self.table[g][h] == e:
-                        inv[g] = h
-                        break
-                if inv[g] is None:
-                    raise GroupValidationError(f"element {g} has no inverse")
+            inv = []
+            for g, row in enumerate(self.table):
+                try:
+                    inv.append(row.index(self.identity))
+                except ValueError:
+                    raise GroupValidationError(
+                        f"element {g} has no inverse") from None
             self._inv = tuple(inv)
         return self._inv[a]
 
@@ -108,14 +106,18 @@ class GroupTable:
         n, e = self.n, self.identity
         if n == 0:
             raise GroupValidationError("empty table")
-        for row in self.table:
-            if len(row) != n or any(not 0 <= x < n for x in row):
-                raise GroupValidationError("malformed Cayley table")
+        if any(len(row) != n for row in self.table):
+            raise GroupValidationError("malformed Cayley table")
+        try:
+            arr = np.array(self.table, dtype=np.int32)  # n <= MAX_ORDER
+        except OverflowError:  # an entry beyond int32 is out of range too
+            arr = None
+        if arr is None or arr.min() < 0 or arr.max() >= n:
+            raise GroupValidationError("malformed Cayley table")
         for g in range(n):
             if self.table[e][g] != g or self.table[g][e] != g:
                 raise GroupValidationError("identity law fails")
         self.inv(0)  # forces inverse existence check
-        arr = np.array(self.table, dtype=np.int32)  # n <= MAX_ORDER
         # Light's test: the b with (xb)y = x(by) for all x, y include e and
         # are closed under products, so it suffices to check b in a set S
         # whose products reach every element. S is built greedily: the next

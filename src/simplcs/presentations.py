@@ -17,6 +17,7 @@ bijections, never by free-group rewriting.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -98,24 +99,32 @@ def commutator_word(a: int, b: int) -> Word:
 # ------------------------------------------------------------ solution group
 
 def solution_group(system: LinearSystem) -> Presentation:
-    """Generators e_v and J; torsion, per-facet commutativity, row products."""
+    """Generators e_v and J; torsion, per-facet commutativity, row products.
+
+    Built once per system and kept on it (as `row_lift` is), so solving one
+    system in several groups shares one presentation."""
+    cached = vars(system).get("_solution_group")
+    if cached is None:
+        cached = vars(system)["_solution_group"] = _solution_group(system)
+    return cached
+
+
+def _solution_group(system: LinearSystem) -> Presentation:
     d = system.modulus
     gens = [f"e{v}" for v in range(system.num_cols)] + ["J"]
     jdx = len(gens) - 1
     relators: list[Word] = [word_simplify([(i, d)]) for i in range(len(gens))]
     # commutativity: pairs inside each row support, and J with every e_v
     pairs = {(v, jdx) for v in range(system.num_cols)}
-    for row in system.matrix.rows:
-        supp = [v for v, e in enumerate(row) if e]
-        pairs.update(itertools.combinations(sorted(supp), 2))
-    for a, b in sorted(pairs):
-        relators.append(commutator_word(a, b))
-    # products: prod e_v^{A_iv} J^{-b_i}
+    products = []
     for row, bval in zip(system.matrix.rows, system.rhs):
-        word = [(v, e) for v, e in enumerate(row) if e]
-        word.append((jdx, -bval))
-        relators.append(word_simplify(word))
-    return Presentation(tuple(gens), tuple(relators), "J")
+        supp = list(itertools.compress(itertools.count(), row))  # ascending
+        pairs.update(itertools.combinations(supp, 2))
+        # prod e_v^{A_iv} J^{-b_i}
+        products.append(word_simplify([(v, row[v]) for v in supp]
+                                      + [(jdx, -bval)]))
+    relators += [commutator_word(a, b) for a, b in sorted(pairs)]
+    return Presentation(tuple(gens), tuple(relators + products), "J")
 
 
 # ---------------------------------------------------------- fundamental groups
@@ -671,6 +680,61 @@ class Hom:
         return self.images[gen]
 
 
+def _generator_order(rel_gens: Sequence[set[int]],
+                     sizes: Sequence[int]) -> list[int]:
+    """The search order of `enumerate_homs`: each step places the unplaced
+    generator with the least key (-done, -touched, sizes[gen], gen), where
+    done counts its relators whose other generators are all placed and
+    touched its relators with some but not all of those placed.
+
+    The counters change only for the generators of the relators through the
+    placed generator, and only when such a relator gets its first placed
+    generator or its last unplaced one but one, so each relator costs
+    O(len) over the whole order. A key only ever decreases, so a heap pops
+    a generator's current key before any stale one, and entries of placed
+    generators are skipped.
+    """
+    k = len(sizes)
+    rels_at: list[list[int]] = [[] for _ in range(k)]
+    done, touched = [0] * k, [0] * k
+    for r, gens in enumerate(rel_gens):
+        for gen in gens:
+            rels_at[gen].append(r)
+        if len(gens) == 1:
+            done[gen] += 1
+    unplaced = [len(gens) for gens in rel_gens]  # per relator
+    placed = [False] * k
+    heap = [(-done[gen], 0, sizes[gen], gen) for gen in range(k)]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        gen = heapq.heappop(heap)[3]
+        if placed[gen]:
+            continue
+        placed[gen] = True
+        order.append(gen)
+        changed = set()
+        for r in rels_at[gen]:
+            left = unplaced[r]
+            unplaced[r] = left - 1
+            first = left == len(rel_gens[r])
+            if left != 2 and not first:
+                continue
+            for h in rel_gens[r]:
+                if placed[h]:
+                    continue
+                if left == 2:       # h is now the relator's last unknown
+                    done[h] += 1
+                    if not first:
+                        touched[h] -= 1
+                else:               # the relator's first placed generator
+                    touched[h] += 1
+                changed.add(h)
+        for h in changed:
+            heapq.heappush(heap, (-done[h], -touched[h], sizes[h], h))
+    return order
+
+
 def enumerate_homs(pres: Presentation, g: FinGroupJ,
                    pin_j: bool = True) -> list[Hom]:
     """All homomorphisms pres -> g, sorted by their image tuples.
@@ -678,8 +742,9 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
     With pin_j the distinguished generator maps to g.j, so the result is
     Hom_J(pres, g); `solutions` is this search run on the solution group.
 
-    Backtracking with forward checking and relator propagation. Each
-    generator's candidates are the elements that satisfy its
+    Backtracking with forward checking and relator propagation, over each
+    distinct relator once, in `_generator_order`. Each generator's
+    candidates are the elements that satisfy its
     single-generator relators (for the pinned generator: g.j, if it does),
     so those relators hold by construction, and so do commutators with the
     pinned generator, g.j being central. Every other commutator [a, b] is a
@@ -731,7 +796,7 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
         cand_sets[pinned] = {g.j}
     live: list[Word] = []   # propagated
     comms: list[Word] = []  # domain filters
-    for rel in pres.relators:
+    for rel in dict.fromkeys(pres.relators):  # each relator once
         gens = {gen for gen, _ in rel}
         if len(gens) == 1:
             shape = tuple(e for _, e in rel)
@@ -757,37 +822,13 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
         partners[b].add(a)
     cent = g.centralizer_masks() if comms else ()
     rel_gens = [{gen for gen, _ in rel} for rel in live + comms]
-    rels_at: list[list[int]] = [[] for _ in range(k)]
-    for r, gens in enumerate(rel_gens):
-        for gen in gens:
-            rels_at[gen].append(r)
     rel_of_gen: list[list[list]] = [[] for _ in range(k)]
     for rel, gens in zip(live, rel_gens):
         crel = [(gen, powers[e], e) for gen, e in rel]
         for gen in gens:
             rel_of_gen[gen].append(crel)
-
-    # order generators so relators (commutators too) close, and start
-    # forcing, early
-    order: list[int] = []
-    unplaced = [len(gens) for gens in rel_gens]  # per relator
-
-    def score(gen: int):
-        done = touched = 0
-        for r in rels_at[gen]:
-            if unplaced[r] == 1:
-                done += 1
-            elif unplaced[r] < len(rel_gens[r]):
-                touched += 1
-        return (-done, -touched, len(cand_sets[gen]), gen)
-
-    rest = list(range(k))
-    while rest:
-        nxt = min(rest, key=score)
-        order.append(nxt)
-        rest.remove(nxt)
-        for r in rels_at[nxt]:
-            unplaced[r] -= 1
+    # relators (commutators too) close, and start forcing, early
+    order = _generator_order(rel_gens, [len(c) for c in cand_sets])
     images: list[Optional[int]] = [None] * k
     out: list[tuple[int, ...]] = []
 

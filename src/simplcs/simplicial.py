@@ -142,40 +142,46 @@ class TruncatedSSet:
                     if tok not in smap or smap[tok] not in members:
                         raise SimplicialValidationError(
                             f"degeneracy ({n},{j}) incomplete at {tok!r}")
-        # simplicial identities
+        # simplicial identities, on the maps bound once per degree
+        face, deg = self.faces, self.degeneracies
         for n in range(2, self.cap + 1):
+            pairs = [(i, j, face[(n, j)], face[(n - 1, i)], face[(n, i)],
+                      face[(n - 1, j - 1)])
+                     for j in range(n + 1) for i in range(j)]
             for tok in self.simplices[n]:
-                for j in range(n + 1):
-                    for i in range(j):
-                        lhs = self.face(n - 1, i, self.face(n, j, tok))
-                        rhs = self.face(n - 1, j - 1, self.face(n, i, tok))
-                        if lhs != rhs:
-                            raise SimplicialValidationError(
-                                f"d_{i} d_{j} identity fails at {tok!r} (deg {n})")
+                for i, j, d_j, d_i_low, d_i, d_j1_low in pairs:
+                    if d_i_low[d_j[tok]] != d_j1_low[d_i[tok]]:
+                        raise SimplicialValidationError(
+                            f"d_{i} d_{j} identity fails at {tok!r} (deg {n})")
         for n in range(self.cap - 1):
+            pairs = [(i, j, deg[(n, j)], deg[(n + 1, i)], deg[(n, i)],
+                      deg[(n + 1, j + 1)])
+                     for j in range(n + 1) for i in range(j + 1)]
             for tok in self.simplices[n]:
-                for j in range(n + 1):
-                    for i in range(j + 1):
-                        lhs = self.degeneracy(n + 1, i, self.degeneracy(n, j, tok))
-                        rhs = self.degeneracy(n + 1, j + 1, self.degeneracy(n, i, tok))
-                        if lhs != rhs:
-                            raise SimplicialValidationError(
-                                f"s_{i} s_{j} identity fails at {tok!r}")
+                for i, j, s_j, s_i_up, s_i, s_j1_up in pairs:
+                    if s_i_up[s_j[tok]] != s_j1_up[s_i[tok]]:
+                        raise SimplicialValidationError(
+                            f"s_{i} s_{j} identity fails at {tok!r}")
         for n in range(self.cap):
+            # d_i s_j = s_{j-1} d_i (i < j), identity (i = j, j + 1),
+            # s_j d_{i-1} (i > j + 1): the wanted side as outer(inner(tok))
+            checks = []
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    if i < j:
+                        outer, inner = deg[(n - 1, j - 1)], face[(n, i)]
+                    elif i in (j, j + 1):
+                        outer = inner = None
+                    else:
+                        outer, inner = deg[(n - 1, j)], face[(n, i - 1)]
+                    checks.append((i, j, deg[(n, j)], face[(n + 1, i)],
+                                   outer, inner))
             for tok in self.simplices[n]:
-                for j in range(n + 1):
-                    st = self.degeneracy(n, j, tok)
-                    for i in range(n + 2):
-                        got = self.face(n + 1, i, st)
-                        if i < j:
-                            want = self.degeneracy(n - 1, j - 1, self.face(n, i, tok))
-                        elif i in (j, j + 1):
-                            want = tok
-                        else:
-                            want = self.degeneracy(n - 1, j, self.face(n, i - 1, tok))
-                        if got != want:
-                            raise SimplicialValidationError(
-                                f"d_{i} s_{j} identity fails at {tok!r}")
+                for i, j, s_j, d_i, outer, inner in checks:
+                    want = tok if outer is None else outer[inner[tok]]
+                    if d_i[s_j[tok]] != want:
+                        raise SimplicialValidationError(
+                            f"d_{i} s_{j} identity fails at {tok!r}")
 
     def is_connected(self) -> bool:
         verts = list(self.simplices[0])
@@ -335,9 +341,8 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
             funcs.append(tuple(f))
     funcs = sorted(set(funcs))
     zero = tuple([0] * nv)
-
-    def support(f):
-        return frozenset(v for v, a in enumerate(f) if a)
+    supports = [(f, frozenset(itertools.compress(itertools.count(), f)))
+                for f in funcs]
 
     degrees: dict[int, list] = {0: [()]}
     # grow tuples tracking the union support
@@ -345,8 +350,8 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
     for n in range(1, cap + 1):
         nxt = []
         for t, supp in level:
-            for f in funcs:
-                u = supp | support(f)
+            for f, f_supp in supports:
+                u = supp | f_supp
                 if sigma.contains(u):
                     nxt.append((t + (f,), u))
         level = nxt

@@ -90,7 +90,7 @@ class ZModMatrix:
                  num_cols: Optional[int] = None):
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        rows = [tuple(int(e) % modulus for e in r) for r in rows]
+        rows = [tuple([e % modulus for e in map(int, r)]) for r in rows]
         if rows:
             widths = {len(r) for r in rows}
             if len(widths) != 1:

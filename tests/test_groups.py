@@ -147,6 +147,28 @@ def test_invalid_specs_rejected():
         FinGroupJ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], 0, 1, 3)
 
 
+
+@pytest.mark.parametrize("table, message", [
+    ([], "empty table"),
+    ([[0, 1], [1]], "malformed Cayley table"),            # ragged
+    ([[0, 1], [1, -1]], "malformed Cayley table"),        # negative
+    ([[0, 1], [1, 2]], "malformed Cayley table"),         # = n
+    ([[0, 1], [1, 2 ** 40]], "malformed Cayley table"),   # beyond int32
+    ([[0, 1], [1, 2 ** 70]], "malformed Cayley table"),   # beyond int64
+    ([[0, 1, 2], [1, 0, 2], [1, 2, 0]], "identity law fails"),
+    ([[0, 1, 2], [1, 1, 2], [2, 2, 0]], "element 1 has no inverse"),
+])
+def test_malformed_tables_rejected(table, message):
+    with pytest.raises(GroupValidationError, match=f"^{message}$"):
+        GroupTable(table, 0)
+
+
+def test_table_entries_become_ints():
+    g = GroupTable([[np.int64(0), True], [1, False]], 0)
+    assert g.table == ((0, 1), (1, 0))
+    assert {type(x) for row in g.table for x in row} == {int}
+    assert [g.inv(x) for x in range(2)] == [0, 1]
+
 def test_dihedral_and_quaternion_shapes():
     d8 = dihedral(8)
     assert d8.n == 8 and not d8.is_abelian()

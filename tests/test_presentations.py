@@ -6,21 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplcs.cohomology import cochain, gamma_b
+from simplcs.cohomology import cochain, extract_linear_system, gamma_b
 from simplcs.groups import (build_group, central_product, cyclic, dihedral,
                             find_isomorphism, heisenberg, quaternion)
 from simplcs.linsys import (two_vertex_system, k33_system, make_system,
                             single_vertex_system)
-from simplcs.presentations import (Hom, Presentation, abelian_order,
-                                   abelianization, check_reduction_bijection,
-                                   commutator_word, dump_presentation,
-                                   elementarization, enumerate_homs,
-                                   hom_of_solution, k_group, make_presentation,
-                                   opposite_word_check, parse_presentation,
-                                   pi1, pi1_commutative, reduction_maps,
-                                   solution_group, solutions, theorem_iso_check,
-                                   tietze_simplify, todd_coxeter, word_inverse,
-                                   word_simplify)
+from simplcs.presentations import (Hom, Presentation, _generator_order,
+                                   abelian_order, abelianization,
+                                   check_reduction_bijection, commutator_word,
+                                   dump_presentation, elementarization,
+                                   enumerate_homs, hom_of_solution, k_group,
+                                   make_presentation, opposite_word_check,
+                                   parse_presentation, pi1, pi1_commutative,
+                                   reduction_maps, solution_group, solutions,
+                                   theorem_iso_check, tietze_simplify,
+                                   todd_coxeter, word_inverse, word_simplify)
 from simplcs.simplicial import (comm_nerve, k33_torus_fixture, nerve,
                                 random_truncated_sset, twisted_product)
 from simplcs.zmod import ZModMatrix, solve
@@ -554,6 +554,94 @@ def test_enumerate_homs_commutators_match_brute_force(case):
     got = [h.images for h in enumerate_homs(pres, g, pin_j=pin_j)]
     assert got == brute_homs(pres, g, pin_j)
 
+
+
+def quadratic_generator_order(rel_gens, sizes):
+    """The reference search order: each step rescores every unplaced
+    generator over all of its relators and takes the least key."""
+    k = len(sizes)
+    rels_at = [[] for _ in range(k)]
+    for r, gens in enumerate(rel_gens):
+        for gen in gens:
+            rels_at[gen].append(r)
+    unplaced = [len(gens) for gens in rel_gens]
+
+    def score(gen):
+        done = touched = 0
+        for r in rels_at[gen]:
+            if unplaced[r] == 1:
+                done += 1
+            elif unplaced[r] < len(rel_gens[r]):
+                touched += 1
+        return (-done, -touched, sizes[gen], gen)
+
+    order, rest = [], list(range(k))
+    while rest:
+        nxt = min(rest, key=score)
+        order.append(nxt)
+        rest.remove(nxt)
+        for r in rels_at[nxt]:
+            unplaced[r] -= 1
+    return order
+
+
+def slot_shaped_extraction():
+    """The solution group of (A_X, b_gamma) for a 3 x 4 system over Z_3
+    whose complex is the full 3-simplex: 6537 rows and 75 columns."""
+    system = make_system([[1, 2, 1, 1], [1, 1, 0, 0], [0, 1, 2, 0]],
+                         [1, 0, 2], 3)
+    gam, host = gamma_b(system, cap=2)
+    ext = extract_linear_system(host, gam)
+    assert (ext.num_rows, ext.num_cols) == (6537, 75)
+    return solution_group(ext)
+
+
+def test_generator_order_matches_quadratic_reference():
+    rng = random.Random(29)
+    cases = [([], []), ([], [2, 1, 2]), ([{0}], [1]), ([{0, 1}], [3, 3])]
+    for _ in range(400):
+        k = rng.randrange(1, 9)
+        rel_gens = [set(rng.sample(range(k), rng.randrange(1, k + 1)))
+                    for _ in range(rng.randrange(0, 3 * k))]
+        cases.append((rel_gens, [rng.randrange(1, 5) for _ in range(k)]))
+    pres = slot_shaped_extraction()
+    rel_gens = [gens for gens in ({g for g, _ in rel}
+                                  for rel in dict.fromkeys(pres.relators))
+                if len(gens) > 1]
+    sizes = [3] * (pres.num_gens() - 1) + [1]
+    cases.append((rel_gens, sizes))
+    for rel_gens, sizes in cases:
+        assert (_generator_order(rel_gens, sizes)
+                == quadratic_generator_order(rel_gens, sizes))
+
+
+def test_enumerate_homs_ignores_repeated_relators():
+    """Every relator repeated one to three times, shuffled: the same homs."""
+    rng = random.Random(31)
+    cases = [(solution_group(k33_system([0] * 6)), "dihedral:8"),
+             (solution_group(two_vertex_system([1, 0])), "quaternion"),
+             (solution_group(make_system([[1, 2, 0], [0, 1, 1]], [1, 2], 3)),
+              "heisenberg:3")]
+    for trial in range(9):
+        rels = [((3, 2),)]
+        for _ in range(rng.randrange(1, 4)):
+            rels.append(word_simplify(
+                [(rng.randrange(4), rng.choice((-2, -1, 1, 2)))
+                 for _ in range(rng.randrange(1, 4))]))
+        rels.append(commutator_word(*rng.sample(range(3), 2)))
+        cases.append((Presentation(("a", "b", "c", "J"), tuple(rels), "J"),
+                      ORACLE_TARGETS[trial % 3]))
+    for pres, spec in cases:
+        g = build_group(spec)
+        rels = [rel for rel in pres.relators
+                for _ in range(rng.randrange(1, 4))]
+        rng.shuffle(rels)
+        repeated = Presentation(pres.gens, tuple(rels), pres.j_name)
+        want = [h.images for h in enumerate_homs(pres, g, pin_j=True)]
+        assert [h.images for h in enumerate_homs(repeated, g, pin_j=True)] \
+            == want
+        if pres.num_gens() <= 4:
+            assert want == brute_homs(pres, g, pin_j=True)
 
 def test_tietze_preserves_group_order():
     rng = random.Random(13)

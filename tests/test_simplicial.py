@@ -9,7 +9,8 @@ from simplcs.linsys import (RowConditionError, two_vertex_system, k33_system,
                             make_system, single_vertex_system)
 from simplcs.simplicial import (BASEPOINT, K33_EDGE_LABELS,
                                 K33_FUNDAMENTAL_CYCLE, K33_TRIANGLES,
-                                SimplicialValidationError, bar_comm_nerve,
+                                SimplicialValidationError, TruncatedSSet,
+                                bar_comm_nerve,
                                 bar_nzd_sigma, cells_sset, comm_nerve,
                                 complex_of_system, dump_sset, e_space,
                                 e_space_projection, is_solution,
@@ -126,6 +127,72 @@ def test_validation_catches_broken_faces():
     with pytest.raises(SimplicialValidationError):
         x.__class__(2, x.simplices, faces, x.degeneracies)
 
+
+
+def reference_identity_failure(cap, simplices, faces, degs):
+    """The first simplicial identity that fails, in the order and the words
+    of the plain triple loops over (simplex, j, i), or None."""
+    for n in range(2, cap + 1):
+        for tok in simplices[n]:
+            for j in range(n + 1):
+                for i in range(j):
+                    if (faces[(n - 1, i)][faces[(n, j)][tok]]
+                            != faces[(n - 1, j - 1)][faces[(n, i)][tok]]):
+                        return f"d_{i} d_{j} identity fails at {tok!r} (deg {n})"
+    for n in range(cap - 1):
+        for tok in simplices[n]:
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    if (degs[(n + 1, i)][degs[(n, j)][tok]]
+                            != degs[(n + 1, j + 1)][degs[(n, i)][tok]]):
+                        return f"s_{i} s_{j} identity fails at {tok!r}"
+    for n in range(cap):
+        for tok in simplices[n]:
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    if i < j:
+                        want = degs[(n - 1, j - 1)][faces[(n, i)][tok]]
+                    elif i in (j, j + 1):
+                        want = tok
+                    else:
+                        want = degs[(n - 1, j)][faces[(n, i - 1)][tok]]
+                    if faces[(n + 1, i)][degs[(n, j)][tok]] != want:
+                        return f"d_{i} s_{j} identity fails at {tok!r}"
+    return None
+
+
+def test_validation_reports_first_failing_identity():
+    """Every single-entry corruption of the maps of N(Z_2) up to degree 3
+    and of N(Z_3) up to degree 2, within the simplices of the right degree,
+    is rejected exactly when the reference finds a failing identity, with
+    the reference's message."""
+    seen = set()
+    for x in (nerve(2, cap=3), nerve(3, cap=2)):
+        corruptions = [(0, key, key[0] - 1) for key in x.faces]
+        corruptions += [(1, key, key[0] + 1) for key in x.degeneracies]
+        for which, key, target in corruptions:
+            for tok, old in (x.faces, x.degeneracies)[which][key].items():
+                for new in x.simplices[target]:
+                    if new == old:
+                        continue
+                    maps = [{k: dict(v) for k, v in x.faces.items()},
+                            {k: dict(v) for k, v in x.degeneracies.items()}]
+                    maps[which][key][tok] = new
+                    want = reference_identity_failure(x.cap, x.simplices,
+                                                      *maps)
+                    if want is None:
+                        TruncatedSSet(x.cap, x.simplices, *maps)
+                        continue
+                    with pytest.raises(SimplicialValidationError) as err:
+                        TruncatedSSet(x.cap, x.simplices, *maps)
+                    assert str(err.value) == want
+                    seen.add(want.split(" identity")[0])
+    # every kind of identity, d_i s_j with i < j, i in (j, j + 1) and
+    # i > j + 1 included, is the first failure of some corruption
+    assert sorted(seen) == [
+        "d_0 d_1", "d_0 d_2", "d_0 d_3", "d_0 s_0", "d_0 s_1", "d_0 s_2",
+        "d_1 d_2", "d_1 d_3", "d_1 s_0", "d_1 s_1", "d_1 s_2", "d_2 s_0",
+        "d_2 s_1", "s_0 s_0", "s_0 s_1", "s_1 s_1"]
 
 # ------------------------------------------------------- wedge / alpha / beta
 
