@@ -147,7 +147,6 @@ def test_invalid_specs_rejected():
         FinGroupJ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], 0, 1, 3)
 
 
-
 @pytest.mark.parametrize("table, message", [
     ([], "empty table"),
     ([[0, 1], [1]], "malformed Cayley table"),            # ragged
@@ -168,6 +167,7 @@ def test_table_entries_become_ints():
     assert g.table == ((0, 1), (1, 0))
     assert {type(x) for row in g.table for x in row} == {int}
     assert [g.inv(x) for x in range(2)] == [0, 1]
+
 
 def test_dihedral_and_quaternion_shapes():
     d8 = dihedral(8)

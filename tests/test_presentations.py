@@ -555,7 +555,6 @@ def test_enumerate_homs_commutators_match_brute_force(case):
     assert got == brute_homs(pres, g, pin_j)
 
 
-
 def quadratic_generator_order(rel_gens, sizes):
     """The reference search order: each step rescores every unplaced
     generator over all of its relators and takes the least key."""
@@ -623,14 +622,15 @@ def test_enumerate_homs_ignores_repeated_relators():
              (solution_group(make_system([[1, 2, 0], [0, 1, 1]], [1, 2], 3)),
               "heisenberg:3")]
     for trial in range(9):
-        rels = [((3, 2),)]
+        spec = ORACLE_TARGETS[trial % 3]
+        rels = [((3, build_group(spec).d),)]
         for _ in range(rng.randrange(1, 4)):
             rels.append(word_simplify(
                 [(rng.randrange(4), rng.choice((-2, -1, 1, 2)))
                  for _ in range(rng.randrange(1, 4))]))
         rels.append(commutator_word(*rng.sample(range(3), 2)))
         cases.append((Presentation(("a", "b", "c", "J"), tuple(rels), "J"),
-                      ORACLE_TARGETS[trial % 3]))
+                      spec))
     for pres, spec in cases:
         g = build_group(spec)
         rels = [rel for rel in pres.relators
@@ -642,6 +642,7 @@ def test_enumerate_homs_ignores_repeated_relators():
             == want
         if pres.num_gens() <= 4:
             assert want == brute_homs(pres, g, pin_j=True)
+
 
 def test_tietze_preserves_group_order():
     rng = random.Random(13)

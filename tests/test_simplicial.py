@@ -128,7 +128,6 @@ def test_validation_catches_broken_faces():
         x.__class__(2, x.simplices, faces, x.degeneracies)
 
 
-
 def reference_identity_failure(cap, simplices, faces, degs):
     """The first simplicial identity that fails, in the order and the words
     of the plain triple loops over (simplex, j, i), or None."""
@@ -193,6 +192,7 @@ def test_validation_reports_first_failing_identity():
         "d_0 d_1", "d_0 d_2", "d_0 d_3", "d_0 s_0", "d_0 s_1", "d_0 s_2",
         "d_1 d_2", "d_1 d_3", "d_1 s_0", "d_1 s_1", "d_1 s_2", "d_2 s_0",
         "d_2 s_1", "s_0 s_0", "s_0 s_1", "s_1 s_1"]
+
 
 # ------------------------------------------------------- wedge / alpha / beta
 

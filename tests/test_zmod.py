@@ -61,13 +61,13 @@ def test_zmod_mixed_modulus_is_error():
         ZModMatrix([[1]], 4).matmul(ZModMatrix([[1]], 6))
 
 
-
 def test_zmod_matrix_reduces_entries_like_int():
     m = ZModMatrix([[-1, 7, True, False, np.int64(-4), np.int64(5)],
                     [3, -3, 2, -7, 0, 8]], 3)
     assert m.rows == ((2, 1, 1, 0, 2, 2), (0, 0, 2, 2, 0, 2))
     assert {type(x) for row in m.rows for x in row} == {int}
     assert ZModMatrix([[-6, 6, 13]], 6).rows == ((0, 0, 1),)
+
 
 def test_xgcd_and_stab_unit():
     rng = random.Random(0)
