@@ -28,12 +28,16 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
-SCENARIOS = ("k33", "two-vertex", "extraspecial-2", "odd-p",
-             "monomial-split", "power-maps")
-
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 3) instead of exiting 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _digest(text: str) -> str:
@@ -144,7 +148,7 @@ def cmd_realize(args) -> int:
             gam, host = cohomology.gamma_b(
                 linsys.two_vertex_system(b, d), cap=cap)
             extracted = cohomology.extract_linear_system(host, gam)
-        elif args.builtin == "k33":
+        else:
             fx = simplicial.k33_torus_fixture(cap=cap)
             b = args.b if args.b else [0, 0, 0, 0, 0, 1]
             values = {fx.triangles[lbl]: v
@@ -152,8 +156,6 @@ def cmd_realize(args) -> int:
             gam = cohomology.cochain(fx.space, 2, d, values=values)
             extracted = cohomology.extract_linear_system(
                 fx.space, gam, nondegenerate_only=True)
-        else:
-            raise InputError(f"unknown builtin {args.builtin!r}")
     else:
         if not (args.sset and args.cochain):
             raise InputError("realize needs --builtin or --sset with --cochain")
@@ -377,9 +379,6 @@ _SCENARIO_FNS = {
 
 
 def cmd_reproduce(args) -> int:
-    if args.scenario not in _SCENARIO_FNS:
-        raise InputError(f"unknown scenario {args.scenario!r}; "
-                         f"choose from {', '.join(SCENARIOS)}")
     rng = random.Random(args.seed)
     t0 = time.time()
     checks = _SCENARIO_FNS[args.scenario](rng)
@@ -399,7 +398,7 @@ def cmd_reproduce(args) -> int:
 # --------------------------------------------------------------------- main
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simplcs",
         description="Linear constraint systems over Z_d: solutions in groups, "
                     "solution groups, simplicial realizations, contextuality.")
@@ -429,11 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_re.add_argument("--d", type=int, default=2)
     p_re.add_argument("--cap", type=int, default=2,
                       help="simplicial truncation cap for the realization")
-    p_re.add_argument("--json", action="store_true")
     p_re.set_defaults(fn=cmd_realize)
 
     p_rp = sub.add_parser("reproduce", help="run a reproduction scenario")
-    p_rp.add_argument("scenario", choices=SCENARIOS)
+    p_rp.add_argument("scenario", choices=_SCENARIO_FNS)
     p_rp.add_argument("--seed", type=int, default=0)
     p_rp.add_argument("--json", action="store_true")
     p_rp.set_defaults(fn=cmd_reproduce)
@@ -441,14 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (RowConditionError, GroupValidationError) as exc:
+    except (InputError, RowConditionError, GroupValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -29,12 +29,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .linsys import LinearSystem
-from .simplicial import TruncatedSSet, complex_of_system, nzd_sigma
+from .simplicial import TruncatedSSet, complex_of_system, nerve, nzd_sigma
 from .zmod import ZModMatrix, kernel_basis
 
 SNAP_DENOMINATOR = 2 ** 16
@@ -82,25 +82,13 @@ def _check_weights(items) -> None:
         raise DistributionError(f"weights sum to {total}, not 1")
 
 
-def _pushed(weights, fn: Callable) -> dict:
-    """The outcome weights pushed forward along fn, as a dict."""
+def _pushed(weights, along: dict) -> dict:
+    """The outcome weights pushed forward along a map of outcomes."""
     out: dict = {}
     for k, v in weights:
-        kk = fn(k)
+        kk = along[k]
         out[kk] = out.get(kk, 0) + v
     return out
-
-
-def _outcome_face(i: int, theta: tuple, d: int) -> tuple:
-    if i == 0:
-        return theta[1:]
-    if i == len(theta):
-        return theta[:-1]
-    return theta[:i - 1] + ((theta[i - 1] + theta[i]) % d,) + theta[i + 1:]
-
-
-def _outcome_deg(j: int, theta: tuple) -> tuple:
-    return theta[:j] + (0,) + theta[j:]
 
 
 class SimplicialDistribution:
@@ -130,13 +118,14 @@ class SimplicialDistribution:
                     if len(theta) != n or any(not 0 <= a < d for a in theta):
                         raise DistributionError(f"bad outcome {theta!r}")
                 _check_weights(weights)
+        # outcomes are simplices of N(Z_d), pushed along its structure maps
+        nzd = nerve(d, cap)
         for n in range(1, cap + 1):
             for tok in host.simplices[n]:
                 p = self.dists[(n, tok)]
                 for i in range(n + 1):
                     want = self.dists[(n - 1, host.face(n, i, tok))]
-                    got = _pushed(p.weights,
-                                  lambda th: _outcome_face(i, th, d))
+                    got = _pushed(p.weights, nzd.faces[(n, i)])
                     if got != dict(want.weights):
                         raise DistributionError(
                             f"face compatibility fails at {tok!r} (d_{i})")
@@ -145,7 +134,7 @@ class SimplicialDistribution:
                 p = self.dists[(n, tok)]
                 for j in range(n + 1):
                     want = self.dists[(n + 1, host.degeneracy(n, j, tok))]
-                    got = _pushed(p.weights, lambda th: _outcome_deg(j, th))
+                    got = _pushed(p.weights, nzd.degeneracies[(n, j)])
                     if got != dict(want.weights):
                         raise DistributionError(
                             f"degeneracy compatibility fails at {tok!r} (s_{j})")

@@ -660,10 +660,6 @@ class GroupCocycle:
         return bad
 
 
-def cocycle_from_section(ext: CentralExtensionData) -> GroupCocycle:
-    return GroupCocycle(ext)
-
-
 # ------------------------------------------------------------- power maps
 
 @dataclass(frozen=True)

@@ -283,6 +283,19 @@ def _nerve_deg(identity, n: int, j: int, tok: tuple) -> tuple:
     return tok[:j] + (identity,) + tok[j:]
 
 
+def _nerve_sset(cap: int, degrees: dict[int, Sequence], mul, identity,
+                name: str) -> TruncatedSSet:
+    """A nerve-shaped simplicial set: d_i multiplies entries i and i + 1
+    (d_0 and d_n drop an end), s_j inserts the identity."""
+    faces = {(n, i): {t: _nerve_face(mul, n, i, t) for t in degrees[n]}
+             for n in range(1, cap + 1) for i in range(n + 1)}
+    degeneracies = {(n, j): {t: _nerve_deg(identity, n, j, t)
+                             for t in degrees[n]}
+                    for n in range(cap) for j in range(n + 1)}
+    return TruncatedSSet(cap, degrees, faces, degeneracies, name=name,
+                         basepoint=())
+
+
 def nerve(group_or_d, cap: int = 3) -> TruncatedSSet:
     """Nerve NG: n-simplices are n-tuples, faces multiply adjacent entries."""
     if isinstance(group_or_d, int):
@@ -302,10 +315,7 @@ def nerve(group_or_d, cap: int = 3) -> TruncatedSSet:
         name = f"N({g.name})"
     degrees = {n: [tuple(t) for t in itertools.product(els, repeat=n)]
                for n in range(cap + 1)}
-    return build_sset(cap, degrees,
-                      lambda n, i, t: _nerve_face(mul, n, i, t),
-                      lambda n, j, t: _nerve_deg(identity, n, j, t),
-                      name=name, basepoint=())
+    return _nerve_sset(cap, degrees, mul, identity, name)
 
 
 def comm_nerve(g: FinGroupJ, d: Optional[int] = None, cap: int = 3) -> TruncatedSSet:
@@ -322,10 +332,7 @@ def comm_nerve(g: FinGroupJ, d: Optional[int] = None, cap: int = 3) -> Truncated
                 if all(g.commute(x, y) for y in t):
                     cur.append(t + (x,))
         degrees[n] = cur
-    return build_sset(cap, degrees,
-                      lambda n, i, t: _nerve_face(g.mul, n, i, t),
-                      lambda n, j, t: _nerve_deg(g.identity, n, j, t),
-                      name=f"N(Z_{d},{g.name})", basepoint=())
+    return _nerve_sset(cap, degrees, g.mul, g.identity, f"N(Z_{d},{g.name})")
 
 
 def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
@@ -360,10 +367,7 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
     def mul(a, b):
         return tuple((x + y) % d for x, y in zip(a, b))
 
-    return build_sset(cap, degrees,
-                      lambda n, i, t: _nerve_face(mul, n, i, t),
-                      lambda n, j, t: _nerve_deg(zero, n, j, t),
-                      name=f"N(Z_{d},Sigma)", basepoint=())
+    return _nerve_sset(cap, degrees, mul, zero, f"N(Z_{d},Sigma)")
 
 
 # ================================================== wedge, alpha, beta, iota
@@ -380,33 +384,26 @@ def wedge_nzd(system: LinearSystem, cap: int = 3
     system.check_row_conditions()
     d = system.modulus
     r = system.num_rows
+    nzd = nerve(d, cap)
 
     def canon(i, t):
         return BASEPOINT if all(a == 0 for a in t) else (i, t)
 
     degrees: dict[int, list] = {}
     for n in range(cap + 1):
-        toks = {canon(i, t) for i in range(r)
-                for t in itertools.product(range(d), repeat=n)}
+        toks = {canon(i, t) for i in range(r) for t in nzd.simplices[n]}
         degrees[n] = list(toks)
 
-    def face(n, i, tok):
-        if tok == BASEPOINT:
-            return BASEPOINT
-        fac, t = tok
-        return canon(fac, _nerve_face(lambda a, b: (a + b) % d, n, i, t))
+    def circle_map(maps):
+        # each circle is a copy of NZ_d with its zero tuples at the basepoint
+        return lambda n, k, tok: (BASEPOINT if tok == BASEPOINT
+                                  else canon(tok[0], maps[(n, k)][tok[1]]))
 
-    def deg(n, j, tok):
-        if tok == BASEPOINT:
-            return BASEPOINT
-        fac, t = tok
-        return canon(fac, _nerve_deg(0, n, j, t))
-
-    wedge = build_sset(cap, degrees, face, deg,
+    wedge = build_sset(cap, degrees, circle_map(nzd.faces),
+                       circle_map(nzd.degeneracies),
                        name=f"wedge_{r}(NZ_{d})", basepoint=BASEPOINT)
 
     target = nzd_sigma(complex_of_system(system), d, cap)
-    nzd = nerve(d, cap)
     mults = system.row_multiples
 
     def alpha_of(n, tok):
@@ -471,24 +468,19 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
                     raise SimplicialValidationError(
                         "subset not closed under degeneracy maps")
 
-    def collapse(n, tok):
-        return BASEPOINT if tok in sub[n] else tok
-
     degrees = {n: [BASEPOINT] + [t for t in x.simplices[n] if t not in sub[n]]
                for n in range(x.cap + 1)}
-
-    def face(n, i, tok):
-        if tok == BASEPOINT:
-            return BASEPOINT
-        return collapse(n - 1, x.face(n, i, tok))
-
-    def deg(n, j, tok):
-        if tok == BASEPOINT:
-            return BASEPOINT
-        return collapse(n + 1, x.degeneracy(n, j, tok))
-
-    return build_sset(x.cap, degrees, face, deg,
-                      name=f"{x.name}/subset", basepoint=BASEPOINT)
+    faces = {(n, i): {BASEPOINT: BASEPOINT,
+                      **{t: BASEPOINT if v in sub[n - 1] else v
+                         for t, v in x.faces[(n, i)].items() if t not in sub[n]}}
+             for n in range(1, x.cap + 1) for i in range(n + 1)}
+    # no value needs collapsing: s_j t in the subset puts t = d_j s_j t there
+    degeneracies = {(n, j): {BASEPOINT: BASEPOINT,
+                             **{t: v for t, v in x.degeneracies[(n, j)].items()
+                                if t not in sub[n]}}
+                    for n in range(x.cap) for j in range(n + 1)}
+    return TruncatedSSet(x.cap, degrees, faces, degeneracies,
+                         name=f"{x.name}/subset", basepoint=BASEPOINT)
 
 
 def wedge_subset_of_nzd(system: LinearSystem, x: TruncatedSSet
@@ -515,10 +507,8 @@ def bar_comm_nerve(ext: CentralExtensionData, cap: int = 3) -> TruncatedSSet:
     q = ext.quotient
     degrees = {n: sorted({tuple(pi[y] for y in tok) for tok in src.simplices[n]})
                for n in range(cap + 1)}
-    return build_sset(cap, degrees,
-                      lambda n, i, t: _nerve_face(q.mul, n, i, t),
-                      lambda n, j, t: _nerve_deg(q.identity, n, j, t),
-                      name=f"Nbar(Z_{g.d},{g.name})", basepoint=())
+    return _nerve_sset(cap, degrees, q.mul, q.identity,
+                       f"Nbar(Z_{g.d},{g.name})")
 
 
 # ============================================================ twisted products
@@ -547,26 +537,23 @@ def twisted_product(x: TruncatedSSet, gamma: Callable, d: int,
                     cap: int = 2) -> TruncatedSSet:
     """X_gamma: simplices Z_d^n x X_n, d_0 twisted by the cocycle in degree 2."""
     check_normalized_cocycle(x, gamma, d)
+    nzd = nerve(d, cap)
     degrees = {n: [(t, tok) for t in itertools.product(range(d), repeat=n)
                    for tok in x.simplices[n]]
                for n in range(cap + 1)}
 
     def face(n, i, tok):
         alpha, tau = tok
-        if i == 0:
-            rest = alpha[1:]
-            if n == 2:
-                rest = ((gamma(tau) + alpha[1]) % d,)
-            elif n > 2:
-                raise SimplicialValidationError(
-                    "twisted product is capped at degree 2")
-            return (rest, x.face(n, 0, tau))
-        return (_nerve_face(lambda a, b: (a + b) % d, n, i, alpha),
-                x.face(n, i, tau))
+        if i == 0 and n == 2:
+            alpha = (alpha[0], (gamma(tau) + alpha[1]) % d)
+        elif i == 0 and n > 2:
+            raise SimplicialValidationError(
+                "twisted product is capped at degree 2")
+        return (nzd.face(n, i, alpha), x.face(n, i, tau))
 
     def deg(n, j, tok):
         alpha, tau = tok
-        return (_nerve_deg(0, n, j, alpha), x.degeneracy(n, j, tau))
+        return (nzd.degeneracy(n, j, alpha), x.degeneracy(n, j, tau))
 
     return build_sset(cap, degrees, face, deg,
                       name=f"({x.name})_gamma",
@@ -620,16 +607,11 @@ def e_space(g: FinGroupJ, d: Optional[int] = None, cap: int = 2) -> TruncatedSSe
     degrees = {n: [(g0,) + tok for g0 in range(g.n)
                    for tok in nerve_part.simplices[n]]
                for n in range(cap + 1)}
-
-    def face(n, i, tok):
-        if i == n:
-            return tok[:-1]
-        return tok[:i] + (g.mul(tok[i], tok[i + 1]),) + tok[i + 2:]
-
-    def deg(n, j, tok):
-        return tok[:j + 1] + (g.identity,) + tok[j + 1:]
-
-    return build_sset(cap, degrees, face, deg, name=f"E(Z_{d},{g.name})")
+    # the décalage: d_i and s_j in degree n are d_{i+1} and s_{j+1} in n + 1
+    return build_sset(cap, degrees,
+                      lambda n, i, t: _nerve_face(g.mul, n + 1, i + 1, t),
+                      lambda n, j, t: _nerve_deg(g.identity, n + 1, j + 1, t),
+                      name=f"E(Z_{d},{g.name})")
 
 
 def e_space_projection(e: TruncatedSSet, n_target: TruncatedSSet) -> SMap:

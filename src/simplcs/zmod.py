@@ -45,44 +45,6 @@ def stab_unit(a: int, n: int) -> int:
     return u % n if u % n != 0 else u
 
 
-@dataclass(frozen=True)
-class ZMod:
-    """A single residue with its modulus; mixed-modulus arithmetic is an error."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other: "ZMod") -> None:
-        if not isinstance(other, ZMod):
-            raise TypeError("expected ZMod operand")
-        if other.modulus != self.modulus:
-            raise ValueError(
-                f"mixed moduli: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "ZMod") -> "ZMod":
-        self._check(other)
-        return ZMod(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "ZMod") -> "ZMod":
-        self._check(other)
-        return ZMod(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "ZMod") -> "ZMod":
-        self._check(other)
-        return ZMod(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "ZMod":
-        return ZMod(-self.value, self.modulus)
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus})"
-
-
 class ZModMatrix:
     """Immutable matrix over Z_d stored as reduced integer tuples."""
 

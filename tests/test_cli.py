@@ -195,8 +195,13 @@ def test_realize_from_files(tmp_path, capsys):
 
 
 def test_reproduce_unknown_scenario(capsys):
-    with pytest.raises(SystemExit):
-        main(["reproduce", "not-a-scenario"])
+    assert main(["reproduce", "not-a-scenario"]) == 3
+    assert "invalid choice: 'not-a-scenario'" in capsys.readouterr().err
+
+
+def test_missing_argument_is_input_error(capsys):
+    assert main(["solve"]) == 3
+    assert "required: system, --group" in capsys.readouterr().err
 
 
 def test_reproduce_two_vertex(capsys):

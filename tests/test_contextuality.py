@@ -76,6 +76,24 @@ def test_validate_rejects_weights_that_do_not_sum_to_one():
         SimplicialDistribution(p.host, p.d, doubled)
 
 
+@pytest.mark.parametrize("cap, key, outcome, message", [
+    (2, (1, (1,)), (1, 1), r"bad outcome \(1, 1\)"),
+    (2, (1, (1,)), (2,), r"bad outcome \(2,\)"),
+    (2, (2, (1, 1)), (1, 0), r"face compatibility fails at \(1, 1\) \(d_0\)"),
+    (1, (1, (0,)), (1,), r"degeneracy compatibility fails at \(\) \(s_0\)"),
+])
+def test_validate_rejects_bad_and_incompatible_outcomes(cap, key, outcome,
+                                                        message):
+    # on N(Z_2) each simplex seeing its own entries is a valid distribution
+    host = nerve(2, cap=cap)
+    dists = {(n, t): RationalDist.from_dict({t: 1})
+             for n in range(cap + 1) for t in host.simplices[n]}
+    SimplicialDistribution(host, 2, dists)
+    dists[key] = RationalDist.from_dict({outcome: 1})
+    with pytest.raises(DistributionError, match=message):
+        SimplicialDistribution(host, 2, dists)
+
+
 def test_theta_output_validates():
     host = host_of(two_vertex_system((0, 0)))
     dets = enumerate_deterministic(host, 2)

@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from simplcs.groups import (FinGroupJ, GroupTable, GroupValidationError,
-                            MonomialElement, build_e1, build_group,
-                            central_product, cocycle_from_section, cyclic,
-                            dihedral, direct_product, embed_e1, extraspecial,
+from simplcs.groups import (FinGroupJ, GroupCocycle, GroupTable,
+                            GroupValidationError, MonomialElement, build_e1,
+                            build_group, central_product, cyclic, dihedral,
+                            direct_product, embed_e1, extraspecial,
                             find_isomorphism, find_torsion_pair, heisenberg,
                             load_cayley, monomial_split, power_map, quaternion,
                             quotient_by_j, wreath_cyclic)
@@ -242,7 +242,7 @@ def test_section_properties():
 
 def test_cocycle_from_section():
     ext = quotient_by_j(dihedral(8))
-    gam = cocycle_from_section(ext)
+    gam = GroupCocycle(ext)
     assert gam.is_normalized()
     assert gam.cocycle_defects() == []
     # gamma(rbar, rbar) = 1: phi(rbar)^2 = r^2 = J
@@ -255,7 +255,7 @@ def test_cocycle_from_section():
 def test_cocycle_trivial_for_split_extension():
     g = direct_product(cyclic(2), cyclic(2))
     ext = quotient_by_j(g)
-    gam = cocycle_from_section(ext)
+    gam = GroupCocycle(ext)
     # the minimal-index section of Z2 x Z2 -> Z2 is a homomorphism
     assert all(v == 0 for v in gam.values.values())
 
@@ -264,7 +264,7 @@ def test_cocycle_identity_exhaustive_on_corpus():
     for spec in CORPUS:
         g = build_group(spec)
         if g.n // g.d <= 128:
-            gam = cocycle_from_section(quotient_by_j(g))
+            gam = GroupCocycle(quotient_by_j(g))
             assert gam.is_normalized()
             assert gam.cocycle_defects() == []
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -263,6 +264,27 @@ def test_bar_comm_nerve_d8():
     q = bar_comm_nerve(ext, cap=2)
     # images of {1, five involutions}: three classes out of four in Z2xZ2
     assert q.size(1) == 3
+
+
+def test_constructor_structure_maps_are_pinned():
+    # sha256 prefixes of dump_sset: every simplex, face and degeneracy
+    fx = k33_torus_fixture()
+    sig2 = fx.triangles["sigma2"]
+    k33 = k33_system([1, 0, 0, 0, 0, 0])
+    cases = [
+        (nerve(3, cap=3), "7b23bf70c3493953"),
+        (nerve(dihedral(8), cap=2), "c0ee4b940e2a0ddb"),
+        (comm_nerve(quaternion(), cap=3), "e3e11c9324a85bd3"),
+        (nzd_sigma(complex_of_system(k33), 2, cap=2), "059241d996ed202f"),
+        (bar_comm_nerve(quotient_by_j(dihedral(8))), "bdab29db8059925e"),
+        (bar_nzd_sigma(two_vertex_system((1, 0)), cap=3), "51a9714041c6e841"),
+        (wedge_nzd(k33, cap=2)[0], "423c15bbb01551b7"),
+        (twisted_product(fx.space, lambda t: int(t == sig2), 2, cap=2),
+         "e5056ce4b0141992"),
+        (e_space(dihedral(8)), "37f0ef0a2d5da45e"),
+    ]
+    for x, digest in cases:
+        assert hashlib.sha256(dump_sset(x).encode()).hexdigest()[:16] == digest
 
 
 # ------------------------------------------------------- twisted products

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from simplcs.linsys import make_system
-from simplcs.zmod import (ZMod, ZModMatrix, howell_form, kernel_basis,
+from simplcs.zmod import (ZModMatrix, howell_form, kernel_basis,
                           smith_normal_form, solve, stab_unit, xgcd)
 
 
@@ -44,19 +44,9 @@ def random_matrix(rng, r, c, d):
     return [[rng.randrange(d) for _ in range(c)] for _ in range(r)]
 
 
-# ---------------------------------------------------------------- ZMod scalar
+# ---------------------------------------------------------------- ZModMatrix
 
-def test_zmod_arithmetic_reduces():
-    a = ZMod(5, 4)
-    assert a.value == 1
-    assert (a + ZMod(3, 4)).value == 0
-    assert (a * ZMod(2, 4)).value == 2
-    assert (-a).value == 3
-
-
-def test_zmod_mixed_modulus_is_error():
-    with pytest.raises(ValueError):
-        ZMod(1, 4) + ZMod(1, 6)
+def test_zmod_matrix_matmul_mixed_modulus_is_error():
     with pytest.raises(ValueError):
         ZModMatrix([[1]], 4).matmul(ZModMatrix([[1]], 6))
 
