@@ -6,11 +6,15 @@ noncontextuality decision is an exact LP feasibility problem, so every
 verdict carries a machine-checkable certificate: a convex decomposition, or
 a Farkas vector against the marginal constraints.
 Only the LP's right-hand side depends on the distribution: its presolve
-(repeated supports, exact elimination with provenance) is computed once per
-(host, deterministic distributions) and cached on the host. Probabilities
-stay exact rationals; the phase-1 simplex (Dantzig pricing, then Bland's
-rule) runs on an integer-preserving tableau over one common denominator,
-and its answer is converted back to `Fraction`s.
+(repeated supports, exact elimination with integer provenance) and, apart
+from it, the marginal supports that `verify_verdict` reads are computed once
+per (host, deterministic distributions) and cached on the host.
+Probabilities stay exact rationals. The phase-1 simplex (Dantzig pricing,
+then Bland's rule) runs on an integer-preserving numpy tableau over one
+common denominator: int64 while every entry stays below 2^30, Python ints
+(`dtype=object`) once one does not. The right-hand sides are scaled to
+integers once per verdict, and `Fraction`s are made only for the
+certificate returned.
 
 The quantum side (commuting d-torsion unitaries, projective measurements,
 density operators) lives in floating complex arithmetic and is snapped to
@@ -39,6 +43,7 @@ from .zmod import ZModMatrix, kernel_basis
 
 SNAP_DENOMINATOR = 2 ** 16
 TOL = 1e-9
+INT64_EXACT = 2 ** 30  # int64 tableau bound: pv * v and f * w stay < 2^60
 
 
 class DistributionError(ValueError):
@@ -176,11 +181,8 @@ def enumerate_deterministic(host: TruncatedSSet, d: int
 
     The members are computed once per (host, d) and kept on the host; each
     call returns a new list of them."""
-    cached = getattr(host, "_dets", None)
-    if cached is None or cached[0] != d:
-        cached = (d, tuple(_kernel_dets(host, d)))
-        host._dets = cached
-    return list(cached[1])
+    return list(_cached_on(host, "_dets", d,
+                           lambda: tuple(_kernel_dets(host, d))))
 
 
 def _kernel_dets(host: TruncatedSSet, d: int) -> list[DeterministicDist]:
@@ -267,11 +269,35 @@ class Verdict:
     row_labels: Optional[list] = None
 
 
+def _cached_on(host: TruncatedSSet, attr: str, key, build):
+    """The value that `build()` gives for `key`, kept on the host under
+    `attr`: one entry, rebuilt when the key changes."""
+    cached = getattr(host, attr, None)
+    if cached is None or cached[0] != key:
+        cached = (key, build())
+        setattr(host, attr, cached)
+    return cached[1]
+
+
+def _content_key(d: int, dets: Sequence[DeterministicDist]) -> tuple:
+    """(d, dets) by content, so equal det lists built anew share an entry."""
+    return (d, tuple(f.values for f in dets))
+
+
 def _marginal_supports(host: TruncatedSSet, d: int,
-                       dets: Sequence[DeterministicDist]) -> list:
+                       dets: Sequence[DeterministicDist]) -> tuple:
     """The marginal rows without their right-hand sides: (support frozenset
     over det indices, label) for normalization first, then one 0/1 row per
-    (nondegenerate 2-simplex, outcome)."""
+    (nondegenerate 2-simplex, outcome).
+
+    Built once per (host, dets) and cached on the host apart from the
+    presolve, since `verify_verdict` reads these and never the presolve."""
+    return _cached_on(host, "_lp_supports", _content_key(d, dets),
+                      lambda: _build_supports(host, d, dets))
+
+
+def _build_supports(host: TruncatedSSet, d: int,
+                    dets: Sequence[DeterministicDist]) -> tuple:
     vals = _value_array(host, dets)
     rows = [(frozenset(range(len(dets))), ("norm",))]
     for sig in host.nondegenerate(2):
@@ -279,7 +305,7 @@ def _marginal_supports(host: TruncatedSSet, d: int,
         for o in range(d * d):
             rows.append((frozenset(np.flatnonzero(codes == o).tolist()),
                          (sig, _decode_outcome(o, 2, d))))
-    return rows
+    return tuple(rows)
 
 
 def _marginal_rhs(p: SimplicialDistribution, labels: Sequence) -> list:
@@ -303,25 +329,25 @@ def _marginal_rows(p: SimplicialDistribution,
 class _Presolve:
     """The part of the LP that does not depend on p.
 
-    A provenance is a dict {row index: Fraction}; a row built from the input
-    rows with provenance y has right-hand side y . c for every p.
+    A provenance is integer numerators {row index: int} over one positive
+    denominator; a row built from the input rows with provenance y has
+    right-hand side y . c for every p.
     """
     labels: tuple      # row labels, normalization first
     duplicates: tuple  # (row index, index of the first row with its support)
-    basis: tuple       # (int vector, provenance) per independent row
-    dependent: tuple   # provenance of each row that reduces to zero, in order
+    basis: tuple       # (int vector, numerators over basis_den) per
+    #                    independent row
+    basis_den: int     # the one denominator of every basis provenance
+    dependent: tuple   # (numerators, denominator) per row that reduces to
+    #                    zero, in order
 
 
 def _presolve(host: TruncatedSSet, d: int,
               dets: Sequence[DeterministicDist]) -> _Presolve:
     """The presolve for (host, dets), cached on the host: one entry, keyed by
     content, so equal det lists built anew reuse it."""
-    key = (d, tuple(f.values for f in dets))
-    cached = getattr(host, "_lp_presolve", None)
-    if cached is None or cached[0] != key:
-        cached = (key, _build_presolve(host, d, dets))
-        host._lp_presolve = cached
-    return cached[1]
+    return _cached_on(host, "_lp_presolve", _content_key(d, dets),
+                      lambda: _build_presolve(host, d, dets))
 
 
 def _build_presolve(host: TruncatedSSet, d: int,
@@ -331,7 +357,7 @@ def _build_presolve(host: TruncatedSSet, d: int,
     rows = _marginal_supports(host, d, dets)
     first: dict = {}
     duplicates = []
-    basis: list[tuple[list[int], dict]] = []
+    basis: list[tuple[list[int], dict, int]] = []
     pivots: list[int] = []
     dependent = []
     for ridx, (support, _) in enumerate(rows):
@@ -342,29 +368,39 @@ def _build_presolve(host: TruncatedSSet, d: int,
         vec = [0] * len(dets)
         for k in support:
             vec[k] = 1
-        prov = {ridx: Fraction(1)}
-        for (bvec, bprov), pcol in zip(basis, pivots):
+        prov, den = {ridx: 1}, 1
+        for (bvec, bprov, bden), pcol in zip(basis, pivots):
             if vec[pcol]:
                 q, pval = vec[pcol], bvec[pcol]
                 vec = [pval * a - q * b for a, b in zip(vec, bvec)]
-                prov = {k: pval * v for k, v in prov.items()}
+                # pval * prov / den - q * bprov / bden over lcm(den, bden)
+                both = lcm(den, bden)
+                mine, theirs = pval * (both // den), q * (both // bden)
+                prov = {k: mine * v for k, v in prov.items()}
                 for k, v in bprov.items():
-                    prov[k] = prov.get(k, Fraction(0)) - q * v
+                    prov[k] = prov.get(k, 0) - theirs * v
+                den = both
         g = gcd(*vec)
         if g > 1:
             vec = [a // g for a in vec]
-            prov = {k: v / g for k, v in prov.items()}
+            den *= g
+        g = gcd(den, *prov.values())
+        prov, den = {k: v // g for k, v in prov.items()}, den // g
         if any(vec):
             pcol = next(k for k, a in enumerate(vec) if a)
             if vec[pcol] < 0:
                 vec = [-a for a in vec]
                 prov = {k: -v for k, v in prov.items()}
-            basis.append((vec, prov))
+            basis.append((vec, prov, den))
             pivots.append(pcol)
         else:
-            dependent.append(prov)
+            dependent.append((prov, den))
+    basis_den = lcm(*(den for _, _, den in basis))
     return _Presolve(tuple(label for _, label in rows), tuple(duplicates),
-                     tuple(basis), tuple(dependent))
+                     tuple((vec, {k: v * (basis_den // den)
+                                  for k, v in prov.items()})
+                           for vec, prov, den in basis),
+                     basis_den, tuple(dependent))
 
 
 def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
@@ -379,82 +415,80 @@ def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
     (the basis determinant, always > 0), so each pivot decision is the one
     the rational tableau would make, and after each pivot the division by
     the previous `den` is exact.
+
+    The tableau is one numpy array, the objective row last, and each pivot
+    is one rank-1 update of it. It is int64 while every entry is below
+    `INT64_EXACT` (2^30) in magnitude, checked on the initial tableau and
+    after every pivot: then no product in the next update reaches 2^60, so
+    none overflows. Once the bound fails, the same array is converted to
+    Python ints (`dtype=object`) and the same statements run on it, so the
+    pivots and the answer do not depend on the dtype.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
     c = [Fraction(v) for v in c]
     scale = lcm(*(v.denominator for v in c))
     sign = []
-    tab = []
-    for row, rhs in zip(a_rows, c):
+    rows = []
+    for i, (row, rhs) in enumerate(zip(a_rows, c)):
         rhs = rhs.numerator * (scale // rhs.denominator)
-        if rhs < 0:
-            sign.append(-1)
-            row = [-v for v in row]
-            rhs = -rhs
-        else:
-            sign.append(1)
-        tab.append(list(row) + [1 if j == len(tab) else 0 for j in range(m)]
-                   + [rhs])
-    basis = [n + i for i in range(m)]
+        sign.append(-1 if rhs < 0 else 1)
+        rows.append([sign[i] * v for v in row]
+                    + [int(j == i) for j in range(m)] + [sign[i] * rhs])
     total = n + m
-    zrow = [sum(tab[i][j] for i in range(m)) for j in range(total + 1)]
-    for j in range(n, total):
-        zrow[j] -= 1
+    # the objective row sums the rows; its artificial columns are 0
+    zrow = [sum(col) for col in zip([0] * (total + 1), *rows)]
+    zrow[n:total] = [0] * m
+    biggest = max(map(abs, itertools.chain(zrow, *rows)))
+    tab = np.array(rows + [zrow], dtype=object if biggest >= INT64_EXACT
+                   else np.int64).reshape(m + 1, total + 1)
+    basis = [n + i for i in range(m)]
     den = 1
 
     iterations = 0
     bland_after = 20 * (m + 2)  # Dantzig first; Bland guarantees termination
     while True:
         iterations += 1
-        if iterations > bland_after:
-            enter = next((j for j in range(total) if zrow[j] > 0), None)
-        else:
-            enter = None
-            best_z = 0
-            for j in range(total):
-                if zrow[j] > best_z:
-                    best_z = zrow[j]
-                    enter = j
-        if enter is None:
+        z = tab[m, :total]
+        positive = np.flatnonzero(z > 0)
+        if not len(positive):
             break
+        # Dantzig: the first largest entry; Bland: the first positive one
+        enter = int(positive[0] if iterations > bland_after else np.argmax(z))
+        col = tab[:m, enter].tolist()
+        rhs_col = tab[:m, total].tolist()
         piv = None
-        for i in range(m):
-            a = tab[i][enter]
+        for i, a in enumerate(col):
             if a > 0:  # ratio test, cross-multiplied since a, a_piv > 0
                 if piv is None:
                     piv = i
                     continue
-                lhs = tab[i][total] * tab[piv][enter]
-                rhs = tab[piv][total] * a
+                lhs = rhs_col[i] * col[piv]
+                rhs = rhs_col[piv] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[piv]):
                     piv = i
         if piv is None:
             raise ArithmeticError("phase-1 unbounded (cannot happen)")
-        prow = tab[piv]
-        pv = prow[enter]
-        for i in range(m):
-            if i == piv:
-                continue
-            row = tab[i]
-            f = row[enter]
-            if f:
-                tab[i] = [(pv * v - f * w) // den for v, w in zip(row, prow)]
-            elif pv != den:
-                tab[i] = [pv * v // den for v in row]
-        f = zrow[enter]
-        if f:
-            zrow = [(pv * v - f * w) // den for v, w in zip(zrow, prow)]
-        elif pv != den:
-            zrow = [pv * v // den for v in zrow]
+        pv = col[piv]
+        prow = tab[piv].copy()
+        # tab = (pv * tab - outer(f, prow)) // den, f the entering column,
+        # in place; the pivot row stays
+        update = np.outer(tab[:, enter], prow)
+        tab *= pv
+        tab -= update
+        tab //= den
+        tab[piv] = prow
+        if tab.dtype != object and np.abs(tab).max() >= INT64_EXACT:
+            tab = tab.astype(object)
         den = pv
         basis[piv] = enter
 
+    zrow = tab[m].tolist()
     if zrow[total] == 0:
         x = [Fraction(0)] * n
         for i, b in enumerate(basis):
             if b < n:
-                x[b] = Fraction(tab[i][total], den * scale)
+                x[b] = Fraction(int(tab[i, total]), den * scale)
         return x, None
     y = [(Fraction(zrow[n + i], den) + 1) * sign[i] for i in range(m)]
     return None, y
@@ -484,6 +518,10 @@ def _solve(pre: _Presolve, c: list, dets: Sequence[DeterministicDist]
            ) -> Verdict:
     """The verdict of the presolved LP for right-hand side c."""
     labels = pre.labels
+    # c times the lcm of its denominators: every test below is on ints, and
+    # Fractions are made only for the certificate returned
+    scale = lcm(*(v.denominator for v in c))
+    c = [v.numerator * (scale // v.denominator) for v in c]
     # identical supports with different rhs: an immediate certificate
     for idx, j in pre.duplicates:
         if c[idx] != c[j]:
@@ -491,26 +529,31 @@ def _solve(pre: _Presolve, c: list, dets: Sequence[DeterministicDist]
             return Verdict(True, farkas=[(labels[hi], Fraction(1)),
                                          (labels[lo], Fraction(-1))])
     # a row in the span of earlier rows whose rhs disagrees with theirs
-    for y in pre.dependent:
+    for y, den in pre.dependent:
         dot = sum(v * c[k] for k, v in y.items())
         if dot:
             sign = 1 if dot > 0 else -1
-            return Verdict(True, farkas=[(labels[k], sign * v)
+            return Verdict(True, farkas=[(labels[k], Fraction(sign * v, den))
                                          for k, v in sorted(y.items()) if v])
 
+    # the basis rows' rhs times scale * basis_den: a positive multiple of
+    # the rhs leaves the pivots and y as they are and multiplies x by it
     x, y_red = _phase1_simplex(
         [vec for vec, _ in pre.basis],
         [sum(v * c[k] for k, v in prov.items()) for _, prov in pre.basis])
     if x is not None:
-        return Verdict(False, weights={dets[k]: v for k, v in enumerate(x)
-                                       if v})
+        return Verdict(False, weights={dets[k]: v / (scale * pre.basis_den)
+                                       for k, v in enumerate(x) if v})
+    y_den = lcm(*(yi.denominator for yi in y_red))
     y: dict = {}
     for yi, (_, prov) in zip(y_red, pre.basis):
         if yi:
+            yi = yi.numerator * (y_den // yi.denominator)
             for k, v in prov.items():
-                y[k] = y.get(k, Fraction(0)) + yi * v
-    return Verdict(True, farkas=[(labels[k], v) for k, v in sorted(y.items())
-                                 if v])
+                y[k] = y.get(k, 0) + yi * v
+    den = y_den * pre.basis_den
+    return Verdict(True, farkas=[(labels[k], Fraction(v, den))
+                                 for k, v in sorted(y.items()) if v])
 
 
 def verify_verdict(p: SimplicialDistribution, verdict: Verdict,
@@ -530,19 +573,26 @@ def verify_verdict(p: SimplicialDistribution, verdict: Verdict,
         if any(f not in pos for f in lam):
             raise AssertionError(
                 "witness uses a deterministic distribution outside dets")
-        sparse = {pos[f]: v for f, v in lam.items()}
+        # the weights as integer numerators over their lcm denominator
+        den = lcm(*(v.denominator for v in lam.values()))
+        sparse = {pos[f]: v.numerator * (den // v.denominator)
+                  for f, v in lam.items()}
         for support, rhs, label in rows:
             got = sum(v for k, v in sparse.items() if k in support)
-            if got != rhs:
+            if got * rhs.denominator != rhs.numerator * den:
                 raise AssertionError(f"witness violates constraint {label!r}")
     else:
+        # column sums scaled by the coefficients' positive lcm denominator,
+        # which keeps their signs
+        den = lcm(*(coeff.denominator for _, coeff in verdict.farkas))
         dot_c = Fraction(0)
         col_sums: dict = {}
         for label, coeff in verdict.farkas:
             support, rhs = by_label[label]
             dot_c += coeff * rhs
+            num = coeff.numerator * (den // coeff.denominator)
             for k in support:
-                col_sums[k] = col_sums.get(k, Fraction(0)) + coeff
+                col_sums[k] = col_sums.get(k, 0) + num
         if not all(s <= 0 for s in col_sums.values()) or not dot_c > 0:
             raise AssertionError("Farkas certificate fails verification")
 

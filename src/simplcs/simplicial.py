@@ -338,8 +338,9 @@ def comm_nerve(g: FinGroupJ, d: Optional[int] = None, cap: int = 3) -> Truncated
 def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
     """N(Z_d, Sigma): tuples of Z_d-valued functions with joint support in Sigma."""
     nv = sigma.num_vertices
+    simplices = sigma.simplices()
     funcs = []
-    for simp in sigma.simplices():
+    for simp in simplices:
         members = sorted(simp)
         for vals in itertools.product(range(1, d), repeat=len(members)):
             f = [0] * nv
@@ -351,6 +352,7 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
     supports = [(f, frozenset(itertools.compress(itertools.count(), f)))
                 for f in funcs]
 
+    in_sigma = set(simplices)
     degrees: dict[int, list] = {0: [()]}
     # grow tuples tracking the union support
     level: list[tuple[tuple, frozenset]] = [((), frozenset())]
@@ -359,7 +361,7 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
         for t, supp in level:
             for f, f_supp in supports:
                 u = supp | f_supp
-                if sigma.contains(u):
+                if u in in_sigma:
                     nxt.append((t + (f,), u))
         level = nxt
         degrees[n] = [t for t, _ in level]
@@ -759,22 +761,51 @@ def cells_sset(cap: int, cells: dict[int, dict[str, tuple]],
 
 
 def load_sset(data) -> TruncatedSSet:
-    """Load the explicit JSON schema; identities are validated."""
+    """Load the explicit JSON schema; identities are validated.
+
+    A value of the wrong JSON type raises ValueError naming its key."""
     if isinstance(data, str):
         data = json.loads(data)
-    cap = int(data["cap"])
-    degrees = {int(k): list(v) for k, v in data["simplices"].items()}
+    _json_shape(data, ("object",), "the top level")
+    cap = _json_shape(data["cap"], ("integer",), "'cap'")
+    degrees = {}
+    for k, toks in _json_shape(data["simplices"], ("object",),
+                               "'simplices'").items():
+        where = f"'simplices'[{k!r}]"
+        degrees[int(k)] = [_json_shape(t, _TOKEN_KINDS, f"an entry of {where}")
+                           for t in _json_shape(toks, ("array",), where)]
     for n in range(cap + 1):
         degrees.setdefault(n, [])
-    faces = {}
-    for key, table in data.get("faces", {}).items():
-        n, i = (int(p) for p in key.split(","))
-        faces[(n, i)] = dict(table)
-    degeneracies = {}
-    for key, table in data.get("degeneracies", {}).items():
-        n, j = (int(p) for p in key.split(","))
-        degeneracies[(n, j)] = dict(table)
-    return TruncatedSSet(cap, degrees, faces, degeneracies, name="loaded")
+    maps: dict = {"faces": {}, "degeneracies": {}}
+    for name, out in maps.items():
+        for key, table in _json_shape(data.get(name, {}), ("object",),
+                                      repr(name)).items():
+            where = f"{name!r}[{key!r}]"
+            n, i = (int(p) for p in key.split(","))
+            table = _json_shape(table, ("object",), where)
+            out[(n, i)] = {tok: _json_shape(v, _TOKEN_KINDS,
+                                            f"a value of {where}")
+                           for tok, v in table.items()}
+    return TruncatedSSet(cap, degrees, maps["faces"], maps["degeneracies"],
+                         name="loaded")
+
+
+# JSON values that can name a simplex (hashable once loaded)
+_TOKEN_KINDS = ("string", "integer", "number", "boolean", "null")
+
+
+def _json_shape(value, kinds: tuple, where: str):
+    """value, after checking that its JSON type is one of `kinds`."""
+    kind = ("object" if isinstance(value, dict) else
+            "array" if isinstance(value, list) else
+            "string" if isinstance(value, str) else
+            "boolean" if isinstance(value, bool) else
+            "integer" if isinstance(value, int) else
+            "number" if isinstance(value, float) else "null")
+    if kind not in kinds:
+        raise ValueError(f"{where} must be a JSON {' or '.join(kinds)}, "
+                         f"got {'an' if kind[0] in 'aeiou' else 'a'} {kind}")
+    return value
 
 
 def dump_sset(x: TruncatedSSet) -> str:

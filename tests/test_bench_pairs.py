@@ -1,0 +1,49 @@
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "instances_per_s", "better": "higher"},
+           {"name": "instance_p50_s", "better": "lower"}]
+
+
+def fake_run(ips, p50):
+    return {"instances_per_s": ips, "instance_p50_s": p50, "correct": True,
+            "failed": 0, "attempted": 10}
+
+
+def test_summary_of_fixed_runs():
+    # five pairs: the change wins four on throughput (one tie) and three on
+    # latency (one tie, one loss)
+    runs = [((4.0, 0.20), (8.0, 0.10)), ((5.0, 0.25), (5.0, 0.25)),
+            ((6.0, 0.15), (9.0, 0.30)), ((4.5, 0.22), (9.5, 0.09)),
+            ((5.5, 0.21), (10.0, 0.20))]
+    pairs = [{"seed": k // 2, "first": ("parent", "change")[k % 2],
+              "parent": fake_run(*parent), "change": fake_run(*change)}
+             for k, (parent, change) in enumerate(runs)]
+    got = bench_pairs.summarize(pairs, METRICS)
+    assert got == {
+        "instances_per_s": {
+            "parent_median": 5.0, "parent_q1": 4.5, "parent_q3": 5.5,
+            "change_median": 9.0, "change_q1": 8.0, "change_q3": 9.5,
+            "change_better_pairs": 4, "pairs": 5},
+        "instance_p50_s": {
+            "parent_median": 0.21, "parent_q1": 0.2, "parent_q3": 0.22,
+            "change_median": 0.2, "change_q1": 0.1, "change_q3": 0.25,
+            "change_better_pairs": 3, "pairs": 5},
+    }
+
+
+def test_summary_reproduces_a_recorded_bench_file():
+    # the summaries in BENCH_10.json were made from its pairs by the same
+    # rule: inclusive quartiles, six decimals, ties counting for neither
+    recorded = json.loads((ROOT / "BENCH_10.json").read_text())
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for workload in recorded["workloads"].values():
+        assert bench_pairs.summarize(workload["pairs"], metrics) \
+            == workload["summary"]

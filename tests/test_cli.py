@@ -194,6 +194,26 @@ def test_realize_from_files(tmp_path, capsys):
     assert out.splitlines()[0].startswith("2 ")
 
 
+@pytest.mark.parametrize("blob, message", [
+    ({"cap": 1, "simplices": [["a"]]},
+     "'simplices' must be a JSON object, got an array"),
+    ([{"cap": 1, "simplices": {}}],
+     "the top level must be a JSON object, got an array"),
+])
+def test_realize_rejects_malformed_sset(tmp_path, capsys, blob, message):
+    sset_path = tmp_path / "x.json"
+    sset_path.write_text(json.dumps(blob))
+    cochain_path = tmp_path / "g.cochain"
+    cochain_path.write_text("")
+    code = main(["realize", "--sset", str(sset_path),
+                 "--cochain", str(cochain_path), "--d", "2"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad simplicial-set file: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_reproduce_unknown_scenario(capsys):
     assert main(["reproduce", "not-a-scenario"]) == 3
     assert "invalid choice: 'not-a-scenario'" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from simplcs.contextuality import (DistributionError, PAULI_X, PAULI_Z,
                                    DeterministicDist, RationalDist,
                                    SimplicialDistribution, Verdict,
                                    _frobenius, _joint_projectors,
-                                   _marginal_rows, _phase1_simplex, _presolve,
+                                   _marginal_rows, _marginal_supports,
+                                   _phase1_simplex, _presolve,
                                    delta_distribution, dump_distribution,
                                    enumerate_deterministic, is_contextual,
                                    is_matrix_solution, maximally_mixed,
@@ -438,6 +440,161 @@ def test_phase1_simplex_oracle():
     assert feasible >= 50 and infeasible >= 50
 
 
+def reference_phase1_simplex(a_rows, c):
+    """The phase-1 simplex on Python-int lists, one row at a time: the
+    reference that the numpy tableau, int64 or widened, must reproduce."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    c = [Fraction(v) for v in c]
+    scale = lcm(*(v.denominator for v in c))
+    sign = []
+    tab = []
+    for row, rhs in zip(a_rows, c):
+        rhs = rhs.numerator * (scale // rhs.denominator)
+        if rhs < 0:
+            sign.append(-1)
+            row = [-v for v in row]
+            rhs = -rhs
+        else:
+            sign.append(1)
+        tab.append(list(row) + [1 if j == len(tab) else 0 for j in range(m)]
+                   + [rhs])
+    basis = [n + i for i in range(m)]
+    total = n + m
+    zrow = [sum(tab[i][j] for i in range(m)) for j in range(total + 1)]
+    for j in range(n, total):
+        zrow[j] -= 1
+    den = 1
+
+    iterations = 0
+    bland_after = 20 * (m + 2)
+    while True:
+        iterations += 1
+        if iterations > bland_after:
+            enter = next((j for j in range(total) if zrow[j] > 0), None)
+        else:
+            enter = None
+            best_z = 0
+            for j in range(total):
+                if zrow[j] > best_z:
+                    best_z = zrow[j]
+                    enter = j
+        if enter is None:
+            break
+        piv = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                if piv is None:
+                    piv = i
+                    continue
+                lhs = tab[i][total] * tab[piv][enter]
+                rhs = tab[piv][total] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[piv]):
+                    piv = i
+        if piv is None:
+            raise ArithmeticError("phase-1 unbounded (cannot happen)")
+        prow = tab[piv]
+        pv = prow[enter]
+        for i in range(m):
+            if i == piv:
+                continue
+            row = tab[i]
+            f = row[enter]
+            if f:
+                tab[i] = [(pv * v - f * w) // den for v, w in zip(row, prow)]
+            elif pv != den:
+                tab[i] = [pv * v // den for v in row]
+        f = zrow[enter]
+        if f:
+            zrow = [(pv * v - f * w) // den for v, w in zip(zrow, prow)]
+        elif pv != den:
+            zrow = [pv * v // den for v in zrow]
+        den = pv
+        basis[piv] = enter
+
+    if zrow[total] == 0:
+        x = [Fraction(0)] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                x[b] = Fraction(tab[i][total], den * scale)
+        return x, None
+    y = [(Fraction(zrow[n + i], den) + 1) * sign[i] for i in range(m)]
+    return None, y
+
+
+def _wide_lps(rng):
+    """LPs whose tableau leaves the int64 range: rhs denominators with an
+    lcm of at least 2^30, so the initial tableau is already wide, and
+    entries just under 2^30 / m, so the initial tableau (its objective row
+    too) is narrow and the first pivot crosses 2^30; unwidened, a later
+    pivot's products would overflow int64."""
+    primes = [2147483647, 2147483629, 1048573, 1048571, 1048559, 65521]
+    lps = []
+    for _ in range(20):
+        m, n = rng.randint(2, 4), rng.randint(2, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        dens = rng.sample(primes, m)
+        assert lcm(*dens) >= 2 ** 30
+        lps.append((rows, [Fraction(rng.randint(-5, 5) or 1, q)
+                           for q in dens]))
+    for _ in range(40):
+        m, n = rng.randint(2, 4), rng.randint(2, 6)
+        top = (2 ** 30 - 1) // m
+        rows = [[rng.choice((-1, 1)) * rng.randint(top // 2, top)
+                 for _ in range(n)] for _ in range(m)]
+        lps.append((rows, [Fraction(rng.randint(-9, 9)) for _ in rows]))
+    return lps
+
+
+def _recorded_lps(monkeypatch, batch):
+    """The presolved LPs that `is_contextual` hands the simplex, for each
+    (p, dets) of the batch."""
+    import simplcs.contextuality as cx
+    lps = []
+    solve = cx._phase1_simplex
+
+    def recording(a_rows, c):
+        lps.append(([list(row) for row in a_rows], list(c)))
+        return solve(a_rows, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cx, "_phase1_simplex", recording)
+        for p, dets in batch:
+            is_contextual(p, dets)
+    return lps
+
+
+def test_phase1_simplex_matches_the_reference(monkeypatch):
+    # the same pivots in every dtype: the 400 oracle LPs, LPs that start
+    # beyond the int64 bound or cross it mid-run, the empty LP, and the
+    # presolved LPs of criterion 4 and of 8 seeded Mermin-Peres states
+    rng = random.Random(20231)
+    lps = [_random_lp(rng) for _ in range(400)]
+    wide = _wide_lps(random.Random(5))
+    lps += wide + [([], [])]
+    sys_ = k33_system([0, 0, 0, 0, 0, 1])
+    host = host_of(sys_)
+    dets = enumerate_deterministic(host, 2)
+    ops = mermin_peres_solution()
+    dets0 = enumerate_deterministic(host_of(k33_system([0] * 6)), 2)
+    batch = [(quantum_distribution(sys_, ops, maximally_mixed(4), host=host),
+              dets),
+             (theta({f: Fraction(1, len(dets0)) for f in dets0}), dets0)]
+    batch += [(quantum_distribution(sys_, ops, _phase_state_of_class(
+        seed % 2, 1000 * seed), host=host), dets) for seed in range(8)]
+    presolved = _recorded_lps(monkeypatch, batch)
+    assert len(presolved) == len(batch)
+    lps += presolved
+    for a_rows, c in lps:
+        assert _phase1_simplex(a_rows, c) == \
+            reference_phase1_simplex(a_rows, c)
+    # the wide LPs reach numbers that int64 products cannot hold
+    sizes = [max(max(abs(v.numerator), v.denominator) for v in x or y)
+             for x, y in (reference_phase1_simplex(*lp) for lp in wide)]
+    assert sum(size >= 2 ** 30 for size in sizes) >= 30
+
+
 def test_criterion_verdict_reports_are_pinned():
     # sha256 prefixes of the two criterion-4 verdict reports: the
     # certificates, not only the verdicts, must not drift with the LP's
@@ -660,6 +817,52 @@ def test_presolve_cache_is_keyed_by_content():
     assert not is_contextual(delta_distribution(other_dets[1]),
                              other_dets).contextual
     assert _presolve(host, 2, rev) is kept
+
+
+def test_verify_verdict_does_not_read_the_presolve(monkeypatch):
+    import simplcs.contextuality as cx
+    sys_ = k33_system([0, 0, 0, 0, 0, 1])
+    host = host_of(sys_)
+    dets = enumerate_deterministic(host, 2)
+    q = quantum_distribution(sys_, mermin_peres_solution(), maximally_mixed(4),
+                             host=host)
+    contextual = is_contextual(q, dets)
+    host0 = host_of(k33_system([0] * 6))
+    dets0 = enumerate_deterministic(host0, 2)
+    uniform = theta({f: Fraction(1, len(dets0)) for f in dets0})
+    witness = is_contextual(uniform, dets0)
+    assert [hashlib.sha256(verdict_report(v).encode()).hexdigest()[:16]
+            for v in (contextual, witness)] \
+        == ["ee23858a82678f6d", "76880e12cc145382"]
+
+    def forbidden(*args):
+        raise RuntimeError("verify_verdict read the presolve")
+
+    monkeypatch.setattr(cx, "_presolve", forbidden)
+    monkeypatch.setattr(cx, "_build_presolve", forbidden)
+    for h in (host, host0):
+        del h._lp_presolve, h._lp_supports
+    verify_verdict(q, contextual, dets)
+    verify_verdict(uniform, witness, dets0)
+    # a Farkas vector with one coefficient raised until its column sums
+    # turn positive, and a witness with weight moved between two members
+    label, coeff = contextual.farkas[0]
+    bad = Verdict(True, farkas=[(label, coeff + 1)] + contextual.farkas[1:])
+    with pytest.raises(AssertionError, match="Farkas certificate fails"):
+        verify_verdict(q, bad, dets)
+    (f, v), (g, w) = list(witness.weights.items())[:2]
+    moved = dict(witness.weights)
+    moved[f], moved[g] = v + min(v, w) / 2, w - min(v, w) / 2
+    with pytest.raises(AssertionError, match="witness violates constraint"):
+        verify_verdict(uniform, Verdict(False, weights=moved), dets0)
+    # supports are keyed by content: a reordered list is its own entry,
+    # and the verdicts still verify against it
+    supports = _marginal_supports(host0, 2, dets0)
+    assert _marginal_supports(host0, 2, list(dets0)) is supports
+    rev = dets0[::-1]
+    assert _marginal_supports(host0, 2, rev) is not supports
+    verify_verdict(uniform, witness, rev)
+    verify_verdict(q, contextual, dets[::-1])
 
 
 def test_verify_verdict_reads_witness_members_by_value():
