@@ -898,3 +898,43 @@ def test_dets_are_enumerated_once_per_host(monkeypatch):
     again = enumerate_deterministic(host, 2)
     assert again == dets and again is not dets
     assert len(calls) == 1
+
+
+def _dump_digest(p):
+    return hashlib.sha256(dump_distribution(p).encode()).hexdigest()[:16]
+
+
+def seeded_thetas():
+    """(name, p) for seeded Theta-mixtures on the Mermin-Peres K33 host and
+    on the Z_3 two-vertex host, and one rational mixture of a Mermin-Peres
+    distribution with the first of them."""
+    sys_ = k33_system([0, 0, 0, 0, 0, 1])
+    host = host_of(sys_)
+    dets = enumerate_deterministic(host, 2)
+    dets3 = enumerate_deterministic(host_of(two_vertex_system((1, 2), 3)), 3)
+    rng = random.Random(12)
+    out = []
+    for name, pool in (("k33_0", dets), ("k33_1", dets), ("k33_2", dets),
+                       ("z3_0", dets3), ("z3_1", dets3)):
+        subset = rng.sample(range(len(pool)), rng.randint(2, 5))
+        weights = [rng.randrange(1, 30) for _ in subset]
+        out.append((name, theta({pool[k]: Fraction(w, sum(weights))
+                                 for k, w in zip(subset, weights)})))
+    q = quantum_distribution(sys_, mermin_peres_solution(),
+                             _phase_state_of_class(1, 7), host=host)
+    out.append(("rational", _mix(Fraction(3, 8), q, out[0][1])))
+    return out
+
+
+PINNED_THETA = {
+    "k33_0": "2273fec8c9f81f5e", "k33_1": "26e290858d4f2de0",
+    "k33_2": "49912f6e23bdc8e0", "z3_0": "7af5011e739e73a6",
+    "z3_1": "5165795ecf3e423c", "rational": "c5c147dacb0e5f0f",
+}
+
+
+def test_theta_and_mixture_digests_are_pinned():
+    # every weight of every simplex, not only the verdicts, must not drift
+    # with how Theta and the mixtures store their weights
+    got = {name: _dump_digest(p) for name, p in seeded_thetas()}
+    assert got == PINNED_THETA
