@@ -263,6 +263,10 @@ def extract_linear_system(x: TruncatedSSet, gamma: Cochain,
 def parse_cochain(host: TruncatedSSet, degree: int, modulus: int, text: str,
                   resolve: Optional[dict] = None) -> Cochain:
     """Lines `simplex-id value`; unlisted simplices default to 0."""
+    if degree > host.cap:
+        raise CochainError(f"a degree-{degree} cochain needs simplices of "
+                           f"degree {degree}, above the host's cap "
+                           f"{host.cap}")
     by_repr = {repr(tok): tok for tok in host.simplices[degree]}
     for tok in host.simplices[degree]:
         if isinstance(tok, str):

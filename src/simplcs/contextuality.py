@@ -1,5 +1,17 @@
 """Simplicial distributions and contextuality certification.
 
+A simplicial distribution holds its exact weights as one integer numerator
+array per degree n <= 2, one row per n-simplex of the host and one column
+per outcome (an n-tuple over Z_d, in base-d code order), over one positive
+common denominator: int64 while the denominator and every numerator are
+below `INT64_EXACT`, Python ints (`dtype=object`) otherwise. Validation runs
+on these arrays: rows are nonnegative and sum to the denominator, and each
+face or degeneracy of N(Z_d) pushed along the outcomes is one 0/1 matmul,
+compared with the rows of the host's face or degeneracy, read through index
+arrays kept on the host. `Theta` fills the arrays with one exact scatter-add
+of its integer numerators; distributions given as dicts of `RationalDist`s
+are converted once, and array-built ones make their dicts only when asked.
+
 Deterministic distributions are enumerated exactly (kernel of the additive
 edge condition over Z_d), once per (host, d), and kept on the host; the
 noncontextuality decision is an exact LP feasibility problem, so every
@@ -8,13 +20,13 @@ a Farkas vector against the marginal constraints.
 Only the LP's right-hand side depends on the distribution: its presolve
 (repeated supports, exact elimination with integer provenance) and, apart
 from it, the marginal supports that `verify_verdict` reads are computed once
-per (host, deterministic distributions) and cached on the host.
-Probabilities stay exact rationals. The phase-1 simplex (Dantzig pricing,
-then Bland's rule) runs on an integer-preserving numpy tableau over one
-common denominator: int64 while every entry stays below 2^30, Python ints
-(`dtype=object`) once one does not. The right-hand sides are scaled to
-integers once per verdict, and `Fraction`s are made only for the
-certificate returned.
+per (host, deterministic distributions) and cached on the host. The
+right-hand sides are integer numerators read from the degree-2 array. The
+phase-1 simplex (Dantzig pricing, then Bland's rule) runs on an
+integer-preserving numpy tableau over one common denominator: int64 while
+every entry stays below 2^30, Python ints (`dtype=object`) once one does
+not. `Fraction`s are made only for the certificate returned and for the
+`RationalDist` view of a distribution.
 
 The quantum side (commuting d-torsion unitaries, projective measurements,
 density operators) lives in floating complex arithmetic and is snapped to
@@ -23,7 +35,8 @@ and its d spectral components once per distinct function f, then the joint
 projectors of all simplices of one degree as one array; every simplex's
 measurement is checked (torsion, commutation, sum to the identity,
 idempotence, Hermiticity, real traces) within `TOL`, by the same kernel
-that `spectral_measurement` runs on a single simplex.
+that `spectral_measurement` runs on a single simplex. Each distinct
+probability is snapped once, and the snapped numerators fill the arrays.
 """
 
 from __future__ import annotations
@@ -87,62 +100,204 @@ def _check_weights(items) -> None:
         raise DistributionError(f"weights sum to {total}, not 1")
 
 
-def _pushed(weights, along: dict) -> dict:
-    """The outcome weights pushed forward along a map of outcomes."""
-    out: dict = {}
-    for k, v in weights:
-        kk = along[k]
-        out[kk] = out.get(kk, 0) + v
-    return out
+def _exact_dtype(biggest: int):
+    """int64 while `biggest` (a denominator or the largest numerator in
+    magnitude) is below INT64_EXACT, Python ints (`object`) otherwise."""
+    return object if biggest >= INT64_EXACT else np.int64
 
 
 class SimplicialDistribution:
     """Exact outcome distributions per simplex (degrees <= 2), compatible with
-    the structure maps of the host and of N(Z_d)."""
+    the structure maps of the host and of N(Z_d).
+
+    The weights are integer numerators over one positive denominator `den`:
+    `arrays[n]` has one row per simplex of `host.simplices[n]` and one column
+    per outcome, in the base-d code order of `_outcome_codes`. It is int64
+    while `den` and every numerator are below `INT64_EXACT`, Python ints
+    (`dtype=object`) otherwise. A distribution built from a dict of
+    `RationalDist`s converts it once; one built from arrays (`theta`,
+    `quantum_distribution`) makes its `dists` dict on first access.
+    """
 
     def __init__(self, host: TruncatedSSet, d: int, dists: dict,
                  validate: bool = True):
         self.host = host
         self.d = d
-        self.dists = dists
+        self._dists = dists
+        self.den, self.arrays, self._defect = _arrays_of_dists(host, d, dists)
         if validate:
             self.validate()
+
+    @classmethod
+    def _of_arrays(cls, host: TruncatedSSet, d: int, den: int,
+                   arrays: dict) -> "SimplicialDistribution":
+        p = cls.__new__(cls)
+        p.host, p.d, p.den, p.arrays = host, d, den, arrays
+        p._dists, p._defect = None, None
+        p.validate()
+        return p
+
+    @property
+    def dists(self) -> dict:
+        """{(n, simplex): RationalDist}, outcomes in repr order, zero weights
+        left out (as `RationalDist.from_dict` gives them)."""
+        if self._dists is None:
+            self._dists = _dists_of_arrays(self)
+        return self._dists
 
     def __call__(self, n: int, tok) -> RationalDist:
         return self.dists[(n, tok)]
 
     def validate(self) -> None:
-        host, d = self.host, self.d
-        cap = min(host.cap, 2)
-        for n in range(cap + 1):
-            for tok in host.simplices[n]:
-                if (n, tok) not in self.dists:
-                    raise DistributionError(f"missing distribution at {tok!r}")
-                weights = self.dists[(n, tok)].weights
-                for theta, _ in weights:
-                    if len(theta) != n or any(not 0 <= a < d for a in theta):
-                        raise DistributionError(f"bad outcome {theta!r}")
-                _check_weights(weights)
-        # outcomes are simplices of N(Z_d), pushed along its structure maps
-        nzd = nerve(d, cap)
-        for n in range(1, cap + 1):
-            for tok in host.simplices[n]:
-                p = self.dists[(n, tok)]
-                for i in range(n + 1):
-                    want = self.dists[(n - 1, host.face(n, i, tok))]
-                    got = _pushed(p.weights, nzd.faces[(n, i)])
-                    if got != dict(want.weights):
-                        raise DistributionError(
-                            f"face compatibility fails at {tok!r} (d_{i})")
-        for n in range(cap):
-            for tok in host.simplices[n]:
-                p = self.dists[(n, tok)]
-                for j in range(n + 1):
-                    want = self.dists[(n + 1, host.degeneracy(n, j, tok))]
-                    got = _pushed(p.weights, nzd.degeneracies[(n, j)])
-                    if got != dict(want.weights):
-                        raise DistributionError(
-                            f"degeneracy compatibility fails at {tok!r} (s_{j})")
+        """Raise the first failure in host order: per simplex (degrees 0 to
+        2), a missing distribution, a bad outcome, a negative weight or a
+        sum other than 1; then each face d_i and each degeneracy s_j, as the
+        push of the outcome distribution along N(Z_d)'s map."""
+        host, d, den = self.host, self.d, self.den
+        top = min(host.cap, 2)
+        lay = _layout(host, d)
+        failure = self._defect
+        for n in range(top + 1):
+            arr = self.arrays[n]
+            bad = np.flatnonzero((arr < 0).any(axis=1)
+                                 | (arr.sum(axis=1) != den))
+            if len(bad):
+                row = int(bad[0])
+                if failure is None or (n, row) < failure[:2]:
+                    failure = (n, row, self._weight_error(n, row))
+                break
+        if failure is not None:
+            raise DistributionError(failure[2])
+        links = ([("face", "d", n, n - 1) for n in range(1, top + 1)]
+                 + [("degeneracy", "s", n, n + 1) for n in range(top)])
+        for name, sym, n, m in links:
+            got = self.arrays[n]
+            wrong = np.stack(
+                [(got @ lay.maps[(sym, n, i)]
+                  != self.arrays[m][lay.rows[(sym, n, i)]]).any(axis=1)
+                 for i in range(n + 1)], axis=1)
+            rows = np.flatnonzero(wrong.any(axis=1))
+            if len(rows):
+                i = int(np.argmax(wrong[rows[0]]))
+                raise DistributionError(
+                    f"{name} compatibility fails at "
+                    f"{host.simplices[n][rows[0]]!r} ({sym}_{i})")
+
+    def _weight_error(self, n: int, row: int) -> str:
+        """The message for a row with a negative weight (the first outcome
+        in repr order) or a sum other than `den`."""
+        nums = self.arrays[n][row].tolist()
+        for code in _layout(self.host, self.d).repr_order[n]:
+            if nums[code] < 0:
+                return (f"negative weight at "
+                        f"{_decode_outcome(code, n, self.d)!r}")
+        total = sum(nums)
+        g = gcd(total, self.den)
+        ratio = (f"{total // g}" if g == self.den
+                 else f"{total // g}/{self.den // g}")
+        return f"weights sum to {ratio}, not 1"
+
+
+def _arrays_of_dists(host: TruncatedSSet, d: int, dists: dict) -> tuple:
+    """(den, arrays, defect) for a dict of `RationalDist`s: the numerators
+    over the lcm of every denominator, and the (degree, row, message) of the
+    first simplex in host order whose distribution is missing or has an
+    outcome that is not an n-tuple over Z_d (None if there is none); that
+    simplex's row is left incomplete."""
+    top = min(host.cap, 2)
+    present = [dists[(n, tok)].weights for n in range(top + 1)
+               for tok in host.simplices[n] if (n, tok) in dists]
+    den = lcm(*(v.denominator for weights in present for _, v in weights))
+    defect = None
+    blocks = {}
+    for n in range(top + 1):
+        block = blocks[n] = [[0] * d ** n for _ in host.simplices[n]]
+        for row, tok in enumerate(host.simplices[n]):
+            p = dists.get((n, tok))
+            if p is None:
+                defect = defect or (n, row, f"missing distribution at {tok!r}")
+                continue
+            for outcome, v in p.weights:
+                if len(outcome) != n or any(not 0 <= a < d for a in outcome):
+                    defect = defect or (n, row, f"bad outcome {outcome!r}")
+                    break
+                code = 0
+                for a in outcome:
+                    code = code * d + a
+                block[row][code] += v.numerator * (den // v.denominator)
+    biggest = max([den] + [abs(v) for block in blocks.values()
+                           for line in block for v in line])
+    arrays = {n: np.array(block, dtype=_exact_dtype(biggest)
+                          ).reshape(len(block), d ** n)
+              for n, block in blocks.items()}
+    return den, arrays, defect
+
+
+def _dists_of_arrays(p: SimplicialDistribution) -> dict:
+    """The `RationalDist` of every simplex; one Fraction per distinct
+    numerator."""
+    host, d = p.host, p.d
+    fracs: dict = {}
+    dists = {}
+    for n in range(min(host.cap, 2) + 1):
+        order = _layout(host, d).repr_order[n]
+        outcomes = [_decode_outcome(code, n, d) for code in order]
+        for tok, row in zip(host.simplices[n],
+                            p.arrays[n][:, order].tolist()):
+            weights = []
+            for outcome, v in zip(outcomes, row):
+                if v:
+                    if v not in fracs:
+                        fracs[v] = Fraction(v, p.den)
+                    weights.append((outcome, fracs[v]))
+            dists[(n, tok)] = RationalDist(tuple(weights))
+    return dists
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """How a host's simplices and N(Z_d)'s outcomes index the arrays of a
+    `SimplicialDistribution`, built once per (host, d) and kept on the host.
+    The structure maps are keyed ("d", n, i) for the face d_i and ("s", n, j)
+    for the degeneracy s_j of degree n."""
+    rows: dict          # map -> the row of its image, per n-simplex row
+    maps: dict          # map -> its 0/1 matrix on N(Z_d)'s outcome codes
+    repr_order: dict    # n -> outcome codes in repr order of their tuples
+    marginal_rows: np.ndarray   # the degree-2 row and outcome code of each
+    marginal_codes: np.ndarray  # LP row after normalization, in order
+
+
+def _layout(host: TruncatedSSet, d: int) -> _Layout:
+    return _cached_on(host, "_dist_layout", d, lambda: _build_layout(host, d))
+
+
+def _build_layout(host: TruncatedSSet, d: int) -> _Layout:
+    top = min(host.cap, 2)
+    position = [{tok: k for k, tok in enumerate(host.simplices[n])}
+                for n in range(top + 1)]
+    nzd = nerve(d, top)
+    codes = [{t: k for k, t in enumerate(itertools.product(range(d),
+                                                            repeat=n))}
+             for n in range(top + 1)]
+    rows, maps = {}, {}
+    for sym, n, i, m, host_map, nzd_map in (
+            [("d", n, i, n - 1, host.faces, nzd.faces)
+             for n in range(1, top + 1) for i in range(n + 1)]
+            + [("s", n, j, n + 1, host.degeneracies, nzd.degeneracies)
+               for n in range(top) for j in range(n + 1)]):
+        rows[(sym, n, i)] = np.array(
+            [position[m][host_map[(n, i)][t]] for t in host.simplices[n]],
+            dtype=np.intp)
+        maps[(sym, n, i)] = out = np.zeros((d ** n, d ** m), dtype=np.int64)
+        for t, k in codes[n].items():
+            out[k, codes[m][nzd_map[(n, i)][t]]] = 1
+    nondeg = np.array([position[2][t] for t in host.nondegenerate(2)]
+                      if top == 2 else [], dtype=np.intp)
+    return _Layout(rows, maps,
+                   {n: [codes[n][t] for t in nzd.simplices[n]]
+                    for n in range(top + 1)},
+                   np.repeat(nondeg, d * d),
+                   np.tile(np.arange(d * d), len(nondeg)))
 
 
 # --------------------------------------------------------- deterministic maps
@@ -214,25 +369,21 @@ def theta(weights: dict) -> SimplicialDistribution:
     if not weights:
         raise DistributionError("empty support is not a distribution")
     lam = {f: Fraction(v) for f, v in weights.items()}
-    if any(v < 0 for v in lam.values()) or sum(lam.values()) != 1:
+    # integer numerators over one common denominator
+    den = lcm(*(v.denominator for v in lam.values()))
+    nums = [v.numerator * (den // v.denominator) for v in lam.values()]
+    if any(v < 0 for v in nums) or sum(nums) != den:
         raise DistributionError("weights must be a rational distribution")
     some = next(iter(lam))
     host, d = some.host, some.d
-    # integer numerators over one common denominator; one Fraction per outcome
-    den = lcm(*(v.denominator for v in lam.values()))
-    nums = [v.numerator * (den // v.denominator) for v in lam.values()]
     vals = _value_array(host, lam)
-    dists = {}
+    nums = np.array(nums, dtype=_exact_dtype(den))
+    arrays = {}
     for n in range(min(host.cap, 2) + 1):
-        for tok in host.simplices[n]:
-            acc: dict = {}
-            codes = _outcome_codes(vals, host, n, tok, d)
-            for o, v in zip(codes.tolist(), nums):
-                acc[o] = acc.get(o, 0) + v
-            dists[(n, tok)] = RationalDist.from_dict(
-                {_decode_outcome(o, n, d): Fraction(v, den)
-                 for o, v in acc.items()})
-    return SimplicialDistribution(host, d, dists)
+        codes = _outcome_codes(vals, host, n, d)
+        arr = arrays[n] = np.zeros((len(codes), d ** n), dtype=nums.dtype)
+        np.add.at(arr, (np.arange(len(codes))[:, None], codes), nums)
+    return SimplicialDistribution._of_arrays(host, d, den, arrays)
 
 
 def _value_array(host: TruncatedSSet, dets) -> np.ndarray:
@@ -241,17 +392,17 @@ def _value_array(host: TruncatedSSet, dets) -> np.ndarray:
                     ).reshape(len(dets), len(host.simplices[1]))
 
 
-def _outcome_codes(vals: np.ndarray, host: TruncatedSSet, n: int, tok,
-                   d: int) -> np.ndarray:
-    """Each row's outcome on the n-simplex tok (as `on_simplex` reads it),
-    encoded as the base-d number that `_decode_outcome` inverts."""
-    pos = _edge_positions(host)
+def _outcome_codes(vals: np.ndarray, host: TruncatedSSet, n: int, d: int
+                   ) -> np.ndarray:
+    """Each member's outcome on each n-simplex (as `on_simplex` reads it),
+    one row per simplex and one column per row of vals, encoded as the
+    base-d number that `_decode_outcome` inverts."""
     if n == 0:
-        return np.zeros(len(vals), dtype=np.int64)
+        return np.zeros((len(host.simplices[0]), len(vals)), dtype=np.int64)
     if n == 1:
-        return vals[:, pos[tok]]
-    return (vals[:, pos[host.face(2, 2, tok)]] * d
-            + vals[:, pos[host.face(2, 0, tok)]])
+        return vals.T
+    lay = _layout(host, d)
+    return vals.T[lay.rows[("d", 2, 2)]] * d + vals.T[lay.rows[("d", 2, 0)]]
 
 
 def _decode_outcome(code: int, n: int, d: int) -> tuple:
@@ -298,31 +449,24 @@ def _marginal_supports(host: TruncatedSSet, d: int,
 
 def _build_supports(host: TruncatedSSet, d: int,
                     dets: Sequence[DeterministicDist]) -> tuple:
-    vals = _value_array(host, dets)
+    lay = _layout(host, d)
+    codes = _outcome_codes(_value_array(host, dets), host, 2, d)
     rows = [(frozenset(range(len(dets))), ("norm",))]
-    for sig in host.nondegenerate(2):
-        codes = _outcome_codes(vals, host, 2, sig, d)
-        for o in range(d * d):
-            rows.append((frozenset(np.flatnonzero(codes == o).tolist()),
-                         (sig, _decode_outcome(o, 2, d))))
+    for row, code in zip(lay.marginal_rows.tolist(),
+                         lay.marginal_codes.tolist()):
+        rows.append((frozenset(np.flatnonzero(codes[row] == code).tolist()),
+                     (host.simplices[2][row], _decode_outcome(code, 2, d))))
     return tuple(rows)
 
 
-def _marginal_rhs(p: SimplicialDistribution, labels: Sequence) -> list:
-    """The right-hand sides for the row labels of `_marginal_supports`: 1 for
-    normalization (the first row), then p_sigma(outcome)."""
-    return [Fraction(1)] + [p(2, sig)(out) for sig, out in labels[1:]]
-
-
-def _marginal_rows(p: SimplicialDistribution,
-                   dets: Sequence[DeterministicDist]):
-    """One 0/1 row per (nondegenerate 2-simplex, outcome), plus normalization.
-
-    Rows are returned as (support frozenset over det indices, rhs, label).
-    """
-    rows = _marginal_supports(p.host, p.d, dets)
-    rhs = _marginal_rhs(p, [label for _, label in rows])
-    return [(support, c, label) for (support, label), c in zip(rows, rhs)]
+def _marginal_rhs(p: SimplicialDistribution) -> list:
+    """The right-hand sides of the rows of `_marginal_supports`, as integer
+    numerators over p.den: p.den for normalization (the first row), then
+    p_sigma(outcome), read from the degree-2 array through the layout's
+    (row, code) index arrays."""
+    lay = _layout(p.host, p.d)
+    return [p.den] + p.arrays[2][lay.marginal_rows,
+                                 lay.marginal_codes].tolist()
 
 
 @dataclass(frozen=True)
@@ -508,7 +652,7 @@ def is_contextual(p: SimplicialDistribution,
     if dets is None:
         dets = enumerate_deterministic(p.host, p.d)
     pre = _presolve(p.host, p.d, dets)
-    verdict = _solve(pre, _marginal_rhs(p, pre.labels), dets)
+    verdict = _solve(pre, _marginal_rhs(p), dets)
     verdict.row_labels = list(pre.labels)
     verify_verdict(p, verdict, dets)
     return verdict
@@ -516,12 +660,15 @@ def is_contextual(p: SimplicialDistribution,
 
 def _solve(pre: _Presolve, c: list, dets: Sequence[DeterministicDist]
            ) -> Verdict:
-    """The verdict of the presolved LP for right-hand side c."""
+    """The verdict of the presolved LP for the right-hand side c, integer
+    numerators over c[0] (the normalization row's rhs, 1)."""
     labels = pre.labels
-    # c times the lcm of its denominators: every test below is on ints, and
-    # Fractions are made only for the certificate returned
-    scale = lcm(*(v.denominator for v in c))
-    c = [v.numerator * (scale // v.denominator) for v in c]
+    # c in lowest terms, over `scale` (the lcm of its reduced denominators):
+    # every test below is on ints, and Fractions are made only for the
+    # certificate returned
+    g = gcd(*c)
+    scale = c[0] // g
+    c = [v // g for v in c]
     # identical supports with different rhs: an immediate certificate
     for idx, j in pre.duplicates:
         if c[idx] != c[j]:
@@ -561,8 +708,8 @@ def verify_verdict(p: SimplicialDistribution, verdict: Verdict,
     """Re-check the certificate by substitution into the original constraints."""
     if dets is None:
         dets = enumerate_deterministic(p.host, p.d)
-    rows = _marginal_rows(p, dets)
-    by_label = {label: (support, rhs) for support, rhs, label in rows}
+    rows = _marginal_supports(p.host, p.d, dets)
+    rhs = _marginal_rhs(p)  # numerators over p.den
     if not verdict.contextual:
         lam = verdict.weights
         if not all(v > 0 for v in lam.values()):
@@ -577,20 +724,22 @@ def verify_verdict(p: SimplicialDistribution, verdict: Verdict,
         den = lcm(*(v.denominator for v in lam.values()))
         sparse = {pos[f]: v.numerator * (den // v.denominator)
                   for f, v in lam.items()}
-        for support, rhs, label in rows:
+        for (support, label), c in zip(rows, rhs):
             got = sum(v for k, v in sparse.items() if k in support)
-            if got * rhs.denominator != rhs.numerator * den:
+            if got * p.den != c * den:
                 raise AssertionError(f"witness violates constraint {label!r}")
     else:
-        # column sums scaled by the coefficients' positive lcm denominator,
-        # which keeps their signs
+        # column sums and y . c scaled by the coefficients' positive lcm
+        # denominator (and p.den), which keeps their signs
+        by_label = {label: (support, c)
+                    for (support, label), c in zip(rows, rhs)}
         den = lcm(*(coeff.denominator for _, coeff in verdict.farkas))
-        dot_c = Fraction(0)
+        dot_c = 0
         col_sums: dict = {}
         for label, coeff in verdict.farkas:
-            support, rhs = by_label[label]
-            dot_c += coeff * rhs
+            support, c = by_label[label]
             num = coeff.numerator * (den // coeff.denominator)
+            dot_c += num * c
             for k in support:
                 col_sums[k] = col_sums.get(k, 0) + num
         if not all(s <= 0 for s in col_sums.values()) or not dot_c > 0:
@@ -744,9 +893,8 @@ def quantum_distribution(system: LinearSystem, t_mats: Sequence[np.ndarray],
     us = np.array([u_of(f) for f in index], dtype=complex
                   ).reshape(len(index), dim, dim)
     comps = _spectral_components(us, d)
-    dists = {(0, tok): RationalDist.from_dict({(): Fraction(1)})
-             for tok in host.simplices[0]}
-    snapped: dict = {}
+    snapped: dict = {}  # each distinct probability, snapped once
+    parts = {}  # degree -> (numerators, their denominator)
     for n in range(1, top + 1):
         toks = host.simplices[n]
         idx = np.array([[index[f] for f in tok] for tok in toks],
@@ -755,18 +903,38 @@ def quantum_distribution(system: LinearSystem, t_mats: Sequence[np.ndarray],
                            _joint_projectors(us, comps, idx, d))
         if (np.abs(traces.imag) > TOL).any():
             raise DistributionError("complex probability")
-        outcomes = list(itertools.product(range(d), repeat=n))
-        for tok, row in zip(toks, np.maximum(traces.real, 0.0).tolist()):
-            vals = {}
-            for a, x in zip(outcomes, row):
+        probs = np.maximum(traces.real, 0.0)
+        values, inverse = np.unique(probs, return_inverse=True)
+        values = values.tolist()
+        try:
+            for x in values:
                 if x not in snapped:
                     snapped[x] = snap_probability(x)
-                vals[a] = snapped[x]
-            total = sum(vals.values())
-            if total != 1:
-                raise DistributionError(f"snapped weights sum to {total}")
-            dists[(n, tok)] = RationalDist.from_dict(vals)
-    return SimplicialDistribution(host, d, dists)
+        except DistributionError:
+            _raise_first_snap_error(probs)
+        fracs = [snapped[x] for x in values]
+        den = lcm(*(f.denominator for f in fracs))
+        nums = np.array([f.numerator * (den // f.denominator) for f in fracs],
+                        dtype=_exact_dtype(den))[inverse.reshape(probs.shape)]
+        if (nums.sum(axis=1) != den).any():
+            _raise_first_snap_error(probs)
+        parts[n] = (nums, den)
+    den = lcm(*(part_den for _, part_den in parts.values()))
+    dtype = _exact_dtype(den)
+    arrays = {0: np.full((len(host.simplices[0]), 1), den, dtype=dtype)}
+    for n, (nums, part_den) in parts.items():
+        arrays[n] = nums.astype(dtype) * (den // part_den)
+    return SimplicialDistribution._of_arrays(host, d, den, arrays)
+
+
+def _raise_first_snap_error(probs: np.ndarray) -> None:
+    """Raise the error that snapping the rows of probs one by one, outcome
+    by outcome, meets first: a value that does not snap, or a row whose
+    snapped values do not sum to 1."""
+    for row in probs.tolist():
+        total = sum(snap_probability(x) for x in row)
+        if total != 1:
+            raise DistributionError(f"snapped weights sum to {total}")
 
 
 # ----------------------------------------------------- two-qubit Pauli fixture

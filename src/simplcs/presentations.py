@@ -1053,20 +1053,21 @@ def theorem_iso_check(x: TruncatedSSet, gamma, d: int,
 
     from math import gcd
 
+    # the pairs of columns that share a row's support, and the columns that
+    # a singleton-support row with a unit entry pins to <J>
+    shared: set = set()
+    pinned: set = set()
+    for row in system.matrix.rows:
+        supp = [v for v, e in enumerate(row) if e]
+        shared.update(itertools.combinations(supp, 2))
+        if len(supp) == 1 and gcd(row[supp[0]], d) == 1:
+            pinned.add(supp[0])
+
     def commuting_justified(a: int, b: int) -> bool:
         """[e_a, e_b] = 1 must follow from a row: shared support, or a
         singleton-support row with unit entry pinning one of them to <J>."""
-        if a == b:
-            return True
-        for row in system.matrix.rows:
-            supp = {v: e for v, e in enumerate(row) if e}
-            if a in supp and b in supp:
-                return True
-            if len(supp) == 1:
-                (v, e), = supp.items()
-                if v in (a, b) and gcd(e, d) == 1:
-                    return True
-        return False
+        return (a == b or a in pinned or b in pinned
+                or (min(a, b), max(a, b)) in shared)
 
     relator_results = {"trivial": 0, "commutation": 0, "product": 0}
     for rel in p1.relators:

@@ -12,9 +12,9 @@ METRICS = [{"name": "instances_per_s", "better": "higher"},
            {"name": "instance_p50_s", "better": "lower"}]
 
 
-def fake_run(ips, p50):
-    return {"instances_per_s": ips, "instance_p50_s": p50, "correct": True,
-            "failed": 0, "attempted": 10}
+def fake_run(ips, p50, attempted=10, failed=0):
+    return {"instances_per_s": ips, "instance_p50_s": p50,
+            "correct": not failed, "failed": failed, "attempted": attempted}
 
 
 def test_summary_of_fixed_runs():
@@ -47,3 +47,22 @@ def test_summary_reproduces_a_recorded_bench_file():
     for workload in recorded["workloads"].values():
         assert bench_pairs.summarize(workload["pairs"], metrics) \
             == workload["summary"]
+
+
+def test_runs_block(tmp_path):
+    # the change stops at a 300-instance corpus in every run; one parent
+    # run fails two instances
+    pairs = [{"seed": k, "first": "parent",
+              "parent": fake_run(1.0, 0.5, attempted=a, failed=f),
+              "change": fake_run(2.0, 0.2, attempted=300)}
+             for k, (a, f) in enumerate(((180, 0), (240, 2), (200, 0)))]
+    out = tmp_path / "bench.json"
+    bench_pairs.write(out, "fixed runs", {"certify": pairs}, METRICS)
+    written = json.loads(out.read_text())["workloads"]["certify"]
+    assert written["runs"] == {
+        "parent": {"attempted_min": 180, "attempted_median": 200,
+                   "attempted_max": 240, "all_correct": False, "failed": 2},
+        "change": {"attempted_min": 300, "attempted_median": 300,
+                   "attempted_max": 300, "all_correct": True, "failed": 0},
+    }
+    assert written["summary"] == bench_pairs.summarize(pairs, METRICS)

@@ -214,6 +214,25 @@ def test_realize_rejects_malformed_sset(tmp_path, capsys, blob, message):
     assert "Traceback" not in captured.err
 
 
+def test_realize_cochain_above_the_cap(tmp_path, capsys):
+    # one vertex and one edge, cap 1: a degree-2 cochain has no simplices
+    sset_path = tmp_path / "x.json"
+    sset_path.write_text(json.dumps({
+        "cap": 1, "simplices": {"0": ["a"], "1": ["s"]},
+        "faces": {"1,0": {"s": "a"}, "1,1": {"s": "a"}},
+        "degeneracies": {"0,0": {"a": "s"}}}))
+    cochain_path = tmp_path / "g.cochain"
+    cochain_path.write_text("s 1\n")
+    code = main(["realize", "--sset", str(sset_path),
+                 "--cochain", str(cochain_path), "--d", "2"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("bad cochain file: a degree-2 cochain needs simplices of "
+            "degree 2, above the host's cap 1") in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_reproduce_unknown_scenario(capsys):
     assert main(["reproduce", "not-a-scenario"]) == 3
     assert "invalid choice: 'not-a-scenario'" in capsys.readouterr().err

@@ -9,11 +9,12 @@ from math import lcm
 import numpy as np
 import pytest
 
-from simplcs.contextuality import (DistributionError, PAULI_X, PAULI_Z,
-                                   DeterministicDist, RationalDist,
+from simplcs.contextuality import (DistributionError, INT64_EXACT, PAULI_X,
+                                   PAULI_Z, DeterministicDist, RationalDist,
                                    SimplicialDistribution, Verdict,
-                                   _frobenius, _joint_projectors,
-                                   _marginal_rows, _marginal_supports,
+                                   _check_weights, _frobenius,
+                                   _joint_projectors,
+                                   _marginal_rhs, _marginal_supports,
                                    _phase1_simplex, _presolve,
                                    delta_distribution, dump_distribution,
                                    enumerate_deterministic, is_contextual,
@@ -28,6 +29,13 @@ from simplcs.simplicial import complex_of_system, nerve, nzd_sigma
 
 def host_of(sys_, cap=2):
     return nzd_sigma(complex_of_system(sys_), sys_.modulus, cap=cap)
+
+
+def _marginal_rows(p, dets):
+    """The LP's rows as (support over det indices, rhs Fraction, label):
+    normalization first, then one per (nondegenerate 2-simplex, outcome)."""
+    return [(support, Fraction(c, p.den), label) for (support, label), c
+            in zip(_marginal_supports(p.host, p.d, dets), _marginal_rhs(p))]
 
 
 # ------------------------------------------------------------ rational dist
@@ -94,6 +102,184 @@ def test_validate_rejects_bad_and_incompatible_outcomes(cap, key, outcome,
     dists[key] = RationalDist.from_dict({outcome: 1})
     with pytest.raises(DistributionError, match=message):
         SimplicialDistribution(host, 2, dists)
+
+
+def _pushed(weights, along):
+    """The outcome weights pushed forward along a map of outcomes."""
+    out = {}
+    for k, v in weights:
+        kk = along[k]
+        out[kk] = out.get(kk, 0) + v
+    return out
+
+
+def reference_validate(host, d, dists):
+    """Validation as a loop over the `RationalDist`s, simplex by simplex: the
+    reference whose first failure and message the array checks of
+    `SimplicialDistribution.validate` must reproduce."""
+    cap = min(host.cap, 2)
+    for n in range(cap + 1):
+        for tok in host.simplices[n]:
+            if (n, tok) not in dists:
+                raise DistributionError(f"missing distribution at {tok!r}")
+            weights = dists[(n, tok)].weights
+            for outcome, _ in weights:
+                if len(outcome) != n or any(not 0 <= a < d for a in outcome):
+                    raise DistributionError(f"bad outcome {outcome!r}")
+            _check_weights(weights)
+    nzd = nerve(d, cap)
+    for n in range(1, cap + 1):
+        for tok in host.simplices[n]:
+            p = dists[(n, tok)]
+            for i in range(n + 1):
+                want = dists[(n - 1, host.face(n, i, tok))]
+                if _pushed(p.weights, nzd.faces[(n, i)]) != dict(want.weights):
+                    raise DistributionError(
+                        f"face compatibility fails at {tok!r} (d_{i})")
+    for n in range(cap):
+        for tok in host.simplices[n]:
+            p = dists[(n, tok)]
+            for j in range(n + 1):
+                want = dists[(n + 1, host.degeneracy(n, j, tok))]
+                if _pushed(p.weights,
+                           nzd.degeneracies[(n, j)]) != dict(want.weights):
+                    raise DistributionError(
+                        f"degeneracy compatibility fails at {tok!r} (s_{j})")
+
+
+def _corrupted(host, d, dists, kind, rng):
+    """A copy of dists with one seeded entry corrupted: a simplex's
+    distribution removed (missing), one outcome made out of range or of the
+    wrong length (outcome), one weight negated (negative; half the time with
+    the row's sum kept at 1) or doubled (sum),
+    or moved to another outcome (move; half the time on a degenerate
+    simplex, where it breaks a face at cap 2 and a degeneracy at cap 1)."""
+    dists = dict(dists)
+    keys = [(n, tok) for n in range(min(host.cap, 2) + 1)
+            for tok in host.simplices[n]]
+    if kind == "move":
+        keys = [(n, tok) for n, tok in keys if n]
+        if rng.random() < 0.5:
+            keys = [(n, tok) for n, tok in keys if host.is_degenerate(n, tok)]
+    n, tok = key = rng.choice(keys)
+    if kind == "missing":
+        del dists[key]
+        return dists
+    weights = dict(dists[key].weights)
+    outcome = rng.choice(sorted(weights))
+    v = weights.pop(outcome)
+    if kind == "outcome":
+        if n and rng.random() < 0.5:
+            k = rng.randrange(n)
+            outcome = outcome[:k] + (d,) + outcome[k + 1:]
+        else:
+            outcome += (0,)
+    elif kind == "negative":
+        if n and rng.random() < 0.5:
+            # 2|v| more on another outcome keeps the sum at 1
+            other = tuple(rng.randrange(d) for _ in range(n))
+            if other != outcome:
+                weights[other] = weights.get(other, 0) + 2 * v
+        v = -v
+    elif kind == "sum":
+        v = 2 * v
+    else:
+        outcome = tuple(rng.randrange(d) for _ in range(n))
+        v += weights.pop(outcome, 0)
+    weights[outcome] = v
+    dists[key] = RationalDist(tuple(sorted(weights.items(),
+                                           key=lambda kv: repr(kv[0]))))
+    return dists
+
+
+def _first_failure(check):
+    try:
+        check()
+    except DistributionError as exc:
+        return str(exc)
+    return None
+
+
+def validation_host(name):
+    """(host, d, dists of a valid distribution) on the Mermin-Peres K33 host
+    (a seeded quantum distribution) or on N(Z_d) (a seeded Theta-mixture),
+    at cap 2, or at cap 1 with the degree-2 part left out."""
+    kind, _, cap = name.partition("_cap")
+    if kind == "k33":
+        sys_ = k33_system([0, 0, 0, 0, 0, 1])
+        host = host_of(sys_)
+        d, p = 2, quantum_distribution(sys_, mermin_peres_solution(),
+                                       _phase_state_of_class(1, 11),
+                                       host=host)
+        low = host_of(sys_, cap=1)
+    else:
+        d = int(kind[-1])
+        host = nerve(d, cap=2)
+        rng = random.Random(d)
+        weights = {f: rng.randrange(1, 9)
+                   for f in enumerate_deterministic(host, d)}
+        p = theta({f: Fraction(w, sum(weights.values()))
+                   for f, w in weights.items()})
+        low = nerve(d, cap=1)
+    if not cap:
+        return host, d, p.dists
+    return low, d, {key: a for key, a in p.dists.items() if key[0] <= 1}
+
+
+FAILURE_KINDS = ("missing", "bad outcome", "negative weight", "weights sum",
+                 "face", "degeneracy")
+
+
+@pytest.mark.parametrize("name", ["k33", "k33_cap1", "nerve2", "nerve2_cap1",
+                                  "nerve3", "nerve3_cap1"])
+def test_array_validate_matches_the_reference(name):
+    # every kind of single-entry corruption, seeded: the array checks raise
+    # the reference's first failure, message for message
+    host, d, dists = validation_host(name)
+    rng = random.Random(name)
+    reference_validate(host, d, dists)
+    SimplicialDistribution(host, d, dists)
+    seen = set()
+    for _ in range(8):
+        for kind in ("missing", "outcome", "negative", "sum", "move"):
+            bad = _corrupted(host, d, dists, kind, rng)
+            want = _first_failure(lambda: reference_validate(host, d, bad))
+            got = _first_failure(lambda: SimplicialDistribution(host, d, bad))
+            assert got == want, (kind, want)
+            seen.update(k for k in FAILURE_KINDS if want and want.startswith(k))
+    linked = "face" if host.cap == 2 else "degeneracy"
+    assert seen == set(FAILURE_KINDS) - {"face", "degeneracy"} | {linked}
+
+
+def reference_theta(weights):
+    """Theta as a loop over every simplex and member: the reference for the
+    arrays that `theta` fills."""
+    some = next(iter(weights))
+    acc = {}
+    for f, v in weights.items():
+        for n in range(min(some.host.cap, 2) + 1):
+            for tok in some.host.simplices[n]:
+                here = acc.setdefault((n, tok), {})
+                outcome = f.on_simplex(n, tok)
+                here[outcome] = here.get(outcome, 0) + Fraction(v)
+    return {key: RationalDist.from_dict(a) for key, a in acc.items()}
+
+
+def test_theta_with_a_wide_denominator():
+    # denominators whose lcm passes INT64_EXACT: the arrays hold Python
+    # ints, and the distribution, its verdict and its witness stay exact
+    host = host_of(k33_system([0, 0, 0, 0, 0, 1]))
+    dets = enumerate_deterministic(host, 2)
+    primes = (65521, 65519, 65497)
+    weights = {dets[k]: Fraction(1, q) for k, q in zip((5, 77, 300), primes)}
+    weights[dets[411]] = 1 - sum(weights.values())
+    p = theta(weights)
+    assert p.den >= INT64_EXACT
+    assert all(arr.dtype == object for arr in p.arrays.values())
+    assert p.dists == reference_theta(weights)
+    verdict = is_contextual(p, dets)
+    assert verdict.weights == weights
+    assert theta(verdict.weights).dists == p.dists
 
 
 def test_theta_output_validates():

@@ -15,7 +15,9 @@ BENCHMARK.json and its `run_seconds` T; the run's closing JSON line is
 recorded. The output file is rewritten after every pair, so an interrupted
 session keeps what it measured. The summary gives, per end-to-end metric of
 BENCHMARK.json, each side's median and inclusive quartiles and the number
-of pairs the change won (ties count for neither side).
+of pairs the change won (ties count for neither side); per workload, the
+`runs` block gives each side's range of instances attempted, whether every
+run was correct, and the total failed.
 """
 
 from __future__ import annotations
@@ -77,6 +79,22 @@ def summarize(pairs: list, metrics: list) -> dict:
     return out
 
 
+def runs(pairs: list) -> dict:
+    """Per side, over the pairs: the min, median and max of the instances
+    attempted in a run, whether every run was correct, and the total
+    failed."""
+    out = {}
+    for side in SIDES:
+        attempted = [pair[side]["attempted"] for pair in pairs]
+        out[side] = {"attempted_min": min(attempted),
+                     "attempted_median": statistics.median(attempted),
+                     "attempted_max": max(attempted),
+                     "all_correct": all(pair[side]["correct"]
+                                        for pair in pairs),
+                     "failed": sum(pair[side]["failed"] for pair in pairs)}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -107,7 +125,8 @@ def main(argv=None) -> int:
 
 def write(path: Path, description: str, pairs: dict, metrics: list) -> None:
     body = {"description": description,
-            "workloads": {w: {"pairs": ps, "summary": summarize(ps, metrics)}
+            "workloads": {w: {"pairs": ps, "summary": summarize(ps, metrics),
+                              "runs": runs(ps)}
                           for w, ps in pairs.items() if ps}}
     path.write_text(json.dumps(body, indent=1) + "\n")
 
