@@ -36,7 +36,7 @@ class GroupTable:
             raise GroupValidationError(f"group too large ({self.n} > {MAX_ORDER})")
         self._inv: Optional[tuple[int, ...]] = None
         self._orders: Optional[tuple[int, ...]] = None
-        self._cent: Optional[tuple[int, ...]] = None
+        self._tables: dict = {}
         self._validate()
 
     # -- structure -----------------------------------------------------
@@ -83,15 +83,72 @@ class GroupTable:
     def commute(self, a: int, b: int) -> bool:
         return self.mul(a, b) == self.mul(b, a)
 
+    # The tables below serve the hom search and its check; each is computed
+    # on first use and cached per group (and per exponent e).
+
+    def memo(self, key, build: Callable):
+        """build(), computed once per group and key."""
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
+
     def centralizer_masks(self) -> tuple[int, ...]:
         """Per element x, the bitmask of its centralizer: bit y is set iff
-        xy = yx. Computed on first use and cached."""
-        if self._cent is None:
+        xy = yx."""
+        def build():
             t = self.table
-            self._cent = tuple(
+            return tuple(
                 sum(1 << y for y, (a, b) in enumerate(zip(row, col)) if a == b)
                 for row, col in zip(t, zip(*t)))
-        return self._cent
+        return self.memo("centralizer_masks", build)
+
+    def power_row(self, e: int) -> tuple[int, ...]:
+        """x -> x^e for every x at once, by squaring whole rows."""
+        def build():
+            t = self.table
+            self.inv(0)
+            base, row, m = self._inv if e < 0 else range(self.n), None, abs(e)
+            while m:
+                if m & 1:
+                    row = base if row is None else [
+                        t[a][b] for a, b in zip(row, base)]
+                m >>= 1
+                if m:
+                    base = [t[b][b] for b in base]
+            return (self.identity,) * self.n if row is None else tuple(row)
+        return self.memo(("power", e), build)
+
+    def root_masks(self, e: int) -> tuple[int, ...]:
+        """y -> the bitmask of the x with x^e = y."""
+        def build():
+            masks = [0] * self.n
+            for x, y in enumerate(self.power_row(e)):
+                masks[y] |= 1 << x
+            return tuple(masks)
+        return self.memo(("roots", e), build)
+
+    def table_array(self) -> np.ndarray:
+        """The Cayley table as an n x n intp array."""
+        return self.memo("table", lambda: np.array(self.table, dtype=np.intp))
+
+    def power_array(self, e: int) -> np.ndarray:
+        return self.memo(("power_array", e),
+                         lambda: np.array(self.power_row(e), dtype=np.intp))
+
+    def centralizer_matrix(self) -> np.ndarray:
+        """Boolean n x n: entry (x, y) is xy = yx."""
+        def build():
+            t = self.table_array()
+            return t == t.T
+        return self.memo("centralizer", build)
+
+    def root_matrix(self, e: int) -> np.ndarray:
+        """Boolean n x n: entry (y, x) is x^e = y."""
+        def build():
+            out = np.zeros((self.n, self.n), dtype=bool)
+            out[self.power_array(e), np.arange(self.n)] = True
+            return out
+        return self.memo(("root_matrix", e), build)
 
     def torsion(self, d: int) -> tuple[int, ...]:
         return tuple(g for g in range(self.n) if self.power(g, d) == self.identity)

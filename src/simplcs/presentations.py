@@ -6,10 +6,18 @@ via integer Smith form, and the word-level reduction maps.
 
 Solution sets are hom sets: Sol(A,b;G) is computed as Hom_J(Gamma(A,b), G),
 the homomorphisms of the solution group that send J to J_G, so
-`enumerate_homs` is the one search engine behind both. Commutator relators
-narrow bitmask domains through cached centralizer masks, and it forces the
-image of another relator's last unknown generator through per-exponent root
-tables, for any exponent, not only +-1.
+`enumerate_homs` is the one search engine behind both. Each call compiles
+one static plan, a step per generator in a fixed order: the step's domain,
+the commutator partners placed before it (their images' centralizers filter
+its candidates), at most one forcing relator (the generator occurs in it
+once and closes it, so its image is a root of a known element, through a
+per-exponent root table) and the other relators that close there, as
+checks. A depth-first search over Python bitmasks runs small plans; plans
+whose leaf bound (the product of the domain sizes of the unforced steps)
+exceeds NUMPY_LEAF_BOUND run on numpy blocks of partial rows of at most
+BLOCK_CELLS (rows x group order) cells, depth first, so memory stays
+bounded. Every result row is then checked against every relator by
+`check_hom_rows`, which shares no code with the plan.
 
 Isomorphism claims are always settled by completed coset tables or hom-set
 bijections, never by free-group rewriting.
@@ -20,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -652,6 +660,11 @@ def elementarization(pres: Presentation, p: int) -> int:
 
 # ---------------------------------------------------------- hom enumeration
 
+NUMPY_LEAF_BOUND = 1 << 8   # plans with more leaves run on numpy blocks
+BLOCK_CELLS = 1 << 13       # (rows x group order) cells of one numpy block
+CHECK_CELLS = 1 << 16       # (rows x relators) cells of one check chunk
+
+
 @dataclass(frozen=True)
 class Hom:
     source: Presentation
@@ -668,24 +681,97 @@ class Hom:
                 raise ValueError("images do not satisfy the relators")
 
     @classmethod
-    def unchecked(cls, source, target, images) -> "Hom":
-        """For hom families whose validity is already certified elsewhere."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "source", source)
-        object.__setattr__(obj, "target", target)
-        object.__setattr__(obj, "images", tuple(images))
-        return obj
+    def _of_checked_rows(cls, source, target, rows) -> list["Hom"]:
+        """One Hom per image row of a batch `check_hom_rows` has passed."""
+        out = []
+        for images in rows:
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "source", source)
+            object.__setattr__(obj, "target", target)
+            object.__setattr__(obj, "images", tuple(images))
+            out.append(obj)
+        return out
 
     def __call__(self, gen: int) -> int:
         return self.images[gen]
 
 
+def check_hom_rows(pres: Presentation, g: GroupTable,
+                   rows: np.ndarray) -> None:
+    """Raise ValueError unless every row (one image per generator) satisfies
+    every relator of pres.
+
+    Independent of the search: each distinct relator is multiplied out over
+    all rows at once by gathers in g's flattened table. Relators are grouped
+    by length rounded up to a power of two and padded with exponent-0
+    letters; power rows come from square-and-multiply over whole rows."""
+    if not len(rows):
+        return
+    compiled = vars(pres).get("_check_letters")
+    if compiled is None:
+        by_len: dict[int, list[Word]] = {}
+        for rel in dict.fromkeys(pres.relators):
+            if rel:
+                by_len.setdefault(1 << (len(rel) - 1).bit_length(),
+                                  []).append(rel)
+        exps = tuple(sorted({0, 1} | {e for rel in pres.relators
+                                      for _, e in rel}))
+        slot = {e: i for i, e in enumerate(exps)}
+        buckets = []
+        for width, rels in by_len.items():
+            pad = ((0, 0),) * width
+            letters = np.array(
+                [[(gen, slot[e]) for gen, e in (rel + pad)[:width]]
+                 for rel in rels], dtype=np.intp).transpose(1, 2, 0)
+            # per letter: generators, power slots, and whether all are x^1
+            buckets.append((rels, [(gens, slots, (slots == slot[1]).all())
+                                   for gens, slots in letters]))
+        compiled = vars(pres)["_check_letters"] = (exps, buckets)
+    exps, buckets = compiled
+    n, ident = g.n, g.identity
+    table = g.table_array().ravel()
+
+    def power_rows():
+        inv = np.array([g.inv(x) for x in range(n)], dtype=np.intp)
+        out = np.empty((len(exps), n), dtype=np.intp)
+        for i, e in enumerate(exps):
+            acc, base, m = np.full(n, ident), (
+                inv if e < 0 else np.arange(n)), abs(e)
+            while m:
+                if m & 1:
+                    acc = table[acc * n + base]
+                m >>= 1
+                if m:
+                    base = table[base * n + base]
+            out[i] = acc
+        return out.ravel()
+
+    powers = g.memo(("check_powers", exps), power_rows)
+    for rels, letters in buckets:
+        step = max(1, CHECK_CELLS // len(rels))
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            acc = None
+            for gens, slots, plain in letters:
+                x = chunk.take(gens, axis=1)
+                if not plain:
+                    x = powers.take(x + slots * n)
+                acc = x if acc is None else table.take(acc * n + x)
+            bad = acc != ident
+            if bad.any():
+                r, c = np.argwhere(bad)[0]
+                raise ValueError(f"images do not satisfy the relators: row "
+                                 f"{lo + r} fails {rels[c]}")
+
+
 def _generator_order(rel_gens: Sequence[set[int]],
                      sizes: Sequence[int]) -> list[int]:
     """The search order of `enumerate_homs`: each step places the unplaced
-    generator with the least key (-done, -touched, sizes[gen], gen), where
-    done counts its relators whose other generators are all placed and
-    touched its relators with some but not all of those placed.
+    generator with the least key (sizes[gen] > 1, -done, -touched,
+    sizes[gen], gen), where done counts its relators whose other generators
+    are all placed and touched its relators with some but not all of those
+    placed. Generators with at most one candidate come first: they cost no
+    branching, and the relators through them start forcing sooner.
 
     The counters change only for the generators of the relators through the
     placed generator, and only when such a relator gets its first placed
@@ -704,11 +790,12 @@ def _generator_order(rel_gens: Sequence[set[int]],
             done[gen] += 1
     unplaced = [len(gens) for gens in rel_gens]  # per relator
     placed = [False] * k
-    heap = [(-done[gen], 0, sizes[gen], gen) for gen in range(k)]
+    heap = [(sizes[gen] > 1, -done[gen], 0, sizes[gen], gen)
+            for gen in range(k)]
     heapq.heapify(heap)
     order: list[int] = []
     while heap:
-        gen = heapq.heappop(heap)[3]
+        gen = heapq.heappop(heap)[4]
         if placed[gen]:
             continue
         placed[gen] = True
@@ -731,8 +818,259 @@ def _generator_order(rel_gens: Sequence[set[int]],
                     touched[h] += 1
                 changed.add(h)
         for h in changed:
-            heapq.heappush(heap, (-done[h], -touched[h], sizes[h], h))
+            heapq.heappush(heap, (sizes[h] > 1, -done[h], -touched[h],
+                                  sizes[h], h))
     return order
+
+
+class _Step(NamedTuple):
+    """One generator of the search order and what decides its image."""
+
+    gen: int
+    dom: int                      # bitmask of the images that satisfy its
+                                  # own relators
+    partners: tuple[int, ...]     # commutator partners placed before it
+    force: Optional[tuple]        # (pre, e, post): pre x^e post = 1, or None
+    checks: tuple[Word, ...]      # the other relators that close here
+
+
+def _relator_kinds(pres: Presentation) -> tuple[list, list, list]:
+    """The distinct relators of pres by kind, sorted out once per
+    presentation: (generator, exponent sum) of each one-generator relator
+    (x^a x^b ... = x^(a + b + ...)), the generator pairs of exact
+    commutators, and every other relator with its generator set."""
+    kinds = vars(pres).get("_relator_kinds")
+    if kinds is None:
+        singles, comms, live = [], [], []
+        for rel in dict.fromkeys(pres.relators):
+            gens = {gen for gen, _ in rel}
+            if len(gens) == 1:
+                singles.append((rel[0][0], sum(e for _, e in rel)))
+            elif len(rel) == 4 and rel == commutator_word(rel[0][0],
+                                                          rel[1][0]):
+                comms.append((rel[0][0], rel[1][0]))
+            elif gens:
+                live.append((rel, gens))
+        kinds = vars(pres)["_relator_kinds"] = (singles, comms, live)
+    return kinds
+
+
+def _compile_plan(pres: Presentation, g: FinGroupJ,
+                  pin_j: bool) -> list[_Step]:
+    """The static search plan of `enumerate_homs`, one step per generator
+    in `_generator_order`."""
+    singles, comms, live = _relator_kinds(pres)
+    k = pres.num_gens()
+    pinned = pres.j_index if pin_j else None
+    # candidates satisfy every relator on their generator alone
+    doms = [(1 << g.n) - 1] * k
+    if pinned is not None:
+        doms[pinned] = 1 << g.j
+    for gen, m in singles:
+        doms[gen] &= g.root_masks(m)[g.identity]
+    # commutators with the pinned generator hold: g.j is central
+    pairs = [(a, b) for a, b in comms if pinned != a and pinned != b]
+    rel_gens = [gens for _, gens in live] + [{a, b} for a, b in pairs]
+    # relators (commutators too) close, and start forcing, early
+    order = _generator_order(rel_gens, [m.bit_count() for m in doms])
+    pos = [0] * k
+    for i, gen in enumerate(order):
+        pos[gen] = i
+    partners: list[set[int]] = [set() for _ in range(k)]
+    for a, b in pairs:
+        if pos[a] < pos[b]:
+            partners[b].add(a)
+        else:
+            partners[a].add(b)
+    closing: list[list[Word]] = [[] for _ in range(k)]
+    for rel, gens in live:
+        closing[max(gens, key=pos.__getitem__)].append(rel)
+    plan = []
+    for gen in order:
+        force, checks = None, []
+        for rel in closing[gen]:
+            at = [i for i, (h, _) in enumerate(rel) if h == gen]
+            # one occurrence forces; exponent +-1 (one root) is preferred
+            if len(at) == 1 and (force is None or abs(force[1]) != 1
+                                 and abs(rel[at[0]][1]) == 1):
+                if force is not None:  # the displaced relator, whole
+                    checks.append(force[0] + ((gen, force[1]),) + force[2])
+                i = at[0]
+                force = (rel[:i], rel[i][1], rel[i + 1:])
+            else:
+                checks.append(rel)
+        plan.append(_Step(gen, doms[gen], tuple(sorted(partners[gen])),
+                          force, tuple(checks)))
+    return plan
+
+
+def _run_rows(plan: list[_Step], g: FinGroupJ) -> list[tuple[int, ...]]:
+    """Run the plan depth first over Python ints: a step's candidates are a
+    bitmask, ANDed with the centralizer masks of its placed partners'
+    images and with the root mask of its forced value."""
+    table, ident = g.table, g.identity
+    inv, cent = g.power_row(-1), g.centralizer_masks()
+    images = [ident] * len(plan)
+    out: list[tuple[int, ...]] = []
+    steps: list = [None] * len(plan)  # made when the search first gets there
+
+    def letters(word):
+        return tuple((h, g.power_row(e)) for h, e in word)
+
+    def make_step(i: int) -> tuple:
+        gen, dom, partners, force, checks = plan[i]
+        if force is not None:
+            pre, e, post = force
+            force = (letters(pre), letters(post), g.root_masks(e))
+        steps[i] = (gen, dom, partners, force, tuple(map(letters, checks)))
+        return steps[i]
+
+    def candidates(i: int) -> int:
+        _, m, partners, force, _ = steps[i] or make_step(i)
+        for p in partners:
+            m &= cent[images[p]]
+        if force is not None and m:
+            pre, post, roots = force
+            a = b = ident
+            for h, row in pre:
+                a = table[a][row[images[h]]]
+            for h, row in post:
+                b = table[b][row[images[h]]]
+            m &= roots[inv[table[b][a]]]   # x^e = (post pre)^-1
+        return m
+
+    last = len(steps) - 1
+    masks = [0] * len(steps)
+    masks[0] = candidates(0)
+    i = 0
+    while i >= 0:
+        m = masks[i]
+        if not m:
+            i -= 1
+            continue
+        low = m & -m
+        masks[i] = m ^ low
+        gen, _, _, _, checks = steps[i]
+        images[gen] = low.bit_length() - 1
+        for word in checks:
+            a = ident
+            for h, row in word:
+                a = table[a][row[images[h]]]
+            if a != ident:
+                break
+        else:
+            if i == last:
+                out.append(tuple(images))
+            else:
+                i += 1
+                masks[i] = candidates(i)
+    return out
+
+
+def _run_blocks(plan: list[_Step], g: FinGroupJ) -> np.ndarray:
+    """Run the plan on numpy blocks of partial rows, one column per placed
+    step, depth first, at most BLOCK_CELLS // g.n rows per block. A step's
+    candidates are one boolean row product (its domain, the centralizer
+    rows of its placed partners' images and the root row of its forced
+    value), expanded by np.nonzero; its checks are table gathers. A step
+    forced with exponent +-1 has one candidate per row, so it gathers that
+    candidate's domain and centralizer entries instead."""
+    n, ident = g.n, g.identity
+    table, cent, inv = (g.table_array(), g.centralizer_matrix(),
+                        g.power_array(-1))
+    k = len(plan)
+    pos = {st.gen: i for i, st in enumerate(plan)}
+    steps: list = [None] * k  # made when the search first gets there
+
+    def letters(word):
+        return [(pos[h], None if e == 1 else g.power_array(e))
+                for h, e in word]
+
+    def make_step(i: int) -> tuple:
+        _, dom, partners, force, checks = plan[i]
+        mask = (dom >> np.arange(n, dtype=object) & 1).astype(bool)
+        if force is not None:
+            pre, e, post = force
+            force = (letters(pre), e, letters(post),
+                     None if abs(e) == 1 else g.root_matrix(e))
+        steps[i] = (mask, np.flatnonzero(mask),
+                    [pos[p] for p in partners], force,
+                    [letters(w) for w in checks])
+        return steps[i]
+
+    def product(rows, word):
+        acc = None
+        for col, power in word:
+            x = rows[:, col] if power is None else power[rows[:, col]]
+            acc = x if acc is None else table[acc, x]
+        return acc
+
+    block = max(1, BLOCK_CELLS // n)
+    done = []
+    stack = [(0, np.empty((1, 0), dtype=np.intp))]
+    while stack:
+        i, rows = stack.pop()
+        if len(rows) > block:
+            stack.append((i, rows[block:]))
+            rows = rows[:block]
+        mask, values, partners, force, checks = steps[i] or make_step(i)
+        if force is not None:
+            pre, e, post, roots = force
+            a, b = product(rows, pre), product(rows, post)
+            z = a if b is None else b if a is None else table[b, a]
+        if force is not None and roots is None:
+            # one root: x = (post pre)^-1 for e = 1, post pre for e = -1
+            xs = inv[z] if e == 1 else z
+            keep = mask[xs]
+            for col in partners:
+                keep &= cent[rows[:, col], xs]
+            src = np.flatnonzero(keep)
+            xs = xs[src]
+        elif partners or force is not None:
+            cand = mask
+            for col in partners:
+                cand = cand & cent[rows[:, col]]
+            if force is not None:
+                cand = cand & roots[inv[z]]   # x^e = (post pre)^-1
+            src, xs = np.nonzero(cand)
+        else:
+            src = np.repeat(np.arange(len(rows)), len(values))
+            xs = np.tile(values, len(rows))
+        new = np.empty((len(src), i + 1), dtype=np.intp)
+        new[:, :i] = rows[src]
+        new[:, i] = xs
+        for word in checks:
+            new = new[product(new, word) == ident]
+        if not len(new):
+            continue
+        if i + 1 < k:
+            stack.append((i + 1, new))
+        else:
+            done.append(new)
+    found = np.concatenate(done) if done else np.empty((0, k), np.intp)
+    out = np.empty_like(found)
+    out[:, [st.gen for st in plan]] = found
+    return out
+
+
+def _hom_rows(pres: Presentation, g: FinGroupJ, pin_j: bool) -> np.ndarray:
+    """The image tuples of `enumerate_homs` as the rows of one sorted array,
+    every row checked by `check_hom_rows`."""
+    plan = _compile_plan(pres, g, pin_j)
+    leaves = 1
+    for st in plan:
+        if st.force is None:
+            leaves *= st.dom.bit_count()
+    if not plan:
+        rows = np.empty((1, 0), dtype=np.intp)
+    elif leaves > NUMPY_LEAF_BOUND:
+        rows = _run_blocks(plan, g)
+        rows = rows[np.lexsort(rows.T[::-1])]
+    else:
+        rows = np.array(sorted(_run_rows(plan, g)),
+                        dtype=np.intp).reshape(-1, len(plan))
+    check_hom_rows(pres, g, rows)
+    return rows
 
 
 def enumerate_homs(pres: Presentation, g: FinGroupJ,
@@ -742,170 +1080,31 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
     With pin_j the distinguished generator maps to g.j, so the result is
     Hom_J(pres, g); `solutions` is this search run on the solution group.
 
-    Backtracking with forward checking and relator propagation, over each
-    distinct relator once, in `_generator_order`. Each generator's
-    candidates are the elements that satisfy its
-    single-generator relators (for the pinned generator: g.j, if it does),
-    so those relators hold by construction, and so do commutators with the
-    pinned generator, g.j being central. Every other commutator [a, b] is a
-    domain filter: each generator keeps its candidates as an int bitmask,
-    and assigning a := x ANDs x's centralizer mask (`centralizer_masks`)
-    into the domain of each unassigned commutator partner of a. Saved
-    domains are restored on backtrack and an emptied domain fails the
-    branch, so branching tries only values that commute with the assigned
-    partners. The other relators are compiled once per call into
-    (generator, row of x^e, e) letters, with one power row per exponent
-    that occurs. Whenever a generator is assigned, each such relator
-    through it is evaluated in one pass: with no unknown left it must give
-    the identity; when its only unknown x occurs once, with exponent e, it
-    reads pre x^e post = 1, and the roots of pre^-1 post^-1 (the x with
-    x^e equal to it, from a root table built per exponent on first use)
-    within x's domain decide: none fails the branch, one is forced and
-    propagated, several are left to branching. Every relator is checked by
-    the time its last generator is assigned, and the first 20 homs are
-    re-validated in full.
+    Each call compiles one static plan over the distinct relators, a step
+    per generator in `_generator_order`. A step's domain is the elements
+    that satisfy its single-generator relators (for the pinned generator:
+    g.j, if it does), so those relators hold by construction, and so do
+    commutators with the pinned generator, g.j being central. A step also
+    holds the commutator partners placed before it, whose images'
+    centralizers filter its candidates; at most one forcing relator, one
+    whose last generator in the order is this one and which contains it
+    exactly once, read as x^e = (pre^-1 post^-1) through the group's root
+    table for e (exponent +-1 preferred); and the other relators that close
+    at this step, as checks on its image. Every relator is therefore
+    checked by the time its last generator is placed.
+
+    Two executors run the plan. `_run_rows` is a depth-first search over
+    Python ints and bitmasks; `_run_blocks` expands numpy blocks of partial
+    rows depth first, with at most BLOCK_CELLS (rows x group order) cells
+    per block, so live memory stays bounded however wide a level gets. The
+    plan's leaf bound, the product of the domain sizes of its steps without
+    a forcing relator, selects: above NUMPY_LEAF_BOUND the blocks run, so
+    small searches keep the low per-call cost of Python and large ones the
+    per-row speed of numpy. Either way every result row then passes
+    `check_hom_rows`, which shares no code with the plan.
     """
-    k = pres.num_gens()
-    n, table, ident = g.n, g.table, g.identity
-    inv = [g.inv(x) for x in range(n)]
-    pinned = pres.j_index if pin_j else None
-    powers: dict[int, list[int]] = {}       # e -> [x^e for x in g]
-    for e in {e for rel in pres.relators for _, e in rel}:
-        # x -> x^e for every x at once, by squaring whole rows
-        base, row, m = inv if e < 0 else range(n), None, abs(e)
-        while m:
-            if m & 1:
-                row = base if row is None else [
-                    table[a][b] for a, b in zip(row, base)]
-            m >>= 1
-            if m:
-                base = [table[b][b] for b in base]
-        powers[e] = [ident] * n if row is None else row
-    roots: dict[int, list[list[int]]] = {}  # e -> y -> [x with x^e = y]
-
-    def root_table(e: int) -> list[list[int]]:
-        roots[e] = [[] for _ in range(n)]
-        for x, y in enumerate(powers[e]):
-            roots[e][y].append(x)
-        return roots[e]
-
-    # candidates satisfy every relator on their generator alone
-    allowed: dict[tuple, set[int]] = {}  # exponents of x^a x^b ... -> {x}
-    cand_sets: list[Optional[set[int]]] = [None] * k
-    if pinned is not None:
-        cand_sets[pinned] = {g.j}
-    live: list[Word] = []   # propagated
-    comms: list[Word] = []  # domain filters
-    for rel in dict.fromkeys(pres.relators):  # each relator once
-        gens = {gen for gen, _ in rel}
-        if len(gens) == 1:
-            shape = tuple(e for _, e in rel)
-            if shape not in allowed:
-                acc = [ident] * n
-                for e in shape:
-                    acc = [table[a][b] for a, b in zip(acc, powers[e])]
-                allowed[shape] = {x for x in range(n) if acc[x] == ident}
-            gen, = gens
-            cand_sets[gen] = (allowed[shape] if cand_sets[gen] is None
-                              else cand_sets[gen] & allowed[shape])
-        elif len(rel) == 4 and tuple(rel) == commutator_word(rel[0][0],
-                                                            rel[1][0]):
-            if pinned not in gens:
-                comms.append(rel)
-        elif gens:
-            live.append(rel)
-    cand_sets = [set(range(n)) if c is None else c for c in cand_sets]
-    dom = [sum(1 << x for x in c) for c in cand_sets]  # bitmask domains
-    partners: list[set[int]] = [set() for _ in range(k)]
-    for (a, _), (b, _), _, _ in comms:
-        partners[a].add(b)
-        partners[b].add(a)
-    cent = g.centralizer_masks() if comms else ()
-    rel_gens = [{gen for gen, _ in rel} for rel in live + comms]
-    rel_of_gen: list[list[list]] = [[] for _ in range(k)]
-    for rel, gens in zip(live, rel_gens):
-        crel = [(gen, powers[e], e) for gen, e in rel]
-        for gen in gens:
-            rel_of_gen[gen].append(crel)
-    # relators (commutators too) close, and start forcing, early
-    order = _generator_order(rel_gens, [len(c) for c in cand_sets])
-    images: list[Optional[int]] = [None] * k
-    out: list[tuple[int, ...]] = []
-
-    def assign(h: int, x: int, trail: list[int], saved: list) -> bool:
-        """h := x, and x's centralizer filters h's unassigned partners."""
-        images[h] = x
-        trail.append(h)
-        for p in partners[h]:
-            if images[p] is None:
-                old = dom[p]
-                new = old & cent[x]
-                if new != old:
-                    if not new:
-                        return False
-                    saved.append((p, old))
-                    dom[p] = new
-        return True
-
-    def propagate(gen: int, trail: list[int], saved: list) -> bool:
-        queue = [gen]
-        while queue:
-            for crel in rel_of_gen[queue.pop()]:
-                acc, free = ident, None
-                for h, row, e in crel:
-                    x = images[h]
-                    if x is not None:
-                        acc = table[acc][row[x]]
-                    elif free is None:
-                        free, pre, acc = (h, e), acc, ident
-                    else:
-                        break  # two unknown occurrences: nothing to deduce
-                else:
-                    if free is None:
-                        if acc != ident:
-                            return False
-                        continue
-                    h, e = free
-                    rts = roots.get(e) or root_table(e)
-                    mask = dom[h]
-                    vals = [x for x in rts[table[inv[pre]][inv[acc]]]
-                            if mask >> x & 1]
-                    if not vals:
-                        return False
-                    if len(vals) == 1:
-                        if not assign(h, vals[0], trail, saved):
-                            return False
-                        queue.append(h)
-        return True
-
-    def search(pos: int) -> None:
-        while pos < k and images[order[pos]] is not None:
-            pos += 1
-        if pos == k:
-            out.append(tuple(images))  # all relators checked on the way
-            return
-        gen = order[pos]
-        m = dom[gen]
-        while m:
-            low = m & -m
-            m ^= low
-            trail: list[int] = []
-            saved: list = []
-            if (assign(gen, low.bit_length() - 1, trail, saved)
-                    and propagate(gen, trail, saved)):
-                search(pos + 1)
-            for t in trail:
-                images[t] = None
-            for p, old in reversed(saved):
-                dom[p] = old
-
-    search(0)
-    out.sort()
-    # filtering and propagation checked every relator by its last generator
-    homs = [Hom.unchecked(pres, g, tup) for tup in out]
-    for h in homs[:20]:
-        Hom(pres, g, h.images)  # spot re-validation
-    return homs
+    rows = _hom_rows(pres, g, pin_j)
+    return Hom._of_checked_rows(pres, g, rows.tolist())
 
 
 # -------------------------------------------------------------- solution sets
@@ -916,13 +1115,13 @@ def solutions(system: LinearSystem, g: FinGroupJ) -> list[tuple[int, ...]]:
 
     Computed as Hom_J(Gamma(A,b), G): e_v -> T(v), J -> J_G is a bijection
     onto the J-pinned homs of the solution group, and J is its last
-    generator, so dropping J's image from each sorted hom gives T.
+    generator, so dropping J's column from the sorted hom rows gives T.
     """
     d = system.modulus
     if g.d != d:
         raise ValueError(f"group J-order {g.d} != system modulus {d}")
-    return [h.images[:-1]
-            for h in enumerate_homs(solution_group(system), g, pin_j=True)]
+    rows = _hom_rows(solution_group(system), g, pin_j=True)
+    return list(map(tuple, rows[:, :-1].tolist()))
 
 
 def hom_of_solution(pres: Presentation, g: FinGroupJ,
@@ -1119,30 +1318,26 @@ def theorem_iso_check(x: TruncatedSSet, gamma, d: int,
     e1_tok = ((1,), x.degeneracy(0, 0, x.simplices[0][0]))
     e1_gen = edge_idx[e1_tok]
     for g in test_groups:
-        homs2 = enumerate_homs(p2, g, pin_j=True)
+        rows2 = _hom_rows(p2, g, pin_j=True)
         # generator k of p1 goes to J^a h(e_tau), with (a, tau) its token
-        jpow = [g.j_power(k) for k in range(g.d)]
-        transport = []
+        jpow, cols = [], []
         for k in range(p1.num_gens()):
             a_vec, tau = xg_tokens[k]
-            transport.append((jpow[a_vec[0] % g.d], col_pos[tau]))
-        images1 = set()
-        for idx, h in enumerate(homs2):
-            imgs = tuple(g.mul(j, h(col)) for j, col in transport)
-            if idx < 20:
-                hom1 = Hom(p1, g, imgs)  # re-validate a sample fully
-            else:
-                hom1 = Hom.unchecked(p1, g, imgs)
-            if hom1(e1_gen) != g.j:
-                raise AssertionError("transported hom does not pin e_1")
-            images1.add(imgs)
-        if len(images1) != len(homs2):
+            jpow.append(g.j_power(a_vec[0] % g.d))
+            cols.append(col_pos[tau])
+        rows1 = g.table_array()[jpow, rows2[:, cols]]
+        check_hom_rows(p1, g, rows1)  # every transported hom, in full
+        if (rows1[:, e1_gen] != g.j).any():
+            raise AssertionError("transported hom does not pin e_1")
+        images1 = set(map(tuple, rows1.tolist()))
+        if len(images1) != len(rows2):
             passed = False
         # Hom_J(p1, g) with e_1 in the role of J
-        homs1 = enumerate_homs(Presentation(p1.gens, p1.relators,
-                                            p1.gens[e1_gen]), g, pin_j=True)
-        hom_counts[g.name] = (len(homs1), len(homs2))
-        if len(homs1) != len(homs2) or images1 != {h.images for h in homs1}:
+        rows1_direct = _hom_rows(Presentation(p1.gens, p1.relators,
+                                              p1.gens[e1_gen]), g, pin_j=True)
+        hom_counts[g.name] = (len(rows1_direct), len(rows2))
+        if (len(rows1_direct) != len(rows2)
+                or images1 != set(map(tuple, rows1_direct.tolist()))):
             passed = False
     return IsoCheckReport(relator_results, hom_counts, passed)
 

@@ -77,9 +77,13 @@ class TruncatedSSet:
     def __init__(self, cap: int, simplices: dict[int, Sequence],
                  faces: dict[tuple[int, int], dict],
                  degeneracies: dict[tuple[int, int], dict],
-                 name: str = "", basepoint=None):
+                 name: str = "", basepoint=None, ordered: bool = False):
+        """With ordered, each degree of simplices is already distinct and
+        sorted by `_token_key`, and is kept as given."""
         self.cap = cap
-        self.simplices = {n: tuple(sorted(set(simplices.get(n, ())), key=_token_key))
+        self.simplices = {n: tuple(simplices.get(n, ())) if ordered else
+                          tuple(sorted(set(simplices.get(n, ())),
+                                       key=_token_key))
                           for n in range(cap + 1)}
         self.faces = faces
         self.degeneracies = degeneracies
@@ -472,6 +476,11 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
 
     degrees = {n: [BASEPOINT] + [t for t in x.simplices[n] if t not in sub[n]]
                for n in range(x.cap + 1)}
+    # the kept simplices are a subsequence of x's sorted degrees, so they
+    # stay sorted; BASEPOINT then sorts first if its key is below theirs
+    first = _token_key(BASEPOINT)
+    ordered = all(len(deg) == 1 or first < _token_key(deg[1])
+                  for deg in degrees.values())
     faces = {(n, i): {BASEPOINT: BASEPOINT,
                       **{t: BASEPOINT if v in sub[n - 1] else v
                          for t, v in x.faces[(n, i)].items() if t not in sub[n]}}
@@ -482,7 +491,8 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
                                 if t not in sub[n]}}
                     for n in range(x.cap) for j in range(n + 1)}
     return TruncatedSSet(x.cap, degrees, faces, degeneracies,
-                         name=f"{x.name}/subset", basepoint=BASEPOINT)
+                         name=f"{x.name}/subset", basepoint=BASEPOINT,
+                         ordered=ordered)
 
 
 def wedge_subset_of_nzd(system: LinearSystem, x: TruncatedSSet

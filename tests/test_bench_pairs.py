@@ -66,3 +66,31 @@ def test_runs_block(tmp_path):
                    "attempted_max": 300, "all_correct": True, "failed": 0},
     }
     assert written["summary"] == bench_pairs.summarize(pairs, METRICS)
+
+
+def test_benchmark_digests(tmp_path):
+    # both sides' BENCHMARK.json and perfbench/*.py, hashed; a change to
+    # one file shows in that file's digest only
+    sides = {}
+    for side, run_py in (("parent", b"print(1)\n"), ("change", b"print(2)\n")):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_bytes(b"{}\n")
+        (root / "perfbench" / "run.py").write_bytes(run_py)
+        (root / "perfbench" / "checks.py").write_bytes(b"")
+        (root / "perfbench" / "record.json").write_bytes(b"[]\n")
+        sides[side] = bench_pairs.benchmark_digests(root)
+    assert list(sides["parent"]) == ["BENCHMARK.json", "perfbench/checks.py",
+                                      "perfbench/run.py"]
+    assert sides["parent"]["perfbench/checks.py"] == (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+    differ = [k for k in sides["parent"]
+              if sides["parent"][k] != sides["change"][k]]
+    assert differ == ["perfbench/run.py"]
+    out = tmp_path / "bench.json"
+    bench_pairs.write(out, "digests", {}, METRICS, sides)
+    assert json.loads(out.read_text())["benchmark"] == sides
+    # this checkout's own benchmark files are all covered
+    own = bench_pairs.benchmark_digests(ROOT)
+    assert set(own) == {"BENCHMARK.json"} | {
+        f"perfbench/{p.name}" for p in (ROOT / "perfbench").glob("*.py")}

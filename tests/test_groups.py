@@ -116,6 +116,30 @@ def test_centralizer_masks():
         assert g.centralizer_masks() is masks
 
 
+def test_search_tables():
+    # every table the hom search reads, against its definition, and cached
+    groups = [build_group(s) for s in SWEEP_PANEL]
+    groups.append(relabelled(groups[4], seed=5))
+    for g in groups:
+        table = g.table_array()
+        assert table.tolist() == [list(row) for row in g.table]
+        cent = g.centralizer_matrix()
+        for e in (-3, -1, 0, 1, 2, 3, 6):
+            row = g.power_row(e)
+            assert row == tuple(g.power(x, e) for x in range(g.n))
+            assert g.power_array(e).tolist() == list(row)
+            masks, roots = g.root_masks(e), g.root_matrix(e)
+            for y in range(g.n):
+                want = [x for x in range(g.n) if g.power(x, e) == y]
+                assert [x for x in range(g.n) if masks[y] >> x & 1] == want
+                assert np.flatnonzero(roots[y]).tolist() == want
+            assert g.power_row(e) is row and g.root_masks(e) is masks
+        for x in range(g.n):
+            assert np.flatnonzero(cent[x]).tolist() == [
+                y for y in range(g.n) if g.commute(x, y)]
+        assert g.table_array() is table and g.centralizer_matrix() is cent
+
+
 def test_build_group_examples():
     g = build_group("central_product(dihedral:8,dihedral:8)")
     assert g.n == 32

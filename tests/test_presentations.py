@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from simplcs import presentations
 from simplcs.cohomology import cochain, extract_linear_system, gamma_b
 from simplcs.groups import (build_group, central_product, cyclic, dihedral,
                             find_isomorphism, heisenberg, quaternion)
@@ -428,6 +430,26 @@ def test_theorem_iso_check_k33_fixture_d3():
     assert rep.passed
 
 
+def test_theorem_iso_check_checks_every_transported_hom(monkeypatch):
+    # a hom of Gamma(A_X, b_gamma) breaking a relator, slipped past the
+    # search's own check, is caught once transported, wherever it sits
+    fx = k33_torus_fixture()
+    gam = fixture_cochain(fx, {}, 2)
+    g = dihedral(8)
+    bad = next(x for x in range(g.n) if g.power(x, 2) != g.identity)
+    real = presentations._hom_rows
+    for at in (0, -1):
+        def corrupt(pres, g, pin_j, at=at):
+            rows = real(pres, g, pin_j)
+            if pres.j_name == "J":  # the solution group's side
+                rows = rows.copy()
+                rows[at, 0] = bad
+            return rows
+        monkeypatch.setattr(presentations, "_hom_rows", corrupt)
+        with pytest.raises(ValueError, match="do not satisfy"):
+            theorem_iso_check(fx.space, gam, 2, [g])
+
+
 def test_theorem_iso_check_random_2_truncated():
     rng = random.Random(7)
     for _ in range(6):
@@ -490,7 +512,9 @@ def brute_homs(pres, g, pin_j):
     return sorted(out)
 
 
-def test_enumerate_homs_matches_brute_force():
+def brute_force_cases():
+    """Twelve seeded presentations on a, b and a pinned J, each with random
+    words of exponents +-1 and +-2, over Z_2, Z_4 (J of order 2) and D_8."""
     rng = random.Random(12)
     targets = [cyclic(2), cyclic(4, 2), dihedral(8)]
     for trial in range(12):
@@ -500,9 +524,122 @@ def test_enumerate_homs_matches_brute_force():
             word = [(rng.choice("abJ"), rng.choice((-2, -1, 1, 2)))
                     for _ in range(rng.randrange(1, 4))]
             rels.append(word)
-        pres = make_presentation(["a", "b", "J"], rels, j_name="J")
+        yield make_presentation(["a", "b", "J"], rels, j_name="J"), g
+
+
+def test_enumerate_homs_matches_brute_force():
+    for pres, g in brute_force_cases():
         got = {h.images for h in enumerate_homs(pres, g, pin_j=True)}
         assert got == set(brute_homs(pres, g, pin_j=True))
+
+
+def run_executor(name, pres, g, pin_j):
+    """The sorted image rows of one executor run on the compiled plan."""
+    plan = presentations._compile_plan(pres, g, pin_j)
+    if name == "rows":
+        return sorted(presentations._run_rows(plan, g))
+    return sorted(map(tuple, presentations._run_blocks(plan, g).tolist()))
+
+
+@pytest.mark.parametrize("executor", ["rows", "blocks"])
+def test_executors_match_brute_force(executor):
+    for pres, g in brute_force_cases():
+        assert (run_executor(executor, pres, g, True)
+                == brute_homs(pres, g, pin_j=True))
+
+
+def test_executors_force_between_noncommuting_letters():
+    # relators a c^e b in non-abelian targets, c placed last: c is forced
+    # between a and b, which need not commute, and with [a, c] the forced
+    # image must also commute with its partner; then seeded three-letter
+    # words with a commutator
+    rng = random.Random(41)
+    cases = [(spec, (((3, build_group(spec).d),), ((0, 1), (2, e), (1, 1)))
+              + extra)
+             for spec in ORACLE_TARGETS for e in (1, -1)
+             for extra in ((), (commutator_word(0, 2),))]
+    for trial in range(24):
+        spec = ORACLE_TARGETS[trial % 3]
+        rels = [((3, build_group(spec).d),),
+                commutator_word(*rng.sample(range(3), 2))]
+        for _ in range(rng.randrange(1, 3)):
+            rels.append(tuple((gen, rng.choice((-1, 1)))
+                              for gen in rng.sample(range(3), 3)))
+        cases.append((spec, tuple(rels)))
+    for spec, rels in cases:
+        g = build_group(spec)
+        pres = Presentation(("a", "b", "c", "J"), rels, "J")
+        want = brute_homs(pres, g, pin_j=True)
+        for executor in ("rows", "blocks"):
+            assert run_executor(executor, pres, g, True) == want
+
+
+def test_blocks_of_one_row_match_brute_force(monkeypatch):
+    # one row per block: every level is split into single rows
+    monkeypatch.setattr(presentations, "BLOCK_CELLS", 1)
+    for pres, g in brute_force_cases():
+        assert (run_executor("blocks", pres, g, True)
+                == brute_homs(pres, g, pin_j=True))
+
+
+def test_executors_agree_on_k33():
+    d8d8 = central_product(dihedral(8), dihedral(8))
+    cases = [([0, 1, 1, 0, 0, 0], 2, d8d8, 22336),
+             ([1, 0, 0, 0, 0, 0], 2, d8d8, 1152),
+             ([1, 2, 0, 0, 0, 0], 3, heisenberg(3), 26001)]
+    for b, d, g, count in cases:
+        pres = solution_group(k33_system(b, d=d))
+        rows = run_executor("rows", pres, g, True)
+        assert len(rows) == count
+        assert run_executor("blocks", pres, g, True) == rows
+        assert [h.images for h in enumerate_homs(pres, g)] == rows
+
+
+def test_corrupted_result_row_raises(monkeypatch):
+    # an executor that returns a row breaking a relator: the full check of
+    # every result row must catch it, wherever the row sits
+    pres = solution_group(k33_system([0] * 6))
+    g = dihedral(8)
+    bad = next(x for x in range(g.n) if g.power(x, 2) != g.identity)
+    want = [h.images for h in enumerate_homs(pres, g)]
+    assert len(want) > 100
+    for name in ("_run_rows", "_run_blocks"):
+        real = getattr(presentations, name)
+        for at in (0, len(want) // 2, len(want) - 1):
+            def corrupt(plan, g, real=real, at=at):
+                rows = real(plan, g)
+                row = list(rows[at])
+                row[0] = bad  # e_0^2 = 1 fails
+                rows[at] = tuple(row) if isinstance(rows, list) else row
+                return rows
+            monkeypatch.setattr(presentations, name, corrupt)
+            monkeypatch.setattr(presentations, "NUMPY_LEAF_BOUND",
+                                0 if name == "_run_blocks" else 1 << 60)
+            with pytest.raises(ValueError, match="do not satisfy"):
+                enumerate_homs(pres, g)
+            with pytest.raises(ValueError, match="do not satisfy"):
+                solutions(k33_system([0] * 6), g)
+            monkeypatch.setattr(presentations, name, real)
+
+
+def test_check_hom_rows_flags_each_bad_row():
+    pres = solution_group(k33_system([1, 0, 0, 0, 0, 0]))
+    g = central_product(dihedral(8), dihedral(8))
+    rows = np.array([h.images for h in enumerate_homs(pres, g)])
+    presentations.check_hom_rows(pres, g, rows)
+    rng = random.Random(3)
+    for _ in range(20):
+        broken = rows.copy()
+        r, c = rng.randrange(len(rows)), rng.randrange(pres.num_gens())
+        broken[r, c] = rng.choice([x for x in range(g.n)
+                                   if x != rows[r, c]])
+        try:
+            Hom(pres, g, tuple(broken[r].tolist()))
+        except ValueError:
+            with pytest.raises(ValueError, match=f"row {r} fails"):
+                presentations.check_hom_rows(pres, g, broken)
+        else:  # the change happened to give another hom
+            presentations.check_hom_rows(pres, g, broken)
 
 
 ORACLE_TARGETS = ("dihedral:8", "quaternion", "heisenberg:3")
@@ -532,27 +669,44 @@ def commutator_presentations(draw):
     return _case(spec, pin_j, draw(st.permutations(rels)))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(commutator_presentations())
-@example(_case("dihedral:8", True, [commutator_word(0, 1),
-                                    commutator_word(0, 1),
-                                    commutator_word(1, 2)]))
-@example(_case("quaternion", True, [commutator_word(0, 0),
-                                    commutator_word(3, 0), ((1, 2),)]))
-@example(_case("heisenberg:3", True, [commutator_word(0, 1),
-                                      commutator_word(1, 0),
-                                      commutator_word(2, 1)]))
-@example(_case("dihedral:8", False, [commutator_word(0, 2),
-                                     commutator_word(2, 1), ((2, 2),),
-                                     ((0, 1), (1, 1), (2, -1))]))
-@example(_case("heisenberg:3", False, [commutator_word(2, 0),
-                                       commutator_word(1, 2),
-                                       commutator_word(0, 1), ((2, 3),)]))
+def commutator_cases(test):
+    """test(case) over `commutator_presentations` and the pinned examples."""
+    for case in (
+            _case("dihedral:8", True, [commutator_word(0, 1),
+                                        commutator_word(0, 1),
+                                        commutator_word(1, 2)]),
+            _case("quaternion", True, [commutator_word(0, 0),
+                                        commutator_word(3, 0), ((1, 2),)]),
+            _case("heisenberg:3", True, [commutator_word(0, 1),
+                                          commutator_word(1, 0),
+                                          commutator_word(2, 1)]),
+            _case("dihedral:8", False, [commutator_word(0, 2),
+                                         commutator_word(2, 1), ((2, 2),),
+                                         ((0, 1), (1, 1), (2, -1))]),
+            _case("heisenberg:3", False, [commutator_word(2, 0),
+                                           commutator_word(1, 2),
+                                           commutator_word(0, 1),
+                                           ((2, 3),)])):
+        test = example(case)(test)
+    return settings(derandomize=True, database=None, deadline=None,
+                    max_examples=100)(given(commutator_presentations())(test))
+
+
+@commutator_cases
 def test_enumerate_homs_commutators_match_brute_force(case):
     spec, pres, pin_j = case
     g = build_group(spec)
     got = [h.images for h in enumerate_homs(pres, g, pin_j=pin_j)]
     assert got == brute_homs(pres, g, pin_j)
+
+
+@commutator_cases
+def test_executors_commutators_match_brute_force(case):
+    spec, pres, pin_j = case
+    g = build_group(spec)
+    want = brute_homs(pres, g, pin_j)
+    for executor in ("rows", "blocks"):
+        assert run_executor(executor, pres, g, pin_j) == want
 
 
 def quadratic_generator_order(rel_gens, sizes):
@@ -572,7 +726,7 @@ def quadratic_generator_order(rel_gens, sizes):
                 done += 1
             elif unplaced[r] < len(rel_gens[r]):
                 touched += 1
-        return (-done, -touched, sizes[gen], gen)
+        return (sizes[gen] > 1, -done, -touched, sizes[gen], gen)
 
     order, rest = [], list(range(k))
     while rest:

@@ -253,6 +253,41 @@ def test_quotient_partitions_simplices():
         assert x.size(n) == len(sub[n]) + (q.size(n) - 1)
 
 
+def test_gamma_b_sorts_each_token_once(monkeypatch):
+    # the quotient keeps the parent's sorted order, BASEPOINT first, and
+    # computes no sort key beyond one per degree
+    from simplcs import cohomology, simplicial
+    calls = []
+
+    def counted(tok):
+        calls.append(tok)
+        return repr(tok)
+
+    monkeypatch.setattr(simplicial, "_token_key", counted)
+    system = make_system([[1, 2, 1, 1], [1, 1, 0, 0], [0, 1, 2, 0]],
+                         [1, 0, 2], 3)
+    x = nzd_sigma(complex_of_system(system), 3, cap=2)
+    built = len(calls)
+    _, q = cohomology.gamma_b(system, cap=2)
+    assert len(calls) == 2 * built + 3   # N(Z_d, Sigma) again, then 3 keys
+    for n in range(3):
+        assert q.simplices[n][0] == BASEPOINT
+        assert q.simplices[n] == tuple(sorted(q.simplices[n], key=repr))
+        assert q.simplices[n][1:] == tuple(
+            t for t in x.simplices[n] if t in set(q.simplices[n]))
+
+
+def test_quotient_sorts_when_basepoint_is_not_least():
+    # a vertex whose repr sorts before BASEPOINT's: the quotient sorts
+    x = TruncatedSSet(1, {0: ["!", "a"], 1: [("!", "!"), ("a", "a")]},
+                      {(1, 0): {("!", "!"): "!", ("a", "a"): "a"},
+                       (1, 1): {("!", "!"): "!", ("a", "a"): "a"}},
+                      {(0, 0): {"!": ("!", "!"), "a": ("a", "a")}})
+    q = quotient_by_subset(x, {0: ["a"], 1: [("a", "a")]})
+    assert q.simplices[0] == ("!", BASEPOINT)
+    assert q.simplices[1] == (BASEPOINT, ("!", "!"))
+
+
 def test_quotient_rejects_non_closed_subset():
     x = nerve(2, cap=2)
     with pytest.raises(SimplicialValidationError):

@@ -17,12 +17,15 @@ session keeps what it measured. The summary gives, per end-to-end metric of
 BENCHMARK.json, each side's median and inclusive quartiles and the number
 of pairs the change won (ties count for neither side); per workload, the
 `runs` block gives each side's range of instances attempted, whether every
-run was correct, and the total failed.
+run was correct, and the total failed. The `benchmark` block gives, per
+side, the sha256 of its BENCHMARK.json and of each `perfbench/*.py`, so a
+reader can see that both sides ran the same benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -95,6 +98,15 @@ def runs(pairs: list) -> dict:
     return out
 
 
+def benchmark_digests(checkout: Path) -> dict:
+    """sha256 of the checkout's BENCHMARK.json and of each perfbench/*.py,
+    keyed by path relative to the checkout."""
+    files = [checkout / "BENCHMARK.json",
+             *sorted((checkout / "perfbench").glob("*.py"))]
+    return {f.relative_to(checkout).as_posix():
+            hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -108,6 +120,8 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     checkouts = {"parent": args.parent, "change": args.change}
     pairs: dict = {w: [] for w in workloads}
+    benchmark = {side: benchmark_digests(path)
+                 for side, path in checkouts.items()}
     for seed in args.seeds:
         for first in SIDES:
             order = (first, *(s for s in SIDES if s != first))
@@ -119,12 +133,14 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: {pair[side]}",
                           file=sys.stderr, flush=True)
                 pairs[workload].append(pair)
-                write(args.out, args.description, pairs, spec["end_to_end"])
+                write(args.out, args.description, pairs, spec["end_to_end"],
+                      benchmark)
     return 0
 
 
-def write(path: Path, description: str, pairs: dict, metrics: list) -> None:
-    body = {"description": description,
+def write(path: Path, description: str, pairs: dict, metrics: list,
+          benchmark: dict | None = None) -> None:
+    body = {"description": description, "benchmark": benchmark or {},
             "workloads": {w: {"pairs": ps, "summary": summarize(ps, metrics),
                               "runs": runs(ps)}
                           for w, ps in pairs.items() if ps}}
