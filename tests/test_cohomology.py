@@ -15,7 +15,8 @@ from simplcs.linsys import (RowConditionError, k33_system, make_system,
 from simplcs.presentations import reduction_maps
 from simplcs.simplicial import (BASEPOINT, K33_FUNDAMENTAL_CYCLE, SMap,
                                 bar_comm_nerve, comm_nerve, complex_of_system,
-                                k33_torus_fixture, nerve, nzd_sigma, wedge_nzd,
+                                dump_sset, k33_torus_fixture, nerve, nzd_sigma,
+                                random_truncated_sset, wedge_nzd,
                                 wedge_subset_of_nzd)
 from simplcs.zmod import ZModMatrix, howell_form
 
@@ -244,6 +245,11 @@ def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
+Z3_FULL = make_system([[1, 2, 1, 1], [1, 0, 2, 1], [2, 1, 0, 1]],
+                      [1, 2, 0], 3)
+Z6_SHARED = make_system([[1, 3, 0], [2, 3, 0], [0, 1, 5]], [1, 2, 3], 6)
+
+
 def test_reduction_digests_are_pinned():
     # sha256 prefixes of gamma_b's values and of the extracted .lcs text; the
     # Z_4 and Z_6 systems have row spans that share a vector, with b agreeing
@@ -258,11 +264,22 @@ def test_reduction_digests_are_pinned():
          "330cfaed4e2a2437", "9b583a87a23825cc"),
         (make_system([[5, 2], [3, 4]], [3, 3], 6),
          "2914e73637c90d8b", "2eabfd2d0b091dac"),
+        # Z_3, one row of full support: the host holds N(Z_3) of the whole
+        # 3-simplex, 6 537 2-simplices after the collapse
+        (Z3_FULL, "df2e4fcb2198818e", "3384145747a4d61b"),
+        # Z_6 with two row spans that share (2, 0, 0) and (4, 0, 0)
+        (Z6_SHARED, "7f629cbe76d4f2f3", "59455d0fd509618b"),
     ]
     for sys_, gamma_digest, lcs_digest in cases:
         g, q = gamma_b(sys_, cap=2)
         assert _digest([(tok, g(tok)) for tok in q.simplices[2]]) == gamma_digest
         assert _digest(write_lcs(extract_linear_system(q, g))) == lcs_digest
+    # every simplex, face and degeneracy of the two new hosts
+    for sys_, host_digest in ((Z3_FULL, "23b398ea21ad4b21"),
+                              (Z6_SHARED, "f04efce38c28b9bf")):
+        _, q = gamma_b(sys_, cap=2)
+        assert hashlib.sha256(dump_sset(q).encode()).hexdigest()[:16] \
+            == host_digest
     # the collapsed subset and the delta columns of the reduction
     for (sys_, *_), subset_digest, delta_digest in (
             (cases[3], "ec771c20c882c6d5", "a4ec645407ab09ab"),
@@ -274,6 +291,63 @@ def test_reduction_digests_are_pinned():
 
 
 # -------------------------------------------------- extract linear system
+
+def reference_extract(x, gamma, nondegenerate_only=False):
+    """(A_X, b_gamma) by the plain loop: one dense row per 2-simplex, each
+    face's signed incidence added to its column."""
+    d = gamma.modulus
+    if nondegenerate_only:
+        rows_idx, cols_idx = list(x.nondegenerate(2)), list(x.nondegenerate(1))
+    else:
+        rows_idx, cols_idx = list(x.simplices[2]), list(x.simplices[1])
+    col_pos = {tok: k for k, tok in enumerate(cols_idx)}
+    rows = []
+    for sigma in rows_idx:
+        entries = [0] * len(cols_idx)
+        for i in range(3):
+            k = col_pos.get(x.face(2, i, sigma))
+            if k is not None:
+                entries[k] += (-1) ** i
+        rows.append(entries)
+    return make_system(rows, [-gamma(sigma) for sigma in rows_idx], d,
+                       row_labels=rows_idx, col_labels=cols_idx)
+
+
+def _random_realizable(rng):
+    """A seeded system over Z_2, Z_3, Z_4 or Z_6 that gamma_b realizes."""
+    while True:
+        d = rng.choice((2, 3, 4, 6))
+        r, c = rng.randint(1, 3), rng.randint(1, 3 if d < 4 else 2)
+        rows = [[rng.randrange(d) for _ in range(c)] for _ in range(r)]
+        sys_ = make_system(rows, [rng.randrange(d) for _ in range(r)], d)
+        try:
+            return sys_, gamma_b(sys_, cap=2)
+        except (RowConditionError, CochainError):
+            continue
+
+
+def test_extract_matches_reference_loop():
+    for sys_ in (Z3_FULL, Z6_SHARED):
+        g, q = gamma_b(sys_, cap=2)
+        assert extract_linear_system(q, g) == reference_extract(q, g)
+    rng = random.Random(2215)
+    for _ in range(40):
+        _, (g, q) = _random_realizable(rng)
+        for nondeg in (False, True):
+            assert extract_linear_system(q, g, nondeg) \
+                == reference_extract(q, g, nondeg)
+    # hosts with repeated faces: random reduced cell sets, random cochains
+    for d in (2, 3, 5):
+        x = random_truncated_sset(rng, d, max_nondeg=10)
+        g = cochain(x, 2, d, fn=lambda tok: rng.randrange(d))
+        for nondeg in (False, True):
+            assert extract_linear_system(x, g, nondeg) \
+                == reference_extract(x, g, nondeg)
+    fx = k33_torus_fixture()
+    g = fixture_cochain(fx, {"sigma1": 1, "sigma4": 1}, 2)
+    assert extract_linear_system(fx.space, g, nondegenerate_only=True) \
+        == reference_extract(fx.space, g, nondegenerate_only=True)
+
 
 def test_extract_example_215_displayed_system():
     b1, b2 = 1, 0
