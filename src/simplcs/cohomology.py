@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .groups import CentralExtensionData, GroupCocycle
-from .linsys import LinearSystem, make_system
+from .linsys import LinearSystem
 from .simplicial import (BASEPOINT, SMap, TruncatedSSet, bar_comm_nerve,
-                         complex_of_system, nzd_sigma, quotient_by_subset,
-                         wedge_subset_of_nzd)
+                         bar_nzd_sigma)
 from .zmod import ZModMatrix, howell_form, kernel_basis, solve
 
 
@@ -189,30 +190,29 @@ def tilde_b(system: LinearSystem, func: tuple) -> int:
 def gamma_b(system: LinearSystem, cap: int = 3
             ) -> tuple[Cochain, TruncatedSSet]:
     """The 2-cocycle d(tilde_b) on Nbar(Z_d, Sigma); b_i data lives in the rhs.
-    RowConditionError up front if A or the lift of b breaks a row condition."""
+    RowConditionError up front if A or the lift of b breaks a row condition.
+
+    d(tilde_b) is taken on N(Z_d, Sigma), the quotient's parent, through its
+    three degree-2 face lists, and must vanish on every 2-simplex that the
+    quotient collapses to its basepoint."""
     system.check_row_conditions()
     lift = system.row_lift
     d = system.modulus
-    x = nzd_sigma(complex_of_system(system), d, cap)
-    sub = wedge_subset_of_nzd(system, x)
-    q = quotient_by_subset(x, sub)
-    q.name = f"Nbar(Z_{d},Sigma)"
-
-    def db(two_simplex) -> int:
-        return (lift.get(x.face(2, 0, two_simplex)[0], 0)
-                - lift.get(x.face(2, 1, two_simplex)[0], 0)
-                + lift.get(x.face(2, 2, two_simplex)[0], 0)) % d
-
-    # well-definedness: the coboundary must vanish on every collapsed 2-simplex
-    for tok in sub[2]:
-        if db(tok):
+    q = bar_nzd_sigma(system, cap)
+    x, projection = q.parent, q.projection[2]
+    tilde = [lift.get(tok[0], 0) for tok in x.simplices[1]]
+    db = [(tilde[a] - tilde[b] + tilde[c]) % d
+          for a, b, c in zip(*x.face_pos[2])]
+    base = q.index(2)[BASEPOINT]
+    vals = [0] * q.size(2)
+    for k, (at, v) in enumerate(zip(projection, db)):
+        if at != base:
+            vals[at] = v
+        elif v:
             raise CochainError(
-                f"d(tilde b) nonzero on collapsed simplex {tok!r} "
+                f"d(tilde b) nonzero on collapsed simplex {x.simplices[2][k]!r} "
                 "(row conditions violated)")
-    vals = {}
-    for tok in q.simplices[2]:
-        vals[tok] = 0 if tok == BASEPOINT else db(tok)
-    return Cochain(q, 2, d, vals), q
+    return Cochain(q, 2, d, dict(zip(q.simplices[2], vals))), q
 
 
 def gamma_phi_d(ext: CentralExtensionData, cap: int = 3
@@ -232,30 +232,33 @@ def extract_linear_system(x: TruncatedSSet, gamma: Cochain,
     """(A_X, b_gamma): rows over 2-simplices, columns over 1-simplices.
 
     Entries accumulate signed face incidences (so collapsed boundaries with
-    repeated faces are handled); b_sigma = -gamma(sigma).
+    repeated faces are handled); b_sigma = -gamma(sigma). The incidences
+    are added into one small-int array from x's three degree-2 face lists.
     """
     if gamma.host is not x or gamma.degree != 2:
         raise CochainError("need a degree-2 cochain on the same host")
     d = gamma.modulus
     if nondegenerate_only:
-        rows_idx = list(x.nondegenerate(2))
-        cols_idx = list(x.nondegenerate(1))
+        rows = x.nondegenerate_positions(2)
+        cols = x.nondegenerate_positions(1)
     else:
-        rows_idx = list(x.simplices[2])
-        cols_idx = list(x.simplices[1])
-    col_pos = {tok: k for k, tok in enumerate(cols_idx)}
-    signed_faces = [(x.faces[(2, i)], (-1) ** i) for i in range(3)]
-    rows = []
-    for sigma in rows_idx:
-        entries = [0] * len(cols_idx)
-        for face, sign in signed_faces:
-            k = col_pos.get(face[sigma])
-            if k is not None:
-                entries[k] += sign
-        rows.append(entries)
-    # ZModMatrix and LinearSystem reduce the entries and b mod d
-    rhs = [-gamma(sigma) for sigma in rows_idx]
-    return make_system(rows, rhs, d, row_labels=rows_idx, col_labels=cols_idx)
+        rows, cols = range(x.size(2)), range(x.size(1))
+    # a face that is no column lands in a last, dropped column
+    col_at = np.full(x.size(1), -1, dtype=np.intp)
+    col_at[list(cols)] = np.arange(len(cols))
+    faces = col_at[np.array(x.face_pos[2], dtype=np.intp).reshape(3, -1)]
+    faces = faces[:, list(rows)]
+    # entries lie in [-3, 3] until ZModMatrix reduces them mod d
+    incidence = np.zeros((len(rows), len(cols) + 1),
+                         dtype=np.int8 if d <= 127 else np.int64)
+    every = np.arange(len(rows))
+    for i, sign in enumerate((1, -1, 1)):
+        incidence[every, faces[i]] += sign
+    row_labels = tuple(map(x.simplices[2].__getitem__, rows))
+    col_labels = tuple(map(x.simplices[1].__getitem__, cols))
+    rhs = tuple(-gamma.values[sigma] for sigma in row_labels)
+    return LinearSystem(ZModMatrix(incidence[:, :-1], d, num_cols=len(cols)),
+                        rhs, row_labels, col_labels)
 
 
 # ------------------------------------------------------------ cochain file I/O

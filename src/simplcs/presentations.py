@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -124,13 +124,19 @@ def _solution_group(system: LinearSystem) -> Presentation:
     relators: list[Word] = [word_simplify([(i, d)]) for i in range(len(gens))]
     # commutativity: pairs inside each row support, and J with every e_v
     pairs = {(v, jdx) for v in range(system.num_cols)}
+    # an extracted system repeats many rows: each distinct (row, b) once
+    words: dict = {}
     products = []
-    for row, bval in zip(system.matrix.rows, system.rhs):
-        supp = list(itertools.compress(itertools.count(), row))  # ascending
-        pairs.update(itertools.combinations(supp, 2))
-        # prod e_v^{A_iv} J^{-b_i}
-        products.append(word_simplify([(v, row[v]) for v in supp]
-                                      + [(jdx, -bval)]))
+    for key in zip(system.matrix.rows, system.rhs):
+        word = words.get(key)
+        if word is None:
+            row, bval = key
+            supp = list(itertools.compress(itertools.count(), row))
+            pairs.update(itertools.combinations(supp, 2))   # ascending
+            # prod e_v^{A_iv} J^{-b_i}
+            word = words[key] = word_simplify([(v, row[v]) for v in supp]
+                                              + [(jdx, -bval)])
+        products.append(word)
     relators += [commutator_word(a, b) for a, b in sorted(pairs)]
     return Presentation(tuple(gens), tuple(relators + products), "J")
 
@@ -1138,37 +1144,50 @@ class ReductionMaps:
 
     phi sends e_v to e_{delta^v}; when delta^v is itself a row multiple a*A_i
     (hence collapsed to the basepoint), phi(e_v) is the forced power J^{a b_i}.
+    Both directions act on arrays of solutions, one per row.
     """
 
     system: LinearSystem
     extracted: LinearSystem           # (A_X, b_gamma) over Nbar(Z_d, Sigma)
     delta_cols: dict                  # v -> ("col", index) or ("j", exponent)
+    # exponents[s, v]: s(v) for the function s of extracted column s (all
+    # zero at the basepoint)
+    exponents: np.ndarray = field(compare=False, repr=False)
 
-    def push_solution(self, g: FinGroupJ, t_map: Sequence[int]) -> tuple:
-        """Sol(A,b;G) -> Sol(A_X,b_gamma;G): e_s -> prod e_v^{s(v)}."""
-        out = []
-        for lab in self.extracted.col_labels:
-            if lab == BASEPOINT:
-                out.append(g.identity)
-                continue
-            func = lab[0]
-            acc = g.identity
-            for v, a in enumerate(func):
-                if a:
-                    acc = g.mul(acc, g.power(t_map[v], a))
-            out.append(acc)
-        return tuple(out)
+    def push_solutions(self, g: FinGroupJ, rows: np.ndarray) -> np.ndarray:
+        """Sol(A,b;G) -> Sol(A_X,b_gamma;G): e_s -> prod_v e_v^{s(v)}, v
+        ascending, for every solution row at once: one gather per column v
+        of A covers every extracted column."""
+        table = g.table_array()
+        powers = np.array([g.power_array(e)
+                           for e in range(self.system.modulus)])
+        out = np.full((len(rows), len(self.exponents)), g.identity,
+                      dtype=np.intp)
+        for v, exps in enumerate(self.exponents.T):
+            if exps.any():
+                out = table[out, powers[exps][:, rows[:, v]].T]
+        return out
 
-    def pull_solution(self, t_ext: Sequence[int], g: FinGroupJ) -> tuple:
+    def pull_solutions(self, rows: np.ndarray, g: FinGroupJ) -> np.ndarray:
         """Sol(A_X,b_gamma;G) -> Sol(A,b;G): read off the delta columns."""
-        out = []
+        out = np.empty((len(rows), self.system.num_cols), dtype=np.intp)
         for v in range(self.system.num_cols):
             kind, val = self.delta_cols[v]
-            out.append(t_ext[val] if kind == "col" else g.j_power(val))
-        return tuple(out)
+            out[:, v] = rows[:, val] if kind == "col" else g.j_power(val)
+        return out
 
 
 def reduction_maps(system: LinearSystem, cap: int = 2) -> ReductionMaps:
+    """The reduction maps of system, built once per cap and kept on it (as
+    `solution_group` is), so checking several groups shares one
+    realization."""
+    cached = vars(system).setdefault("_reduction_maps", {})
+    if cap not in cached:
+        cached[cap] = _reduction_maps(system, cap)
+    return cached[cap]
+
+
+def _reduction_maps(system: LinearSystem, cap: int) -> ReductionMaps:
     from .cohomology import extract_linear_system, gamma_b, tilde_b
     gam, q = gamma_b(system, cap=cap)
     extracted = extract_linear_system(q, gam)
@@ -1181,7 +1200,11 @@ def reduction_maps(system: LinearSystem, cap: int = 2) -> ReductionMaps:
         else:
             # delta^v was a row circle: its class is pinned to a J power
             delta_cols[v] = ("j", tilde_b(system, delta))
-    return ReductionMaps(system, extracted, delta_cols)
+    zero = (0,) * system.num_cols
+    exponents = np.array([zero if lab == BASEPOINT else lab[0]
+                          for lab in extracted.col_labels],
+                         dtype=np.intp).reshape(-1, system.num_cols)
+    return ReductionMaps(system, extracted, delta_cols, exponents)
 
 
 def check_reduction_bijection(system: LinearSystem, g: FinGroupJ,
@@ -1190,20 +1213,21 @@ def check_reduction_bijection(system: LinearSystem, g: FinGroupJ,
     """Verify the solution-set bijection along the reduction; returns counts."""
     from .simplicial import is_solution
     maps = maps or reduction_maps(system)
-    sols = solutions(system, g)
+    sols = np.array(solutions(system, g),
+                    dtype=np.intp).reshape(-1, system.num_cols)
     sols_ext = solutions(maps.extracted, g)
-    pushed = [maps.push_solution(g, t) for t in sols]
-    if sorted(pushed) != sols_ext:
+    ext = np.array(sols_ext, dtype=np.intp).reshape(-1, maps.extracted.num_cols)
+    pushed = maps.push_solutions(g, sols)
+    if sorted(map(tuple, pushed.tolist())) != sols_ext:
         raise AssertionError("pushforward is not onto the extracted solutions")
-    for t, p in zip(sols, pushed):
-        if maps.pull_solution(p, g) != t:
-            raise AssertionError("pull after push is not the identity")
-    for s in sols_ext:
-        t = maps.pull_solution(s, g)
+    if not np.array_equal(maps.pull_solutions(pushed, g), sols):
+        raise AssertionError("pull after push is not the identity")
+    pulled = maps.pull_solutions(ext, g)
+    for t in pulled.tolist():
         if not is_solution(t, system, g):
             raise AssertionError("pulled map is not a solution")
-        if maps.push_solution(g, t) != s:
-            raise AssertionError("push after pull is not the identity")
+    if not np.array_equal(maps.push_solutions(g, pulled), ext):
+        raise AssertionError("push after pull is not the identity")
     return len(sols), len(sols_ext)
 
 

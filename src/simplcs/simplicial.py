@@ -9,10 +9,13 @@ dictionaries and the simplicial identities are validated on construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .groups import CentralExtensionData, FinGroupJ, GroupCocycle, GroupTable
 from .linsys import LinearSystem
@@ -72,7 +75,15 @@ def complex_of_system(system: LinearSystem) -> SimplicialComplex:
 # ================================================================ truncated sset
 
 class TruncatedSSet:
-    """Simplicial set up to a dimension cap, with explicit structure maps."""
+    """Simplicial set up to a dimension cap, with explicit structure maps.
+
+    Every map is also held as a list of positions: `face_pos[n][i][k]` is
+    the position in `simplices[n - 1]` of the i-th face of
+    `simplices[n][k]`, and `deg_pos[n][j][k]` the position in
+    `simplices[n + 1]` of its j-th degeneracy. The simplicial identities are
+    checked on those lists. The token dictionaries `faces` and
+    `degeneracies` are kept as given, or built from the lists on first use.
+    """
 
     def __init__(self, cap: int, simplices: dict[int, Sequence],
                  faces: dict[tuple[int, int], dict],
@@ -85,14 +96,59 @@ class TruncatedSSet:
                           tuple(sorted(set(simplices.get(n, ())),
                                        key=_token_key))
                           for n in range(cap + 1)}
-        self.faces = faces
-        self.degeneracies = degeneracies
+        self._faces, self._degeneracies = faces, degeneracies
         self.name = name or "sset"
         self.basepoint = basepoint
         self._nondeg: dict[int, tuple] = {}
+        self._index: dict[int, dict] = {}
         self.validate()
 
+    @classmethod
+    def from_positions(cls, cap: int, simplices: dict[int, Sequence],
+                       face_pos: dict[int, list], deg_pos: dict[int, list],
+                       name: str = "", basepoint=None) -> "TruncatedSSet":
+        """A set given by position lists, laid out as `face_pos` and
+        `deg_pos`; each degree of simplices is distinct and sorted by
+        `_token_key`."""
+        self = cls.__new__(cls)
+        self.cap = cap
+        self.simplices = {n: tuple(simplices[n]) for n in range(cap + 1)}
+        self._faces = self._degeneracies = None
+        self.face_pos, self.deg_pos = face_pos, deg_pos
+        self.name = name or "sset"
+        self.basepoint = basepoint
+        self._nondeg, self._index = {}, {}
+        self.validate()
+        return self
+
     # -- structure maps -----------------------------------------------
+
+    @property
+    def faces(self) -> dict[tuple[int, int], dict]:
+        if self._faces is None:
+            self._faces = self._token_maps(self.face_pos, -1)
+        return self._faces
+
+    @property
+    def degeneracies(self) -> dict[tuple[int, int], dict]:
+        if self._degeneracies is None:
+            self._degeneracies = self._token_maps(self.deg_pos, 1)
+        return self._degeneracies
+
+    def _token_maps(self, pos: dict, step: int) -> dict:
+        out = {}
+        for n, rows in pos.items():
+            toks, image = self.simplices[n], self.simplices[n + step]
+            for i, row in enumerate(rows):
+                out[(n, i)] = dict(zip(toks, map(image.__getitem__, row)))
+        return out
+
+    def index(self, n: int) -> dict:
+        """Degree-n token -> its position in `simplices[n]`."""
+        if n not in self._index:
+            toks = self.simplices[n]
+            self._index[n] = dict(zip(toks, range(len(toks))))
+        return self._index[n]
 
     def face(self, n: int, i: int, tok):
         return self.faces[(n, i)][tok]
@@ -112,10 +168,19 @@ class TruncatedSSet:
                 return True
         return False
 
+    def nondegenerate_positions(self, n: int) -> list[int]:
+        """Positions of the degree-n simplices in the image of no s_j."""
+        degenerate = set()
+        for j in range(n):
+            back = map(self.deg_pos[n - 1][j].__getitem__,
+                       self.face_pos[n][j + 1])
+            degenerate.update(k for k, b in enumerate(back) if b == k)
+        return [k for k in range(self.size(n)) if k not in degenerate]
+
     def nondegenerate(self, n: int) -> tuple:
         if n not in self._nondeg:
-            self._nondeg[n] = tuple(t for t in self.simplices[n]
-                                    if not self.is_degenerate(n, t))
+            self._nondeg[n] = tuple(map(self.simplices[n].__getitem__,
+                                        self.nondegenerate_positions(n)))
         return self._nondeg[n]
 
     def euler_characteristic(self) -> int:
@@ -125,67 +190,60 @@ class TruncatedSSet:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        for n in range(1, self.cap + 1):
-            members = set(self.simplices[n - 1])
+        """Every map total and into the right degree, then every simplicial
+        identity, all on position lists; the first failure is reported in
+        the order of the loops over (kind, degree, simplex, indices)."""
+        if self._faces is not None and self._degeneracies is not None:
+            self.face_pos = self._positions("face", self._faces, -1)
+            self.deg_pos = self._positions("degeneracy", self._degeneracies, 1)
+        else:
+            self._check_ranges()
+        failure = _identity_failure(self.cap, self.simplices, self.face_pos,
+                                    self.deg_pos)
+        if failure is not None:
+            raise SimplicialValidationError(failure)
+
+    def _degrees(self, step: int) -> range:
+        """The degrees with face maps (step -1) or degeneracies (step 1)."""
+        return range(1, self.cap + 1) if step < 0 else range(self.cap)
+
+    def _positions(self, kind: str, maps: dict, step: int) -> dict:
+        """The token maps of one kind as position lists; the first missing
+        map, or simplex without an image among the next degree's, raises."""
+        out = {}
+        for n in self._degrees(step):
+            toks, index = self.simplices[n], self.index(n + step)
+            out[n] = rows = []
             for i in range(n + 1):
-                fmap = self.faces.get((n, i))
-                if fmap is None:
-                    raise SimplicialValidationError(f"missing face map ({n},{i})")
-                for tok in self.simplices[n]:
-                    if tok not in fmap or fmap[tok] not in members:
-                        raise SimplicialValidationError(
-                            f"face ({n},{i}) incomplete at {tok!r}")
-        for n in range(self.cap):
-            members = set(self.simplices[n + 1])
-            for j in range(n + 1):
-                smap = self.degeneracies.get((n, j))
-                if smap is None:
+                m = maps.get((n, i))
+                if m is None:
                     raise SimplicialValidationError(
-                        f"missing degeneracy map ({n},{j})")
-                for tok in self.simplices[n]:
-                    if tok not in smap or smap[tok] not in members:
+                        f"missing {kind} map ({n},{i})")
+                try:
+                    rows.append([index[m[t]] for t in toks])
+                except KeyError:
+                    bad = next(t for t in toks
+                               if t not in m or m[t] not in index)
+                    raise SimplicialValidationError(
+                        f"{kind} ({n},{i}) incomplete at {bad!r}") from None
+        return out
+
+    def _check_ranges(self) -> None:
+        for kind, pos, step in (("face", self.face_pos, -1),
+                                ("degeneracy", self.deg_pos, 1)):
+            for n in self._degrees(step):
+                rows, size = pos.get(n, ()), self.size(n + step)
+                if len(rows) != n + 1 or any(len(r) != self.size(n)
+                                             for r in rows):
+                    raise SimplicialValidationError(
+                        f"missing {kind} maps of degree {n}")
+                for i, row in enumerate(rows):
+                    if row and not 0 <= min(row) <= max(row) < size:
+                        bad = next(k for k, v in enumerate(row)
+                                   if not 0 <= v < size)
                         raise SimplicialValidationError(
-                            f"degeneracy ({n},{j}) incomplete at {tok!r}")
-        # simplicial identities, on the maps bound once per degree
-        face, deg = self.faces, self.degeneracies
-        for n in range(2, self.cap + 1):
-            pairs = [(i, j, face[(n, j)], face[(n - 1, i)], face[(n, i)],
-                      face[(n - 1, j - 1)])
-                     for j in range(n + 1) for i in range(j)]
-            for tok in self.simplices[n]:
-                for i, j, d_j, d_i_low, d_i, d_j1_low in pairs:
-                    if d_i_low[d_j[tok]] != d_j1_low[d_i[tok]]:
-                        raise SimplicialValidationError(
-                            f"d_{i} d_{j} identity fails at {tok!r} (deg {n})")
-        for n in range(self.cap - 1):
-            pairs = [(i, j, deg[(n, j)], deg[(n + 1, i)], deg[(n, i)],
-                      deg[(n + 1, j + 1)])
-                     for j in range(n + 1) for i in range(j + 1)]
-            for tok in self.simplices[n]:
-                for i, j, s_j, s_i_up, s_i, s_j1_up in pairs:
-                    if s_i_up[s_j[tok]] != s_j1_up[s_i[tok]]:
-                        raise SimplicialValidationError(
-                            f"s_{i} s_{j} identity fails at {tok!r}")
-        for n in range(self.cap):
-            # d_i s_j = s_{j-1} d_i (i < j), identity (i = j, j + 1),
-            # s_j d_{i-1} (i > j + 1): the wanted side as outer(inner(tok))
-            checks = []
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    if i < j:
-                        outer, inner = deg[(n - 1, j - 1)], face[(n, i)]
-                    elif i in (j, j + 1):
-                        outer = inner = None
-                    else:
-                        outer, inner = deg[(n - 1, j)], face[(n, i - 1)]
-                    checks.append((i, j, deg[(n, j)], face[(n + 1, i)],
-                                   outer, inner))
-            for tok in self.simplices[n]:
-                for i, j, s_j, d_i, outer, inner in checks:
-                    want = tok if outer is None else outer[inner[tok]]
-                    if d_i[s_j[tok]] != want:
-                        raise SimplicialValidationError(
-                            f"d_{i} s_{j} identity fails at {tok!r}")
+                            f"{kind} ({n},{i}) incomplete at "
+                            f"{self.simplices[n][bad]!r}")
 
     def is_connected(self) -> bool:
         verts = list(self.simplices[0])
@@ -202,6 +260,65 @@ class TruncatedSSet:
             frontier = [w for v in frontier for w in adj[v] if w not in seen]
             seen.update(frontier)
         return len(seen) == len(verts)
+
+
+@functools.cache
+def _identities(cap: int) -> tuple:
+    """Every simplicial identity up to cap, as (block, message, left,
+    right): the block is (kind, degree), and each side an (outer, inner)
+    pair of maps ("d" | "s", degree, index), or None for the identity map,
+    applied to the block's simplices. The order is that of the loops over
+    (kind, degree, simplex, indices) whose first failure `validate`
+    reports: within a block the simplex comes first."""
+    out = []
+    for n in range(2, cap + 1):
+        out += [(("dd", n), f"d_{i} d_{j} identity fails at {{}} (deg {n})",
+                 (("d", n - 1, i), ("d", n, j)),
+                 (("d", n - 1, j - 1), ("d", n, i)))
+                for j in range(n + 1) for i in range(j)]
+    for n in range(cap - 1):
+        out += [(("ss", n), f"s_{i} s_{j} identity fails at {{}}",
+                 (("s", n + 1, i), ("s", n, j)),
+                 (("s", n + 1, j + 1), ("s", n, i)))
+                for j in range(n + 1) for i in range(j + 1)]
+    for n in range(cap):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i < j:
+                    want = (("s", n - 1, j - 1), ("d", n, i))
+                elif i in (j, j + 1):
+                    want = None
+                else:
+                    want = (("s", n - 1, j), ("d", n, i - 1))
+                out.append((("ds", n), f"d_{i} s_{j} identity fails at {{}}",
+                            (("d", n + 1, i), ("s", n, j)), want))
+    return tuple(out)
+
+
+def _identity_failure(cap: int, simplices: dict, face_pos: dict,
+                      deg_pos: dict) -> Optional[str]:
+    """The first failing simplicial identity's message, or None. Each side
+    of an identity is composed over a whole degree by list gathers."""
+    maps = {"d": face_pos, "s": deg_pos}
+
+    def compose(side, size: int) -> list[int]:
+        if side is None:
+            return list(range(size))
+        (ko, no, io), (ki, ni, ii) = side
+        return list(map(maps[ko][no][io].__getitem__, maps[ki][ni][ii]))
+
+    for (_, n), idents in itertools.groupby(_identities(cap),
+                                            key=lambda e: e[0]):
+        size = len(simplices[n])
+        first = None        # (simplex, identity order, message)
+        for order, (_, msg, left, right) in enumerate(idents):
+            a, b = compose(left, size), compose(right, size)
+            if a != b:
+                k = next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
+                first = min(first or (k, order, msg), (k, order, msg))
+        if first is not None:
+            return first[2].format(repr(simplices[n][first[0]]))
+    return None
 
 
 def build_sset(cap: int, degrees: dict[int, Sequence],
@@ -340,40 +457,82 @@ def comm_nerve(g: FinGroupJ, d: Optional[int] = None, cap: int = 3) -> Truncated
 
 
 def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
-    """N(Z_d, Sigma): tuples of Z_d-valued functions with joint support in Sigma."""
+    """N(Z_d, Sigma): tuples of Z_d-valued functions with joint support in Sigma.
+
+    Built on integer codes: a function's code is its place among the
+    degree-1 tokens (by `_token_key`), and an n-simplex's key is its codes
+    read as a base-F number (F functions). Simplices are generated in
+    lexicographic order of their codes, which is the order of their
+    tokens, from each support's list of the functions that keep the joint
+    support in Sigma. Faces and degeneracies are found by key arithmetic
+    and one position table per degree; the sum of two functions, for the
+    inner faces, by the functions' base-d values in one array pass."""
     nv = sigma.num_vertices
-    simplices = sigma.simplices()
+    in_sigma = {sum(1 << v for v in simp) for simp in sigma.simplices()}
     funcs = []
-    for simp in simplices:
+    for simp in sigma.simplices():
         members = sorted(simp)
         for vals in itertools.product(range(1, d), repeat=len(members)):
             f = [0] * nv
             for v, a in zip(members, vals):
                 f[v] = a
             funcs.append(tuple(f))
-    funcs = sorted(set(funcs))
-    zero = tuple([0] * nv)
-    supports = [(f, frozenset(itertools.compress(itertools.count(), f)))
-                for f in funcs]
+    funcs.sort(key=_token_key)
+    nf = len(funcs)
+    supports = [sum(1 << v for v, a in enumerate(f) if a) for f in funcs]
+    # per support in Sigma: (code, joint support) of each compatible function
+    joins = {m: [(f, m | s) for f, s in enumerate(supports)
+                 if m | s in in_sigma] for m in in_sigma}
 
-    in_sigma = set(simplices)
-    degrees: dict[int, list] = {0: [()]}
-    # grow tuples tracking the union support
-    level: list[tuple[tuple, frozenset]] = [((), frozenset())]
+    tokens, keys, faces_last = {0: [()]}, {0: [0]}, {}
+    level = [((), 0, 0)]                # (token, key, support)
     for n in range(1, cap + 1):
-        nxt = []
-        for t, supp in level:
-            for f, f_supp in supports:
-                u = supp | f_supp
-                if u in in_sigma:
-                    nxt.append((t + (f,), u))
-        level = nxt
-        degrees[n] = [t for t, _ in level]
+        # the parent of a new simplex is its last face
+        faces_last[n] = [p for p, (_, _, m) in enumerate(level)
+                         for _ in joins.get(m, ())]
+        level = [(t + (funcs[f],), key * nf + f, u)
+                 for t, key, m in level for f, u in joins.get(m, ())]
+        tokens[n] = [t for t, _, _ in level]
+        keys[n] = [key for _, key, _ in level]
+    position = {n: dict(zip(k, range(len(k)))) for n, k in keys.items()}
+    power = [nf ** k for k in range(cap + 2)]
+    sums = _sum_codes(funcs, nv, keys[2], d) if cap >= 2 else []
 
-    def mul(a, b):
-        return tuple((x + y) % d for x, y in zip(a, b))
+    face_pos, deg_pos = {}, {}
+    for n in range(1, cap + 1):
+        # d_0 drops the first code, d_n the last, d_i adds codes i - 1, i
+        pos, pairs = position[n - 1], position.get(2)
+        rows = [[pos[k % power[n - 1]] for k in keys[n]]]
+        for i in range(1, n):
+            low, high = power[n - i - 1], power[n - i + 1]
+            rows.append([pos[(k // high * nf + sums[pairs[k // low % power[2]]])
+                             * low + k % low] for k in keys[n]])
+        face_pos[n] = rows + [faces_last[n]]
+    for n in range(cap):
+        # s_j puts the code 0 of the zero function at place j; with no
+        # simplex in Sigma there is none, and validation reports it
+        pos = position[n + 1]
+        deg_pos[n] = [[pos.get(k // power[n - j] * power[n - j + 1]
+                               + k % power[n - j], -1) for k in keys[n]]
+                      for j in range(n + 1)]
+    return TruncatedSSet.from_positions(cap, tokens, face_pos, deg_pos,
+                                        name=f"N(Z_{d},Sigma)", basepoint=())
 
-    return _nerve_sset(cap, degrees, mul, zero, f"N(Z_{d},Sigma)")
+
+def _sum_codes(funcs: list[tuple], nv: int, pair_keys: list[int],
+               d: int) -> list[int]:
+    """For each key f * F + g of a pair of codes (F = len(funcs)), the code
+    of the function funcs[f] + funcs[g] mod d, found by base-d value."""
+    nf = len(funcs)
+    exact = object if d ** nv >= 2 ** 63 or nf ** 2 >= 2 ** 63 else np.int64
+    weights = np.array([d ** (nv - 1 - v) for v in range(nv)], dtype=exact)
+    vecs = np.array(funcs, dtype=np.int64).reshape(nf, nv)
+    values = vecs @ weights
+    by_value = np.argsort(values, kind="stable")
+    pairs = np.array(pair_keys, dtype=exact)
+    f, g = (pairs // nf).astype(np.intp), (pairs % nf).astype(np.intp)
+    found = np.searchsorted(values[by_value], (vecs[f] + vecs[g]) % d @ weights)
+    return by_value[found].tolist()
 
 
 # ================================================== wedge, alpha, beta, iota
@@ -455,44 +614,67 @@ def iota_map(d: int, g: FinGroupJ, cap: int = 3,
 
 def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
                        ) -> TruncatedSSet:
-    """Collapse a simplicial subset to a basepoint (one per degree)."""
-    sub = {n: set(subset.get(n, ())) for n in range(x.cap + 1)}
-    for n in range(x.cap + 1):
-        for tok in sub[n] - set(x.simplices[n]):
-            raise SimplicialValidationError(
-                    f"subset member {tok!r} not a degree-{n} simplex")
-    for n in range(1, x.cap + 1):
-        for tok in sub[n]:
-            for i in range(n + 1):
-                if x.face(n, i, tok) not in sub[n - 1]:
-                    raise SimplicialValidationError(
-                        "subset not closed under face maps")
-    for n in range(x.cap):
-        for tok in sub[n]:
-            for j in range(n + 1):
-                if x.degeneracy(n, j, tok) not in sub[n + 1]:
-                    raise SimplicialValidationError(
-                        "subset not closed under degeneracy maps")
+    """Collapse a simplicial subset to a basepoint (one per degree).
 
-    degrees = {n: [BASEPOINT] + [t for t in x.simplices[n] if t not in sub[n]]
-               for n in range(x.cap + 1)}
+    Works on x's position lists. The quotient keeps the map it came from:
+    `parent` is x and `projection[n][k]` the position in the quotient of
+    x's k-th degree-n simplex."""
+    inside = {}
+    for n in range(x.cap + 1):
+        index = x.index(n)
+        inside[n] = set()
+        for tok in subset.get(n, ()):
+            if tok not in index:
+                raise SimplicialValidationError(
+                    f"subset member {tok!r} not a degree-{n} simplex")
+            inside[n].add(index[tok])
+    for n in range(1, x.cap + 1):
+        if any(row[k] not in inside[n - 1]
+               for row in x.face_pos[n] for k in inside[n]):
+            raise SimplicialValidationError("subset not closed under face maps")
+    for n in range(x.cap):
+        if any(row[k] not in inside[n + 1]
+               for row in x.deg_pos[n] for k in inside[n]):
+            raise SimplicialValidationError(
+                "subset not closed under degeneracy maps")
+
     # the kept simplices are a subsequence of x's sorted degrees, so they
-    # stay sorted; BASEPOINT then sorts first if its key is below theirs
+    # stay sorted; BASEPOINT then sorts first if its key is below theirs,
+    # and otherwise that degree is sorted again
     first = _token_key(BASEPOINT)
-    ordered = all(len(deg) == 1 or first < _token_key(deg[1])
-                  for deg in degrees.values())
-    faces = {(n, i): {BASEPOINT: BASEPOINT,
-                      **{t: BASEPOINT if v in sub[n - 1] else v
-                         for t, v in x.faces[(n, i)].items() if t not in sub[n]}}
-             for n in range(1, x.cap + 1) for i in range(n + 1)}
-    # no value needs collapsing: s_j t in the subset puts t = d_j s_j t there
-    degeneracies = {(n, j): {BASEPOINT: BASEPOINT,
-                             **{t: v for t, v in x.degeneracies[(n, j)].items()
-                                if t not in sub[n]}}
-                    for n in range(x.cap) for j in range(n + 1)}
-    return TruncatedSSet(x.cap, degrees, faces, degeneracies,
-                         name=f"{x.name}/subset", basepoint=BASEPOINT,
-                         ordered=ordered)
+    degrees, kept, order, base, projection = {}, {}, {}, {}, {}
+    for n in range(x.cap + 1):
+        kept[n] = [k for k in range(x.size(n)) if k not in inside[n]]
+        toks = [BASEPOINT, *map(x.simplices[n].__getitem__, kept[n])]
+        order[n] = list(range(len(toks)))
+        if len(toks) > 1 and not first < _token_key(toks[1]):
+            order[n].sort(key=lambda k: _token_key(toks[k]))
+        rank = [0] * len(toks)
+        for r, k in enumerate(order[n]):
+            rank[k] = r
+        degrees[n] = [toks[k] for k in order[n]]
+        base[n] = rank[0]
+        projection[n] = [base[n]] * x.size(n)
+        for k, r in zip(kept[n], rank[1:]):
+            projection[n][k] = r
+
+    def collapse(pos: dict, step: int) -> dict:
+        """x's maps on the kept simplices, through the projection, with the
+        basepoint sent to the basepoint, in the quotient's order."""
+        out = {}
+        for n, rows in pos.items():
+            image = projection[n + step]
+            out[n] = []
+            for row in rows:
+                listed = [base[n + step], *(image[row[k]] for k in kept[n])]
+                out[n].append(list(map(listed.__getitem__, order[n])))
+        return out
+
+    q = TruncatedSSet.from_positions(
+        x.cap, degrees, collapse(x.face_pos, -1), collapse(x.deg_pos, 1),
+        name=f"{x.name}/subset", basepoint=BASEPOINT)
+    q.parent, q.projection = x, projection
+    return q
 
 
 def wedge_subset_of_nzd(system: LinearSystem, x: TruncatedSSet

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
+import numpy as np
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
@@ -48,11 +50,15 @@ def stab_unit(a: int, n: int) -> int:
 class ZModMatrix:
     """Immutable matrix over Z_d stored as reduced integer tuples."""
 
-    def __init__(self, rows: Sequence[Sequence[int]], modulus: int,
-                 num_cols: Optional[int] = None):
+    def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray,
+                 modulus: int, num_cols: Optional[int] = None):
+        """rows may be an integer array, reduced mod modulus in one step."""
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        rows = [tuple([e % modulus for e in map(int, r)]) for r in rows]
+        if isinstance(rows, np.ndarray):
+            rows = list(map(tuple, np.mod(rows, modulus).tolist()))
+        else:
+            rows = [tuple([e % modulus for e in map(int, r)]) for r in rows]
         if rows:
             widths = {len(r) for r in rows}
             if len(widths) != 1:
