@@ -66,6 +66,13 @@ def _emit(report: dict, as_json: bool) -> None:
     render(report)
 
 
+def _at_least(value: int, option: str, low: int) -> int:
+    """value, unless it is below low: an input error naming the option."""
+    if value < low:
+        raise InputError(f"{option} must be at least {low}, got {value}")
+    return value
+
+
 def _load_system(path: str) -> linsys.LinearSystem:
     try:
         with open(path) as fh:
@@ -82,6 +89,7 @@ def _load_system(path: str) -> linsys.LinearSystem:
 # ------------------------------------------------------------------ commands
 
 def cmd_solve(args) -> int:
+    max_witnesses = _at_least(args.max_witnesses, "--max-witnesses", 0)
     sys_ = _load_system(args.system)
     try:
         g = build_group(args.group)
@@ -97,7 +105,7 @@ def cmd_solve(args) -> int:
                    "group": g.name, "d": sys_.modulus},
         "results": {
             "solution_count": len(sols),
-            "witnesses": [list(t) for t in sols[:args.max_witnesses]],
+            "witnesses": [list(t) for t in sols[:max_witnesses]],
         },
     }
     _emit(report, args.json)
@@ -105,10 +113,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_solgroup(args) -> int:
+    cap = _at_least(args.todd_coxeter_cap, "--todd-coxeter-cap", 1)
     sys_ = _load_system(args.system)
     pres = presentations.solution_group(sys_)
     torsion, rank = presentations.abelianization(pres)
-    table = presentations.todd_coxeter(pres, max_cosets=args.todd_coxeter_cap)
+    table = presentations.todd_coxeter(pres, max_cosets=cap)
     results = {
         "generators": list(pres.gens),
         "relator_count": len(pres.relators),
@@ -133,9 +142,7 @@ def cmd_solgroup(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    d = args.d
-    if d < 2:
-        raise InputError(f"--d must be at least 2, got {d}")
+    d = _at_least(args.d, "--d", 2)
     cap = max(args.cap, 2)
     if args.builtin:
         want = {"two-vertex": 2, "k33": len(simplicial.K33_TRIANGLES)}

@@ -547,6 +547,11 @@ def _build_presolve(host: TruncatedSSet, d: int,
                      basis_den, tuple(dependent))
 
 
+# Pivots priced by Dantzig's rule, per row plus 2, before Bland's rule
+# takes over: Dantzig first, and Bland guarantees termination.
+BLAND_AFTER = 20
+
+
 def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
                     ) -> tuple[Optional[list[Fraction]],
                                Optional[list[Fraction]]]:
@@ -590,7 +595,7 @@ def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
     den = 1
 
     iterations = 0
-    bland_after = 20 * (m + 2)  # Dantzig first; Bland guarantees termination
+    bland_after = BLAND_AFTER * (m + 2)
     while True:
         iterations += 1
         z = tab[m, :total]

@@ -8,8 +8,9 @@ _spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "instances_per_s", "better": "higher"},
-           {"name": "instance_p50_s", "better": "lower"}]
+# shaped like BENCHMARK.json's end_to_end entries
+METRICS = [{"name": "instances_per_s", "better": "higher", "bound": 0.25},
+           {"name": "instance_p50_s", "better": "lower", "bound": 0.25}]
 
 
 def fake_run(ips, p50, attempted=10, failed=0):
@@ -49,6 +50,51 @@ def test_summary_reproduces_a_recorded_bench_file():
             == workload["summary"]
 
 
+def _pairs(parent_runs, change_runs):
+    return [{"seed": k, "first": "parent", "parent": fake_run(*parent),
+             "change": fake_run(*change)}
+            for k, (parent, change) in enumerate(zip(parent_runs, change_runs))]
+
+
+def _verdicts(pairs):
+    summary = bench_pairs.summarize(pairs, METRICS)
+    return {spec["name"]: bench_pairs.verdict(pairs, spec,
+                                              summary[spec["name"]])
+            for spec in METRICS}
+
+
+def test_verdicts_of_fixed_runs():
+    narrow = [(10.0, 0.100), (10.2, 0.102), (9.8, 0.098), (10.1, 0.101),
+              (9.9, 0.099)]
+    # throughput up by half in every pair; p50 worse by 10%, inside 25%
+    got = _verdicts(_pairs(narrow, [(15 + k / 10, 0.11) for k in range(5)]))
+    assert got == {
+        "instances_per_s": {"bound": 0.25, "relative_change": 0.52,
+                            "verdict": "better"},
+        "instance_p50_s": {"bound": 0.25, "relative_change": -0.1,
+                           "verdict": "within_bound"}}
+    # throughput down by 30%, beyond the bound; p50 better in 4 of 5 pairs
+    # only, so not a resolved gain
+    got = _verdicts(_pairs(narrow, [(7.0, 0.09), (7.0, 0.09), (7.0, 0.09),
+                                    (7.0, 0.09), (7.0, 0.2)]))
+    assert got["instances_per_s"] == {"bound": 0.25, "relative_change": -0.3,
+                                      "verdict": "worse"}
+    assert got["instance_p50_s"]["verdict"] == "within_bound"
+    # the parent's runs spread wider than the bound: a 30% drop cannot be
+    # told apart from noise, unless every change run beats every parent run
+    wide = [(6.0, 0.06), (10.0, 0.10), (14.0, 0.14), (8.0, 0.08),
+            (12.0, 0.12)]
+    got = _verdicts(_pairs(wide, [(7.0, 0.07)] * 5))
+    assert got["instances_per_s"] == {"bound": 0.25, "relative_change": -0.3,
+                                      "verdict": "unresolved"}
+    got = _verdicts(_pairs(wide, [(30.0, 0.01)] * 5))
+    assert got == {
+        "instances_per_s": {"bound": 0.25, "relative_change": 2.0,
+                            "verdict": "better"},
+        "instance_p50_s": {"bound": 0.25, "relative_change": 0.9,
+                           "verdict": "better"}}
+
+
 def test_runs_block(tmp_path):
     # the change stops at a 300-instance corpus in every run; one parent
     # run fails two instances
@@ -66,6 +112,8 @@ def test_runs_block(tmp_path):
                    "attempted_max": 300, "all_correct": True, "failed": 0},
     }
     assert written["summary"] == bench_pairs.summarize(pairs, METRICS)
+    # the verdicts sit beside the summary
+    assert written["verdicts"] == _verdicts(pairs)
 
 
 def test_benchmark_digests(tmp_path):

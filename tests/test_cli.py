@@ -110,6 +110,32 @@ def test_solgroup_inconclusive_exit_code(tmp_path, capsys):
     assert rep["results"]["todd_coxeter"] == "inconclusive"
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_solgroup_cap_below_one_is_input_error(k33_file, capsys, cap):
+    # exit 2 means only "inconclusive": a cap no table fits in is bad input
+    assert main(["solgroup", k33_file, "--todd-coxeter-cap", cap]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--todd-coxeter-cap must be at least 1, got {cap}" in captured.err
+
+
+def test_solve_negative_max_witnesses_is_input_error(tmp_path, capsys):
+    path = tmp_path / "tv.lcs"
+    path.write_text("2 2 2\n1 1\n1 0\n1 0\n")
+    # the two-vertex system has one solution in D_8, and 0 witnesses is a
+    # valid request for none of it
+    assert main(["solve", str(path), "--group", "dihedral:8",
+                 "--max-witnesses", "0", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["results"]
+    assert report == {"solution_count": 1, "witnesses": []}
+    # -1 used to slice off the last witness and exit 0
+    assert main(["solve", str(path), "--group", "dihedral:8",
+                 "--max-witnesses", "-1", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-witnesses must be at least 0, got -1" in captured.err
+
+
 def test_solgroup_zero_column_is_finite(tmp_path, capsys):
     # J is central, so a column in no row gives a Z_2 factor, not Z_2 * Z_2
     path = tmp_path / "zero_col.lcs"

@@ -9,6 +9,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+from simplcs import contextuality
 from simplcs.contextuality import (DistributionError, INT64_EXACT, PAULI_X,
                                    PAULI_Z, DeterministicDist, RationalDist,
                                    SimplicialDistribution, Verdict,
@@ -653,7 +654,7 @@ def reference_phase1_simplex(a_rows, c):
     den = 1
 
     iterations = 0
-    bland_after = 20 * (m + 2)
+    bland_after = contextuality.BLAND_AFTER * (m + 2)
     while True:
         iterations += 1
         if iterations > bland_after:
@@ -707,6 +708,30 @@ def reference_phase1_simplex(a_rows, c):
         return x, None
     y = [(Fraction(zrow[n + i], den) + 1) * sign[i] for i in range(m)]
     return None, y
+
+
+def test_phase1_simplex_bland_branch_matches_the_reference(monkeypatch):
+    # no test LP needs 20 (m + 2) Dantzig pivots, so Bland's rule is made to
+    # price from the first pivot, in the tableau and the reference alike
+    rng = random.Random(20231)
+    lps = [_random_lp(rng) for _ in range(400)]
+    dantzig = [_phase1_simplex(*lp) for lp in lps]
+    monkeypatch.setattr(contextuality, "BLAND_AFTER", 0)
+    moved = 0
+    for (a_rows, c), before in zip(lps, dantzig):
+        x, y = _phase1_simplex(a_rows, c)
+        assert (x, y) == reference_phase1_simplex(a_rows, c)
+        moved += (x, y) != before
+        if x is not None:
+            assert all(v >= 0 for v in x)
+            assert all(sum(a * v for a, v in zip(row, x)) == rhs
+                       for row, rhs in zip(a_rows, c))
+        else:
+            assert all(sum(yi * row[j] for yi, row in zip(y, a_rows)) <= 0
+                       for j in range(len(a_rows[0])))
+            assert sum(yi * ci for yi, ci in zip(y, c)) > 0
+    # Bland's pivots lead some LPs to another vertex or certificate
+    assert moved > 0
 
 
 def _wide_lps(rng):

@@ -17,9 +17,12 @@ session keeps what it measured. The summary gives, per end-to-end metric of
 BENCHMARK.json, each side's median and inclusive quartiles and the number
 of pairs the change won (ties count for neither side); per workload, the
 `runs` block gives each side's range of instances attempted, whether every
-run was correct, and the total failed. The `benchmark` block gives, per
-side, the sha256 of its BENCHMARK.json and of each `perfbench/*.py`, so a
-reader can see that both sides ran the same benchmark.
+run was correct, and the total failed. The `verdicts` block gives, per
+end-to-end metric, its BENCHMARK.json bound, the relative change of the
+medians (positive when the change is better) and a verdict, as `verdict`
+defines it. The `benchmark` block gives, per side, the sha256 of its
+BENCHMARK.json and of each `perfbench/*.py`, so a reader can see that both
+sides ran the same benchmark.
 """
 
 from __future__ import annotations
@@ -82,6 +85,41 @@ def summarize(pairs: list, metrics: list) -> dict:
     return out
 
 
+def verdict(pairs: list, spec: dict, entry: dict) -> dict:
+    """The bound, the relative change of the medians signed so that
+    positive is better, and one of:
+
+    - unresolved: the parent's interquartile spread, relative to its
+      median, is wider than the bound, and not every change run beats
+      every parent run, so a regression within the spread cannot be told;
+    - worse: the change's median is worse than the parent's by more than
+      the bound;
+    - better: the change won at least 9 in 10 pairs and its median is
+      better by more than the parent's interquartile spread;
+    - within_bound: none of these.
+
+    `entry` is the metric's `summarize` entry for the same pairs."""
+    name, bound = spec["name"], spec["bound"]
+    sign = 1 if spec["better"] == "higher" else -1
+    parent, change = entry["parent_median"], entry["change_median"]
+    spread = entry["parent_q3"] - entry["parent_q1"]
+    gain = sign * (change - parent)
+    apart = min(sign * pair["change"][name] for pair in pairs) > max(
+        sign * pair["parent"][name] for pair in pairs)
+    if spread > bound * abs(parent) and not apart:
+        word = "unresolved"
+    elif gain < -bound * abs(parent):
+        word = "worse"
+    elif 10 * entry["change_better_pairs"] >= 9 * len(pairs) \
+            and gain > spread:
+        word = "better"
+    else:
+        word = "within_bound"
+    return {"bound": bound,
+            "relative_change": round(gain / parent, DIGITS) if parent else None,
+            "verdict": word}
+
+
 def runs(pairs: list) -> dict:
     """Per side, over the pairs: the min, median and max of the instances
     attempted in a run, whether every run was correct, and the total
@@ -140,10 +178,17 @@ def main(argv=None) -> int:
 
 def write(path: Path, description: str, pairs: dict, metrics: list,
           benchmark: dict | None = None) -> None:
+    workloads = {}
+    for w, ps in pairs.items():
+        if ps:
+            summary = summarize(ps, metrics)
+            workloads[w] = {
+                "pairs": ps, "summary": summary, "runs": runs(ps),
+                "verdicts": {spec["name"]: verdict(ps, spec,
+                                                   summary[spec["name"]])
+                             for spec in metrics}}
     body = {"description": description, "benchmark": benchmark or {},
-            "workloads": {w: {"pairs": ps, "summary": summarize(ps, metrics),
-                              "runs": runs(ps)}
-                          for w, ps in pairs.items() if ps}}
+            "workloads": workloads}
     path.write_text(json.dumps(body, indent=1) + "\n")
 
 
