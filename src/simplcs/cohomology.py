@@ -238,16 +238,15 @@ def extract_linear_system(x: TruncatedSSet, gamma: Cochain,
     if gamma.host is not x or gamma.degree != 2:
         raise CochainError("need a degree-2 cochain on the same host")
     d = gamma.modulus
+    faces = np.array(x.face_pos[2], dtype=np.intp).reshape(3, -1)
+    rows, cols = range(x.size(2)), range(x.size(1))
     if nondegenerate_only:
         rows = x.nondegenerate_positions(2)
         cols = x.nondegenerate_positions(1)
-    else:
-        rows, cols = range(x.size(2)), range(x.size(1))
-    # a face that is no column lands in a last, dropped column
-    col_at = np.full(x.size(1), -1, dtype=np.intp)
-    col_at[list(cols)] = np.arange(len(cols))
-    faces = col_at[np.array(x.face_pos[2], dtype=np.intp).reshape(3, -1)]
-    faces = faces[:, list(rows)]
+        # a face that is no column lands in a last, dropped column
+        col_at = np.full(x.size(1), -1, dtype=np.intp)
+        col_at[cols] = np.arange(len(cols))
+        faces = col_at[faces[:, rows]]
     # entries lie in [-3, 3] until ZModMatrix reduces them mod d
     incidence = np.zeros((len(rows), len(cols) + 1),
                          dtype=np.int8 if d <= 127 else np.int64)

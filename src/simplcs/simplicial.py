@@ -233,12 +233,15 @@ class TruncatedSSet:
                                 ("degeneracy", self.deg_pos, 1)):
             for n in self._degrees(step):
                 rows, size = pos.get(n, ()), self.size(n + step)
-                if len(rows) != n + 1 or any(len(r) != self.size(n)
-                                             for r in rows):
+                if len(rows) != n + 1:
                     raise SimplicialValidationError(
                         f"missing {kind} maps of degree {n}")
                 for i, row in enumerate(rows):
-                    if row and not 0 <= min(row) <= max(row) < size:
+                    if len(row) != self.size(n):
+                        raise SimplicialValidationError(
+                            f"{kind} ({n},{i}) has {len(row)} entries for "
+                            f"{self.size(n)} simplices")
+                    if row and (min(row) < 0 or max(row) >= size):
                         bad = next(k for k, v in enumerate(row)
                                    if not 0 <= v < size)
                         raise SimplicialValidationError(
@@ -299,20 +302,17 @@ def _identity_failure(cap: int, simplices: dict, face_pos: dict,
                       deg_pos: dict) -> Optional[str]:
     """The first failing simplicial identity's message, or None. Each side
     of an identity is composed over a whole degree by list gathers."""
-    maps = {"d": face_pos, "s": deg_pos}
-
-    def compose(side, size: int) -> list[int]:
-        if side is None:
-            return list(range(size))
-        (ko, no, io), (ki, ni, ii) = side
-        return list(map(maps[ko][no][io].__getitem__, maps[ki][ni][ii]))
+    def row(kind: str, n: int, i: int) -> list[int]:
+        return (face_pos if kind == "d" else deg_pos)[n][i]
 
     for (_, n), idents in itertools.groupby(_identities(cap),
                                             key=lambda e: e[0]):
-        size = len(simplices[n])
+        here = list(range(len(simplices[n])))
         first = None        # (simplex, identity order, message)
         for order, (_, msg, left, right) in enumerate(idents):
-            a, b = compose(left, size), compose(right, size)
+            a, b = [here if side is None else
+                    list(map(row(*side[0]).__getitem__, row(*side[1])))
+                    for side in (left, right)]
             if a != b:
                 k = next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
                 first = min(first or (k, order, msg), (k, order, msg))
@@ -468,9 +468,10 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
     and one position table per degree; the sum of two functions, for the
     inner faces, by the functions' base-d values in one array pass."""
     nv = sigma.num_vertices
-    in_sigma = {sum(1 << v for v in simp) for simp in sigma.simplices()}
+    simplices = sigma.simplices()
+    in_sigma = {sum(1 << v for v in simp) for simp in simplices}
     funcs = []
-    for simp in sigma.simplices():
+    for simp in simplices:
         members = sorted(simp)
         for vals in itertools.product(range(1, d), repeat=len(members)):
             f = [0] * nv
@@ -629,12 +630,12 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
                     f"subset member {tok!r} not a degree-{n} simplex")
             inside[n].add(index[tok])
     for n in range(1, x.cap + 1):
-        if any(row[k] not in inside[n - 1]
-               for row in x.face_pos[n] for k in inside[n]):
+        if not {row[k] for row in x.face_pos[n]
+                for k in inside[n]} <= inside[n - 1]:
             raise SimplicialValidationError("subset not closed under face maps")
     for n in range(x.cap):
-        if any(row[k] not in inside[n + 1]
-               for row in x.deg_pos[n] for k in inside[n]):
+        if not {row[k] for row in x.deg_pos[n]
+                for k in inside[n]} <= inside[n + 1]:
             raise SimplicialValidationError(
                 "subset not closed under degeneracy maps")
 
