@@ -3,8 +3,10 @@ linear systems, quotients, twisted products, and the simplicial maps between
 them.
 
 Simplex universes are materialized eagerly per degree (desk scale throughout)
-as hashable tokens; face and degeneracy maps are stored as per-(degree, index)
-dictionaries and the simplicial identities are validated on construction.
+as hashable tokens, sorted by their repr. Face and degeneracy maps are held
+as per-(degree, index) lists of positions in the next degree's universe, with
+token dictionaries built from them when asked for, and the simplicial
+identities are validated on those lists on construction.
 """
 
 from __future__ import annotations
@@ -161,12 +163,9 @@ class TruncatedSSet:
 
     def is_degenerate(self, n: int, tok) -> bool:
         # tok in im(s_j) iff s_j(d_{j+1} tok) == tok
-        if n == 0:
-            return False
-        for j in range(n):
-            if self.degeneracy(n - 1, j, self.face(n, j + 1, tok)) == tok:
-                return True
-        return False
+        k = self.index(n)[tok]
+        return any(self.deg_pos[n - 1][j][self.face_pos[n][j + 1][k]] == k
+                   for j in range(n))
 
     def nondegenerate_positions(self, n: int) -> list[int]:
         """Positions of the degree-n simplices in the image of no s_j."""
@@ -523,17 +522,17 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
 def _sum_codes(funcs: list[tuple], nv: int, pair_keys: list[int],
                d: int) -> list[int]:
     """For each key f * F + g of a pair of codes (F = len(funcs)), the code
-    of the function funcs[f] + funcs[g] mod d, found by base-d value."""
+    of the function funcs[f] + funcs[g] mod d, found by its base-d value
+    (Python ints where int64 could overflow)."""
     nf = len(funcs)
     exact = object if d ** nv >= 2 ** 63 or nf ** 2 >= 2 ** 63 else np.int64
     weights = np.array([d ** (nv - 1 - v) for v in range(nv)], dtype=exact)
     vecs = np.array(funcs, dtype=np.int64).reshape(nf, nv)
-    values = vecs @ weights
-    by_value = np.argsort(values, kind="stable")
+    code = {value: c for c, value in enumerate((vecs @ weights).tolist())}
     pairs = np.array(pair_keys, dtype=exact)
     f, g = (pairs // nf).astype(np.intp), (pairs % nf).astype(np.intp)
-    found = np.searchsorted(values[by_value], (vecs[f] + vecs[g]) % d @ weights)
-    return by_value[found].tolist()
+    return list(map(code.__getitem__,
+                    ((vecs[f] + vecs[g]) % d @ weights).tolist()))
 
 
 # ================================================== wedge, alpha, beta, iota

@@ -230,6 +230,15 @@ def test_gamma_b_example_215_block_array():
         assert g(((1, 1), (1, 0))) == (b1 + b2) % 2
 
 
+def test_gamma_b_checks_the_collapsed_simplices():
+    # a lift that is not a*b_i on the row circle {a (1, 1)} has a nonzero
+    # coboundary on the collapsed 2-simplex ((1, 1), (1, 1))
+    sys_ = two_vertex_system((1, 2), d=3)
+    vars(sys_)["row_lift"] = {**sys_.row_lift, (2, 2): 0}
+    with pytest.raises(CochainError, match="collapsed simplex"):
+        gamma_b(sys_, cap=2)
+
+
 def test_gamma_b_zero_b_is_zero():
     g, q = gamma_b(two_vertex_system((0, 0)), cap=2)
     assert g.is_zero()
