@@ -131,8 +131,8 @@ def _solution_group(system: LinearSystem) -> Presentation:
         word = words.get(key)
         if word is None:
             row, bval = key
-            supp = list(itertools.compress(itertools.count(), row))
-            pairs.update(itertools.combinations(supp, 2))   # ascending
+            supp = list(itertools.compress(itertools.count(), row))  # ascending
+            pairs.update(itertools.combinations(supp, 2))
             # prod e_v^{A_iv} J^{-b_i}
             word = words[key] = word_simplify([(v, row[v]) for v in supp]
                                               + [(jdx, -bval)])
@@ -1150,8 +1150,8 @@ class ReductionMaps:
     system: LinearSystem
     extracted: LinearSystem           # (A_X, b_gamma) over Nbar(Z_d, Sigma)
     delta_cols: dict                  # v -> ("col", index) or ("j", exponent)
-    # exponents[s, v]: s(v) for the function s of extracted column s (all
-    # zero at the basepoint)
+    # exponents[k, v] = s(v) for the function s of extracted column k (a
+    # zero row for the basepoint)
     exponents: np.ndarray = field(compare=False, repr=False)
 
     def push_solutions(self, g: FinGroupJ, rows: np.ndarray) -> np.ndarray:
