@@ -227,6 +227,9 @@ def gamma_phi_d(ext: CentralExtensionData, cap: int = 3
 
 # ---------------------------------------------------- extracted linear system
 
+_FACE_SIGNS = np.array([[1], [-1], [1]], dtype=np.int8)   # (-1)^i on d_i
+
+
 def extract_linear_system(x: TruncatedSSet, gamma: Cochain,
                           nondegenerate_only: bool = False) -> LinearSystem:
     """(A_X, b_gamma): rows over 2-simplices, columns over 1-simplices.
@@ -243,20 +246,21 @@ def extract_linear_system(x: TruncatedSSet, gamma: Cochain,
     if nondegenerate_only:
         rows = x.nondegenerate_positions(2)
         cols = x.nondegenerate_positions(1)
-        # a face that is no column lands in a last, dropped column
-        col_at = np.full(x.size(1), -1, dtype=np.intp)
+        # a face that is no column goes to a last place, dropped below
+        col_at = np.full(x.size(1), len(cols), dtype=np.intp)
         col_at[cols] = np.arange(len(cols))
         faces = col_at[faces[:, rows]]
     # entries lie in [-3, 3] until ZModMatrix reduces them mod d
-    incidence = np.zeros((len(rows), len(cols) + 1),
+    width = len(cols) + 1
+    incidence = np.zeros(len(rows) * width,
                          dtype=np.int8 if d <= 127 else np.int64)
-    every = np.arange(len(rows))
-    for i, sign in enumerate((1, -1, 1)):
-        incidence[every, faces[i]] += sign
+    np.add.at(incidence, faces + np.arange(0, len(rows) * width, width),
+              _FACE_SIGNS)
+    incidence = incidence.reshape(len(rows), width)[:, :-1]
     row_labels = tuple(map(x.simplices[2].__getitem__, rows))
     col_labels = tuple(map(x.simplices[1].__getitem__, cols))
     rhs = tuple(-gamma.values[sigma] for sigma in row_labels)
-    return LinearSystem(ZModMatrix(incidence[:, :-1], d, num_cols=len(cols)),
+    return LinearSystem(ZModMatrix(incidence, d, num_cols=len(cols)),
                         rhs, row_labels, col_labels)
 
 

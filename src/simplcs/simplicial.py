@@ -266,52 +266,66 @@ class TruncatedSSet:
 
 @functools.cache
 def _identities(cap: int) -> tuple:
-    """Every simplicial identity up to cap, as (block, message, left,
-    right): the block is (kind, degree), and each side an (outer, inner)
-    pair of maps ("d" | "s", degree, index), or None for the identity map,
-    applied to the block's simplices. The order is that of the loops over
+    """Every simplicial identity up to cap, in blocks (degree, identities):
+    dd, ss and ds blocks of each degree, in the order of the loops over
     (kind, degree, simplex, indices) whose first failure `validate`
-    reports: within a block the simplex comes first."""
-    out = []
+    reports, so within a block the simplex comes first. An identity is
+    (message, left, right), each side a pair (outer, inner) of places in
+    `_map_rows`'s list of maps, or None for the identity map."""
+    at = {}
+    for kind, degrees in (("d", range(1, cap + 1)), ("s", range(cap))):
+        for n in degrees:
+            for i in range(n + 1):
+                at[(kind, n, i)] = len(at)
+
+    def side(outer, inner):
+        return at[outer], at[inner]
+
+    blocks = []
     for n in range(2, cap + 1):
-        out += [(("dd", n), f"d_{i} d_{j} identity fails at {{}} (deg {n})",
-                 (("d", n - 1, i), ("d", n, j)),
-                 (("d", n - 1, j - 1), ("d", n, i)))
-                for j in range(n + 1) for i in range(j)]
+        blocks.append((n, [(f"d_{i} d_{j} identity fails at {{}} (deg {n})",
+                            side(("d", n - 1, i), ("d", n, j)),
+                            side(("d", n - 1, j - 1), ("d", n, i)))
+                           for j in range(n + 1) for i in range(j)]))
     for n in range(cap - 1):
-        out += [(("ss", n), f"s_{i} s_{j} identity fails at {{}}",
-                 (("s", n + 1, i), ("s", n, j)),
-                 (("s", n + 1, j + 1), ("s", n, i)))
-                for j in range(n + 1) for i in range(j + 1)]
+        blocks.append((n, [(f"s_{i} s_{j} identity fails at {{}}",
+                            side(("s", n + 1, i), ("s", n, j)),
+                            side(("s", n + 1, j + 1), ("s", n, i)))
+                           for j in range(n + 1) for i in range(j + 1)]))
     for n in range(cap):
+        block = []
         for j in range(n + 1):
             for i in range(n + 2):
                 if i < j:
-                    want = (("s", n - 1, j - 1), ("d", n, i))
+                    want = side(("s", n - 1, j - 1), ("d", n, i))
                 elif i in (j, j + 1):
                     want = None
                 else:
-                    want = (("s", n - 1, j), ("d", n, i - 1))
-                out.append((("ds", n), f"d_{i} s_{j} identity fails at {{}}",
-                            (("d", n + 1, i), ("s", n, j)), want))
-    return tuple(out)
+                    want = side(("s", n - 1, j), ("d", n, i - 1))
+                block.append((f"d_{i} s_{j} identity fails at {{}}",
+                              side(("d", n + 1, i), ("s", n, j)), want))
+        blocks.append((n, block))
+    return tuple(blocks)
+
+
+def _map_rows(cap: int, face_pos: dict, deg_pos: dict) -> list[list[int]]:
+    """Every face map, then every degeneracy, by degree and index."""
+    return ([row for n in range(1, cap + 1) for row in face_pos[n]]
+            + [row for n in range(cap) for row in deg_pos[n]])
 
 
 def _identity_failure(cap: int, simplices: dict, face_pos: dict,
                       deg_pos: dict) -> Optional[str]:
     """The first failing simplicial identity's message, or None. Each side
     of an identity is composed over a whole degree by list gathers."""
-    def row(kind: str, n: int, i: int) -> list[int]:
-        return (face_pos if kind == "d" else deg_pos)[n][i]
-
-    for (_, n), idents in itertools.groupby(_identities(cap),
-                                            key=lambda e: e[0]):
+    rows = _map_rows(cap, face_pos, deg_pos)
+    for n, idents in _identities(cap):
         here = list(range(len(simplices[n])))
         first = None        # (simplex, identity order, message)
-        for order, (_, msg, left, right) in enumerate(idents):
-            a, b = [here if side is None else
-                    list(map(row(*side[0]).__getitem__, row(*side[1])))
-                    for side in (left, right)]
+        for order, (msg, (lo, li), right) in enumerate(idents):
+            a = list(map(rows[lo].__getitem__, rows[li]))
+            b = here if right is None else list(
+                map(rows[right[0]].__getitem__, rows[right[1]]))
             if a != b:
                 k = next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
                 first = min(first or (k, order, msg), (k, order, msg))
@@ -496,18 +510,23 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
         keys[n] = [key for _, key, _ in level]
     position = {n: dict(zip(k, range(len(k)))) for n, k in keys.items()}
     power = [nf ** k for k in range(cap + 2)]
-    sums = _sum_codes(funcs, nv, keys[2], d) if cap >= 2 else []
-
+    # d_0 drops the first code, d_n the last
+    firsts = {n: [position[n - 1][k % power[n - 1]] for k in keys[n]]
+              for n in range(1, cap + 1)}
+    # a degree-2 simplex (f, g) has d_2 = f and d_0 = g, degree-1
+    # positions being codes; d_1 = f + g
+    sums = (_sum_codes(funcs, nv, faces_last[2], firsts[2], d) if cap >= 2
+            else [])
     face_pos, deg_pos = {}, {}
     for n in range(1, cap + 1):
-        # d_0 drops the first code, d_n the last, d_i adds codes i - 1, i
+        # d_i, 0 < i < n, replaces codes i - 1 and i by their sum
         pos, pairs = position[n - 1], position.get(2)
-        rows = [[pos[k % power[n - 1]] for k in keys[n]]]
+        middle = []
         for i in range(1, n):
             low, high = power[n - i - 1], power[n - i + 1]
-            rows.append([pos[(k // high * nf + sums[pairs[k // low % power[2]]])
-                             * low + k % low] for k in keys[n]])
-        face_pos[n] = rows + [faces_last[n]]
+            middle.append([pos[(k // high * nf + sums[pairs[k // low % power[2]]])
+                               * low + k % low] for k in keys[n]])
+        face_pos[n] = [firsts[n], *middle, faces_last[n]]
     for n in range(cap):
         # s_j puts the code 0 of the zero function at place j; with no
         # simplex in Sigma there is none, and validation reports it
@@ -519,20 +538,18 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
                                         name=f"N(Z_{d},Sigma)", basepoint=())
 
 
-def _sum_codes(funcs: list[tuple], nv: int, pair_keys: list[int],
+def _sum_codes(funcs: list[tuple], nv: int, f: list[int], g: list[int],
                d: int) -> list[int]:
-    """For each key f * F + g of a pair of codes (F = len(funcs)), the code
-    of the function funcs[f] + funcs[g] mod d, found by its base-d value
-    (Python ints where int64 could overflow)."""
-    nf = len(funcs)
-    exact = object if d ** nv >= 2 ** 63 or nf ** 2 >= 2 ** 63 else np.int64
+    """The code of funcs[a] + funcs[b] mod d for each pair (a, b) of codes
+    in zip(f, g), found by its base-d value (Python ints where int64 could
+    overflow)."""
+    exact = object if d ** nv >= 2 ** 63 else np.int64
     weights = np.array([d ** (nv - 1 - v) for v in range(nv)], dtype=exact)
-    vecs = np.array(funcs, dtype=np.int64).reshape(nf, nv)
+    vecs = np.array(funcs, dtype=np.int64).reshape(len(funcs), nv)
     code = {value: c for c, value in enumerate((vecs @ weights).tolist())}
-    pairs = np.array(pair_keys, dtype=exact)
-    f, g = (pairs // nf).astype(np.intp), (pairs % nf).astype(np.intp)
+    pairs = vecs[np.array([f, g], dtype=np.intp).reshape(2, -1)]
     return list(map(code.__getitem__,
-                    ((vecs[f] + vecs[g]) % d @ weights).tolist()))
+                    (pairs.sum(axis=0) % d @ weights).tolist()))
 
 
 # ================================================== wedge, alpha, beta, iota
@@ -646,14 +663,15 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
     for n in range(x.cap + 1):
         kept[n] = [k for k in range(x.size(n)) if k not in inside[n]]
         toks = [BASEPOINT, *map(x.simplices[n].__getitem__, kept[n])]
-        order[n] = list(range(len(toks)))
+        rank = range(len(toks))
+        order[n] = None                     # the listed order is sorted
         if len(toks) > 1 and not first < _token_key(toks[1]):
-            order[n].sort(key=lambda k: _token_key(toks[k]))
-        rank = [0] * len(toks)
-        for r, k in enumerate(order[n]):
-            rank[k] = r
-        degrees[n] = [toks[k] for k in order[n]]
-        base[n] = rank[0]
+            order[n] = sorted(rank, key=lambda k: _token_key(toks[k]))
+            toks = [toks[k] for k in order[n]]
+            rank = [0] * len(toks)
+            for r, k in enumerate(order[n]):
+                rank[k] = r
+        degrees[n], base[n] = toks, rank[0]
         projection[n] = [base[n]] * x.size(n)
         for k, r in zip(kept[n], rank[1:]):
             projection[n][k] = r
@@ -666,8 +684,10 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
             image = projection[n + step]
             out[n] = []
             for row in rows:
-                listed = [base[n + step], *(image[row[k]] for k in kept[n])]
-                out[n].append(list(map(listed.__getitem__, order[n])))
+                listed = [base[n + step]] + [image[row[k]] for k in kept[n]]
+                if order[n] is not None:
+                    listed = [listed[k] for k in order[n]]
+                out[n].append(listed)
         return out
 
     q = TruncatedSSet.from_positions(
