@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,21 +24,58 @@ class GroupValidationError(ValueError):
     pass
 
 
-class GroupTable:
-    """A finite group as an n x n multiplication table of element indices."""
+def _table_array(table) -> np.ndarray:
+    """`table` (nested sequences or an array) as a read-only C-ordered n x n
+    intp array with entries in range(n); GroupValidationError otherwise.
+    An intp array in C order is kept, not copied."""
+    try:
+        arr = np.asarray(table)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.ndim == 0:
+        raise GroupValidationError("malformed Cayley table")
+    n = len(arr)
+    if n > MAX_ORDER:
+        raise GroupValidationError(f"group too large ({n} > {MAX_ORDER})")
+    if n == 0:
+        raise GroupValidationError("empty table")
+    # bool, float and object arrays are rejected here, not truncated; an
+    # object array is also what nested lists with an entry beyond int64 give
+    if (arr.shape != (n, n) or arr.dtype.kind not in "iu"
+            or arr.min() < 0 or arr.max() >= n):
+        raise GroupValidationError("malformed Cayley table")
+    arr = np.ascontiguousarray(arr, dtype=np.intp).view()
+    arr.flags.writeable = False
+    return arr
 
-    def __init__(self, table: Sequence[Sequence[int]], identity: int,
-                 name: str = ""):
-        self.table = tuple(tuple(map(int, row)) for row in table)
-        self.n = len(self.table)
+
+def _check_index(what: str, x, n: int) -> None:
+    if not isinstance(x, (int, np.integer)) or not 0 <= x < n:
+        raise GroupValidationError(f"{what} {x!r} is not in range({n})")
+
+
+class GroupTable:
+    """A finite group as an n x n multiplication table of element indices.
+
+    The table is kept as an intp array (`table_array`); the row tuples of
+    `table` are made from it when first read."""
+
+    def __init__(self, table: Sequence[Sequence[int]] | np.ndarray,
+                 identity: int, name: str = ""):
+        arr = _table_array(table)
+        self.n = len(arr)
+        _check_index("identity", identity, self.n)
         self.identity = identity
         self.name = name or f"group{self.n}"
-        if self.n > MAX_ORDER:
-            raise GroupValidationError(f"group too large ({self.n} > {MAX_ORDER})")
-        self._inv: Optional[tuple[int, ...]] = None
         self._orders: Optional[tuple[int, ...]] = None
-        self._tables: dict = {}
+        self._tables: dict = {"table": arr}
         self._validate()
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        ids = list(range(self.n))  # one int object per element, shared
+        return tuple(tuple(map(ids.__getitem__, row.tolist()))
+                     for row in self.table_array())
 
     # -- structure -----------------------------------------------------
 
@@ -45,15 +83,6 @@ class GroupTable:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        if self._inv is None:
-            inv = []
-            for g, row in enumerate(self.table):
-                try:
-                    inv.append(row.index(self.identity))
-                except ValueError:
-                    raise GroupValidationError(
-                        f"element {g} has no inverse") from None
-            self._inv = tuple(inv)
         return self._inv[a]
 
     def power(self, g: int, k: int) -> int:
@@ -106,7 +135,6 @@ class GroupTable:
         """x -> x^e for every x at once, by squaring whole rows."""
         def build():
             t = self.table
-            self.inv(0)
             base, row, m = self._inv if e < 0 else range(self.n), None, abs(e)
             while m:
                 if m & 1:
@@ -128,8 +156,8 @@ class GroupTable:
         return self.memo(("roots", e), build)
 
     def table_array(self) -> np.ndarray:
-        """The Cayley table as an n x n intp array."""
-        return self.memo("table", lambda: np.array(self.table, dtype=np.intp))
+        """The Cayley table as a read-only n x n intp array."""
+        return self._tables["table"]
 
     def power_array(self, e: int) -> np.ndarray:
         return self.memo(("power_array", e),
@@ -154,27 +182,26 @@ class GroupTable:
         return tuple(g for g in range(self.n) if self.power(g, d) == self.identity)
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.n) for b in range(a))
+        t = self.table_array()
+        return bool((t == t.T).all())
 
     # -- validation ----------------------------------------------------
 
     def _validate(self) -> None:
+        """Identity and inverse laws, then Light's associativity test, on
+        the table array (its shape and range are checked already)."""
         n, e = self.n, self.identity
-        if n == 0:
-            raise GroupValidationError("empty table")
-        if any(len(row) != n for row in self.table):
-            raise GroupValidationError("malformed Cayley table")
-        try:
-            arr = np.array(self.table, dtype=np.int32)  # n <= MAX_ORDER
-        except OverflowError:  # an entry beyond int32 is out of range too
-            arr = None
-        if arr is None or arr.min() < 0 or arr.max() >= n:
-            raise GroupValidationError("malformed Cayley table")
-        for g in range(n):
-            if self.table[e][g] != g or self.table[g][e] != g:
-                raise GroupValidationError("identity law fails")
-        self.inv(0)  # forces inverse existence check
+        arr = self.table_array()
+        every = np.arange(n)
+        if not ((arr[e] == every).all() and (arr[:, e] == every).all()):
+            raise GroupValidationError("identity law fails")
+        is_e = arr == e
+        has_inverse = is_e.any(axis=1)
+        if not has_inverse.all():
+            raise GroupValidationError(
+                f"element {int(np.argmin(has_inverse))} has no inverse")
+        self._inv: tuple[int, ...] = tuple(is_e.argmax(axis=1).tolist())
+        del is_e
         # Light's test: the b with (xb)y = x(by) for all x, y include e and
         # are closed under products, so it suffices to check b in a set S
         # whose products reach every element. S is built greedily: the next
@@ -182,7 +209,9 @@ class GroupTable:
         # closed under right multiplication by S after each check. The
         # n x n comparisons go into buffers made once: a fresh temporary per
         # b is a fresh mmap (and its page faults) whenever it is above
-        # malloc's mmap threshold
+        # malloc's mmap threshold. They and the table they gather from are
+        # int32 (n <= MAX_ORDER), which halves the memory traffic
+        arr = arr.astype(np.int32)
         left = np.empty((n, n), dtype=np.int32)
         right = np.empty((n, n), dtype=np.int32)
         same = np.empty((n, n), dtype=bool)
@@ -199,13 +228,13 @@ class GroupTable:
             if not np.equal(left, right, out=same).all():
                 raise GroupValidationError(f"associativity fails at {b}")
             gens.append(b)
-            frontier, cols = np.flatnonzero(reached), [b]
+            frontier, cols = reached.nonzero()[0], [b]
             while frontier.size:
                 fresh = np.zeros(n, dtype=bool)
-                fresh[arr[np.ix_(frontier, cols)]] = True
+                fresh[arr[frontier[:, None], cols]] = True
                 fresh &= ~reached
                 reached |= fresh
-                frontier, cols = np.flatnonzero(fresh), gens
+                frontier, cols = fresh.nonzero()[0], gens
 
 
 class FinGroupJ(GroupTable):
@@ -214,10 +243,12 @@ class FinGroupJ(GroupTable):
     def __init__(self, table, identity: int, j: int, d: int,
                  name: str = "", elements: Optional[tuple] = None):
         super().__init__(table, identity, name=name)
+        _check_index("J", j, self.n)
         self.j = j
         self.d = d
         self.elements = elements  # optional concrete element objects
-        if not all(self.commute(j, g) for g in range(self.n)):
+        t = self.table_array()
+        if not (t[j] == t[:, j]).all():
             raise GroupValidationError("J is not central")
         if self.order(j) != d:
             raise GroupValidationError(
@@ -327,8 +358,9 @@ def direct_product(g: FinGroupJ, h: GroupTable) -> FinGroupJ:
         return a * nh + b
 
     # rows/cols enumerate (a, b) with the H coordinate fastest
-    table = [[idx(g.table[a1][a2], h.table[b1][b2]) for a2 in range(g.n)
-              for b2 in range(nh)] for a1 in range(g.n) for b1 in range(nh)]
+    gt, ht = g.table_array(), h.table_array()
+    table = (gt[:, None, :, None] * nh + ht[None, :, None, :]).reshape(
+        g.n * nh, g.n * nh)
     return FinGroupJ(table, idx(g.identity, h.identity),
                      idx(g.j, h.identity), g.d,
                      name=f"product({g.name},{h.name})")
@@ -602,18 +634,56 @@ def _build_family(head: str, rest: list[str]) -> FinGroupJ:
 
 
 def load_cayley(path: str) -> FinGroupJ:
-    """Cayley file: first line `n d identity_idx J_idx`, then n rows of n indices."""
+    """Cayley file: first line `n d identity_idx J_idx`, then n rows of n
+    indices; `#` starts a comment. A malformed file raises
+    GroupValidationError naming the line."""
     try:
         with open(path) as fh:
-            lines = [ln.split("#")[0].strip() for ln in fh]
+            lines = [(num, ln.split("#")[0].split())
+                     for num, ln in enumerate(fh, start=1)]
     except OSError as exc:
         raise GroupValidationError(
             f"cannot read cayley file {path!r}: {exc.strerror}") from exc
-    lines = [ln for ln in lines if ln]
-    n, d, ident, j = map(int, lines[0].split())
-    rows = [list(map(int, ln.split())) for ln in lines[1:n + 1]]
-    if len(rows) != n:
-        raise GroupValidationError("cayley file truncated")
+    lines = [(num, fields) for num, fields in lines if fields]
+    if not lines:
+        raise GroupValidationError("cayley file has no header line")
+
+    def ints(num: int, fields: list[str]) -> list[int]:
+        try:
+            return list(map(int, fields))
+        except ValueError:
+            raise GroupValidationError(
+                f"line {num}: expected integers, got {' '.join(fields)!r}"
+            ) from None
+
+    (num, head), body = lines[0], lines[1:]
+    if len(head) != 4:
+        raise GroupValidationError(
+            f"line {num}: expected `n d identity J`, got {len(head)} fields")
+    n, d, ident, j = ints(num, head)
+    if not 0 < n <= MAX_ORDER:
+        raise GroupValidationError(
+            f"line {num}: order {n} is not in 1..{MAX_ORDER}")
+    for what, x in (("identity", ident), ("J", j)):
+        if not 0 <= x < n:
+            raise GroupValidationError(
+                f"line {num}: {what} {x} is not in range({n})")
+    if len(body) != n:
+        where = body[n][0] if len(body) > n else (body or lines)[-1][0]
+        raise GroupValidationError(
+            f"line {where}: expected {n} table rows after the header, "
+            f"found {len(body)}")
+    rows = []
+    for num, fields in body:
+        row = ints(num, fields)
+        if len(row) != n:
+            raise GroupValidationError(
+                f"line {num}: expected {n} entries, got {len(row)}")
+        bad = next((x for x in row if not 0 <= x < n), None)
+        if bad is not None:
+            raise GroupValidationError(
+                f"line {num}: entry {bad} is not in range({n})")
+        rows.append(row)
     return FinGroupJ(rows, ident, j, d, name=f"cayley:{path}")
 
 

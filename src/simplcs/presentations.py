@@ -127,15 +127,13 @@ def _solution_group(system: LinearSystem) -> Presentation:
     # an extracted system repeats many rows: each distinct (row, b) once
     words: dict = {}
     products = []
-    for key in zip(system.matrix.rows, system.rhs):
+    for key in zip(system.matrix.nonzeros(), system.rhs):
         word = words.get(key)
         if word is None:
-            row, bval = key
-            supp = list(itertools.compress(itertools.count(), row))  # ascending
-            pairs.update(itertools.combinations(supp, 2))
+            entries, bval = key      # (v, A_iv), v ascending
+            pairs.update(itertools.combinations([v for v, _ in entries], 2))
             # prod e_v^{A_iv} J^{-b_i}
-            word = words[key] = word_simplify([(v, row[v]) for v in supp]
-                                              + [(jdx, -bval)])
+            word = words[key] = word_simplify([*entries, (jdx, -bval)])
         products.append(word)
     relators += [commutator_word(a, b) for a, b in sorted(pairs)]
     return Presentation(tuple(gens), tuple(relators + products), "J")
@@ -567,14 +565,13 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 10 ** 6
     if n > MAX_ORDER:
         return None
     index = {c: i for i, c in enumerate(live)}
-    # perm[col][i]: coset i times col; n marks a free direction, never
+    # step[col][i]: coset i times col; n marks a free direction, never
     # touched by a relator (the group is infinite), and is absorbing
-    perm = np.full((2 * k, n + 1), n, dtype=np.intp)
+    step = [[n] * (n + 1) for _ in range(2 * k)]
     for i, c in enumerate(live):
         for col, dest in tc.neigh[c].items():
-            perm[col, i] = index[tc.find(dest)]
+            step[col][i] = index[tc.find(dest)]
     # BFS tree over generator columns from coset 0, columns in order
-    step = perm.tolist()
     seen = [False] * n
     seen[0] = True
     edges: list[tuple[int, int, int]] = []   # (coset, column, new coset)
@@ -591,6 +588,7 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 10 ** 6
         frontier = nxt
     if len(edges) != n - 1:
         return None
+    perm = list(np.array(step, dtype=np.intp))
     # columns[c2][c1] = c1 c2 (the transposed Cayley table)
     columns = np.empty((n, n), dtype=np.intp)
     columns[0] = np.arange(n)
@@ -599,10 +597,7 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 10 ** 6
     gen_images = tuple(row[0] for row in step[:k])
     if n in gen_images or columns.max() == n:
         return None
-    ids = list(range(n))  # one int object per element, shared by all rows
-    table = [tuple(map(ids.__getitem__, row.tolist())) for row in columns.T]
-    del columns  # before GroupTable makes its own n x n arrays
-    group = GroupTable(table, 0, name="coset-group")
+    group = GroupTable(columns.T, 0, name="coset-group")
     j_image = (gen_images[pres.j_index]
                if pres.j_index is not None else None)
     return CosetTable(group, gen_images, j_image)

@@ -9,6 +9,7 @@ form. No floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -48,19 +49,29 @@ def stab_unit(a: int, n: int) -> int:
 
 
 class ZModMatrix:
-    """Immutable matrix over Z_d stored as reduced integer tuples."""
+    """Immutable matrix over Z_d with entries reduced into [0, d).
+
+    A matrix built from an integer array keeps the reduced array and makes
+    the row tuples of `rows` when they are first read; one built from rows
+    keeps the tuples and makes `array()` when it is first read."""
 
     def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray,
                  modulus: int, num_cols: Optional[int] = None):
         """rows may be an integer array, reduced mod modulus in one step."""
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
+        self._array: Optional[np.ndarray] = None
         if isinstance(rows, np.ndarray):
-            rows = list(map(tuple, np.mod(rows, modulus).tolist()))
+            if rows.ndim != 2:
+                raise ValueError("an array of rows must be 2-D")
+            self._array = np.mod(rows, modulus)
+            self._array.flags.writeable = False
+            num_rows, widths = rows.shape[0], {rows.shape[1]}
         else:
-            rows = [tuple([e % modulus for e in map(int, r)]) for r in rows]
-        if rows:
-            widths = {len(r) for r in rows}
+            self.rows = tuple([tuple([e % modulus for e in map(int, r)])
+                               for r in rows])
+            num_rows, widths = len(self.rows), {len(r) for r in self.rows}
+        if num_rows:
             if len(widths) != 1:
                 raise ValueError("ragged rows")
             width = widths.pop()
@@ -70,10 +81,34 @@ class ZModMatrix:
             if num_cols is None:
                 raise ValueError("empty matrix needs explicit num_cols")
             width = num_cols
-        self.rows: tuple[tuple[int, ...], ...] = tuple(rows)
-        self.num_rows = len(rows)
+        self.num_rows = num_rows
         self.num_cols = width
         self.modulus = modulus
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._array.tolist()))
+
+    def array(self) -> np.ndarray:
+        """The entries as a read-only num_rows x num_cols array: the reduced
+        array a matrix was built from, else int64 (an object array of Python
+        ints for a modulus beyond int64)."""
+        if self._array is None:
+            arr = np.array(self.rows, dtype=np.int64 if self.modulus <= 2 ** 63
+                           else object).reshape(self.num_rows, self.num_cols)
+            arr.flags.writeable = False
+            self._array = arr
+        return self._array
+
+    def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per row, its (column, entry) pairs with a nonzero entry, in
+        ascending column order."""
+        arr = self.array()
+        at, cols = arr.nonzero()
+        pairs = list(zip(cols.tolist(), arr[at, cols].tolist()))
+        ends = np.cumsum(np.bincount(at, minlength=self.num_rows)).tolist()
+        return tuple(map(tuple, map(pairs.__getitem__,
+                                    map(slice, [0] + ends, ends))))
 
     @staticmethod
     def identity(n: int, modulus: int) -> "ZModMatrix":

@@ -72,6 +72,44 @@ def test_solve_rejects_nonassociative_cayley_table(k33_file, tmp_path,
     assert "associativity fails" in capsys.readouterr().err
 
 
+Z2_CAYLEY = "# Z_2\n2 2 0 1\n0 1\n1 0  # J row\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (Z2_CAYLEY + "0 1\n",
+     "line 5: expected 2 table rows after the header, found 3"),
+    ("2 2 0\n0 1\n1 0\n", "line 1: expected `n d identity J`, got 3 fields"),
+    ("", "cayley file has no header line"),
+    ("# only a comment\n\n", "cayley file has no header line"),
+    ("2 2 0 2\n0 1\n1 0\n", "line 1: J 2 is not in range(2)"),
+    ("2 2 -1 1\n0 1\n1 0\n", "line 1: identity -1 is not in range(2)"),
+    ("0 2 0 0\n", "line 1: order 0 is not in 1..4096"),
+    ("2 2 0 1\n0 1\n", "line 2: expected 2 table rows after the header, "
+                         "found 1"),
+    ("2 2 0 1\n", "line 1: expected 2 table rows after the header, found 0"),
+    ("2 2 0 1\n0 1\n\n1\n", "line 4: expected 2 entries, got 1"),
+    ("2 2 0 1\n0 x\n1 0\n", "line 2: expected integers, got '0 x'"),
+    ("2 two 0 1\n0 1\n1 0\n", "line 1: expected integers, got '2 two 0 1'"),
+    ("2 2 0 1\n0 1\n1 5\n", "line 3: entry 5 is not in range(2)"),
+])
+def test_malformed_cayley_file_names_the_line(k33_file, tmp_path, capsys,
+                                              text, message):
+    path = tmp_path / "bad.cayley"
+    path.write_text(text)
+    assert main(["solve", k33_file, "--group", f"cayley:{path}"]) == 3
+    err = capsys.readouterr().err
+    assert f"cayley:{path}" in err and err.rstrip().endswith(message)
+
+
+def test_cayley_file_with_comments_loads(k33_file, tmp_path, capsys):
+    path = tmp_path / "z2.cayley"
+    path.write_text(Z2_CAYLEY)
+    assert main(["solve", k33_file, "--group", f"cayley:{path}",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["group"] \
+        == f"cayley:{path}"
+
+
 def test_parse_error_has_line_number(tmp_path, capsys):
     path = tmp_path / "bad.lcs"
     path.write_text("2 2 2\n1 1\n1 x\n0 0\n")

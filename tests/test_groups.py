@@ -4,13 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from simplcs.groups import (FinGroupJ, GroupCocycle, GroupTable,
+from simplcs.groups import (MAX_ORDER, FinGroupJ, GroupCocycle, GroupTable,
                             GroupValidationError, MonomialElement, build_e1,
                             build_group, central_product, cyclic, dihedral,
                             direct_product, embed_e1, extraspecial,
                             find_isomorphism, find_torsion_pair, heisenberg,
                             load_cayley, monomial_split, power_map, quaternion,
                             quotient_by_j, wreath_cyclic)
+from simplcs.linsys import k33_system, make_system
+from simplcs.presentations import solution_group, todd_coxeter
 
 CORPUS = [
     "cyclic:2", "cyclic:4:2", "cyclic:6", "dihedral:8", "quaternion",
@@ -184,6 +186,119 @@ def test_invalid_specs_rejected():
 def test_malformed_tables_rejected(table, message):
     with pytest.raises(GroupValidationError, match=f"^{message}$"):
         GroupTable(table, 0)
+    if len({len(row) for row in table}) < 2:   # not ragged: as an array too
+        with pytest.raises(GroupValidationError, match=f"^{message}$"):
+            GroupTable(np.array(table), 0)
+
+
+@pytest.mark.parametrize("table, message", [
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), "malformed Cayley table"),
+    (np.array([[False, True], [True, False]]), "malformed Cayley table"),
+    (np.array([[0, 1], [1, 0]], dtype=object), "malformed Cayley table"),
+    (np.array([0, 1]), "malformed Cayley table"),               # 1-D
+    (np.array([[[0]]]), "malformed Cayley table"),              # 3-D
+    (np.array(0), "malformed Cayley table"),                    # 0-D
+    (np.zeros((2, 3), dtype=np.intp), "malformed Cayley table"),
+    (np.array([[0, 1], [1, -1]], dtype=np.int8), "malformed Cayley table"),
+    (np.array([[0, 1], [1, 2]], dtype=np.uint8), "malformed Cayley table"),
+    (np.array([[0, 1], [1, 2 ** 40]]), "malformed Cayley table"),
+    (np.zeros((0, 0), dtype=np.intp), "empty table"),
+    (np.zeros((MAX_ORDER + 1, 1), dtype=np.int8),
+     f"group too large \\({MAX_ORDER + 1} > {MAX_ORDER}\\)"),
+    ([[0.0, 1.0], [1.0, 0.0]], "malformed Cayley table"),
+    ([0, 1], "malformed Cayley table"),
+])
+def test_malformed_arrays_rejected(table, message):
+    with pytest.raises(GroupValidationError, match=f"^{message}$"):
+        GroupTable(table, 0)
+
+
+def test_identity_and_j_must_be_elements():
+    z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    for bad in (3, -1, 1.0, None):
+        with pytest.raises(GroupValidationError,
+                           match=f"^identity {bad!r} is not in range\\(3\\)$"):
+            GroupTable(z3, bad)
+        with pytest.raises(GroupValidationError,
+                           match=f"^J {bad!r} is not in range\\(3\\)$"):
+            FinGroupJ(np.array(z3), 0, bad, 3)
+    assert FinGroupJ(z3, np.int64(0), np.int8(1), 3).order(1) == 3
+
+
+def corruptions(table, rng, count):
+    """Seeded corrupt copies of a table: swapped entries in one row, one
+    entry replaced, one row copied over another, and two rows exchanged."""
+    n = len(table)
+    for _ in range(count):
+        out = [list(row) for row in table]
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        kind = rng.randrange(4)
+        if kind == 0:
+            out[a][b], out[a][c] = out[a][c], out[a][b]
+        elif kind == 1:
+            out[a][b] = c
+        elif kind == 2:
+            out[a] = list(out[b])
+        else:
+            out[a], out[b] = out[b], out[a]
+        yield out
+
+
+def verdict(build):
+    try:
+        return build().table
+    except GroupValidationError as exc:
+        return str(exc)
+
+
+def test_array_and_tuple_built_groups_agree():
+    # the same table as nested lists, as tuples, and as C- and F-ordered
+    # arrays of several integer dtypes: one table, one verdict, one message
+    rng = random.Random(41)
+    groups = [build_group(s) for s in SWEEP_PANEL]
+    groups.append(relabelled(groups[4], seed=7))
+    groups.append(todd_coxeter(solution_group(
+        k33_system([1, 1, 1, 0, 0, 0], d=3))).group)
+    verdicts = set()
+    for g in groups:
+        tables = [g.table] + list(corruptions(g.table, rng, 12))
+        for table in tables:
+            want = verdict(lambda: GroupTable(table, g.identity))
+            verdicts.add(want if isinstance(want, str) else "ok")
+            for arr in (np.array(table), np.array(table, dtype=np.int16),
+                        np.asfortranarray(table), np.array(table).T.T):
+                assert verdict(lambda: GroupTable(arr, g.identity)) == want
+        assert GroupTable(g.table_array(), g.identity).table == g.table
+    assert len(verdicts) >= 3     # accepted, and at least two messages
+
+
+def test_group_keeps_its_table_array():
+    arr = np.array([[(a + b) % 4 for b in range(4)] for a in range(4)])
+    g = GroupTable(arr, 0)
+    kept = g.table_array()
+    assert kept.base is arr and not kept.flags.writeable
+    assert g.table == tuple(map(tuple, arr.tolist()))
+    assert {type(x) for row in g.table for x in row} == {int}
+    with pytest.raises(ValueError):
+        kept[0, 0] = 1
+
+
+def brute_is_abelian(g) -> bool:
+    return all(g.mul(a, b) == g.mul(b, a) for a in range(g.n)
+               for b in range(g.n))
+
+
+def test_is_abelian_matches_brute_force():
+    groups = [build_group(s) for s in SWEEP_PANEL]
+    groups.append(relabelled(groups[4], seed=9))
+    systems = [k33_system([1, 0, 0, 0, 0, 0]), k33_system([0] * 6),
+               k33_system([1, 1, 1, 0, 0, 0], d=3),
+               make_system([[0, 0, 0, 2], [3, 1, 5, 2]], [0, 3], 6),
+               make_system([[1, 2]], [1], 3)]
+    groups += [todd_coxeter(solution_group(s)).group for s in systems]
+    verdicts = [g.is_abelian() for g in groups]
+    assert verdicts == [brute_is_abelian(g) for g in groups]
+    assert True in verdicts and False in verdicts
 
 
 def test_table_entries_become_ints():

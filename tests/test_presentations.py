@@ -11,7 +11,7 @@ from simplcs import presentations
 from simplcs.cohomology import cochain, extract_linear_system, gamma_b
 from simplcs.groups import (build_group, central_product, cyclic, dihedral,
                             find_isomorphism, heisenberg, quaternion)
-from simplcs.linsys import (two_vertex_system, k33_system, make_system,
+from simplcs.linsys import (LinearSystem, two_vertex_system, k33_system, make_system,
                             single_vertex_system)
 from simplcs.presentations import (Hom, Presentation, _generator_order,
                                    abelian_order, abelianization,
@@ -738,15 +738,70 @@ def quadratic_generator_order(rel_gens, sizes):
     return order
 
 
-def slot_shaped_extraction():
-    """The solution group of (A_X, b_gamma) for a 3 x 4 system over Z_3
-    whose complex is the full 3-simplex: 6537 rows and 75 columns."""
-    system = make_system([[1, 2, 1, 1], [1, 1, 0, 0], [0, 1, 2, 0]],
-                         [1, 0, 2], 3)
+def extracted(system):
     gam, host = gamma_b(system, cap=2)
-    ext = extract_linear_system(host, gam)
+    return extract_linear_system(host, gam)
+
+
+def slot_shaped_system():
+    """(A_X, b_gamma) for a 3 x 4 system over Z_3 whose complex is the full
+    3-simplex: 6537 rows and 75 columns."""
+    ext = extracted(make_system([[1, 2, 1, 1], [1, 1, 0, 0], [0, 1, 2, 0]],
+                                [1, 0, 2], 3))
     assert (ext.num_rows, ext.num_cols) == (6537, 75)
-    return solution_group(ext)
+    return ext
+
+
+def slot_shaped_extraction():
+    """The solution group of `slot_shaped_system()`."""
+    return solution_group(slot_shaped_system())
+
+
+def reference_solution_group(system):
+    """Gamma(A, b) by the plain loop over the dense row tuples."""
+    d = system.modulus
+    gens = [f"e{v}" for v in range(system.num_cols)] + ["J"]
+    jdx = len(gens) - 1
+    relators = [word_simplify([(i, d)]) for i in range(len(gens))]
+    pairs = {(v, jdx) for v in range(system.num_cols)}
+    words, products = {}, []
+    for key in zip(system.matrix.rows, system.rhs):
+        if key not in words:
+            row, bval = key
+            supp = [v for v, e in enumerate(row) if e]
+            pairs.update(itertools.combinations(supp, 2))
+            words[key] = word_simplify([(v, row[v]) for v in supp]
+                                       + [(jdx, -bval)])
+        products.append(words[key])
+    relators += [commutator_word(a, b) for a, b in sorted(pairs)]
+    return Presentation(tuple(gens), tuple(relators + products), "J")
+
+
+def test_solution_group_matches_reference_loop():
+    # extracted systems keep their incidence array: sweep's slot shapes (the
+    # full 3-simplex and a 2 x 4 system over Z_3), Z_6 with shared row spans
+    # and K33. The K33 systems themselves and random small ones are built
+    # from rows, and the random ones from arrays too
+    systems = [slot_shaped_system(),
+               extracted(make_system([[0, 1, 2, 1], [2, 0, 0, 0]], [1, 2], 3)),
+               extracted(make_system([[1, 3, 0], [2, 3, 0], [0, 1, 5]],
+                                     [1, 2, 3], 6)),
+               extracted(k33_system([1, 0, 0, 0, 0, 0])),
+               extracted(k33_system([1, 1, 1, 0, 0, 0], d=3)),
+               k33_system([1, 0, 0, 0, 0, 0]), k33_system([0] * 6),
+               k33_system([1, 1, 1, 0, 0, 0], d=3),
+               make_system([[0, 0], [0, 0]], [1, 0], 2)]
+    rng = random.Random(53)
+    for _ in range(30):
+        d = rng.choice((2, 3, 4, 6))
+        r, c = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randrange(-d, 2 * d) for _ in range(c)] for _ in range(r)]
+        rhs = [rng.randrange(d) for _ in range(r)]
+        systems.append(make_system(rows, rhs, d))
+        systems.append(LinearSystem(ZModMatrix(np.array(rows), d), tuple(rhs)))
+    for system in systems:
+        assert presentations._solution_group(system) \
+            == reference_solution_group(system)
 
 
 def test_generator_order_matches_quadratic_reference():

@@ -59,6 +59,31 @@ def test_zmod_matrix_reduces_entries_like_int():
     assert ZModMatrix([[-6, 6, 13]], 6).rows == ((0, 0, 1),)
 
 
+def test_zmod_matrix_from_array_keeps_it():
+    rng = np.random.default_rng(5)
+    for d, dtype in ((2, np.int8), (3, np.int8), (6, np.int16), (7, np.int64)):
+        raw = rng.integers(-3, 4, size=(9, 5)).astype(dtype)
+        m = ZModMatrix(raw, d)
+        rows = ZModMatrix(raw.tolist(), d)
+        kept = m.array()
+        assert kept.dtype == dtype and not kept.flags.writeable
+        assert m.array() is kept and "rows" not in vars(m)
+        assert m.rows == rows.rows and m == rows
+        assert {type(x) for row in m.rows for x in row} == {int}
+        assert rows.array().tolist() == kept.tolist()
+        assert m.nonzeros() == rows.nonzeros() == tuple(
+            tuple((c, e) for c, e in enumerate(row) if e) for row in m.rows)
+    empty = ZModMatrix([], 3, num_cols=4)
+    assert empty.array().shape == (0, 4) and empty.nonzeros() == ()
+    assert ZModMatrix([[0, 0], [0, 3]], 3).nonzeros() == ((), ())
+    big = ZModMatrix([[2 ** 70 + 1, 0, -1]], 2 ** 65)
+    assert big.nonzeros() == (((0, 1), (2, 2 ** 65 - 1)),)
+    with pytest.raises(ValueError, match="must be 2-D"):
+        ZModMatrix(np.zeros(3, dtype=np.int8), 3)
+    with pytest.raises(ValueError, match="num_cols disagrees"):
+        ZModMatrix(np.zeros((2, 3), dtype=np.int8), 3, num_cols=2)
+
+
 def test_xgcd_and_stab_unit():
     rng = random.Random(0)
     for _ in range(300):
