@@ -143,7 +143,7 @@ def cmd_solgroup(args) -> int:
 
 def cmd_realize(args) -> int:
     d = _at_least(args.d, "--d", 2)
-    cap = max(args.cap, 2)
+    cap = _at_least(args.cap, "--cap", 2)
     if args.builtin:
         want = {"two-vertex": 2, "k33": len(simplicial.K33_TRIANGLES)}
         if args.b and len(args.b) != want[args.builtin]:

@@ -15,13 +15,10 @@ import numpy as np
 
 from .groups import CentralExtensionData, GroupCocycle
 from .linsys import LinearSystem
-from .simplicial import (BASEPOINT, SMap, TruncatedSSet, bar_comm_nerve,
+from .simplicial import (BASEPOINT, CochainError, SMap, TruncatedSSet,
+                         _face_incidence, _face_sum, bar_comm_nerve,
                          bar_nzd_sigma)
 from .zmod import ZModMatrix, howell_form, kernel_basis, solve
-
-
-class CochainError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -85,44 +82,34 @@ def cochain(host: TruncatedSSet, degree: int, modulus: int,
 
 def coboundary(f: Cochain) -> Cochain:
     """(df)(sigma) = sum_i (-1)^i f(d_i sigma), one degree up."""
-    n = f.degree + 1
-    if n > f.host.cap:
-        raise CochainError("coboundary exceeds the host's dimension cap")
-    vals = {}
-    for tok in f.host.simplices[n]:
-        acc = 0
-        for i in range(n + 1):
-            acc += (-1) ** i * f(f.host.face(n, i, tok))
-        vals[tok] = acc
-    return Cochain(f.host, n, f.modulus, vals)
+    host, n = f.host, f.degree + 1
+    total = _face_sum(host, n, list(map(f.values.__getitem__,
+                                        host.simplices[f.degree])))
+    return Cochain(host, n, f.modulus, dict(zip(host.simplices[n], total)))
 
 
 def is_cocycle(gamma: Cochain) -> bool:
-    if gamma.degree + 1 > gamma.host.cap:
-        raise CochainError("cocycle check needs one more degree than the cochain")
     return coboundary(gamma).is_zero()
 
 
 def is_normalized(gamma: Cochain) -> bool:
     """gamma vanishes on every degenerate simplex of its degree."""
     host, n = gamma.host, gamma.degree
-    return all(gamma(tok) == 0 for tok in host.simplices[n]
-               if host.is_degenerate(n, tok))
+    return all(gamma(host.simplices[n][k]) == 0
+               for k in _degenerate_positions(host, n))
+
+
+def _degenerate_positions(host: TruncatedSSet, n: int) -> list[int]:
+    nondeg = set(host.nondegenerate_positions(n))
+    return [k for k in range(host.size(n)) if k not in nondeg]
 
 
 def coboundary_matrix(host: TruncatedSSet, degree: int, modulus: int
                       ) -> tuple[ZModMatrix, list, list]:
     """Matrix of d: C^degree -> C^{degree+1} (rows: degree+1, cols: degree)."""
-    cols = list(host.simplices[degree])
-    rows = list(host.simplices[degree + 1])
-    col_index = {tok: k for k, tok in enumerate(cols)}
-    mat = []
-    for sigma in rows:
-        entries = [0] * len(cols)
-        for i in range(degree + 2):
-            entries[col_index[host.face(degree + 1, i, sigma)]] += (-1) ** i
-        mat.append([e % modulus for e in entries])
-    return ZModMatrix(mat, modulus, num_cols=len(cols)), rows, cols
+    return (ZModMatrix(_face_incidence(host, degree + 1), modulus,
+                       num_cols=host.size(degree)),
+            list(host.simplices[degree + 1]), list(host.simplices[degree]))
 
 
 def cohomologous(gamma: Cochain, gamma2: Cochain) -> Optional[Cochain]:
@@ -145,9 +132,8 @@ def normalize_cocycle(gamma: Cochain) -> Cochain:
         return gamma
     host, d = gamma.host, gamma.modulus
     mat, rows, cols = coboundary_matrix(host, 1, d)
-    degenerate = [k for k, sig in enumerate(rows) if host.is_degenerate(2, sig)]
-    sub = ZModMatrix([mat.rows[k] for k in degenerate], d,
-                     num_cols=mat.num_cols)
+    degenerate = _degenerate_positions(host, 2)
+    sub = ZModMatrix(mat.array()[degenerate], d, num_cols=mat.num_cols)
     target = [gamma(rows[k]) % d for k in degenerate]
     sol = solve(sub, target)
     if sol is None:
@@ -158,9 +144,8 @@ def normalize_cocycle(gamma: Cochain) -> Cochain:
 
 def cohomology_size(host: TruncatedSSet, degree: int, modulus: int) -> int:
     """|H^degree| on the truncated universe (valid for degree <= cap - 1)."""
-    mat_up, _, cols = coboundary_matrix(host, degree, modulus)
-    kern = kernel_basis(mat_up)
-    ker_size = kern.span_size()
+    ker_size = kernel_basis(
+        coboundary_matrix(host, degree, modulus)[0]).span_size()
     if degree == 0:
         im_size = 1
     else:
@@ -201,14 +186,12 @@ def gamma_b(system: LinearSystem, cap: int = 3
     q = bar_nzd_sigma(system, cap)
     x, projection = q.parent, q.projection[2]
     tilde = [lift.get(tok[0], 0) for tok in x.simplices[1]]
-    db = [(tilde[a] - tilde[b] + tilde[c]) % d
-          for a, b, c in zip(*x.face_pos[2])]
     base = q.index(2)[BASEPOINT]
-    vals = [0] * q.size(2)
-    for k, (at, v) in enumerate(zip(projection, db)):
+    vals = [0] * q.size(2)      # reduced mod d by Cochain
+    for k, (at, v) in enumerate(zip(projection, _face_sum(x, 2, tilde))):
         if at != base:
             vals[at] = v
-        elif v:
+        elif v % d:
             raise CochainError(
                 f"d(tilde b) nonzero on collapsed simplex {x.simplices[2][k]!r} "
                 "(row conditions violated)")
@@ -227,36 +210,23 @@ def gamma_phi_d(ext: CentralExtensionData, cap: int = 3
 
 # ---------------------------------------------------- extracted linear system
 
-_FACE_SIGNS = np.array([[1], [-1], [1]], dtype=np.int8)   # (-1)^i on d_i
-
-
 def extract_linear_system(x: TruncatedSSet, gamma: Cochain,
                           nondegenerate_only: bool = False) -> LinearSystem:
     """(A_X, b_gamma): rows over 2-simplices, columns over 1-simplices.
 
-    Entries accumulate signed face incidences (so collapsed boundaries with
-    repeated faces are handled); b_sigma = -gamma(sigma). The incidences
-    are added into one small-int array from x's three degree-2 face lists.
+    A_X is the signed face incidence of degree 2 (so collapsed boundaries
+    with repeated faces are handled), or its nondegenerate rows and columns;
+    b_sigma = -gamma(sigma).
     """
     if gamma.host is not x or gamma.degree != 2:
         raise CochainError("need a degree-2 cochain on the same host")
     d = gamma.modulus
-    faces = np.array(x.face_pos[2], dtype=np.intp).reshape(3, -1)
+    incidence = _face_incidence(x, 2)
     rows, cols = range(x.size(2)), range(x.size(1))
     if nondegenerate_only:
         rows = x.nondegenerate_positions(2)
         cols = x.nondegenerate_positions(1)
-        # a face that is no column goes to a last place, dropped below
-        col_at = np.full(x.size(1), len(cols), dtype=np.intp)
-        col_at[cols] = np.arange(len(cols))
-        faces = col_at[faces[:, rows]]
-    # entries lie in [-3, 3] until ZModMatrix reduces them mod d
-    width = len(cols) + 1
-    incidence = np.zeros(len(rows) * width,
-                         dtype=np.int8 if d <= 127 else np.int64)
-    np.add.at(incidence, faces + np.arange(0, len(rows) * width, width),
-              _FACE_SIGNS)
-    incidence = incidence.reshape(len(rows), width)[:, :-1]
+        incidence = incidence[np.ix_(rows, cols)]
     row_labels = tuple(map(x.simplices[2].__getitem__, rows))
     col_labels = tuple(map(x.simplices[1].__getitem__, cols))
     rhs = tuple(-gamma.values[sigma] for sigma in row_labels)

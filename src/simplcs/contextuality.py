@@ -51,7 +51,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linsys import LinearSystem
-from .simplicial import TruncatedSSet, complex_of_system, nerve, nzd_sigma
+from .simplicial import (TruncatedSSet, _face_incidence, complex_of_system,
+                         nerve, nzd_sigma)
 from .zmod import ZModMatrix, kernel_basis
 
 SNAP_DENOMINATOR = 2 ** 16
@@ -273,42 +274,28 @@ def _layout(host: TruncatedSSet, d: int) -> _Layout:
 
 def _build_layout(host: TruncatedSSet, d: int) -> _Layout:
     top = min(host.cap, 2)
-    position = [{tok: k for k, tok in enumerate(host.simplices[n])}
-                for n in range(top + 1)]
     nzd = nerve(d, top)
     codes = [{t: k for k, t in enumerate(itertools.product(range(d),
                                                             repeat=n))}
              for n in range(top + 1)]
+    repr_order = {n: [codes[n][t] for t in nzd.simplices[n]]
+                  for n in range(top + 1)}
     rows, maps = {}, {}
-    for sym, n, i, m, host_map, nzd_map in (
-            [("d", n, i, n - 1, host.faces, nzd.faces)
+    for sym, n, i, m, host_rows, nzd_rows in (
+            [("d", n, i, n - 1, host.face_pos[n], nzd.face_pos[n])
              for n in range(1, top + 1) for i in range(n + 1)]
-            + [("s", n, j, n + 1, host.degeneracies, nzd.degeneracies)
+            + [("s", n, j, n + 1, host.deg_pos[n], nzd.deg_pos[n])
                for n in range(top) for j in range(n + 1)]):
-        rows[(sym, n, i)] = np.array(
-            [position[m][host_map[(n, i)][t]] for t in host.simplices[n]],
-            dtype=np.intp)
+        rows[(sym, n, i)] = np.array(host_rows[i], dtype=np.intp)
         maps[(sym, n, i)] = out = np.zeros((d ** n, d ** m), dtype=np.int64)
-        for t, k in codes[n].items():
-            out[k, codes[m][nzd_map[(n, i)][t]]] = 1
-    nondeg = np.array([position[2][t] for t in host.nondegenerate(2)]
-                      if top == 2 else [], dtype=np.intp)
-    return _Layout(rows, maps,
-                   {n: [codes[n][t] for t in nzd.simplices[n]]
-                    for n in range(top + 1)},
-                   np.repeat(nondeg, d * d),
+        out[repr_order[n], np.array(repr_order[m])[nzd_rows[i]]] = 1
+    nondeg = np.array(host.nondegenerate_positions(2) if top == 2 else [],
+                      dtype=np.intp)
+    return _Layout(rows, maps, repr_order, np.repeat(nondeg, d * d),
                    np.tile(np.arange(d * d), len(nondeg)))
 
 
 # --------------------------------------------------------- deterministic maps
-
-def _edge_positions(host: TruncatedSSet) -> dict:
-    cache = getattr(host, "_edge_pos", None)
-    if cache is None:
-        cache = {tok: k for k, tok in enumerate(host.simplices[1])}
-        host._edge_pos = cache
-    return cache
-
 
 @dataclass(frozen=True)
 class DeterministicDist:
@@ -319,7 +306,7 @@ class DeterministicDist:
     values: tuple  # value per host.simplices[1] in order
 
     def value(self, tok) -> int:
-        return self.values[_edge_positions(self.host)[tok]]
+        return self.values[self.host.index(1)[tok]]
 
     def on_simplex(self, n: int, tok) -> tuple:
         if n == 0:
@@ -341,18 +328,9 @@ def enumerate_deterministic(host: TruncatedSSet, d: int
 
 
 def _kernel_dets(host: TruncatedSSet, d: int) -> list[DeterministicDist]:
-    edges = list(host.simplices[1])
-    pos = {tok: k for k, tok in enumerate(edges)}
-    rows = []
-    for sig in host.simplices[2]:
-        row = [0] * len(edges)
-        row[pos[host.face(2, 1, sig)]] += 1
-        row[pos[host.face(2, 2, sig)]] -= 1
-        row[pos[host.face(2, 0, sig)]] -= 1
-        rows.append([e % d for e in row])
-    if not rows:
-        rows = [[0] * len(edges)]
-    kern = kernel_basis(ZModMatrix(rows, d, num_cols=len(edges)))
+    # the edge condition f(d_1) - f(d_2) - f(d_0) = 0: minus the coboundary
+    kern = kernel_basis(ZModMatrix(-_face_incidence(host, 2), d,
+                                   num_cols=host.size(1)))
     return [DeterministicDist(host, d, vec) for vec in kern.enumerate_span()]
 
 

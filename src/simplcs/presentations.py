@@ -141,12 +141,6 @@ def _solution_group(system: LinearSystem) -> Presentation:
 
 # ---------------------------------------------------------- fundamental groups
 
-def _edge_gen_names(x: TruncatedSSet) -> tuple[dict, list[str]]:
-    toks = list(x.simplices[1])
-    names = [f"e{k}" for k in range(len(toks))]
-    return {tok: k for k, tok in enumerate(toks)}, names
-
-
 def pi1(x: TruncatedSSet) -> tuple[Presentation, dict]:
     """Algebraic fundamental group of the realization (spanning tree collapsed).
 
@@ -156,43 +150,41 @@ def pi1(x: TruncatedSSet) -> tuple[Presentation, dict]:
     """
     if not x.is_connected():
         raise ValueError("pi1 needs a connected simplicial set")
-    idx, names = _edge_gen_names(x)
-    relators: list[Word] = []
-    for sig in x.simplices[2]:
-        d0 = idx[x.face(2, 0, sig)]
-        d1 = idx[x.face(2, 1, sig)]
-        d2 = idx[x.face(2, 2, sig)]
-        relators.append(word_simplify([(d2, 1), (d0, 1), (d1, -1)]))
-    for v in x.simplices[0]:
-        relators.append(((idx[x.degeneracy(0, 0, v)], 1),))
-    verts = list(x.simplices[0])
-    if len(verts) > 1:
-        seen = {verts[0]}
-        frontier = [verts[0]]
+    relators: list[Word] = [word_simplify([(d2, 1), (d0, 1), (d1, -1)])
+                            for d0, d1, d2 in zip(*x.face_pos[2])]
+    relators += [((e, 1),) for e in x.deg_pos[0][0]]
+    if x.size(0) > 1:
+        seen = {0}
+        frontier = [0]
         while frontier:
             nxt = []
-            for e in x.simplices[1]:
-                src, tgt = x.face(1, 1, e), x.face(1, 0, e)
+            for e, (src, tgt) in enumerate(zip(x.face_pos[1][1],
+                                               x.face_pos[1][0])):
                 for a, b in ((src, tgt), (tgt, src)):
                     if a in seen and b not in seen:
                         seen.add(b)
                         nxt.append(b)
-                        relators.append(((idx[e], 1),))
+                        relators.append(((e, 1),))
             frontier = nxt
-    return Presentation(tuple(names), tuple(relators)), idx
+    return _edge_presentation(x, relators)
 
 
 def pi1_commutative(x: TruncatedSSet, d: int) -> tuple[Presentation, dict]:
     """Commutative d-torsion fundamental group: generators e_x for x in X_1."""
-    idx, names = _edge_gen_names(x)
-    relators: list[Word] = [((k, d),) for k in range(len(names))]
-    for sig in x.simplices[2]:
-        faces = [idx[x.face(2, i, sig)] for i in range(3)]
+    relators: list[Word] = [((k, d),) for k in range(x.size(1))]
+    for faces in zip(*x.face_pos[2]):
         d0, d1, d2 = faces
         for a, b in itertools.combinations(sorted(set(faces)), 2):
             relators.append(commutator_word(a, b))
         relators.append(word_simplify([(d2, 1), (d0, 1), (d1, -1)]))
-    return Presentation(tuple(names), tuple(relators)), idx
+    return _edge_presentation(x, relators)
+
+
+def _edge_presentation(x: TruncatedSSet, relators: list[Word]
+                       ) -> tuple[Presentation, dict]:
+    """Generator e_k for the k-th 1-simplex; with the map token -> k."""
+    return (Presentation(tuple(f"e{k}" for k in range(x.size(1))),
+                         tuple(relators)), dict(x.index(1)))
 
 
 # ----------------------------------------------------------------- K-group
@@ -1206,7 +1198,6 @@ def check_reduction_bijection(system: LinearSystem, g: FinGroupJ,
                               maps: Optional[ReductionMaps] = None
                               ) -> tuple[int, int]:
     """Verify the solution-set bijection along the reduction; returns counts."""
-    from .simplicial import is_solution
     maps = maps or reduction_maps(system)
     sols = np.array(solutions(system, g),
                     dtype=np.intp).reshape(-1, system.num_cols)
@@ -1218,9 +1209,12 @@ def check_reduction_bijection(system: LinearSystem, g: FinGroupJ,
     if not np.array_equal(maps.pull_solutions(pushed, g), sols):
         raise AssertionError("pull after push is not the identity")
     pulled = maps.pull_solutions(ext, g)
-    for t in pulled.tolist():
-        if not is_solution(t, system, g):
-            raise AssertionError("pulled map is not a solution")
+    # Sol(A,b;G) = Hom_J(Gamma(A,b), G): the rows with J -> J are homs
+    try:
+        check_hom_rows(solution_group(system), g, np.column_stack(
+            [pulled, np.full(len(pulled), g.j, dtype=np.intp)]))
+    except ValueError:
+        raise AssertionError("pulled map is not a solution") from None
     if not np.array_equal(maps.push_solutions(g, pulled), ext):
         raise AssertionError("push after pull is not the identity")
     return len(sols), len(sols_ext)

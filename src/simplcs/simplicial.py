@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -30,6 +31,10 @@ def _token_key(tok):
 
 
 class SimplicialValidationError(ValueError):
+    pass
+
+
+class CochainError(ValueError):
     pass
 
 
@@ -248,20 +253,55 @@ class TruncatedSSet:
                             f"{self.simplices[n][bad]!r}")
 
     def is_connected(self) -> bool:
-        verts = list(self.simplices[0])
-        if len(verts) <= 1:
+        if self.size(0) <= 1:
             return True
-        adj = {v: set() for v in verts}
-        for e in self.simplices[1]:
-            a, b = self.face(1, 1, e), self.face(1, 0, e)
+        adj = [set() for _ in range(self.size(0))]
+        for a, b in zip(self.face_pos[1][1], self.face_pos[1][0]):
             adj[a].add(b)
             adj[b].add(a)
-        seen = {verts[0]}
-        frontier = [verts[0]]
+        seen = {0}
+        frontier = [0]
         while frontier:
             frontier = [w for v in frontier for w in adj[v] if w not in seen]
             seen.update(frontier)
-        return len(seen) == len(verts)
+        return len(seen) == self.size(0)
+
+
+# The coboundary d = sum_i (-1)^i d_i^*, written only here: on value lists
+# and as an incidence matrix.
+
+def _faces_into(x: TruncatedSSet, n: int) -> list:
+    """x's face lists of degree n, which exist for 1 <= n <= cap."""
+    if not 1 <= n <= x.cap:
+        raise CochainError(f"the coboundary into degree {n} exceeds the "
+                           f"host's dimension cap {x.cap}")
+    return x.face_pos[n]
+
+
+def _face_sum(x: TruncatedSSet, n: int, values: Sequence[int]) -> list[int]:
+    """(dv)[k] = sum_i (-1)^i v[face_pos[n][i][k]] for every degree-n
+    simplex k, v given per degree-(n - 1) simplex; one list gather per
+    face map."""
+    rows = _faces_into(x, n)
+    total = list(map(values.__getitem__, rows[0]))
+    for i in range(1, n + 1):
+        total = list(map(operator.sub if i % 2 else operator.add, total,
+                         map(values.__getitem__, rows[i])))
+    return total
+
+
+def _face_incidence(x: TruncatedSSet, n: int) -> np.ndarray:
+    """The size(n) x size(n - 1) matrix of d into degree n: entry (k, c) is
+    the sum of (-1)^i over the faces d_i of the k-th n-simplex at place c
+    (so repeated faces add up), by one `np.add.at` over x's face lists."""
+    rows = _faces_into(x, n)
+    size, width = x.size(n), x.size(n - 1)
+    # entries lie in [-n - 1, n + 1]
+    out = np.zeros(size * width, dtype=np.int8 if n < 127 else np.int64)
+    faces = np.array(rows, dtype=np.intp).reshape(n + 1, size)
+    signs = np.array([[(-1) ** i] for i in range(n + 1)], dtype=out.dtype)
+    np.add.at(out, faces + width * np.arange(size), signs)
+    return out.reshape(size, width)
 
 
 @functools.cache
@@ -321,17 +361,24 @@ def _identity_failure(cap: int, simplices: dict, face_pos: dict,
     rows = _map_rows(cap, face_pos, deg_pos)
     for n, idents in _identities(cap):
         here = list(range(len(simplices[n])))
-        first = None        # (simplex, identity order, message)
-        for order, (msg, (lo, li), right) in enumerate(idents):
-            a = list(map(rows[lo].__getitem__, rows[li]))
-            b = here if right is None else list(
-                map(rows[right[0]].__getitem__, rows[right[1]]))
-            if a != b:
-                k = next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
-                first = min(first or (k, order, msg), (k, order, msg))
+        first = _first_mismatch(
+            (list(map(rows[lo].__getitem__, rows[li])), here if right is None
+             else list(map(rows[right[0]].__getitem__, rows[right[1]])))
+            for _, (lo, li), right in idents)
         if first is not None:
-            return first[2].format(repr(simplices[n][first[0]]))
+            return idents[first[1]][0].format(repr(simplices[n][first[0]]))
     return None
+
+
+def _first_mismatch(pairs: Iterable[tuple[list, list]]
+                    ) -> Optional[tuple[int, int]]:
+    """The least (place, order) at which a pair's two lists differ."""
+    first = None
+    for order, (a, b) in enumerate(pairs):
+        if a != b:
+            k = next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
+            first = min(first or (k, order), (k, order))
+    return first
 
 
 def build_sset(cap: int, degrees: dict[int, Sequence],
@@ -369,31 +416,37 @@ class SMap:
         return self.mapping[n][tok]
 
     def validate(self) -> None:
+        """Commutation with every face and degeneracy, checked on positions
+        by list gathers; the first failure in (degree, simplex, index)
+        order is reported."""
+        src, tgt = self.source, self.target
+        pos = {}
         for n in range(self.cap + 1):
             fmap = self.mapping.get(n)
             if fmap is None:
                 raise SimplicialValidationError(f"missing degree-{n} mapping")
-            members = set(self.target.simplices[n])
-            for tok in self.source.simplices[n]:
-                if tok not in fmap or fmap[tok] not in members:
+            index = tgt.index(n)
+            try:
+                pos[n] = [index[fmap[tok]] for tok in src.simplices[n]]
+            except KeyError:
+                bad = next(t for t in src.simplices[n]
+                           if t not in fmap or fmap[t] not in index)
+                raise SimplicialValidationError(
+                    f"map incomplete at degree {n}: {bad!r}") from None
+        for kind, sym, degrees, step, src_pos, tgt_pos in (
+                ("face", "d", range(1, self.cap + 1), -1, src.face_pos,
+                 tgt.face_pos),
+                ("degeneracy", "s", range(self.cap), 1, src.deg_pos,
+                 tgt.deg_pos)):
+            for n in degrees:
+                first = _first_mismatch(
+                    (list(map(pos[n + step].__getitem__, src_pos[n][i])),
+                     list(map(tgt_pos[n][i].__getitem__, pos[n])))
+                    for i in range(n + 1))
+                if first is not None:
                     raise SimplicialValidationError(
-                        f"map incomplete at degree {n}: {tok!r}")
-        for n in range(1, self.cap + 1):
-            for tok in self.source.simplices[n]:
-                img = self.mapping[n][tok]
-                for i in range(n + 1):
-                    if self.mapping[n - 1][self.source.face(n, i, tok)] != \
-                            self.target.face(n, i, img):
-                        raise SimplicialValidationError(
-                            f"face commutation fails at {tok!r} (d_{i})")
-        for n in range(self.cap):
-            for tok in self.source.simplices[n]:
-                img = self.mapping[n][tok]
-                for j in range(n + 1):
-                    if self.mapping[n + 1][self.source.degeneracy(n, j, tok)] != \
-                            self.target.degeneracy(n, j, img):
-                        raise SimplicialValidationError(
-                            f"degeneracy commutation fails at {tok!r} (s_{j})")
+                        f"{kind} commutation fails at "
+                        f"{src.simplices[n][first[0]]!r} ({sym}_{first[1]})")
 
     def is_bijective(self) -> bool:
         for n in range(self.cap + 1):
@@ -730,18 +783,16 @@ def bar_comm_nerve(ext: CentralExtensionData, cap: int = 3) -> TruncatedSSet:
 def check_normalized_cocycle(x: TruncatedSSet, gamma: Callable, d: int) -> None:
     """Normalization on degenerate 2-simplices plus the cocycle identity in
     degree 3 (requires the host cap to reach 3)."""
-    for edge in x.simplices[1]:
+    values = list(map(gamma, x.simplices[2]))
+    for k, edge in enumerate(x.simplices[1]):
         for j in (0, 1):
-            if gamma(x.degeneracy(1, j, edge)) % d:
+            if values[x.deg_pos[1][j][k]] % d:
                 raise SimplicialValidationError(
                     f"cochain not normalized at s_{j} of {edge!r}")
     if x.cap < 3:
         raise SimplicialValidationError(
             "cocycle check needs degree-3 simplices (cap >= 3)")
-    for tok in x.simplices[3]:
-        total = 0
-        for i in range(4):
-            total += (-1) ** i * gamma(x.face(3, i, tok))
+    for tok, total in zip(x.simplices[3], _face_sum(x, 3, values)):
         if total % d:
             raise SimplicialValidationError(
                 f"2-cochain is not a cocycle at {tok!r}")

@@ -57,13 +57,16 @@ class ZModMatrix:
 
     def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray,
                  modulus: int, num_cols: Optional[int] = None):
-        """rows may be an integer array, reduced mod modulus in one step."""
+        """rows may be an integer array, reduced mod modulus in one step
+        (widened first where its dtype cannot hold the residues)."""
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         self._array: Optional[np.ndarray] = None
         if isinstance(rows, np.ndarray):
             if rows.ndim != 2:
                 raise ValueError("an array of rows must be 2-D")
+            if rows.dtype != object and modulus > np.iinfo(rows.dtype).max:
+                rows = rows.astype(np.int64 if modulus < 2 ** 63 else object)
             self._array = np.mod(rows, modulus)
             self._array.flags.writeable = False
             num_rows, widths = rows.shape[0], {rows.shape[1]}

@@ -243,6 +243,16 @@ def test_realize_modulus_below_two(capsys, builtin, d):
     assert f"--d must be at least 2, got {d}" in captured.err
 
 
+@pytest.mark.parametrize("builtin, cap", [
+    ("two-vertex", "1"), ("two-vertex", "0"), ("k33", "-5"),
+])
+def test_realize_cap_below_two(capsys, builtin, cap):
+    assert main(["realize", "--builtin", builtin, "--cap", cap]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--cap must be at least 2, got {cap}" in captured.err
+
+
 def test_realize_from_files(tmp_path, capsys):
     from simplcs.simplicial import cells_sset, dump_sset
     x = cells_sset(2, {0: {"v": ()}, 1: {"e": ("v", "v")},

@@ -2,23 +2,29 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from simplcs.cohomology import (CochainError, Cochain, coboundary, cochain,
-                                cohomologous, cohomology_size, dump_cochain,
+from simplcs.cohomology import (CochainError, Cochain, coboundary,
+                                coboundary_matrix, cochain, cohomologous,
+                                cohomology_size, dump_cochain,
                                 extract_linear_system, gamma_b, gamma_phi_d,
                                 is_cocycle, is_normalized, normalize_cocycle,
                                 parse_cochain, pullback, tilde_b)
+from simplcs.contextuality import enumerate_deterministic
 from simplcs.groups import build_group, cyclic, dihedral, quaternion, quotient_by_j
 from simplcs.linsys import (RowConditionError, k33_system, make_system,
                             two_vertex_system, write_lcs)
-from simplcs.presentations import reduction_maps
+from simplcs.presentations import (commutator_word, pi1, pi1_commutative,
+                                   reduction_maps, word_simplify)
 from simplcs.simplicial import (BASEPOINT, K33_FUNDAMENTAL_CYCLE, SMap,
-                                bar_comm_nerve, comm_nerve, complex_of_system,
-                                dump_sset, k33_torus_fixture, nerve, nzd_sigma,
+                                _face_incidence, _face_sum, bar_comm_nerve,
+                                bar_nzd_sigma, cells_sset, comm_nerve,
+                                complex_of_system, dump_sset,
+                                k33_torus_fixture, nerve, nzd_sigma,
                                 random_truncated_sset, wedge_nzd,
                                 wedge_subset_of_nzd)
-from simplcs.zmod import ZModMatrix, howell_form
+from simplcs.zmod import ZModMatrix, howell_form, kernel_basis
 
 
 def fixture_cochain(fx, vals, d):
@@ -55,6 +61,159 @@ def test_coboundary_cap_error():
     g = cochain(x, 2, 2)
     with pytest.raises(CochainError):
         coboundary(g)
+    with pytest.raises(CochainError):
+        is_cocycle(g)
+    with pytest.raises(CochainError):
+        coboundary_matrix(x, x.cap, 2)
+    with pytest.raises(CochainError):
+        cohomology_size(x, x.cap, 2)
+
+
+# The signed face sum and the other structure-map readers work on position
+# lists; the token-loop definitions they replaced are kept here as references.
+
+def reference_coboundary(f):
+    n = f.degree + 1
+    vals = {}
+    for tok in f.host.simplices[n]:
+        acc = 0
+        for i in range(n + 1):
+            acc += (-1) ** i * f(f.host.face(n, i, tok))
+        vals[tok] = acc
+    return Cochain(f.host, n, f.modulus, vals)
+
+
+def reference_coboundary_matrix(host, degree, modulus):
+    cols = list(host.simplices[degree])
+    rows = list(host.simplices[degree + 1])
+    col_index = {tok: k for k, tok in enumerate(cols)}
+    mat = []
+    for sigma in rows:
+        entries = [0] * len(cols)
+        for i in range(degree + 2):
+            entries[col_index[host.face(degree + 1, i, sigma)]] += (-1) ** i
+        mat.append([e % modulus for e in entries])
+    return ZModMatrix(mat, modulus, num_cols=len(cols)), rows, cols
+
+
+def reference_edge_rows(host, d):
+    """The additive edge condition f(d_1) - f(d_2) - f(d_0) per 2-simplex."""
+    edges = list(host.simplices[1])
+    pos = {tok: k for k, tok in enumerate(edges)}
+    rows = []
+    for sig in host.simplices[2]:
+        row = [0] * len(edges)
+        row[pos[host.face(2, 1, sig)]] += 1
+        row[pos[host.face(2, 2, sig)]] -= 1
+        row[pos[host.face(2, 0, sig)]] -= 1
+        rows.append([e % d for e in row])
+    return rows
+
+
+def reference_pi1_relators(x):
+    idx = {tok: k for k, tok in enumerate(x.simplices[1])}
+    relators = []
+    for sig in x.simplices[2]:
+        d0 = idx[x.face(2, 0, sig)]
+        d1 = idx[x.face(2, 1, sig)]
+        d2 = idx[x.face(2, 2, sig)]
+        relators.append(word_simplify([(d2, 1), (d0, 1), (d1, -1)]))
+    for v in x.simplices[0]:
+        relators.append(((idx[x.degeneracy(0, 0, v)], 1),))
+    verts = list(x.simplices[0])
+    if len(verts) > 1:
+        seen = {verts[0]}
+        frontier = [verts[0]]
+        while frontier:
+            nxt = []
+            for e in x.simplices[1]:
+                src, tgt = x.face(1, 1, e), x.face(1, 0, e)
+                for a, b in ((src, tgt), (tgt, src)):
+                    if a in seen and b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+                        relators.append(((idx[e], 1),))
+            frontier = nxt
+    return tuple(relators)
+
+
+def reference_commutative_relators(x, d):
+    idx = {tok: k for k, tok in enumerate(x.simplices[1])}
+    relators = [((k, d),) for k in range(len(idx))]
+    for sig in x.simplices[2]:
+        faces = [idx[x.face(2, i, sig)] for i in range(3)]
+        d0, d1, d2 = faces
+        for a, b in itertools.combinations(sorted(set(faces)), 2):
+            relators.append(commutator_word(a, b))
+        relators.append(word_simplify([(d2, 1), (d0, 1), (d1, -1)]))
+    return tuple(relators)
+
+
+def reference_is_connected(x):
+    verts = list(x.simplices[0])
+    adj = {v: set() for v in verts}
+    for e in x.simplices[1]:
+        a, b = x.face(1, 1, e), x.face(1, 0, e)
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = set(verts[:1])
+    frontier = list(seen)
+    while frontier:
+        frontier = [w for v in frontier for w in adj[v] if w not in seen]
+        seen.update(frontier)
+    return len(seen) == len(verts)
+
+
+def _position_hosts():
+    """N(Z_3, Sigma), its quotient (collapsed simplices with repeated
+    faces), N(Z_2, D8), the K33 torus and random reduced cell sets, all at
+    cap 3."""
+    sys_ = two_vertex_system((1, 2), d=3)
+    rng = random.Random(1717)
+    return ([nzd_sigma(complex_of_system(sys_), 3, cap=3),
+             bar_nzd_sigma(sys_, cap=3),
+             comm_nerve(build_group("dihedral:8"), cap=3),
+             k33_torus_fixture(cap=3).space]
+            + [random_truncated_sset(rng, 3, max_nondeg=12)
+               for _ in range(8)])
+
+
+def test_face_sums_match_the_token_loops():
+    rng = random.Random(1718)
+    for host in _position_hosts():
+        for n in range(1, host.cap + 1):
+            raw = [rng.randrange(-5, 6) for _ in host.simplices[n - 1]]
+            assert _face_sum(host, n, raw) \
+                == (_face_incidence(host, n) @ np.array(raw)).tolist()
+            # 251: residues that do not fit the incidence's int8
+            for d in (2, 3, 5, 251):
+                f = cochain(host, n - 1, d, fn=lambda t: rng.randrange(d))
+                assert coboundary(f) == reference_coboundary(f)
+                assert coboundary_matrix(host, n - 1, d) \
+                    == reference_coboundary_matrix(host, n - 1, d)
+
+
+def test_edge_conditions_match_the_token_loop():
+    for host in _position_hosts():
+        for d in (2, 3):
+            rows = reference_edge_rows(host, d)
+            assert (-_face_incidence(host, 2) % d).tolist() == rows
+            # the same matrix, so the same kernel basis and span order
+            kern = kernel_basis(ZModMatrix(rows, d, num_cols=host.size(1)))
+            assert [f.values for f in enumerate_deterministic(host, d)] \
+                == list(kern.enumerate_span())
+
+
+def test_pi1_relators_match_the_token_loop():
+    for host in _position_hosts():
+        assert host.is_connected() == reference_is_connected(host)
+        assert pi1(host)[0].relators == reference_pi1_relators(host)
+        for d in (2, 3):
+            assert pi1_commutative(host, d)[0].relators \
+                == reference_commutative_relators(host, d)
+    apart = cells_sset(2, {0: {"a": (), "b": (), "c": ()},
+                           1: {"e": ("b", "a")}})
+    assert not apart.is_connected() and not reference_is_connected(apart)
 
 
 def test_cochain_must_be_total():

@@ -399,6 +399,31 @@ def test_reduction_bijection_example_215():
             assert n1 == n2
 
 
+def test_reduction_bijection_rejects_a_pulled_non_solution(monkeypatch):
+    """The pulled extracted solutions are checked as homs of Gamma(A,b):
+    an element of order 4 in one of them fails the torsion relator."""
+    sys_ = two_vertex_system((1, 0))
+    g = dihedral(8)
+    maps = reduction_maps(sys_)
+    assert check_reduction_bijection(sys_, g, maps)[0] > 0
+    order4 = next(x for x in range(g.n) if g.power(x, 2) != g.identity)
+    pull = presentations.ReductionMaps.pull_solutions
+    calls = []
+
+    def corrupt_second(self, rows, group):
+        out = pull(self, rows, group)
+        calls.append(len(calls))
+        if len(calls) == 2:
+            out[-1, 0] = order4
+        return out
+
+    monkeypatch.setattr(presentations.ReductionMaps, "pull_solutions",
+                        corrupt_second)
+    with pytest.raises(AssertionError, match="pulled map is not a solution"):
+        check_reduction_bijection(sys_, g, maps)
+    assert len(calls) == 2
+
+
 def test_reduction_maps_send_delta_generators():
     sys_ = two_vertex_system((1, 0))
     maps = reduction_maps(sys_)

@@ -10,7 +10,8 @@ from simplcs.linsys import (RowConditionError, two_vertex_system, k33_system,
                             make_system, single_vertex_system)
 from simplcs.simplicial import (BASEPOINT, K33_EDGE_LABELS,
                                 K33_FUNDAMENTAL_CYCLE, K33_TRIANGLES,
-                                SimplicialValidationError, TruncatedSSet,
+                                SimplicialValidationError, SMap,
+                                TruncatedSSet,
                                 bar_comm_nerve,
                                 bar_nzd_sigma, cells_sset, comm_nerve,
                                 complex_of_system, dump_sset, e_space,
@@ -193,6 +194,72 @@ def test_validation_reports_first_failing_identity():
         "d_0 d_1", "d_0 d_2", "d_0 d_3", "d_0 s_0", "d_0 s_1", "d_0 s_2",
         "d_1 d_2", "d_1 d_3", "d_1 s_0", "d_1 s_1", "d_1 s_2", "d_2 s_0",
         "d_2 s_1", "s_0 s_0", "s_0 s_1", "s_1 s_1"]
+
+
+def reference_smap_failure(source, target, mapping, cap):
+    """The first failure of a simplicial map, in the order and the words of
+    the plain loops over (degree, simplex, index), or None."""
+    for n in range(cap + 1):
+        fmap = mapping.get(n)
+        if fmap is None:
+            return f"missing degree-{n} mapping"
+        members = set(target.simplices[n])
+        for tok in source.simplices[n]:
+            if tok not in fmap or fmap[tok] not in members:
+                return f"map incomplete at degree {n}: {tok!r}"
+    for n in range(1, cap + 1):
+        for tok in source.simplices[n]:
+            for i in range(n + 1):
+                if (mapping[n - 1][source.face(n, i, tok)]
+                        != target.face(n, i, mapping[n][tok])):
+                    return f"face commutation fails at {tok!r} (d_{i})"
+    for n in range(cap):
+        for tok in source.simplices[n]:
+            for j in range(n + 1):
+                if (mapping[n + 1][source.degeneracy(n, j, tok)]
+                        != target.degeneracy(n, j, mapping[n][tok])):
+                    return f"degeneracy commutation fails at {tok!r} (s_{j})"
+    return None
+
+
+def test_smap_validation_reports_first_failure():
+    """Every single-image corruption of valid power maps (identities, and a
+    map between different commutative nerves), and every dropped image or
+    degree, is rejected with the reference's message. At cap 2 a corrupt
+    image breaks a face commutation first; at cap 1 the faces all meet
+    the one vertex, and the degeneracy s_0 catches it."""
+    seen = set()
+    for w in (power_map_s(dihedral(8), 2, 1, cap=2),
+              power_map_s(cyclic(6), 6, 3, d_target=2, cap=2),
+              power_map_s(dihedral(8), 2, 1, cap=1)):
+        src, tgt = w.source, w.target
+        cases = []
+        for n in range(w.cap + 1):
+            for tok, old in w.mapping[n].items():
+                cases += [(n, tok, new) for new in tgt.simplices[n]
+                          if new != old]
+                cases += [(n, tok, None), (n, tok, "stray")]
+            cases.append((n, None, None))
+        for n, tok, new in cases:
+            mapping = {k: dict(v) for k, v in w.mapping.items()}
+            if tok is None:
+                del mapping[n]
+            elif new is None:
+                del mapping[n][tok]
+            else:
+                mapping[n][tok] = new
+            want = reference_smap_failure(src, tgt, mapping, w.cap)
+            if want is None:        # at cap 1, a non-degenerate edge
+                SMap(src, tgt, mapping)
+                continue
+            with pytest.raises(SimplicialValidationError) as err:
+                SMap(src, tgt, mapping)
+            assert str(err.value) == want
+            seen.add(want.split(" at ")[0].split(" fails")[0])
+    assert sorted(seen) == ["degeneracy commutation", "face commutation",
+                            "map incomplete", "missing degree-0 mapping",
+                            "missing degree-1 mapping",
+                            "missing degree-2 mapping"]
 
 
 # ------------------------------------------------------- wedge / alpha / beta
