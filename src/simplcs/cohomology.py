@@ -4,6 +4,8 @@ linear system (A_X, b_gamma) of a pair (X, gamma).
 
 The coboundary carries alternating signs throughout (mod 2 this agrees with
 the unsigned sum; for odd d the signs are forced by the extracted systems).
+The signed face sum itself is `simplicial._face_sum` (on value lists) and
+`_face_incidence` (as a matrix), both on the host's position lists.
 """
 
 from __future__ import annotations

@@ -1210,9 +1210,9 @@ def check_reduction_bijection(system: LinearSystem, g: FinGroupJ,
         raise AssertionError("pull after push is not the identity")
     pulled = maps.pull_solutions(ext, g)
     # Sol(A,b;G) = Hom_J(Gamma(A,b), G): the rows with J -> J are homs
+    homs = np.column_stack([pulled, np.full(len(pulled), g.j, dtype=np.intp)])
     try:
-        check_hom_rows(solution_group(system), g, np.column_stack(
-            [pulled, np.full(len(pulled), g.j, dtype=np.intp)]))
+        check_hom_rows(solution_group(system), g, homs)
     except ValueError:
         raise AssertionError("pulled map is not a solution") from None
     if not np.array_equal(maps.push_solutions(g, pulled), ext):

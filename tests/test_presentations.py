@@ -412,7 +412,7 @@ def test_reduction_bijection_rejects_a_pulled_non_solution(monkeypatch):
 
     def corrupt_second(self, rows, group):
         out = pull(self, rows, group)
-        calls.append(len(calls))
+        calls.append(rows)
         if len(calls) == 2:
             out[-1, 0] = order4
         return out
