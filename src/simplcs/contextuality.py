@@ -18,14 +18,16 @@ noncontextuality decision is an exact LP feasibility problem, so every
 verdict carries a machine-checkable certificate: a convex decomposition, or
 a Farkas vector against the marginal constraints.
 Only the LP's right-hand side depends on the distribution: its presolve
-(repeated supports, exact elimination with integer provenance) and, apart
-from it, the marginal supports that `verify_verdict` reads are computed once
-per (host, deterministic distributions) and cached on the host. The
-right-hand sides are integer numerators read from the degree-2 array. The
-phase-1 simplex (Dantzig pricing, then Bland's rule) runs on an
-integer-preserving numpy tableau over one common denominator: int64 while
-every entry stays below 2^30, Python ints (`dtype=object`) once one does
-not. `Fraction`s are made only for the certificate returned and for the
+(repeated supports, exact elimination with integer provenance, the basis
+rows as one integer array) and, apart from it, the 0/1 marginal support
+matrix that `verify_verdict` reads are computed once per (host,
+deterministic distributions) and cached on the host. The right-hand sides
+are integer numerators read from the degree-2 array. The phase-1 simplex
+(Dantzig pricing, then Bland's rule) runs on an integer-preserving numpy
+tableau over one common denominator, updated in place: int64 while every
+entry stays below 2^30, Python ints (`dtype=object`) once one does not. A
+certificate is checked by one integer product with the support matrix.
+`Fraction`s are made only for the certificate returned and for the
 `RationalDist` view of a distribution.
 
 The quantum side (commuting d-torsion unitaries, projective measurements,
@@ -413,38 +415,60 @@ def _content_key(d: int, dets: Sequence[DeterministicDist]) -> tuple:
     return (d, tuple(f.values for f in dets))
 
 
-def _marginal_supports(host: TruncatedSSet, d: int,
-                       dets: Sequence[DeterministicDist]) -> tuple:
-    """The marginal rows without their right-hand sides: (support frozenset
-    over det indices, label) for normalization first, then one 0/1 row per
-    (nondegenerate 2-simplex, outcome).
+@dataclass(frozen=True)
+class _Supports:
+    """The marginal rows of the LP without their right-hand sides:
+    normalization first, then one row per (nondegenerate 2-simplex,
+    outcome)."""
+    rows: tuple          # (support frozenset over det indices, label) per row
+    matrix: np.ndarray   # the same supports, one 0/1 uint8 row per LP row
+    index: dict          # label -> its row
+    columns: dict        # deterministic distribution -> its column
 
-    Built once per (host, dets) and cached on the host apart from the
+
+def _supports(host: TruncatedSSet, d: int,
+              dets: Sequence[DeterministicDist]) -> _Supports:
+    """Built once per (host, dets) and cached on the host apart from the
     presolve, since `verify_verdict` reads these and never the presolve."""
     return _cached_on(host, "_lp_supports", _content_key(d, dets),
                       lambda: _build_supports(host, d, dets))
 
 
+def _marginal_supports(host: TruncatedSSet, d: int,
+                       dets: Sequence[DeterministicDist]) -> tuple:
+    """The (support, label) rows of `_supports`."""
+    return _supports(host, d, dets).rows
+
+
 def _build_supports(host: TruncatedSSet, d: int,
-                    dets: Sequence[DeterministicDist]) -> tuple:
+                    dets: Sequence[DeterministicDist]) -> _Supports:
     lay = _layout(host, d)
     codes = _outcome_codes(_value_array(host, dets), host, 2, d)
-    rows = [(frozenset(range(len(dets))), ("norm",))]
-    for row, code in zip(lay.marginal_rows.tolist(),
-                         lay.marginal_codes.tolist()):
-        rows.append((frozenset(np.flatnonzero(codes[row] == code).tolist()),
-                     (host.simplices[2][row], _decode_outcome(code, 2, d))))
-    return tuple(rows)
+    matrix = np.ones((1 + len(lay.marginal_rows), len(dets)), dtype=np.uint8)
+    matrix[1:] = codes[lay.marginal_rows] == lay.marginal_codes[:, None]
+    labels = [("norm",)] + [
+        (host.simplices[2][row], _decode_outcome(code, 2, d))
+        for row, code in zip(lay.marginal_rows.tolist(),
+                             lay.marginal_codes.tolist())]
+    rows = tuple((frozenset(np.flatnonzero(line).tolist()), label)
+                 for line, label in zip(matrix, labels))
+    return _Supports(rows, matrix,
+                     {label: i for i, label in enumerate(labels)},
+                     {f: k for k, f in enumerate(dets)})
 
 
 def _marginal_rhs(p: SimplicialDistribution) -> list:
     """The right-hand sides of the rows of `_marginal_supports`, as integer
-    numerators over p.den: p.den for normalization (the first row), then
-    p_sigma(outcome), read from the degree-2 array through the layout's
-    (row, code) index arrays."""
+    numerators over p.den (the list of `_rhs_array`)."""
+    return _rhs_array(p).tolist()
+
+
+def _rhs_array(p: SimplicialDistribution) -> np.ndarray:
+    """p.den for normalization (the first row), then p_sigma(outcome), read
+    from the degree-2 array through the layout's (row, code) index arrays."""
     lay = _layout(p.host, p.d)
-    return [p.den] + p.arrays[2][lay.marginal_rows,
-                                 lay.marginal_codes].tolist()
+    rest = p.arrays[2][lay.marginal_rows, lay.marginal_codes]
+    return np.concatenate((np.array([p.den], dtype=rest.dtype), rest))
 
 
 @dataclass(frozen=True)
@@ -457,8 +481,8 @@ class _Presolve:
     """
     labels: tuple      # row labels, normalization first
     duplicates: tuple  # (row index, index of the first row with its support)
-    basis: tuple       # (int vector, numerators over basis_den) per
-    #                    independent row
+    matrix: np.ndarray  # the independent rows, one integer row each
+    provenance: tuple  # numerators over basis_den, per row of matrix
     basis_den: int     # the one denominator of every basis provenance
     dependent: tuple   # (numerators, denominator) per row that reduces to
     #                    zero, in order
@@ -518,10 +542,13 @@ def _build_presolve(host: TruncatedSSet, d: int,
         else:
             dependent.append((prov, den))
     basis_den = lcm(*(den for _, _, den in basis))
+    biggest = max((abs(a) for vec, _, _ in basis for a in vec), default=0)
+    matrix = np.array([vec for vec, _, _ in basis], dtype=_exact_dtype(biggest)
+                      ).reshape(len(basis), len(dets))
     return _Presolve(tuple(label for _, label in rows), tuple(duplicates),
-                     tuple((vec, {k: v * (basis_den // den)
-                                  for k, v in prov.items()})
-                           for vec, prov, den in basis),
+                     matrix,
+                     tuple({k: v * (basis_den // den) for k, v in prov.items()}
+                           for _, prov, den in basis),
                      basis_den, tuple(dependent))
 
 
@@ -530,10 +557,11 @@ def _build_presolve(host: TruncatedSSet, d: int,
 BLAND_AFTER = 20
 
 
-def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
+def _phase1_simplex(a_rows, c: list[Fraction]
                     ) -> tuple[Optional[list[Fraction]],
                                Optional[list[Fraction]]]:
-    """Feasibility of Ax = c, x >= 0, for an integer matrix A.
+    """Feasibility of Ax = c, x >= 0, for an integer matrix A: an integer
+    array, or a list of rows of ints.
 
     Returns (x, None) when feasible, (None, y) with y'A <= 0, y'c > 0 when not.
 
@@ -543,45 +571,54 @@ def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
     the rational tableau would make, and after each pivot the division by
     the previous `den` is exact.
 
-    The tableau is one numpy array, the objective row last, and each pivot
-    is one rank-1 update of it. It is int64 while every entry is below
-    `INT64_EXACT` (2^30) in magnitude, checked on the initial tableau and
-    after every pivot: then no product in the next update reaches 2^60, so
-    none overflows. Once the bound fails, the same array is converted to
-    Python ints (`dtype=object`) and the same statements run on it, so the
-    pivots and the answer do not depend on the dtype.
+    The tableau is one numpy array, filled from A, the objective row last,
+    and each pivot updates it in place: one rank-1 product into a buffer
+    allocated once, then `*= pv`, `-=` and the exact division by `den`. It
+    is int64 while every entry is below `INT64_EXACT` (2^30) in magnitude,
+    checked on the initial tableau and after every pivot: then no product
+    in the next update reaches 2^60, so none overflows, and the exact
+    division is a right shift by den's power of two and a multiplication by
+    the inverse of its odd part modulo 2^64, which int64 arithmetic wraps to
+    the quotient since the quotient is below 2^61. Once the bound fails, the
+    array is converted to Python ints (`dtype=object`) and divided by `//`,
+    so the pivots and the answer do not depend on the dtype.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
+    mat = np.asarray(a_rows).reshape(m, n)
     c = [Fraction(v) for v in c]
     scale = lcm(*(v.denominator for v in c))
-    sign = []
-    rows = []
-    for i, (row, rhs) in enumerate(zip(a_rows, c)):
-        rhs = rhs.numerator * (scale // rhs.denominator)
-        sign.append(-1 if rhs < 0 else 1)
-        rows.append([sign[i] * v for v in row]
-                    + [int(j == i) for j in range(m)] + [sign[i] * rhs])
+    c_nums = [v.numerator * (scale // v.denominator) for v in c]
+    sign = [-1 if v < 0 else 1 for v in c_nums]
     total = n + m
+    wide = (mat.dtype == object
+            or max(map(abs, c_nums), default=0) >= INT64_EXACT
+            or (mat.size and np.abs(mat).max() >= INT64_EXACT))
+    tab = np.zeros((m + 1, total + 1), dtype=object if wide else np.int64)
+    tab[:m, :n] = mat
+    tab[range(m), range(n, total)] = 1
+    tab[:m, total] = [abs(v) for v in c_nums]
+    flip = [i for i, s in enumerate(sign) if s < 0]
+    tab[flip, :n] *= -1
     # the objective row sums the rows; its artificial columns are 0
-    zrow = [sum(col) for col in zip([0] * (total + 1), *rows)]
-    zrow[n:total] = [0] * m
-    biggest = max(map(abs, itertools.chain(zrow, *rows)))
-    tab = np.array(rows + [zrow], dtype=object if biggest >= INT64_EXACT
-                   else np.int64).reshape(m + 1, total + 1)
+    tab[m] = tab[:m].sum(axis=0)
+    tab[m, n:total] = 0
+    if not wide and np.abs(tab).max() >= INT64_EXACT:
+        tab = tab.astype(object)
+    buf = np.empty_like(tab)
     basis = [n + i for i in range(m)]
     den = 1
 
     iterations = 0
     bland_after = BLAND_AFTER * (m + 2)
-    while True:
+    while total:  # an LP without columns has nothing to price
         iterations += 1
         z = tab[m, :total]
-        positive = np.flatnonzero(z > 0)
-        if not len(positive):
-            break
         # Dantzig: the first largest entry; Bland: the first positive one
-        enter = int(positive[0] if iterations > bland_after else np.argmax(z))
+        enter = int((z > 0).argmax() if iterations > bland_after
+                    else z.argmax())
+        if z[enter] <= 0:
+            break
         col = tab[:m, enter].tolist()
         rhs_col = tab[:m, total].tolist()
         piv = None
@@ -598,15 +635,26 @@ def _phase1_simplex(a_rows: list[list[int]], c: list[Fraction]
             raise ArithmeticError("phase-1 unbounded (cannot happen)")
         pv = col[piv]
         prow = tab[piv].copy()
-        # tab = (pv * tab - outer(f, prow)) // den, f the entering column,
+        # tab = (pv * tab - outer(f, prow)) / den, f the entering column,
         # in place; the pivot row stays
-        update = np.outer(tab[:, enter], prow)
+        np.multiply(tab[:, enter, None], prow, out=buf)
         tab *= pv
-        tab -= update
-        tab //= den
+        tab -= buf
+        if tab.dtype == object:
+            tab //= den
+        elif den > 1:
+            shift = (den & -den).bit_length() - 1
+            odd = den >> shift
+            if shift:
+                tab >>= shift
+            if odd > 1:
+                inverse = pow(odd, -1, 2 ** 64)
+                tab *= np.int64(inverse - 2 ** 64 if inverse >= 2 ** 63
+                                else inverse)
         tab[piv] = prow
-        if tab.dtype != object and np.abs(tab).max() >= INT64_EXACT:
+        if tab.dtype != object and max(tab.max(), -tab.min()) >= INT64_EXACT:
             tab = tab.astype(object)
+            buf = np.empty_like(tab)
         den = pv
         basis[piv] = enter
 
@@ -669,14 +717,14 @@ def _solve(pre: _Presolve, c: list, dets: Sequence[DeterministicDist]
     # the basis rows' rhs times scale * basis_den: a positive multiple of
     # the rhs leaves the pivots and y as they are and multiplies x by it
     x, y_red = _phase1_simplex(
-        [vec for vec, _ in pre.basis],
-        [sum(v * c[k] for k, v in prov.items()) for _, prov in pre.basis])
+        pre.matrix,
+        [sum(v * c[k] for k, v in prov.items()) for prov in pre.provenance])
     if x is not None:
         return Verdict(False, weights={dets[k]: v / (scale * pre.basis_den)
                                        for k, v in enumerate(x) if v})
     y_den = lcm(*(yi.denominator for yi in y_red))
     y: dict = {}
-    for yi, (_, prov) in zip(y_red, pre.basis):
+    for yi, prov in zip(y_red, pre.provenance):
         if yi:
             yi = yi.numerator * (y_den // yi.denominator)
             for k, v in prov.items():
@@ -688,44 +736,52 @@ def _solve(pre: _Presolve, c: list, dets: Sequence[DeterministicDist]
 
 def verify_verdict(p: SimplicialDistribution, verdict: Verdict,
                    dets: Optional[Sequence[DeterministicDist]] = None) -> None:
-    """Re-check the certificate by substitution into the original constraints."""
+    """Re-check the certificate by substitution into the original constraints.
+
+    Both checks read the cached 0/1 support matrix S and the right-hand
+    sides c (numerators over p.den): a witness w (integer numerators over
+    their lcm denominator) must give S[:, cols] @ w = c row by row, and a
+    Farkas vector y must give y @ S[rows] <= 0 and y . c > 0. The products
+    are int64 where their bounds allow it and Python ints otherwise."""
     if dets is None:
         dets = enumerate_deterministic(p.host, p.d)
-    rows = _marginal_supports(p.host, p.d, dets)
-    rhs = _marginal_rhs(p)  # numerators over p.den
+    sup = _supports(p.host, p.d, dets)
+    c = _rhs_array(p)
     if not verdict.contextual:
         lam = verdict.weights
         if not all(v > 0 for v in lam.values()):
             raise AssertionError("witness has a weight that is not positive")
         if sum(lam.values()) != 1:
             raise AssertionError("witness weights do not sum to 1")
-        pos = {f: k for k, f in enumerate(dets)}
-        if any(f not in pos for f in lam):
+        if any(f not in sup.columns for f in lam):
             raise AssertionError(
                 "witness uses a deterministic distribution outside dets")
-        # the weights as integer numerators over their lcm denominator
+        # the weights as integer numerators over their lcm denominator;
+        # positive and summing to den, so every row of S[:, cols] @ w is
+        # at most den
         den = lcm(*(v.denominator for v in lam.values()))
-        sparse = {pos[f]: v.numerator * (den // v.denominator)
-                  for f, v in lam.items()}
-        for (support, label), c in zip(rows, rhs):
-            got = sum(v for k, v in sparse.items() if k in support)
-            if got * p.den != c * den:
-                raise AssertionError(f"witness violates constraint {label!r}")
+        dtype = _exact_dtype(max(den, p.den, int(np.abs(c).max())))
+        w = np.array([v.numerator * (den // v.denominator)
+                      for v in lam.values()], dtype=dtype)
+        got = sup.matrix[:, [sup.columns[f] for f in lam]] @ w
+        c = c.astype(dtype, copy=False)
+        wrong = np.flatnonzero(got * p.den != c * den)
+        if len(wrong):
+            raise AssertionError(
+                f"witness violates constraint {sup.rows[wrong[0]][1]!r}")
     else:
         # column sums and y . c scaled by the coefficients' positive lcm
-        # denominator (and p.den), which keeps their signs
-        by_label = {label: (support, c)
-                    for (support, label), c in zip(rows, rhs)}
+        # denominator, which keeps their signs
         den = lcm(*(coeff.denominator for _, coeff in verdict.farkas))
-        dot_c = 0
-        col_sums: dict = {}
-        for label, coeff in verdict.farkas:
-            support, c = by_label[label]
-            num = coeff.numerator * (den // coeff.denominator)
-            dot_c += num * c
-            for k in support:
-                col_sums[k] = col_sums.get(k, 0) + num
-        if not all(s <= 0 for s in col_sums.values()) or not dot_c > 0:
+        rows = [sup.index[label] for label, _ in verdict.farkas]
+        y = [coeff.numerator * (den // coeff.denominator)
+             for _, coeff in verdict.farkas]
+        dot_c = sum(v * ci for v, ci in zip(y, c[rows].tolist()))
+        # each column sum is at most len(y) * max |y| in magnitude
+        wide = max(map(abs, y), default=0) * len(y) >= 2 ** 63
+        col_sums = np.array(y, dtype=object if wide else np.int64
+                            ) @ sup.matrix[rows]
+        if not (col_sums <= 0).all() or not dot_c > 0:
             raise AssertionError("Farkas certificate fails verification")
 
 

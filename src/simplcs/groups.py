@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -586,7 +587,16 @@ def _split_args(body: str) -> list[str]:
 
 
 def build_group(spec: str) -> FinGroupJ:
-    """Parse a group-spec string; see README for the grammar."""
+    """Parse a group-spec string; see README for the grammar. The group's
+    order is computed from the spec's parameters and checked against
+    MAX_ORDER before any table is built."""
+    return _plan(spec)[2]()
+
+
+def _plan(spec: str) -> tuple[int, int, Callable[[], FinGroupJ]]:
+    """(order, J order, build) for a group spec. Raises GroupValidationError
+    for a spec that does not parse, a parameter out of its range, or an
+    order above MAX_ORDER; `build()` makes the group."""
     spec = spec.strip()
     m = re.match(r"^(central_product|product)\((.*)\)$", spec)
     if m:
@@ -594,42 +604,115 @@ def build_group(spec: str) -> FinGroupJ:
         args = _split_args(body)
         if len(args) < 2:
             raise GroupValidationError(f"{kind} needs two operands")
-        groups = [build_group(a) for a in args]
-        out = groups[0]
-        for nxt in groups[1:]:
-            out = (central_product(out, nxt) if kind == "central_product"
-                   else direct_product(out, nxt))
-        return out
+        plans = [_plan(a) for a in args]
+        d = plans[0][1]
+        order = 1
+        for part_order, part_d, _ in plans:
+            if kind == "central_product" and part_d != d:
+                raise GroupValidationError(
+                    "central product needs equal J orders")
+            order *= part_order
+        if kind == "central_product":  # each step identifies <J> of order d
+            order //= d ** (len(plans) - 1)
+        _check_order(spec, order)
+        combine = central_product if kind == "central_product" \
+            else direct_product
+
+        def build() -> FinGroupJ:
+            out = plans[0][2]()
+            for _, _, nxt in plans[1:]:
+                out = combine(out, nxt())
+            return out
+        return order, d, build
     if not _ATOM.match(spec):
         raise GroupValidationError(f"cannot parse group spec {spec!r}")
     head, *rest = spec.split(":")
+    with _naming(spec):
+        base, exp, d, make = _family(head, rest)
+    order = _check_order(spec, base, exp)
+
+    def build_atom() -> FinGroupJ:
+        with _naming(spec):
+            return make()
+    return order, d, build_atom
+
+
+@contextmanager
+def _naming(spec: str):
+    """A family's parameter or build errors as a GroupValidationError that
+    names the spec."""
     try:
-        return _build_family(head, rest)
+        yield
     except (ValueError, ArithmeticError, IndexError, KeyError) as exc:
-        # bad parameters: non-integers, zero orders, missing fields
         raise GroupValidationError(
             f"cannot build group {spec!r}: {exc}") from exc
 
 
-def _build_family(head: str, rest: list[str]) -> FinGroupJ:
+def _check_order(spec: str, base: int, exp: int = 1) -> int:
+    """base ** exp, the order of the group `spec` names, unless it is above
+    MAX_ORDER. The power is computed only for an exponent up to MAX_ORDER's
+    bit length: past it, any base above 1 gives an order above MAX_ORDER."""
+    if (base > 1 and exp > MAX_ORDER.bit_length()) or base ** exp > MAX_ORDER:
+        text = f"{base}^{exp}" if exp > 1 else f"{base}"
+        raise GroupValidationError(
+            f"cannot build group {spec!r}: order {text} is above "
+            f"MAX_ORDER = {MAX_ORDER}")
+    return base ** exp
+
+
+def _params(usage: str, rest: list[str], lows: Sequence[int],
+            optional: int = 0) -> list[int]:
+    """The integer parameters of a family spec, each at least its low value
+    in `lows`, the last `optional` of them optional; `usage` (as
+    "cyclic:n[:jorder]") names them in the messages."""
+    if not len(lows) - optional <= len(rest) <= len(lows):
+        raise GroupValidationError(f"expected {usage}")
+    values = []
+    for name, low, text in zip(re.findall(r":(\w+)", usage), lows, rest):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise GroupValidationError(
+                f"{usage}: {name} must be an integer >= {low}, got {text!r}")
+        values.append(value)
+    return values
+
+
+def _family(head: str, rest: list[str]
+            ) -> tuple[int, int, int, Callable[[], FinGroupJ]]:
+    """(base, exponent, J order, build) for one family spec; the group has
+    order base ** exponent."""
     if head == "cyclic":
-        if not rest:
-            raise GroupValidationError("cyclic:n[:jorder]")
-        return cyclic(int(rest[0]), int(rest[1]) if len(rest) > 1 else None)
+        n, *jorder = _params("cyclic:n[:jorder]", rest, (1, 1), optional=1)
+        return n, 1, (jorder or [n])[0], lambda: cyclic(n, *jorder)
     if head == "dihedral":
-        return dihedral(int(rest[0]) if rest else 8)
+        order, = _params("dihedral[:order]", rest, (4,), optional=1) or [8]
+        return order, 1, 2, lambda: dihedral(order)
     if head == "quaternion":
-        return quaternion()
+        _params("quaternion", rest, ())
+        return 8, 1, 2, quaternion
     if head == "heisenberg":
-        return heisenberg(int(rest[0]))
+        p, = _params("heisenberg:p", rest, (2,))
+        return p, 3, p, lambda: heisenberg(p)
     if head == "extraspecial":
-        return extraspecial(int(rest[0]), int(rest[1]), rest[2])
+        usage = "extraspecial:p:n:kind"
+        if len(rest) != 3:
+            raise GroupValidationError(f"expected {usage}")
+        (p, n), kind = _params(usage, rest[:2], (2, 1)), rest[2]
+        # kind "0" is (2^{1+2n}_+ x Z_4) / Z_2, for p = 2 only
+        base, exp = (2, 2 * n + 2) if kind == "0" else (p, 2 * n + 1)
+        return base, exp, p, lambda: extraspecial(p, n, kind)
     if head == "e1":
-        return build_e1(int(rest[0]), int(rest[1]))
+        p, m = _params("e1:p:m", rest, (2, 1))
+        return p, m * (p - 1) + 1, p, lambda: build_e1(p, m)
     if head == "wreath":
-        return wreath_cyclic(int(rest[0]))
+        p, = _params("wreath:p", rest, (2,))
+        return p, p + 1, p, lambda: wreath_cyclic(p)
     if head == "cayley":
-        return load_cayley(":".join(rest))
+        g = load_cayley(":".join(rest))
+        return g.n, 1, g.d, lambda: g
     raise GroupValidationError(f"unknown group family {head!r}")
 
 

@@ -114,6 +114,9 @@ def parse_lcs(text: str) -> LinearSystem:
         d, r, c = map(int, head.split())
     except ValueError as exc:
         raise ValueError(f"line {num}: expected `d r c`") from exc
+    if r < 0 or c < 0:
+        raise ValueError(f"line {num}: r and c must be nonnegative, "
+                         f"got r = {r}, c = {c}")
     if len(lines) != r + 2:
         raise ValueError(f"expected {r} matrix rows plus a b line, "
                          f"got {len(lines) - 1} data lines")
@@ -130,7 +133,11 @@ def parse_lcs(text: str) -> LinearSystem:
     bvals = bline.split()
     if len(bvals) != r:
         raise ValueError(f"line {num}: b needs {r} entries, got {len(bvals)}")
-    return make_system(rows, [int(v) for v in bvals], d)
+    try:
+        rhs = [int(v) for v in bvals]
+    except ValueError as exc:
+        raise ValueError(f"line {num}: non-integer b entry") from exc
+    return make_system(rows, rhs, d)
 
 
 def load_lcs(path: str) -> LinearSystem:

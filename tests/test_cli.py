@@ -118,6 +118,43 @@ def test_parse_error_has_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2 1 1\n1\nx\n", "line 3: non-integer b entry"),
+    ("2 2 2\n1 1\n1 0\n0 1.5\n", "line 4: non-integer b entry"),
+    ("2 -1 1\n0\n", "line 1: r and c must be nonnegative, got r = -1, c = 1"),
+    ("2 1 -1\n0\n0\n",
+     "line 1: r and c must be nonnegative, got r = 1, c = -1"),
+])
+def test_lcs_errors_name_their_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.lcs"
+    path.write_text(text)
+    assert main(["solve", str(path), "--group", "cyclic:2"]) == 3
+    assert capsys.readouterr().err == f"input error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("wreath:1", "wreath:p: p must be an integer >= 2, got '1'"),
+    ("heisenberg:1", "heisenberg:p: p must be an integer >= 2, got '1'"),
+    ("extraspecial:1:1:+",
+     "extraspecial:p:n:kind: p must be an integer >= 2, got '1'"),
+    ("cyclic:0", "cyclic:n[:jorder]: n must be an integer >= 1, got '0'"),
+    ("cyclic:17", "order 17 is above MAX_ORDER = 16"),
+    ("product(cyclic:4,cyclic:5)", "order 20 is above MAX_ORDER = 16"),
+])
+def test_solve_group_spec_errors_name_the_bound(k33_file, monkeypatch, capsys,
+                                                spec, message):
+    # MAX_ORDER lowered to 16, and no Cayley table may be built: a spec
+    # above the bound exits 3 from its parameters alone
+    def forbidden(table):
+        raise RuntimeError("a Cayley table was built")
+
+    monkeypatch.setattr(groups, "MAX_ORDER", 16)
+    monkeypatch.setattr(groups, "_table_array", forbidden)
+    assert main(["solve", k33_file, "--group", spec]) == 3
+    assert capsys.readouterr().err == \
+        f"input error: cannot build group {spec!r}: {message}\n"
+
+
 def test_solgroup_k33_both_parities(k33_file, k33_even_file, capsys):
     code = main(["solgroup", k33_file, "--json"])
     assert code == 0

@@ -766,7 +766,8 @@ def _recorded_lps(monkeypatch, batch):
     solve = cx._phase1_simplex
 
     def recording(a_rows, c):
-        lps.append(([list(row) for row in a_rows], list(c)))
+        # Python ints, so that the reference's arithmetic cannot overflow
+        lps.append((np.asarray(a_rows).tolist(), list(c)))
         return solve(a_rows, c)
 
     with monkeypatch.context() as patch:
@@ -776,10 +777,11 @@ def _recorded_lps(monkeypatch, batch):
     return lps
 
 
-def test_phase1_simplex_matches_the_reference(monkeypatch):
-    # the same pivots in every dtype: the 400 oracle LPs, LPs that start
-    # beyond the int64 bound or cross it mid-run, the empty LP, and the
-    # presolved LPs of criterion 4 and of 8 seeded Mermin-Peres states
+def reference_lps(monkeypatch):
+    """The 400 oracle LPs, LPs that start beyond the int64 bound or cross
+    it mid-run, the empty LP, and the presolved LPs of criterion 4 and of 8
+    seeded Mermin-Peres states, as lists of Python ints; and the wide LPs
+    alone."""
     rng = random.Random(20231)
     lps = [_random_lp(rng) for _ in range(400)]
     wide = _wide_lps(random.Random(5))
@@ -796,7 +798,14 @@ def test_phase1_simplex_matches_the_reference(monkeypatch):
         seed % 2, 1000 * seed), host=host), dets) for seed in range(8)]
     presolved = _recorded_lps(monkeypatch, batch)
     assert len(presolved) == len(batch)
-    lps += presolved
+    assert all(type(v) is int for a_rows, _ in presolved
+               for row in a_rows for v in row)
+    return lps + presolved, wide
+
+
+def test_phase1_simplex_matches_the_reference(monkeypatch):
+    # the same pivots in every dtype
+    lps, wide = reference_lps(monkeypatch)
     for a_rows, c in lps:
         assert _phase1_simplex(a_rows, c) == \
             reference_phase1_simplex(a_rows, c)
@@ -804,6 +813,16 @@ def test_phase1_simplex_matches_the_reference(monkeypatch):
     sizes = [max(max(abs(v.numerator), v.denominator) for v in x or y)
              for x, y in (reference_phase1_simplex(*lp) for lp in wide)]
     assert sum(size >= 2 ** 30 for size in sizes) >= 30
+
+
+def test_phase1_simplex_reads_arrays_and_lists_alike(monkeypatch):
+    # the presolve hands the simplex an int64 array; the oracle tests hand
+    # it lists: the tableau filled from either gives the same answer
+    lps, _ = reference_lps(monkeypatch)
+    for a_rows, c in lps:
+        arr = np.array(a_rows, dtype=np.int64).reshape(
+            len(a_rows), len(a_rows[0]) if a_rows else 0)
+        assert _phase1_simplex(arr, c) == _phase1_simplex(a_rows, c)
 
 
 def test_criterion_verdict_reports_are_pinned():
@@ -1074,6 +1093,129 @@ def test_verify_verdict_does_not_read_the_presolve(monkeypatch):
     assert _marginal_supports(host0, 2, rev) is not supports
     verify_verdict(uniform, witness, rev)
     verify_verdict(q, contextual, dets[::-1])
+
+
+def reference_verify_verdict(p, verdict, dets):
+    """The certificate check as a loop over the marginal rows, summing the
+    sparse weights of each row in Python: the reference for the matvec of
+    `verify_verdict`."""
+    rows = _marginal_supports(p.host, p.d, dets)
+    rhs = _marginal_rhs(p)  # numerators over p.den
+    if not verdict.contextual:
+        lam = verdict.weights
+        if not all(v > 0 for v in lam.values()):
+            raise AssertionError("witness has a weight that is not positive")
+        if sum(lam.values()) != 1:
+            raise AssertionError("witness weights do not sum to 1")
+        pos = {f: k for k, f in enumerate(dets)}
+        if any(f not in pos for f in lam):
+            raise AssertionError(
+                "witness uses a deterministic distribution outside dets")
+        den = lcm(*(v.denominator for v in lam.values()))
+        sparse = {pos[f]: v.numerator * (den // v.denominator)
+                  for f, v in lam.items()}
+        for (support, label), c in zip(rows, rhs):
+            got = sum(v for k, v in sparse.items() if k in support)
+            if got * p.den != c * den:
+                raise AssertionError(f"witness violates constraint {label!r}")
+    else:
+        by_label = {label: (support, c)
+                    for (support, label), c in zip(rows, rhs)}
+        den = lcm(*(coeff.denominator for _, coeff in verdict.farkas))
+        dot_c = 0
+        col_sums: dict = {}
+        for label, coeff in verdict.farkas:
+            support, c = by_label[label]
+            num = coeff.numerator * (den // coeff.denominator)
+            dot_c += num * c
+            for k in support:
+                col_sums[k] = col_sums.get(k, 0) + num
+        if not all(s <= 0 for s in col_sums.values()) or not dot_c > 0:
+            raise AssertionError("Farkas certificate fails verification")
+
+
+def _corrupted_verdicts(verdict):
+    """Every single corruption of a certificate: each witness weight
+    dropped, doubled, or dropped with the rest rescaled to sum to 1; each
+    Farkas coefficient's sign flipped, or its row dropped."""
+    out = []
+    if not verdict.contextual:
+        lam = verdict.weights
+        for f in lam:
+            rest = {g: v for g, v in lam.items() if g != f}
+            doubled = dict(lam)
+            doubled[f] = 2 * lam[f]
+            out += [rest, doubled]
+            if rest:
+                total = sum(rest.values())
+                out.append({g: v / total for g, v in rest.items()})
+        return [Verdict(False, weights=w) for w in out]
+    farkas = verdict.farkas
+    for i, (label, coeff) in enumerate(farkas):
+        out.append(farkas[:i] + [(label, -coeff)] + farkas[i + 1:])
+        out.append(farkas[:i] + farkas[i + 1:])
+    return [Verdict(True, farkas=y) for y in out]
+
+
+def _check_outcome(check, p, verdict, dets):
+    try:
+        check(p, verdict, dets)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_verify_verdict_matches_the_reference():
+    # the matvec and the row loop give the same outcome and message on the
+    # criterion-4 verdicts, the certify batch and a wide-denominator theta
+    # (Python ints), and on every single corruption of each certificate
+    sys_ = k33_system([0, 0, 0, 0, 0, 1])
+    host = host_of(sys_)
+    dets = enumerate_deterministic(host, 2)
+    q = quantum_distribution(sys_, mermin_peres_solution(), maximally_mixed(4),
+                             host=host)
+    dets0 = enumerate_deterministic(host_of(k33_system([0] * 6)), 2)
+    cases = [(q, dets),
+             (theta({f: Fraction(1, len(dets0)) for f in dets0}), dets0)]
+    batch_dets, batch = certify_batch()
+    cases += [(p, batch_dets) for _, p in batch]
+    primes = (65521, 65519, 65497)
+    weights = {dets[k]: Fraction(1, q) for k, q in zip((5, 77, 300), primes)}
+    weights[dets[411]] = 1 - sum(weights.values())
+    wide = theta(weights)
+    assert wide.arrays[2].dtype == object
+    cases.append((wide, dets))
+    outcomes = []
+    for p, cdets in cases:
+        verdict = is_contextual(p, cdets)
+        reference_verify_verdict(p, verdict, cdets)
+        candidates = [verdict] + _corrupted_verdicts(verdict)
+        if verdict.contextual:
+            # scaled by a positive rational whose numerators leave int64
+            big = Fraction(2 ** 70 + 1, 3 ** 41)
+            candidates.append(Verdict(True, farkas=[
+                (label, big * coeff) for label, coeff in verdict.farkas]))
+        for cand in candidates:
+            want = _check_outcome(reference_verify_verdict, p, cand, cdets)
+            assert _check_outcome(verify_verdict, p, cand, cdets) == want
+            outcomes.append(want)
+    # a distribution over 2^40 and a witness with 2^-16 moved between two
+    # members: int64 products would wrap each row's error, 2^24 * 2^40, to 0
+    a, b, c = dets[5], dets[77], dets[300]
+    lam = {a: Fraction(1, 2), b: Fraction(1, 2) - Fraction(1, 2 ** 40),
+           c: Fraction(1, 2 ** 40)}
+    dyadic = theta(lam)
+    verify_verdict(dyadic, Verdict(False, weights=lam), dets)
+    shift = Fraction(1, 2 ** 16)
+    moved = Verdict(False, weights={a: lam[a] - shift, b: lam[b] + shift,
+                                    c: lam[c]})
+    want = _check_outcome(reference_verify_verdict, dyadic, moved, dets)
+    assert want.startswith("witness violates constraint")
+    assert _check_outcome(verify_verdict, dyadic, moved, dets) == want
+    # the corruptions reach each failure
+    reasons = {want.split(" constraint")[0] for want in outcomes if want}
+    assert reasons == {"witness weights do not sum to 1", "witness violates",
+                       "Farkas certificate fails verification"}
 
 
 def test_verify_verdict_reads_witness_members_by_value():

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from simplcs import groups
 from simplcs.groups import (MAX_ORDER, FinGroupJ, GroupCocycle, GroupTable,
                             GroupValidationError, MonomialElement, build_e1,
                             build_group, central_product, cyclic, dihedral,
@@ -171,6 +172,89 @@ def test_invalid_specs_rejected():
     # broken associativity
     with pytest.raises(GroupValidationError):
         FinGroupJ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], 0, 1, 3)
+
+
+PLANNED = CORPUS + SWEEP_PANEL + [
+    "cyclic:1", "dihedral", "dihedral:12", "heisenberg:2", "wreath:2",
+    "wreath:3", "e1:3:1", "e1:3:2", "extraspecial:2:1:-", "extraspecial:2:1:0",
+    "extraspecial:3:1:-", "product(cyclic:2,quaternion,cyclic:3:1)",
+    "central_product(cyclic:8:4,cyclic:4)",
+    "central_product(quaternion,dihedral:8,dihedral:8)",
+]
+
+
+@pytest.mark.parametrize("spec", PLANNED)
+def test_spec_order_is_the_built_order(spec):
+    # the order and J order that a spec's parameters give, before any
+    # table is built, are those of the group it builds
+    order, d, build = groups._plan(spec)
+    g = build()
+    assert (order, d) == (g.n, g.d)
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("cyclic:17", "17"), ("cyclic:18:2", "18"), ("dihedral:20", "20"),
+    ("heisenberg:3", "3^3"), ("wreath:3", "3^4"),
+    ("wreath:9999", "9999^10000"),
+    ("e1:3:1", "3^3"), ("e1:99999999:1", "99999999^99999999"),
+    ("extraspecial:2:2:+", "2^5"), ("extraspecial:2:2:-", "2^5"),
+    ("extraspecial:2:2:0", "2^6"), ("extraspecial:3:1:+", "3^3"),
+    ("product(cyclic:4,cyclic:5)", "20"),
+    ("product(cyclic:2,product(cyclic:3,cyclic:3))", "18"),
+    ("central_product(dihedral:8,dihedral:8)", "32"),
+    ("product(cyclic:2,cyclic:17)", "17"),
+])
+def test_group_order_is_bounded_before_any_table(monkeypatch, spec, order):
+    # a spec above MAX_ORDER is refused from its parameters: no table of
+    # the group, or of an operand above the bound, is ever built
+    def forbidden(table):
+        raise RuntimeError("a Cayley table was built")
+
+    monkeypatch.setattr(groups, "MAX_ORDER", 16)
+    monkeypatch.setattr(groups, "_table_array", forbidden)
+    with pytest.raises(GroupValidationError) as err:
+        build_group(spec)
+    # named by the spec, or by its first operand above the bound
+    assert str(err.value).startswith("cannot build group ")
+    assert str(err.value).endswith(f": order {order} is above MAX_ORDER = 16")
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:16", "dihedral:16", "wreath:2", "extraspecial:2:1:0",
+    "product(cyclic:2,cyclic:8)",
+    # operands of order 8 each: 64 pairs, but the quotient has order 16
+    "central_product(cyclic:8:4,cyclic:8:4)",
+])
+def test_group_orders_at_the_bound_still_build(monkeypatch, spec):
+    monkeypatch.setattr(groups, "MAX_ORDER", 16)
+    assert build_group(spec).n <= 16
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("wreath:1", "wreath:p: p must be an integer >= 2, got '1'"),
+    ("heisenberg:1", "heisenberg:p: p must be an integer >= 2, got '1'"),
+    ("extraspecial:1:1:+",
+     "extraspecial:p:n:kind: p must be an integer >= 2, got '1'"),
+    ("extraspecial:2:0:+",
+     "extraspecial:p:n:kind: n must be an integer >= 1, got '0'"),
+    ("cyclic:0", "cyclic:n[:jorder]: n must be an integer >= 1, got '0'"),
+    ("cyclic:4:0",
+     "cyclic:n[:jorder]: jorder must be an integer >= 1, got '0'"),
+    ("cyclic:x", "cyclic:n[:jorder]: n must be an integer >= 1, got 'x'"),
+    ("dihedral:0", "dihedral[:order]: order must be an integer >= 4, got '0'"),
+    ("e1:1:1", "e1:p:m: p must be an integer >= 2, got '1'"),
+    ("e1:3:0", "e1:p:m: m must be an integer >= 1, got '0'"),
+    ("heisenberg", "expected heisenberg:p"),
+    ("cyclic:2:2:2", "expected cyclic:n[:jorder]"),
+    ("quaternion:2", "expected quaternion"),
+    ("extraspecial:2:1", "expected extraspecial:p:n:kind"),
+    ("cyclic:6:4", "jorder 4 does not divide 6"),
+    ("dihedral:6", "dihedral group needs order divisible by 4"),
+])
+def test_group_spec_parameter_errors_name_the_parameter(spec, message):
+    with pytest.raises(GroupValidationError) as err:
+        build_group(spec)
+    assert str(err.value) == f"cannot build group {spec!r}: {message}"
 
 
 @pytest.mark.parametrize("table, message", [
