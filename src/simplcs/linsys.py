@@ -7,7 +7,14 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .zmod import ZModMatrix
+
+
+# Systems with more rows (and relator graphs with more relators) are sorted
+# out on integer arrays; below it, numpy's per-call cost exceeds the loops'.
+ARRAY_ROWS = 32
 
 
 class RowConditionError(ValueError):
@@ -45,6 +52,32 @@ class LinearSystem:
     @property
     def num_cols(self) -> int:
         return self.matrix.num_cols
+
+    @cached_property
+    def distinct_rows(self) -> tuple[list[int], list[int]]:
+        """(first, at): the row of the first occurrence of each distinct
+        (row, b) pair, ascending, and at[i], the place of row i's pair among
+        them.
+
+        Up to ARRAY_ROWS rows, pairs are compared as tuples. Beyond, each is
+        the bytes of one unsigned integer row holding the entries and b
+        (every value is below d), unless d needs more than 64 bits (the
+        array then holds Python ints)."""
+        dtype = np.min_scalar_type(self.modulus - 1)
+        if self.num_rows <= ARRAY_ROWS or dtype == object:
+            keys = zip(self.matrix.rows, self.rhs)
+        else:
+            arr = self.matrix.array()
+            buf = np.empty((arr.shape[0], arr.shape[1] + 1), dtype)
+            buf[:, :-1] = arr
+            buf[:, -1] = self.rhs
+            keys = buf.view(np.dtype((np.void, buf.strides[0]))).ravel()
+            keys = keys.tolist()
+        places: dict = {}
+        at = [places.setdefault(key, len(places)) for key in keys]
+        # read backwards, each place ends on its first row
+        first = dict(zip(reversed(at), range(len(at) - 1, -1, -1)))
+        return [first[j] for j in range(len(places))], at
 
     @cached_property
     def row_multiples(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -114,6 +147,8 @@ def parse_lcs(text: str) -> LinearSystem:
         d, r, c = map(int, head.split())
     except ValueError as exc:
         raise ValueError(f"line {num}: expected `d r c`") from exc
+    if d < 2:
+        raise ValueError(f"line {num}: modulus must be >= 2, got {d}")
     if r < 0 or c < 0:
         raise ValueError(f"line {num}: r and c must be nonnegative, "
                          f"got r = {r}, c = {c}")

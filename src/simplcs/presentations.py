@@ -6,18 +6,22 @@ via integer Smith form, and the word-level reduction maps.
 
 Solution sets are hom sets: Sol(A,b;G) is computed as Hom_J(Gamma(A,b), G),
 the homomorphisms of the solution group that send J to J_G, so
-`enumerate_homs` is the one search engine behind both. Each call compiles
-one static plan, a step per generator in a fixed order: the step's domain,
-the commutator partners placed before it (their images' centralizers filter
-its candidates), at most one forcing relator (the generator occurs in it
-once and closes it, so its image is a root of a known element, through a
-per-exponent root table) and the other relators that close there, as
-checks. A depth-first search over Python bitmasks runs small plans; plans
-whose leaf bound (the product of the domain sizes of the unforced steps)
-exceeds NUMPY_LEAF_BOUND run on numpy blocks of partial rows of at most
-BLOCK_CELLS (rows x group order) cells, depth first, so memory stays
-bounded. Every result row is then checked against every relator by
-`check_hom_rows`, which shares no code with the plan.
+`enumerate_homs` is the one search engine behind both. Each call makes
+one plan, a step per generator in a fixed order, each step only when the
+search first reaches it: the step's domain, the commutator partners placed
+before it (their images' centralizers filter its candidates), at most one
+forcing relator (the generator occurs in it once and closes it, so its
+image is a root of a known element, through a per-exponent root table) and
+the other relators that close there, as checks. A depth-first search over
+Python bitmasks runs the plan until the leaf bound of its steps so far (the
+product of the domain sizes of the unforced ones) exceeds
+NUMPY_LEAF_BOUND; numpy blocks of partial rows of at most BLOCK_CELLS
+(rows x group order) cells then run it from the start, depth first, so
+memory stays bounded. The relators are sorted out by kind once per
+presentation, and for a solution group once per linear system, from its
+distinct rows, before the presentation itself is built. Every result row
+is then checked against every relator by `check_hom_rows`, which shares no
+code with the plan.
 
 Isomorphism claims are always settled by completed coset tables or hom-set
 bijections, never by free-group rewriting.
@@ -33,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .groups import MAX_ORDER, FinGroupJ, GroupTable
-from .linsys import LinearSystem
+from .linsys import ARRAY_ROWS, LinearSystem
 from .simplicial import BASEPOINT, TruncatedSSet, twisted_product
 from .zmod import smith_normal_form
 
@@ -109,34 +113,24 @@ def commutator_word(a: int, b: int) -> Word:
 def solution_group(system: LinearSystem) -> Presentation:
     """Generators e_v and J; torsion, per-facet commutativity, row products.
 
-    Built once per system and kept on it (as `row_lift` is), so solving one
-    system in several groups shares one presentation."""
+    Built from the system's relator kinds (`_system_kinds`) when first asked
+    for and kept on the system (as `row_lift` is), so solving one system in
+    several groups shares one presentation, and `solutions` builds it only
+    to check the homs it found. Every row keeps its product relator, in row
+    order, duplicates included."""
     cached = vars(system).get("_solution_group")
     if cached is None:
-        cached = vars(system)["_solution_group"] = _solution_group(system)
+        kinds = _system_kinds(system)
+        d, jdx = system.modulus, system.num_cols
+        words = kinds.words()
+        relators = [((i, d),) for i in range(jdx + 1)]
+        relators += [commutator_word(a, b) for a, b in kinds.pairs]
+        relators += map(words.__getitem__, system.distinct_rows[1])
+        cached = Presentation(tuple(f"e{v}" for v in range(jdx)) + ("J",),
+                              tuple(relators), "J")
+        vars(cached)["_relator_kinds"] = kinds
+        vars(system)["_solution_group"] = cached
     return cached
-
-
-def _solution_group(system: LinearSystem) -> Presentation:
-    d = system.modulus
-    gens = [f"e{v}" for v in range(system.num_cols)] + ["J"]
-    jdx = len(gens) - 1
-    relators: list[Word] = [word_simplify([(i, d)]) for i in range(len(gens))]
-    # commutativity: pairs inside each row support, and J with every e_v
-    pairs = {(v, jdx) for v in range(system.num_cols)}
-    # an extracted system repeats many rows: each distinct (row, b) once
-    words: dict = {}
-    products = []
-    for key in zip(system.matrix.nonzeros(), system.rhs):
-        word = words.get(key)
-        if word is None:
-            entries, bval = key      # (v, A_iv), v ascending
-            pairs.update(itertools.combinations([v for v, _ in entries], 2))
-            # prod e_v^{A_iv} J^{-b_i}
-            word = words[key] = word_simplify([*entries, (jdx, -bval)])
-        products.append(word)
-    relators += [commutator_word(a, b) for a, b in sorted(pairs)]
-    return Presentation(tuple(gens), tuple(relators + products), "J")
 
 
 # ---------------------------------------------------------- fundamental groups
@@ -395,12 +389,18 @@ def tietze_simplify(pres: Presentation) -> Presentation:
 class TC:
     """HLT coset enumeration: forward/backward relator scans with deduction,
     union-find coincidence handling, and periodic deduction-only lookahead
-    passes so that collapsing presentations stay small."""
+    passes so that collapsing presentations stay small.
+
+    Columns are generator k then inverse k + num_gens; `flip` maps each to
+    the other. Each relator is kept with its flipped reverse path, which
+    the backward scan follows. A coset c is live when labels[c] == c, which
+    the scans test before they call `find`."""
 
     def __init__(self, num_gens: int, relator_paths: Sequence[Sequence[int]],
                  max_cosets: int):
-        self.k = num_gens            # columns: 2k (gen, then inverse)
-        self.rels = [tuple(r) for r in relator_paths]
+        self.flip = [*range(num_gens, 2 * num_gens), *range(num_gens)]
+        self.rels = [(tuple(r), tuple(self.flip[col] for col in reversed(r)))
+                     for r in relator_paths]
         self.max = max_cosets
         self.labels: list[int] = []
         self.neigh: list[dict[int, int]] = []
@@ -420,12 +420,9 @@ class TC:
             c = self.labels[c]
         return c
 
-    def _flip(self, col: int) -> int:
-        return col + self.k if col < self.k else col - self.k
-
     def set_edge(self, a: int, col: int, b: int) -> None:
         self.neigh[a][col] = b
-        self.neigh[b][self._flip(col)] = a
+        self.neigh[b][self.flip[col]] = a
 
     def unify(self, a: int, b: int) -> None:
         stack = [(a, b)]
@@ -445,67 +442,74 @@ class TC:
                 if na == -1:
                     nb_live = self.find(nb)
                     self.neigh[a][col] = nb_live
-                    self.neigh[nb_live][self._flip(col)] = a
+                    self.neigh[nb_live][self.flip[col]] = a
                 else:
                     stack.append((na, nb))
 
     def scan(self, c: int, rel: tuple, fill: bool) -> None:
         """Trace a relator loop at c; deduce across a gap of one, optionally
         bridge longer gaps with new cosets (HLT filling)."""
-        c = self.find(c)
+        labels, neigh = self.labels, self.neigh
+        path, back = rel
+        if labels[c] != c:
+            c = self.find(c)
         f = c
         i = 0
-        n = len(rel)
+        n = len(path)
         while i < n:
-            nxt = self.neigh[f].get(rel[i], -1)
+            nxt = neigh[f].get(path[i], -1)
             if nxt == -1:
                 break
-            f = self.find(nxt)
+            f = nxt if labels[nxt] == nxt else self.find(nxt)
             i += 1
         if i == n:
-            self.unify(f, c)
+            if f != c:
+                self.unify(f, c)
             return
         b = c
         j = n
         while j > i:
-            prev = self.neigh[b].get(self._flip(rel[j - 1]), -1)
+            prev = neigh[b].get(back[n - j], -1)
             if prev == -1:
                 break
-            b = self.find(prev)
+            b = prev if labels[prev] == prev else self.find(prev)
             j -= 1
         if i == j:
-            self.unify(f, b)
+            if f != b:
+                self.unify(f, b)
             return
         if i == j - 1:
-            self.set_edge(f, rel[i], b)
+            self.set_edge(f, path[i], b)
             return
         if not fill:
             return
         while i < j - 1:
             new = self.add_coset()
-            self.set_edge(f, rel[i], new)
+            self.set_edge(f, path[i], new)
             f = new
             i += 1
-        self.set_edge(f, rel[i], b)
+        self.set_edge(f, path[i], b)
 
     def lookahead(self) -> None:
-        for c in range(len(self.labels)):
-            if self.find(c) == c:
+        labels = self.labels
+        for c in range(len(labels)):
+            if labels[c] == c:
                 for rel in self.rels:
                     self.scan(c, rel, fill=False)
-                    if self.find(c) != c:
+                    if labels[c] != c:
                         break
 
     def run(self) -> bool:
+        labels = self.labels
         checkpoint = max(4 * self.num_live, 256)
         scan_at = 0
-        while scan_at < len(self.labels):
-            if self.find(scan_at) == scan_at:
+        while scan_at < len(labels):
+            if labels[scan_at] == scan_at:
                 for rel in self.rels:
                     self.scan(scan_at, rel, fill=True)
-                    if len(self.labels) > self.max:
+                    if len(labels) > self.max:
                         return False
-                    if self.find(scan_at) != scan_at:
+                    if labels[scan_at] != scan_at:
                         break
                 if self.num_live > checkpoint:
                     self.lookahead()
@@ -514,7 +518,8 @@ class TC:
         return True
 
     def live(self) -> list[int]:
-        return [c for c in range(len(self.labels)) if self.find(c) == c]
+        labels = self.labels
+        return [c for c in range(len(labels)) if labels[c] == c]
 
 
 @dataclass
@@ -757,14 +762,210 @@ def check_hom_rows(pres: Presentation, g: GroupTable,
                                  f"{lo + r} fails {rels[c]}")
 
 
-def _generator_order(rel_gens: Sequence[set[int]],
-                     sizes: Sequence[int]) -> list[int]:
-    """The search order of `enumerate_homs`: each step places the unplaced
-    generator with the least key (sizes[gen] > 1, -done, -touched,
-    sizes[gen], gen), where done counts its relators whose other generators
-    are all placed and touched its relators with some but not all of those
-    placed. Generators with at most one candidate come first: they cost no
-    branching, and the relators through them start forcing sooner.
+class _Kinds:
+    """The distinct relators of a presentation, sorted out by kind once per
+    presentation (for a solution group, once per linear system): the
+    (generator, exponent sum) of each one-generator relator (x^a x^b ... =
+    x^(a + b + ...)), the generator pairs (a, b) of the exact commutators,
+    and the relators on two or more generators, the live ones.
+
+    Words are kept as letters: word w is the letters starts[w]:starts[w + 1]
+    of the lists gens and exps, and live relator r is word live[r]."""
+
+    def __init__(self, singles: list, pairs: list, letters: tuple,
+                 live: list):
+        self.singles, self.pairs, self.live = singles, pairs, live
+        self.gens, self.exps, self.starts = letters
+        self._graphs: dict = {}
+
+    def word(self, w: int) -> Word:
+        lo, hi = self.starts[w], self.starts[w + 1]
+        return tuple(zip(self.gens[lo:hi], self.exps[lo:hi]))
+
+    def words(self) -> list[Word]:
+        return list(map(self.word, range(len(self.starts) - 1)))
+
+    def graph(self, k: int, pinned: Optional[int]) -> "_Graph":
+        """The relators that order a search on k generators: the live ones,
+        then the exact commutators that do not involve the pinned generator
+        (its image g.j is central, so they hold). Kept per pinned generator;
+        built on arrays beyond ARRAY_ROWS relators."""
+        graph = self._graphs.get(pinned)
+        if graph is not None:
+            return graph
+        gens, starts, live = self.gens, self.starts, self.live
+        pairs = [pair for pair in self.pairs if pinned not in pair]
+        if len(live) + len(pairs) <= ARRAY_ROWS:
+            graph = _Graph.of_lists(
+                [list(dict.fromkeys(gens[starts[w]:starts[w + 1]]))
+                 for w in live] + pairs, k)
+        else:
+            # the (relator, generator) of every letter of the live words,
+            # then of the commutators
+            bounds = np.array(starts)
+            rank = np.full(len(starts) - 1, -1)
+            rank[live] = np.arange(len(live))
+            rel_of = np.repeat(rank, np.diff(bounds))
+            keep = rel_of >= 0
+            pair_of = np.repeat(np.arange(len(pairs)) + len(live), 2)
+            graph = _Graph.of_arrays(
+                np.concatenate([rel_of[keep], pair_of]),
+                np.concatenate([np.array(gens, dtype=np.intp)[keep],
+                                np.array(pairs, dtype=np.intp).ravel()]),
+                len(live) + len(pairs), k)
+        self._graphs[pinned] = graph
+        return graph
+
+
+def _relator_kinds(pres: Presentation) -> _Kinds:
+    """The `_Kinds` of pres, kept on it."""
+    kinds = vars(pres).get("_relator_kinds")
+    if kinds is None:
+        singles, pairs, live = [], [], []
+        for rel in dict.fromkeys(pres.relators):
+            gens = {gen for gen, _ in rel}
+            if len(gens) == 1:
+                singles.append((rel[0][0], sum(e for _, e in rel)))
+            elif len(rel) == 4 and rel == commutator_word(rel[0][0],
+                                                          rel[1][0]):
+                pairs.append((rel[0][0], rel[1][0]))
+            elif gens:
+                live.append(rel)
+        letters = ([gen for rel in live for gen, _ in rel],
+                   [e for rel in live for _, e in rel],
+                   [0, *itertools.accumulate(map(len, live))])
+        kinds = vars(pres)["_relator_kinds"] = _Kinds(
+            singles, pairs, letters, list(range(len(live))))
+    return kinds
+
+
+def _system_kinds(system: LinearSystem) -> _Kinds:
+    """The `_Kinds` of Gamma(A,b), from the system's distinct rows and kept
+    on it: the torsion relator of every generator, then the distinct rows
+    on one generator, as singles; the pairs of columns that share a row and
+    (v, J) for every column v, ascending; and as words the row products
+    prod_v e_v^{A_iv} J^{-b_i} (v ascending, J^0 left out) of all distinct
+    rows, live where they hold two or more generators. Beyond ARRAY_ROWS
+    rows they are found on integer arrays."""
+    kinds = vars(system).get("_relator_kinds")
+    if kinds is not None:
+        return kinds
+    d, c = system.modulus, system.num_cols
+    first, _ = system.distinct_rows
+    rhs = [system.rhs[i] for i in first]
+    singles = [(i, d) for i in range(c + 1)]
+    if system.num_rows > ARRAY_ROWS:
+        kinds = _array_kinds(system.matrix.array()[first], rhs, singles)
+    else:
+        pairs = {(v, c) for v in range(c)}
+        gens: list[int] = []
+        exps: list[int] = []
+        starts, live = [0], []
+        for row, b in zip(map(system.matrix.rows.__getitem__, first), rhs):
+            cols = [v for v, e in enumerate(row) if e]
+            pairs.update(itertools.combinations(cols, 2))
+            gens += cols
+            exps += [e for e in row if e]
+            if b:
+                gens.append(c)
+                exps.append(-b)
+            size = len(gens) - starts[-1]
+            if size == 1:
+                singles.append((gens[-1], exps[-1]))
+            elif size:
+                live.append(len(starts) - 1)
+            starts.append(len(gens))
+        kinds = _Kinds(singles, sorted(pairs), (gens, exps, starts), live)
+    vars(system)["_relator_kinds"] = kinds
+    return kinds
+
+
+def _array_kinds(rows: np.ndarray, rhs: list, torsion: list) -> _Kinds:
+    """`_system_kinds` of the distinct rows and their b values, on arrays,
+    after the given torsion relators."""
+    m, c = rows.shape
+    at, cols = np.nonzero(rows)
+    count = np.bincount(at, minlength=m)
+    has_j = np.fromiter(map(bool, rhs), bool, m)
+    lens = count + has_j
+    starts = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(lens, out=starts[1:])
+    # the t-th nonzero entry moves up by the J letters of the rows before it
+    spots = np.arange(len(at)) + (np.cumsum(has_j) - has_j)[at]
+    ends = starts[1:][has_j] - 1
+    gens = np.empty(starts[-1], dtype=np.intp)
+    gens[spots], gens[ends] = cols, c
+    exps = np.empty(starts[-1], dtype=object if rows.dtype == object
+                    else np.int64)
+    exps[spots] = rows[at, cols]
+    exps[ends] = -np.array(rhs, dtype=exps.dtype)[has_j]
+    one = starts[:-1][lens == 1]
+    singles = torsion + list(zip(gens[one].tolist(), exps[one].tolist()))
+    # columns that share a row: each nonzero entry with the ones after it
+    offset = np.arange(len(at)) - (np.cumsum(count) - count)[at]
+    codes = [np.arange(c) * (c + 1) + c]                 # (v, J)
+    for step in range(1, int(count.max(initial=0))):
+        pair = np.flatnonzero(offset + step < count[at])
+        codes.append(cols[pair] * (c + 1) + cols[pair + step])
+    codes = np.sort(np.concatenate(codes))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    pairs = list(zip(*(x.tolist() for x in np.divmod(codes, c + 1))))
+    return _Kinds(singles, pairs, (gens.tolist(), exps.tolist(),
+                                   starts.tolist()),
+                  np.flatnonzero(lens >= 2).tolist())
+
+
+class _Graph(NamedTuple):
+    """Relators as sets of generators, read both ways: relator r holds the
+    generators members[mstart[r]:mstart[r + 1]], each once, and generator x
+    lies in the relators rels[rstart[x]:rstart[x + 1]], ascending. done[x]
+    counts the relators on x alone."""
+
+    members: list
+    mstart: list
+    rels: list
+    rstart: list
+    done: list
+
+    @classmethod
+    def of_lists(cls, rel_gens: list, k: int) -> "_Graph":
+        """From the generators of each relator, each once."""
+        rels_at: list[list[int]] = [[] for _ in range(k)]
+        done = [0] * k
+        for r, gens in enumerate(rel_gens):
+            for gen in gens:
+                rels_at[gen].append(r)
+            if len(gens) == 1:
+                done[gen] += 1
+        return cls([gen for gens in rel_gens for gen in gens],
+                   [0, *itertools.accumulate(map(len, rel_gens))],
+                   [r for rels in rels_at for r in rels],
+                   [0, *itertools.accumulate(map(len, rels_at))], done)
+
+    @classmethod
+    def of_arrays(cls, rel_of: np.ndarray, gen_of: np.ndarray,
+                  num_rels: int, k: int) -> "_Graph":
+        """From the (relator, generator) of every letter."""
+        codes = np.sort(rel_of * k + gen_of)
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        rel_of, gen_of = np.divmod(codes, k)
+        mstart = np.searchsorted(rel_of, np.arange(num_rels + 1))
+        by_gen = np.argsort(gen_of, kind="stable")
+        rstart = np.searchsorted(gen_of, np.arange(k + 1), sorter=by_gen)
+        alone = mstart[:-1][np.diff(mstart) == 1]
+        return cls(gen_of.tolist(), mstart.tolist(), rel_of[by_gen].tolist(),
+                   rstart.tolist(),
+                   np.bincount(gen_of[alone], minlength=k).tolist())
+
+
+class _Order:
+    """The search order of `enumerate_homs`, one generator at a time: each
+    call of `place` places the unplaced generator with the least key
+    (sizes[gen] > 1, -done, -touched, sizes[gen], gen), where done counts
+    its relators whose other generators are all placed and touched its
+    relators with some but not all of those placed. Generators with at most
+    one candidate come first: they cost no branching, and the relators
+    through them start forcing sooner.
 
     The counters change only for the generators of the relators through the
     placed generator, and only when such a relator gets its first placed
@@ -773,34 +974,40 @@ def _generator_order(rel_gens: Sequence[set[int]],
     a generator's current key before any stale one, and entries of placed
     generators are skipped.
     """
-    k = len(sizes)
-    rels_at: list[list[int]] = [[] for _ in range(k)]
-    done, touched = [0] * k, [0] * k
-    for r, gens in enumerate(rel_gens):
-        for gen in gens:
-            rels_at[gen].append(r)
-        if len(gens) == 1:
-            done[gen] += 1
-    unplaced = [len(gens) for gens in rel_gens]  # per relator
-    placed = [False] * k
-    heap = [(sizes[gen] > 1, -done[gen], 0, sizes[gen], gen)
-            for gen in range(k)]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
+
+    def __init__(self, graph: _Graph, sizes: Sequence[int]):
+        self.graph, self.sizes = graph, sizes
+        mstart = graph.mstart
+        self.unplaced = [b - a for a, b in zip(mstart, mstart[1:])]
+        self.done = list(graph.done)
+        self.touched = [0] * len(sizes)
+        self.placed = [False] * len(sizes)
+        self.heap = [(size > 1, -done, 0, size, gen) for gen, (size, done)
+                     in enumerate(zip(sizes, self.done))]
+        heapq.heapify(self.heap)
+
+    def place(self) -> tuple[int, list[int]]:
+        """Place the next generator: it, and the relators it closes (it is
+        their last unplaced generator), ascending."""
+        heap, placed, unplaced = self.heap, self.placed, self.unplaced
+        members, mstart, rels, rstart, _ = self.graph
+        done, touched, sizes = self.done, self.touched, self.sizes
         gen = heapq.heappop(heap)[4]
-        if placed[gen]:
-            continue
+        while placed[gen]:
+            gen = heapq.heappop(heap)[4]
         placed[gen] = True
-        order.append(gen)
-        changed = set()
-        for r in rels_at[gen]:
+        closed, changed = [], set()
+        for r in rels[rstart[gen]:rstart[gen + 1]]:
             left = unplaced[r]
             unplaced[r] = left - 1
-            first = left == len(rel_gens[r])
+            if left == 1:
+                closed.append(r)
+                continue
+            lo, hi = mstart[r], mstart[r + 1]
+            first = left == hi - lo
             if left != 2 and not first:
                 continue
-            for h in rel_gens[r]:
+            for h in members[lo:hi]:
                 if placed[h]:
                     continue
                 if left == 2:       # h is now the relator's last unknown
@@ -813,7 +1020,7 @@ def _generator_order(rel_gens: Sequence[set[int]],
         for h in changed:
             heapq.heappush(heap, (sizes[h] > 1, -done[h], -touched[h],
                                   sizes[h], h))
-    return order
+        return gen, closed
 
 
 class _Step(NamedTuple):
@@ -827,61 +1034,59 @@ class _Step(NamedTuple):
     checks: tuple[Word, ...]      # the other relators that close here
 
 
-def _relator_kinds(pres: Presentation) -> tuple[list, list, list]:
-    """The distinct relators of pres by kind, sorted out once per
-    presentation: (generator, exponent sum) of each one-generator relator
-    (x^a x^b ... = x^(a + b + ...)), the generator pairs of exact
-    commutators, and every other relator with its generator set."""
-    kinds = vars(pres).get("_relator_kinds")
-    if kinds is None:
-        singles, comms, live = [], [], []
-        for rel in dict.fromkeys(pres.relators):
-            gens = {gen for gen, _ in rel}
-            if len(gens) == 1:
-                singles.append((rel[0][0], sum(e for _, e in rel)))
-            elif len(rel) == 4 and rel == commutator_word(rel[0][0],
-                                                          rel[1][0]):
-                comms.append((rel[0][0], rel[1][0]))
-            elif gens:
-                live.append((rel, gens))
-        kinds = vars(pres)["_relator_kinds"] = (singles, comms, live)
-    return kinds
+class _Plan:
+    """The search plan of `enumerate_homs` on k generators, made a step at
+    a time: step i exists once an executor has asked for it, so a search
+    that dies early never pays for the steps it did not reach.
 
+    A step places the next generator of `_Order` over the live relators and
+    the exact commutators (without the pinned generator); the live relators
+    that close there give its forcing relator and checks, and the
+    commutators that close there its partners. Steps are kept in `steps`,
+    the place of each placed generator in `pos`, and in `bounds[i]` the
+    leaf bound of steps 0..i: the product of their domain sizes, over the
+    steps without a forcing relator."""
 
-def _compile_plan(pres: Presentation, g: FinGroupJ,
-                  pin_j: bool) -> list[_Step]:
-    """The static search plan of `enumerate_homs`, one step per generator
-    in `_generator_order`."""
-    singles, comms, live = _relator_kinds(pres)
-    k = pres.num_gens()
-    pinned = pres.j_index if pin_j else None
-    # candidates satisfy every relator on their generator alone
-    doms = [(1 << g.n) - 1] * k
-    if pinned is not None:
-        doms[pinned] = 1 << g.j
-    for gen, m in singles:
-        doms[gen] &= g.root_masks(m)[g.identity]
-    # commutators with the pinned generator hold: g.j is central
-    pairs = [(a, b) for a, b in comms if pinned != a and pinned != b]
-    rel_gens = [gens for _, gens in live] + [{a, b} for a, b in pairs]
-    # relators (commutators too) close, and start forcing, early
-    order = _generator_order(rel_gens, [m.bit_count() for m in doms])
-    pos = [0] * k
-    for i, gen in enumerate(order):
-        pos[gen] = i
-    partners: list[set[int]] = [set() for _ in range(k)]
-    for a, b in pairs:
-        if pos[a] < pos[b]:
-            partners[b].add(a)
-        else:
-            partners[a].add(b)
-    closing: list[list[Word]] = [[] for _ in range(k)]
-    for rel, gens in live:
-        closing[max(gens, key=pos.__getitem__)].append(rel)
-    plan = []
-    for gen in order:
-        force, checks = None, []
-        for rel in closing[gen]:
+    def __init__(self, kinds: _Kinds, k: int, g: FinGroupJ,
+                 pinned: Optional[int]):
+        # candidates satisfy every relator on their generator alone
+        doms = [(1 << g.n) - 1] * k
+        if pinned is not None:
+            doms[pinned] = 1 << g.j
+        roots: dict[int, int] = {}
+        for gen, m in kinds.singles:
+            if m not in roots:
+                roots[m] = g.root_masks(m)[g.identity]
+            doms[gen] &= roots[m]
+        self.kinds, self.doms, self.k = kinds, doms, k
+        graph = kinds.graph(k, pinned)
+        self.order = _Order(graph, [m.bit_count() for m in doms])
+        self.steps: list[_Step] = []
+        self.pos: dict[int, int] = {}
+        self.bounds: list[int] = []
+
+    def __len__(self) -> int:
+        return self.k
+
+    def __getitem__(self, i: int) -> _Step:
+        if not 0 <= i < self.k:
+            raise IndexError(i)
+        while len(self.steps) <= i:
+            self._place()
+        return self.steps[i]
+
+    def _place(self) -> None:
+        kinds = self.kinds
+        members, mstart = self.order.graph.members, self.order.graph.mstart
+        gen, closed = self.order.place()
+        num_live = len(kinds.live)
+        force, checks, partners = None, [], set()
+        for r in closed:
+            if r >= num_live:     # a commutator: its other generator
+                a, b = members[mstart[r]:mstart[r] + 2]
+                partners.add(b if a == gen else a)
+                continue
+            rel = kinds.word(kinds.live[r])
             at = [i for i, (h, _) in enumerate(rel) if h == gen]
             # one occurrence forces; exponent +-1 (one root) is preferred
             if len(at) == 1 and (force is None or abs(force[1]) != 1
@@ -892,34 +1097,43 @@ def _compile_plan(pres: Presentation, g: FinGroupJ,
                 force = (rel[:i], rel[i][1], rel[i + 1:])
             else:
                 checks.append(rel)
-        plan.append(_Step(gen, doms[gen], tuple(sorted(partners[gen])),
-                          force, tuple(checks)))
-    return plan
+        dom = self.doms[gen]
+        bound = self.bounds[-1] if self.bounds else 1
+        self.bounds.append(bound if force is not None
+                           else bound * dom.bit_count())
+        self.pos[gen] = len(self.steps)
+        self.steps.append(_Step(gen, dom, tuple(sorted(partners)), force,
+                                tuple(checks)))
 
 
-def _run_rows(plan: list[_Step], g: FinGroupJ) -> list[tuple[int, ...]]:
+def _run_rows(plan: _Plan, g: FinGroupJ) -> Optional[list[tuple[int, ...]]]:
     """Run the plan depth first over Python ints: a step's candidates are a
     bitmask, ANDed with the centralizer masks of its placed partners'
-    images and with the root mask of its forced value."""
+    images and with the root mask of its forced value. None, and no
+    result, as soon as the plan's leaf bound up to a step it reaches
+    passes NUMPY_LEAF_BOUND: `_run_blocks` takes such plans."""
     table, ident = g.table, g.identity
     inv, cent = g.power_row(-1), g.centralizer_masks()
-    images = [ident] * len(plan)
+    k = len(plan)
+    images = [ident] * k
     out: list[tuple[int, ...]] = []
-    steps: list = [None] * len(plan)  # made when the search first gets there
+    steps: list = [None] * k  # made when the search first gets there
 
     def letters(word):
         return tuple((h, g.power_row(e)) for h, e in word)
 
-    def make_step(i: int) -> tuple:
+    def make_step(i: int) -> bool:
         gen, dom, partners, force, checks = plan[i]
+        if plan.bounds[i] > NUMPY_LEAF_BOUND:
+            return False
         if force is not None:
             pre, e, post = force
             force = (letters(pre), letters(post), g.root_masks(e))
         steps[i] = (gen, dom, partners, force, tuple(map(letters, checks)))
-        return steps[i]
+        return True
 
     def candidates(i: int) -> int:
-        _, m, partners, force, _ = steps[i] or make_step(i)
+        _, m, partners, force, _ = steps[i]
         for p in partners:
             m &= cent[images[p]]
         if force is not None and m:
@@ -932,8 +1146,10 @@ def _run_rows(plan: list[_Step], g: FinGroupJ) -> list[tuple[int, ...]]:
             m &= roots[inv[table[b][a]]]   # x^e = (post pre)^-1
         return m
 
-    last = len(steps) - 1
-    masks = [0] * len(steps)
+    if not make_step(0):
+        return None
+    last = k - 1
+    masks = [0] * k
     masks[0] = candidates(0)
     i = 0
     while i >= 0:
@@ -956,11 +1172,13 @@ def _run_rows(plan: list[_Step], g: FinGroupJ) -> list[tuple[int, ...]]:
                 out.append(tuple(images))
             else:
                 i += 1
+                if steps[i] is None and not make_step(i):
+                    return None
                 masks[i] = candidates(i)
     return out
 
 
-def _run_blocks(plan: list[_Step], g: FinGroupJ) -> np.ndarray:
+def _run_blocks(plan: _Plan, g: FinGroupJ) -> np.ndarray:
     """Run the plan on numpy blocks of partial rows, one column per placed
     step, depth first, at most BLOCK_CELLS // g.n rows per block. A step's
     candidates are one boolean row product (its domain, the centralizer
@@ -972,7 +1190,7 @@ def _run_blocks(plan: list[_Step], g: FinGroupJ) -> np.ndarray:
     table, cent, inv = (g.table_array(), g.centralizer_matrix(),
                         g.power_array(-1))
     k = len(plan)
-    pos = {st.gen: i for i, st in enumerate(plan)}
+    pos = plan.pos
     steps: list = [None] * k  # made when the search first gets there
 
     def letters(word):
@@ -1040,28 +1258,35 @@ def _run_blocks(plan: list[_Step], g: FinGroupJ) -> np.ndarray:
             stack.append((i + 1, new))
         else:
             done.append(new)
-    found = np.concatenate(done) if done else np.empty((0, k), np.intp)
+    if not done:
+        return np.empty((0, k), dtype=np.intp)
+    found = np.concatenate(done)
     out = np.empty_like(found)
-    out[:, [st.gen for st in plan]] = found
+    out[:, [st.gen for st in plan.steps]] = found
     return out
+
+
+def _search(kinds: _Kinds, k: int, g: FinGroupJ,
+            pinned: Optional[int]) -> np.ndarray:
+    """The image rows of the homs into g, sorted and not yet checked: the
+    plan runs on `_run_rows` until its leaf bound up to the steps made so
+    far passes NUMPY_LEAF_BOUND, and then on `_run_blocks` from the
+    start."""
+    if not k:
+        return np.empty((1, 0), dtype=np.intp)
+    plan = _Plan(kinds, k, g, pinned)
+    rows = _run_rows(plan, g)
+    if rows is None:
+        rows = _run_blocks(plan, g)
+        return rows[np.lexsort(rows.T[::-1])]
+    return np.array(sorted(rows), dtype=np.intp).reshape(-1, k)
 
 
 def _hom_rows(pres: Presentation, g: FinGroupJ, pin_j: bool) -> np.ndarray:
     """The image tuples of `enumerate_homs` as the rows of one sorted array,
     every row checked by `check_hom_rows`."""
-    plan = _compile_plan(pres, g, pin_j)
-    leaves = 1
-    for st in plan:
-        if st.force is None:
-            leaves *= st.dom.bit_count()
-    if not plan:
-        rows = np.empty((1, 0), dtype=np.intp)
-    elif leaves > NUMPY_LEAF_BOUND:
-        rows = _run_blocks(plan, g)
-        rows = rows[np.lexsort(rows.T[::-1])]
-    else:
-        rows = np.array(sorted(_run_rows(plan, g)),
-                        dtype=np.intp).reshape(-1, len(plan))
+    rows = _search(_relator_kinds(pres), pres.num_gens(), g,
+                   pres.j_index if pin_j else None)
     check_hom_rows(pres, g, rows)
     return rows
 
@@ -1073,28 +1298,31 @@ def enumerate_homs(pres: Presentation, g: FinGroupJ,
     With pin_j the distinguished generator maps to g.j, so the result is
     Hom_J(pres, g); `solutions` is this search run on the solution group.
 
-    Each call compiles one static plan over the distinct relators, a step
-    per generator in `_generator_order`. A step's domain is the elements
-    that satisfy its single-generator relators (for the pinned generator:
-    g.j, if it does), so those relators hold by construction, and so do
-    commutators with the pinned generator, g.j being central. A step also
-    holds the commutator partners placed before it, whose images'
-    centralizers filter its candidates; at most one forcing relator, one
-    whose last generator in the order is this one and which contains it
-    exactly once, read as x^e = (pre^-1 post^-1) through the group's root
-    table for e (exponent +-1 preferred); and the other relators that close
-    at this step, as checks on its image. Every relator is therefore
-    checked by the time its last generator is placed.
+    Each call makes a plan over the distinct relators (`_Plan`), a step per
+    generator in the order of `_Order`, each step made only when the search
+    first reaches it. A step's domain is the elements that satisfy its
+    single-generator relators (for the pinned generator: g.j, if it does),
+    so those relators hold by construction, and so do commutators with the
+    pinned generator, g.j being central. A step also holds the commutator
+    partners placed before it, whose images' centralizers filter its
+    candidates; at most one forcing relator, one whose last generator in
+    the order is this one and which contains it exactly once, read as
+    x^e = (pre^-1 post^-1) through the group's root table for e (exponent
+    +-1 preferred); and the other relators that close at this step, as
+    checks on its image. Every relator is therefore checked by the time its
+    last generator is placed.
 
     Two executors run the plan. `_run_rows` is a depth-first search over
     Python ints and bitmasks; `_run_blocks` expands numpy blocks of partial
     rows depth first, with at most BLOCK_CELLS (rows x group order) cells
     per block, so live memory stays bounded however wide a level gets. The
-    plan's leaf bound, the product of the domain sizes of its steps without
-    a forcing relator, selects: above NUMPY_LEAF_BOUND the blocks run, so
-    small searches keep the low per-call cost of Python and large ones the
-    per-row speed of numpy. Either way every result row then passes
-    `check_hom_rows`, which shares no code with the plan.
+    leaf bound of the steps made so far, the product of the domain sizes of
+    those without a forcing relator, selects: `_run_rows` runs until it
+    passes NUMPY_LEAF_BOUND, and then the blocks take the same plan from
+    the start, so small searches (and searches that die early) keep the low
+    per-call cost of Python and large ones the per-row speed of numpy.
+    Either way every result row then passes `check_hom_rows`, which shares
+    no code with the plan.
     """
     rows = _hom_rows(pres, g, pin_j)
     return Hom._of_checked_rows(pres, g, rows.tolist())
@@ -1108,12 +1336,17 @@ def solutions(system: LinearSystem, g: FinGroupJ) -> list[tuple[int, ...]]:
 
     Computed as Hom_J(Gamma(A,b), G): e_v -> T(v), J -> J_G is a bijection
     onto the J-pinned homs of the solution group, and J is its last
-    generator, so dropping J's column from the sorted hom rows gives T.
+    generator, so dropping J's column from the sorted hom rows gives T. The
+    search reads the system's relator kinds; the presentation is built only
+    when there are rows for `check_hom_rows` to check against it.
     """
     d = system.modulus
     if g.d != d:
         raise ValueError(f"group J-order {g.d} != system modulus {d}")
-    rows = _hom_rows(solution_group(system), g, pin_j=True)
+    c = system.num_cols
+    rows = _search(_system_kinds(system), c + 1, g, c)
+    if len(rows):
+        check_hom_rows(solution_group(system), g, rows)
     return list(map(tuple, rows[:, :-1].tolist()))
 
 

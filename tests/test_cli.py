@@ -124,6 +124,8 @@ def test_parse_error_has_line_number(tmp_path, capsys):
     ("2 -1 1\n0\n", "line 1: r and c must be nonnegative, got r = -1, c = 1"),
     ("2 1 -1\n0\n0\n",
      "line 1: r and c must be nonnegative, got r = 1, c = -1"),
+    ("1 1 1\n1\n0\n", "line 1: modulus must be >= 2, got 1"),
+    ("# comment\n\n0 0 1\n\n", "line 3: modulus must be >= 2, got 0"),
 ])
 def test_lcs_errors_name_their_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.lcs"

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 import random
 
@@ -11,12 +12,11 @@ from simplcs import presentations
 from simplcs.cohomology import cochain, extract_linear_system, gamma_b
 from simplcs.groups import (build_group, central_product, cyclic, dihedral,
                             find_isomorphism, heisenberg, quaternion)
-from simplcs.linsys import (LinearSystem, two_vertex_system, k33_system, make_system,
-                            single_vertex_system)
-from simplcs.presentations import (Hom, Presentation, _generator_order,
-                                   abelian_order, abelianization,
-                                   check_reduction_bijection, commutator_word,
-                                   dump_presentation, elementarization,
+from simplcs.linsys import (ARRAY_ROWS, LinearSystem, two_vertex_system,
+                            k33_system, make_system, single_vertex_system)
+from simplcs.presentations import (Hom, Presentation, _Step, abelian_order,
+                                   abelianization, check_reduction_bijection,
+                                   commutator_word, dump_presentation, elementarization,
                                    enumerate_homs, hom_of_solution, k_group,
                                    make_presentation, opposite_word_check,
                                    parse_presentation, pi1, pi1_commutative,
@@ -558,11 +558,21 @@ def test_enumerate_homs_matches_brute_force():
         assert got == set(brute_homs(pres, g, pin_j=True))
 
 
+def make_plan(pres, g, pin_j):
+    """The lazy search plan of `enumerate_homs(pres, g, pin_j)`."""
+    return presentations._Plan(presentations._relator_kinds(pres),
+                               pres.num_gens(), g,
+                               pres.j_index if pin_j else None)
+
+
 def run_executor(name, pres, g, pin_j):
-    """The sorted image rows of one executor run on the compiled plan."""
-    plan = presentations._compile_plan(pres, g, pin_j)
+    """The sorted image rows of one executor run on the plan, whatever the
+    plan's leaf bound."""
+    plan = make_plan(pres, g, pin_j)
     if name == "rows":
-        return sorted(presentations._run_rows(plan, g))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(presentations, "NUMPY_LEAF_BOUND", 1 << 60)
+            return sorted(presentations._run_rows(plan, g))
     return sorted(map(tuple, presentations._run_blocks(plan, g).tolist()))
 
 
@@ -763,6 +773,130 @@ def quadratic_generator_order(rel_gens, sizes):
     return order
 
 
+def eager_generator_order(rel_gens, sizes):
+    """The whole search order at once, by counters and a heap: the order
+    `enumerate_homs` used before its plan was made a step at a time."""
+    k = len(sizes)
+    rels_at = [[] for _ in range(k)]
+    done, touched = [0] * k, [0] * k
+    for r, gens in enumerate(rel_gens):
+        for gen in gens:
+            rels_at[gen].append(r)
+        if len(gens) == 1:
+            done[gen] += 1
+    unplaced = [len(gens) for gens in rel_gens]  # per relator
+    placed = [False] * k
+    heap = [(sizes[gen] > 1, -done[gen], 0, sizes[gen], gen)
+            for gen in range(k)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        gen = heapq.heappop(heap)[4]
+        if placed[gen]:
+            continue
+        placed[gen] = True
+        order.append(gen)
+        changed = set()
+        for r in rels_at[gen]:
+            left = unplaced[r]
+            unplaced[r] = left - 1
+            first = left == len(rel_gens[r])
+            if left != 2 and not first:
+                continue
+            for h in rel_gens[r]:
+                if placed[h]:
+                    continue
+                if left == 2:       # h is now the relator's last unknown
+                    done[h] += 1
+                    if not first:
+                        touched[h] -= 1
+                else:               # the relator's first placed generator
+                    touched[h] += 1
+                changed.add(h)
+        for h in changed:
+            heapq.heappush(heap, (sizes[h] > 1, -done[h], -touched[h],
+                                  sizes[h], h))
+    return order
+
+
+def lazy_generator_order(rel_gens, sizes, arrays):
+    """The order of `presentations._Order`, over a graph built from lists
+    or from arrays; the arrays name every generator of a relator twice, as
+    a word may repeat a letter."""
+    k = len(sizes)
+    if arrays:
+        graph = presentations._Graph.of_arrays(
+            np.repeat(np.arange(len(rel_gens)),
+                      [2 * len(gens) for gens in rel_gens]),
+            np.array([gen for gens in rel_gens for gen in (*gens, *gens)],
+                     dtype=np.intp), len(rel_gens), k)
+    else:
+        graph = presentations._Graph.of_lists(list(map(sorted, rel_gens)), k)
+    order = presentations._Order(graph, sizes)
+    return [order.place()[0] for _ in range(k)]
+
+
+def eager_relator_kinds(pres):
+    """The distinct relators of pres by kind: (generator, exponent sum) of
+    each one-generator relator, the generator pairs of exact commutators,
+    and every other relator with its generator set."""
+    singles, comms, live = [], [], []
+    for rel in dict.fromkeys(pres.relators):
+        gens = {gen for gen, _ in rel}
+        if len(gens) == 1:
+            singles.append((rel[0][0], sum(e for _, e in rel)))
+        elif len(rel) == 4 and rel == commutator_word(rel[0][0], rel[1][0]):
+            comms.append((rel[0][0], rel[1][0]))
+        elif gens:
+            live.append((rel, gens))
+    return singles, comms, live
+
+
+def eager_compile_plan(pres, g, pin_j):
+    """The whole search plan at once, one step per generator in
+    `eager_generator_order`: the plan `enumerate_homs` compiled before it
+    made its steps only as the search reached them."""
+    singles, comms, live = eager_relator_kinds(pres)
+    k = pres.num_gens()
+    pinned = pres.j_index if pin_j else None
+    doms = [(1 << g.n) - 1] * k
+    if pinned is not None:
+        doms[pinned] = 1 << g.j
+    for gen, m in singles:
+        doms[gen] &= g.root_masks(m)[g.identity]
+    pairs = [(a, b) for a, b in comms if pinned != a and pinned != b]
+    rel_gens = [gens for _, gens in live] + [{a, b} for a, b in pairs]
+    order = eager_generator_order(rel_gens, [m.bit_count() for m in doms])
+    pos = [0] * k
+    for i, gen in enumerate(order):
+        pos[gen] = i
+    partners = [set() for _ in range(k)]
+    for a, b in pairs:
+        if pos[a] < pos[b]:
+            partners[b].add(a)
+        else:
+            partners[a].add(b)
+    closing = [[] for _ in range(k)]
+    for rel, gens in live:
+        closing[max(gens, key=pos.__getitem__)].append(rel)
+    plan = []
+    for gen in order:
+        force, checks = None, []
+        for rel in closing[gen]:
+            at = [i for i, (h, _) in enumerate(rel) if h == gen]
+            if len(at) == 1 and (force is None or abs(force[1]) != 1
+                                 and abs(rel[at[0]][1]) == 1):
+                if force is not None:
+                    checks.append(force[0] + ((gen, force[1]),) + force[2])
+                i = at[0]
+                force = (rel[:i], rel[i][1], rel[i + 1:])
+            else:
+                checks.append(rel)
+        plan.append(_Step(gen, doms[gen], tuple(sorted(partners[gen])),
+                          force, tuple(checks)))
+    return plan
+
+
 def extracted(system):
     gam, host = gamma_b(system, cap=2)
     return extract_linear_system(host, gam)
@@ -802,6 +936,26 @@ def reference_solution_group(system):
     return Presentation(tuple(gens), tuple(relators + products), "J")
 
 
+def loop_solution_group(system):
+    """Gamma(A, b) by the loop over each row's nonzero (column, entry)
+    pairs that built it before its relator kinds came from arrays."""
+    d = system.modulus
+    gens = [f"e{v}" for v in range(system.num_cols)] + ["J"]
+    jdx = len(gens) - 1
+    relators = [word_simplify([(i, d)]) for i in range(len(gens))]
+    pairs = {(v, jdx) for v in range(system.num_cols)}
+    words, products = {}, []
+    for key in zip(system.matrix.nonzeros(), system.rhs):
+        word = words.get(key)
+        if word is None:
+            entries, bval = key
+            pairs.update(itertools.combinations([v for v, _ in entries], 2))
+            word = words[key] = word_simplify([*entries, (jdx, -bval)])
+        products.append(word)
+    relators += [commutator_word(a, b) for a, b in sorted(pairs)]
+    return Presentation(tuple(gens), tuple(relators + products), "J")
+
+
 def test_solution_group_matches_reference_loop():
     # extracted systems keep their incidence array: sweep's slot shapes (the
     # full 3-simplex and a 2 x 4 system over Z_3), Z_6 with shared row spans
@@ -825,8 +979,55 @@ def test_solution_group_matches_reference_loop():
         systems.append(make_system(rows, rhs, d))
         systems.append(LinearSystem(ZModMatrix(np.array(rows), d), tuple(rhs)))
     for system in systems:
-        assert presentations._solution_group(system) \
-            == reference_solution_group(system)
+        assert solution_group(system) == reference_solution_group(system)
+
+
+def kinds_content(kinds):
+    """What a `_Kinds` says: singles, commutator pairs, live relators."""
+    return kinds.singles, kinds.pairs, [kinds.word(w) for w in kinds.live]
+
+
+MODULI = (2, 3, 4, 6, 9, 257, 2 ** 64 + 13)
+
+
+@st.composite
+def repeating_systems(draw):
+    """A system over one of MODULI with up to 2 ARRAY_ROWS + 6 rows, each a
+    copy of one of a few base rows (some of them zero) with a b of 0, 1 or
+    d - 1, so rows repeat with equal and with other b values; at most five
+    columns, some of which no row uses. Built from rows and, as int64 or
+    (beyond 64 bits) object arrays, from an array."""
+    d = draw(st.sampled_from(MODULI))
+    c = draw(st.integers(0, 5))
+    used = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=c))
+    entry = st.sampled_from((0, 0, 1, d - 1)) | st.integers(0, d - 1)
+    base = [[draw(entry) if v in used else 0 for v in range(c)]
+            for _ in range(draw(st.integers(1, 4)))] + [[0] * c]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                    st.sampled_from((0, 1, d - 1))),
+                          max_size=2 * ARRAY_ROWS + 6))
+    rows = [base[i] for i, _ in picks]
+    rhs = tuple(b for _, b in picks)
+    array = np.array(rows, dtype=object if d >= 2 ** 63 else np.int64)
+    return (LinearSystem(ZModMatrix(rows, d, num_cols=c), rhs),
+            LinearSystem(ZModMatrix(array.reshape(len(rows), c), d,
+                                    num_cols=c), rhs))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(repeating_systems())
+def test_solution_group_from_kinds_matches_the_loop(systems):
+    # the presentation built from the distinct rows is the row loop's, and
+    # the kinds kept on the system are those of a fresh copy of it
+    for system in systems:
+        pres = solution_group(system)
+        assert pres == loop_solution_group(system)
+        assert pres == reference_solution_group(system)
+        fresh = Presentation(pres.gens, pres.relators, pres.j_name)
+        assert (kinds_content(presentations._system_kinds(system))
+                == kinds_content(presentations._relator_kinds(fresh)))
+        assert presentations._relator_kinds(pres) \
+            is presentations._system_kinds(system)
 
 
 def test_generator_order_matches_quadratic_reference():
@@ -844,8 +1045,71 @@ def test_generator_order_matches_quadratic_reference():
     sizes = [3] * (pres.num_gens() - 1) + [1]
     cases.append((rel_gens, sizes))
     for rel_gens, sizes in cases:
-        assert (_generator_order(rel_gens, sizes)
-                == quadratic_generator_order(rel_gens, sizes))
+        want = quadratic_generator_order(rel_gens, sizes)
+        assert eager_generator_order(rel_gens, sizes) == want
+        for arrays in (False, True):
+            assert lazy_generator_order(rel_gens, sizes, arrays) == want
+
+
+def plan_cases():
+    """(presentation, group) pairs: the brute-force cases; seeded systems
+    of sweep's shapes (at most 3 rows and 4 columns over Z_2, Z_3, Z_6) in
+    every group of its panel, and the extracted systems of those that
+    realize; and K33 systems in D8 o D8."""
+    yield from brute_force_cases()
+    panel = {2: ("cyclic:2", "cyclic:4:2", "dihedral:8", "quaternion",
+                 "central_product(dihedral:8,dihedral:8)"),
+             3: ("cyclic:3", "heisenberg:3", "e1:3:1", "wreath:3"),
+             6: ("cyclic:6",)}
+    panel = {d: [build_group(s) for s in specs] for d, specs in panel.items()}
+    rng = random.Random(61)
+    systems = [make_system([[2, 0, 1, 2], [1, 2, 1, 1], [0, 2, 2, 0]],
+                           [0, 1, 0], 3)]
+    for trial in range(18):
+        d = (2, 3, 6)[trial % 3]
+        r, c = rng.randrange(1, 4), rng.randrange(1, 5 if d == 2 else 4)
+        systems.append(make_system(
+            [[rng.randrange(d) for _ in range(c)] for _ in range(r)],
+            [rng.randrange(d) for _ in range(r)], d))
+    for system in systems:
+        try:
+            ext = extracted(system)
+        except ValueError:   # the row conditions fail, or b_gamma does not
+            ext = None
+        for g in panel[system.modulus]:
+            yield solution_group(system), g
+            if ext is not None:
+                yield solution_group(ext), g
+    d8d8 = panel[2][-1]
+    for b in ([1, 0, 0, 0, 0, 0], [0] * 6, [0, 1, 1, 0, 0, 0]):
+        yield solution_group(k33_system(b)), d8d8
+
+
+def test_lazy_plan_matches_the_eager_plan():
+    for pres, g in plan_cases():
+        for pin_j in (True, False):
+            assert (list(make_plan(pres, g, pin_j))
+                    == eager_compile_plan(pres, g, pin_j))
+
+
+def test_unsolvable_extraction_makes_few_steps(monkeypatch):
+    # sweep's unsolvable 3 x 4 Z_3 shape: the search in Z_3 dies after J
+    # and two columns, so the plan makes at most 3 of its 76 steps, and no
+    # presentation is built to check an empty result
+    ext = extracted(make_system([[2, 0, 1, 2], [1, 2, 1, 1], [0, 2, 2, 0]],
+                                [0, 1, 0], 3))
+    plans = []
+
+    class Recorded(presentations._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(presentations, "_Plan", Recorded)
+    assert solutions(ext, cyclic(3)) == []
+    (plan,) = plans
+    assert len(plan) == 76 and len(plan.steps) <= 3
+    assert "_solution_group" not in vars(ext)
 
 
 def test_enumerate_homs_ignores_repeated_relators():
