@@ -14,7 +14,7 @@ from .zmod import ZModMatrix
 
 # Systems with more rows (and relator graphs with more relators) are sorted
 # out on integer arrays; below it, numpy's per-call cost exceeds the loops'.
-ARRAY_ROWS = 32
+ARRAY_ROWS = 256
 
 
 class RowConditionError(ValueError):

@@ -992,20 +992,24 @@ MODULI = (2, 3, 4, 6, 9, 257, 2 ** 64 + 13)
 
 @st.composite
 def repeating_systems(draw):
-    """A system over one of MODULI with up to 2 ARRAY_ROWS + 6 rows, each a
-    copy of one of a few base rows (some of them zero) with a b of 0, 1 or
-    d - 1, so rows repeat with equal and with other b values; at most five
-    columns, some of which no row uses. Built from rows and, as int64 or
-    (beyond 64 bits) object arrays, from an array."""
+    """A system over one of MODULI with up to 12 rows or with about
+    ARRAY_ROWS to 2 ARRAY_ROWS rows (both sides of the size at which the
+    distinct rows and relator kinds move to arrays), each a copy of one of
+    a few base rows (one of them zero) with a b of 0, 1 or d - 1, so rows
+    repeat with equal and with other b values; at most five columns, some
+    of which no row uses. Built from rows and, as int64 or (beyond 64 bits)
+    object arrays, from an array."""
     d = draw(st.sampled_from(MODULI))
     c = draw(st.integers(0, 5))
     used = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=c))
     entry = st.sampled_from((0, 0, 1, d - 1)) | st.integers(0, d - 1)
     base = [[draw(entry) if v in used else 0 for v in range(c)]
             for _ in range(draw(st.integers(1, 4)))] + [[0] * c]
-    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
-                                    st.sampled_from((0, 1, d - 1))),
-                          max_size=2 * ARRAY_ROWS + 6))
+    num_rows = draw(st.integers(0, 12)
+                    | st.integers(ARRAY_ROWS - 2, 2 * ARRAY_ROWS))
+    rng = draw(st.randoms(use_true_random=False))
+    picks = [(rng.randrange(len(base)), rng.choice((0, 1, d - 1)))
+             for _ in range(num_rows)]
     rows = [base[i] for i, _ in picks]
     rhs = tuple(b for _, b in picks)
     array = np.array(rows, dtype=object if d >= 2 ** 63 else np.int64)
