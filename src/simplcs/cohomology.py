@@ -10,58 +10,61 @@ The signed face sum itself is `simplicial._face_sum` (on value lists) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .groups import CentralExtensionData, GroupCocycle
 from .linsys import LinearSystem
-from .simplicial import (BASEPOINT, CochainError, SMap, TruncatedSSet,
-                         _face_incidence, _face_sum, bar_comm_nerve,
-                         bar_nzd_sigma)
+from .simplicial import (CochainError, SMap, TruncatedSSet, _face_incidence,
+                         _face_sum, bar_comm_nerve, bar_nzd_sigma)
 from .zmod import ZModMatrix, howell_form, kernel_basis, solve
 
 
 @dataclass(frozen=True)
 class Cochain:
-    """A total Z_d-valued function on the degree-n simplices of a host."""
+    """A total Z_d-valued function on the degree-n simplices of a host: one
+    value per simplex, in `host.simplices[degree]` order, reduced mod d.
+    `cochain` builds one from values keyed by simplex."""
 
     host: TruncatedSSet
     degree: int
     modulus: int
-    values: dict
+    values: tuple
 
     def __post_init__(self):
-        universe = set(self.host.simplices[self.degree])
-        missing = universe - set(self.values)
-        extra = set(self.values) - universe
-        if missing or extra:
+        if isinstance(self.values, Mapping):
+            raise CochainError("Cochain takes values by position; cochain() "
+                               "takes them keyed by simplex")
+        size = self.host.size(self.degree)
+        if len(self.values) != size:
             raise CochainError(
                 f"cochain must be total on degree {self.degree}"
-                f" ({len(missing)} missing, {len(extra)} stray)")
+                f" ({len(self.values)} values for {size} simplices)")
         object.__setattr__(self, "values",
-                           {k: v % self.modulus for k, v in self.values.items()})
+                           tuple(v % self.modulus for v in self.values))
 
     def __call__(self, tok) -> int:
-        return self.values[tok]
+        return self.values[self.host.index(self.degree)[tok]]
 
     def add(self, other: "Cochain") -> "Cochain":
         self._compat(other)
-        return Cochain(self.host, self.degree, self.modulus,
-                       {k: self.values[k] + other.values[k] for k in self.values})
+        return replace(self, values=list(map(operator.add, self.values,
+                                             other.values)))
 
     def sub(self, other: "Cochain") -> "Cochain":
         self._compat(other)
-        return Cochain(self.host, self.degree, self.modulus,
-                       {k: self.values[k] - other.values[k] for k in self.values})
+        return replace(self, values=list(map(operator.sub, self.values,
+                                             other.values)))
 
     def scale(self, m: int) -> "Cochain":
-        return Cochain(self.host, self.degree, self.modulus,
-                       {k: m * v for k, v in self.values.items()})
+        return replace(self, values=[m * v for v in self.values])
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not any(self.values)
 
     def _compat(self, other: "Cochain") -> None:
         if (self.host is not other.host or self.degree != other.degree
@@ -72,22 +75,23 @@ class Cochain:
 def cochain(host: TruncatedSSet, degree: int, modulus: int,
             values: Optional[dict] = None, default: int = 0,
             fn: Optional[Callable] = None) -> Cochain:
-    """Build a total cochain from sparse values or a callable."""
-    out = {}
-    for tok in host.simplices[degree]:
-        if fn is not None:
-            out[tok] = fn(tok)
-        else:
-            out[tok] = (values or {}).get(tok, default)
+    """Build a total cochain from sparse values keyed by simplex, or from a
+    callable on simplices; a key that is no degree-`degree` simplex raises."""
+    if fn is not None:
+        return Cochain(host, degree, modulus,
+                       list(map(fn, host.simplices[degree])))
+    out, index = [default] * host.size(degree), host.index(degree)
+    for tok, v in (values or {}).items():
+        if tok not in index:
+            raise CochainError(f"{tok!r} is not a degree-{degree} simplex")
+        out[index[tok]] = v
     return Cochain(host, degree, modulus, out)
 
 
 def coboundary(f: Cochain) -> Cochain:
     """(df)(sigma) = sum_i (-1)^i f(d_i sigma), one degree up."""
-    host, n = f.host, f.degree + 1
-    total = _face_sum(host, n, list(map(f.values.__getitem__,
-                                        host.simplices[f.degree])))
-    return Cochain(host, n, f.modulus, dict(zip(host.simplices[n], total)))
+    return Cochain(f.host, f.degree + 1, f.modulus,
+                   _face_sum(f.host, f.degree + 1, f.values))
 
 
 def is_cocycle(gamma: Cochain) -> bool:
@@ -96,9 +100,8 @@ def is_cocycle(gamma: Cochain) -> bool:
 
 def is_normalized(gamma: Cochain) -> bool:
     """gamma vanishes on every degenerate simplex of its degree."""
-    host, n = gamma.host, gamma.degree
-    return all(gamma(host.simplices[n][k]) == 0
-               for k in _degenerate_positions(host, n))
+    return not any(map(gamma.values.__getitem__,
+                       _degenerate_positions(gamma.host, gamma.degree)))
 
 
 def _degenerate_positions(host: TruncatedSSet, n: int) -> list[int]:
@@ -120,12 +123,10 @@ def cohomologous(gamma: Cochain, gamma2: Cochain) -> Optional[Cochain]:
     if gamma.degree != 2:
         raise CochainError("witness search implemented in degree 2")
     host, d = gamma.host, gamma.modulus
-    mat, rows, cols = coboundary_matrix(host, 1, d)
-    target = [(gamma2(sig) - gamma(sig)) % d for sig in rows]
-    sol = solve(mat, target)
+    sol = solve(coboundary_matrix(host, 1, d)[0], gamma2.sub(gamma).values)
     if sol is None:
         return None
-    return Cochain(host, 1, d, dict(zip(cols, sol.particular)))
+    return Cochain(host, 1, d, sol.particular)
 
 
 def normalize_cocycle(gamma: Cochain) -> Cochain:
@@ -133,14 +134,13 @@ def normalize_cocycle(gamma: Cochain) -> Cochain:
     if is_normalized(gamma):
         return gamma
     host, d = gamma.host, gamma.modulus
-    mat, rows, cols = coboundary_matrix(host, 1, d)
+    mat = coboundary_matrix(host, 1, d)[0]
     degenerate = _degenerate_positions(host, 2)
     sub = ZModMatrix(mat.array()[degenerate], d, num_cols=mat.num_cols)
-    target = [gamma(rows[k]) % d for k in degenerate]
-    sol = solve(sub, target)
+    sol = solve(sub, [gamma.values[k] for k in degenerate])
     if sol is None:
         raise CochainError("no normalized representative in this truncation")
-    u = Cochain(host, 1, d, dict(zip(cols, sol.particular)))
+    u = Cochain(host, 1, d, sol.particular)
     return gamma.sub(coboundary(u))
 
 
@@ -163,7 +163,7 @@ def pullback(gamma: Cochain, f: SMap) -> Cochain:
         raise CochainError("map target must be the cochain's host")
     n = gamma.degree
     return Cochain(f.source, n, gamma.modulus,
-                   {tok: gamma(f(n, tok)) for tok in f.source.simplices[n]})
+                   list(map(gamma.values.__getitem__, f.positions[n])))
 
 
 # --------------------------------------------------------------- gamma_b
@@ -188,7 +188,7 @@ def gamma_b(system: LinearSystem, cap: int = 3
     q = bar_nzd_sigma(system, cap)
     x, projection = q.parent, q.projection[2]
     tilde = [lift.get(tok[0], 0) for tok in x.simplices[1]]
-    base = q.index(2)[BASEPOINT]
+    base = q.base_pos[2]
     vals = [0] * q.size(2)      # reduced mod d by Cochain
     for k, (at, v) in enumerate(zip(projection, _face_sum(x, 2, tilde))):
         if at != base:
@@ -197,7 +197,7 @@ def gamma_b(system: LinearSystem, cap: int = 3
             raise CochainError(
                 f"d(tilde b) nonzero on collapsed simplex {x.simplices[2][k]!r} "
                 "(row conditions violated)")
-    return Cochain(q, 2, d, dict(zip(q.simplices[2], vals))), q
+    return Cochain(q, 2, d, vals), q
 
 
 def gamma_phi_d(ext: CentralExtensionData, cap: int = 3
@@ -206,7 +206,7 @@ def gamma_phi_d(ext: CentralExtensionData, cap: int = 3
     gc = GroupCocycle(ext)
     q = bar_comm_nerve(ext, cap)
     d = ext.group.d
-    vals = {tok: gc(tok[0], tok[1]) for tok in q.simplices[2]}
+    vals = [gc(tok[0], tok[1]) for tok in q.simplices[2]]
     return Cochain(q, 2, d, vals), q, gc
 
 
@@ -231,7 +231,7 @@ def extract_linear_system(x: TruncatedSSet, gamma: Cochain,
         incidence = incidence[np.ix_(rows, cols)]
     row_labels = tuple(map(x.simplices[2].__getitem__, rows))
     col_labels = tuple(map(x.simplices[1].__getitem__, cols))
-    rhs = tuple(-gamma.values[sigma] for sigma in row_labels)
+    rhs = tuple(-gamma.values[k] for k in rows)
     return LinearSystem(ZModMatrix(incidence, d, num_cols=len(cols)),
                         rhs, row_labels, col_labels)
 
@@ -273,9 +273,6 @@ def dump_cochain(gamma: Cochain, names: Optional[dict] = None) -> str:
     """Inverse of parse_cochain; zero values are omitted."""
     names = names or {}
     rev = {tok: name for name, tok in names.items()}
-    lines = []
-    for tok in gamma.host.simplices[gamma.degree]:
-        v = gamma(tok)
-        if v:
-            lines.append(f"{rev.get(tok, repr(tok))} {v}")
+    lines = [f"{rev.get(tok, repr(tok))} {v}" for tok, v in
+             zip(gamma.host.simplices[gamma.degree], gamma.values) if v]
     return "\n".join(lines) + ("\n" if lines else "")

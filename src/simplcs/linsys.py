@@ -34,8 +34,8 @@ class LinearSystem:
     def __post_init__(self):
         if len(self.rhs) != self.matrix.num_rows:
             raise ValueError("rhs length must match row count")
-        object.__setattr__(self, "rhs",
-                           tuple(v % self.modulus for v in self.rhs))
+        d = self.modulus
+        object.__setattr__(self, "rhs", tuple(v % d for v in self.rhs))
         if self.row_labels is not None and len(self.row_labels) != self.matrix.num_rows:
             raise ValueError("row label count mismatch")
         if self.col_labels is not None and len(self.col_labels) != self.matrix.num_cols:

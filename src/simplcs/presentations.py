@@ -1119,8 +1119,11 @@ def _run_rows(plan: _Plan, g: FinGroupJ) -> Optional[list[tuple[int, ...]]]:
     out: list[tuple[int, ...]] = []
     steps: list = [None] * k  # made when the search first gets there
 
+    powers: dict = {}               # one power_row lookup per exponent
+
     def letters(word):
-        return tuple((h, g.power_row(e)) for h, e in word)
+        return tuple((h, powers.get(e) or powers.setdefault(e, g.power_row(e)))
+                     for h, e in word)
 
     def make_step(i: int) -> bool:
         gen, dom, partners, force, checks = plan[i]
@@ -1561,7 +1564,7 @@ def theorem_iso_check(x: TruncatedSSet, gamma, d: int,
     hom_counts = {}
     passed = True
     # pin: e_1 = e_{(1, s0 basepoint)} on the p1 side
-    e1_tok = ((1,), x.degeneracy(0, 0, x.simplices[0][0]))
+    e1_tok = ((1,), x.simplices[1][x.deg_pos[0][0][0]])
     e1_gen = edge_idx[e1_tok]
     for g in test_groups:
         rows2 = _hom_rows(p2, g, pin_j=True)

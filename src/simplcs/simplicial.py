@@ -84,30 +84,24 @@ def complex_of_system(system: LinearSystem) -> SimplicialComplex:
 class TruncatedSSet:
     """Simplicial set up to a dimension cap, with explicit structure maps.
 
-    Every map is also held as a list of positions: `face_pos[n][i][k]` is
-    the position in `simplices[n - 1]` of the i-th face of
-    `simplices[n][k]`, and `deg_pos[n][j][k]` the position in
-    `simplices[n + 1]` of its j-th degeneracy. The simplicial identities are
-    checked on those lists. The token dictionaries `faces` and
-    `degeneracies` are kept as given, or built from the lists on first use.
+    Every map is held as a list of positions: `face_pos[n][i][k]` is the
+    position in `simplices[n - 1]` of the i-th face of `simplices[n][k]`,
+    and `deg_pos[n][j][k]` the position in `simplices[n + 1]` of its j-th
+    degeneracy. Token dictionaries given to the constructor are read into
+    those lists once and not kept; the simplicial identities are checked on
+    the lists, and `faces` and `degeneracies` are built from them on first
+    use.
     """
 
     def __init__(self, cap: int, simplices: dict[int, Sequence],
                  faces: dict[tuple[int, int], dict],
                  degeneracies: dict[tuple[int, int], dict],
-                 name: str = "", basepoint=None, ordered: bool = False):
-        """With ordered, each degree of simplices is already distinct and
-        sorted by `_token_key`, and is kept as given."""
-        self.cap = cap
-        self.simplices = {n: tuple(simplices.get(n, ())) if ordered else
-                          tuple(sorted(set(simplices.get(n, ())),
-                                       key=_token_key))
-                          for n in range(cap + 1)}
-        self._faces, self._degeneracies = faces, degeneracies
-        self.name = name or "sset"
-        self.basepoint = basepoint
-        self._nondeg: dict[int, tuple] = {}
-        self._index: dict[int, dict] = {}
+                 name: str = "", basepoint=None):
+        self._start(cap, {n: tuple(sorted(set(simplices.get(n, ())),
+                                          key=_token_key))
+                          for n in range(cap + 1)}, name, basepoint)
+        self.face_pos = self._positions("face", faces, -1)
+        self.deg_pos = self._positions("degeneracy", degeneracies, 1)
         self.validate()
 
     @classmethod
@@ -118,15 +112,19 @@ class TruncatedSSet:
         `deg_pos`; each degree of simplices is distinct and sorted by
         `_token_key`."""
         self = cls.__new__(cls)
-        self.cap = cap
-        self.simplices = {n: tuple(simplices[n]) for n in range(cap + 1)}
-        self._faces = self._degeneracies = None
+        self._start(cap, {n: tuple(simplices[n]) for n in range(cap + 1)},
+                    name, basepoint)
         self.face_pos, self.deg_pos = face_pos, deg_pos
-        self.name = name or "sset"
-        self.basepoint = basepoint
-        self._nondeg, self._index = {}, {}
         self.validate()
         return self
+
+    def _start(self, cap: int, simplices: dict[int, tuple], name: str,
+               basepoint) -> None:
+        self.cap, self.simplices = cap, simplices
+        self.name, self.basepoint = name or "sset", basepoint
+        self._faces = self._degeneracies = None
+        self._nondeg: dict[int, tuple] = {}
+        self._index: dict[int, dict] = {}
 
     # -- structure maps -----------------------------------------------
 
@@ -194,14 +192,10 @@ class TruncatedSSet:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        """Every map total and into the right degree, then every simplicial
-        identity, all on position lists; the first failure is reported in
-        the order of the loops over (kind, degree, simplex, indices)."""
-        if self._faces is not None and self._degeneracies is not None:
-            self.face_pos = self._positions("face", self._faces, -1)
-            self.deg_pos = self._positions("degeneracy", self._degeneracies, 1)
-        else:
-            self._check_ranges()
+        """Every position list complete and in range, then every simplicial
+        identity; the first failure is reported in the order of the loops
+        over (kind, degree, simplex, indices)."""
+        self._check_ranges()
         failure = _identity_failure(self.cap, self.simplices, self.face_pos,
                                     self.deg_pos)
         if failure is not None:
@@ -401,7 +395,10 @@ def build_sset(cap: int, degrees: dict[int, Sequence],
 # ===================================================================== smap
 
 class SMap:
-    """Simplicial map: per-degree functions commuting with the structure maps."""
+    """Simplicial map: per-degree functions commuting with the structure maps.
+
+    `positions[n][k]` is the position in the target's degree n of the image
+    of the source's k-th degree-n simplex, for n up to `cap`."""
 
     def __init__(self, source: TruncatedSSet, target: TruncatedSSet,
                  mapping: dict[int, dict], name: str = ""):
@@ -420,7 +417,7 @@ class SMap:
         by list gathers; the first failure in (degree, simplex, index)
         order is reported."""
         src, tgt = self.source, self.target
-        pos = {}
+        self.positions = pos = {}
         for n in range(self.cap + 1):
             fmap = self.mapping.get(n)
             if fmap is None:
@@ -449,11 +446,8 @@ class SMap:
                         f"{src.simplices[n][first[0]]!r} ({sym}_{first[1]})")
 
     def is_bijective(self) -> bool:
-        for n in range(self.cap + 1):
-            imgs = [self.mapping[n][t] for t in self.source.simplices[n]]
-            if len(set(imgs)) != len(imgs) or len(imgs) != self.target.size(n):
-                return False
-        return True
+        return all(len(set(pos)) == len(pos) == self.target.size(n)
+                   for n, pos in self.positions.items())
 
 
 # ================================================================= nerve spaces
@@ -660,11 +654,9 @@ def wedge_nzd(system: LinearSystem, cap: int = 3
                 {n: {tok: beta_of(n, tok) for tok in degrees[n]}
                  for n in range(cap + 1)}, name="beta")
     # alpha must embed the wedge: factors meet only at the basepoint
-    for n in range(cap + 1):
-        imgs = [alpha(n, t) for t in degrees[n]]
-        if len(set(imgs)) != len(imgs):
-            raise SimplicialValidationError(
-                "alpha is not injective (row conditions violated)")
+    if any(len(set(pos)) != len(pos) for pos in alpha.positions.values()):
+        raise SimplicialValidationError(
+            "alpha is not injective (row conditions violated)")
     return wedge, alpha, beta
 
 
@@ -687,8 +679,8 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
     """Collapse a simplicial subset to a basepoint (one per degree).
 
     Works on x's position lists. The quotient keeps the map it came from:
-    `parent` is x and `projection[n][k]` the position in the quotient of
-    x's k-th degree-n simplex."""
+    `parent` is x, `projection[n][k]` the position in the quotient of x's
+    k-th degree-n simplex, and `base_pos[n]` the basepoint's position."""
     inside = {}
     for n in range(x.cap + 1):
         index = x.index(n)
@@ -746,7 +738,7 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
     q = TruncatedSSet.from_positions(
         x.cap, degrees, collapse(x.face_pos, -1), collapse(x.deg_pos, 1),
         name=f"{x.name}/subset", basepoint=BASEPOINT)
-    q.parent, q.projection = x, projection
+    q.parent, q.projection, q.base_pos = x, projection, base
     return q
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from simplcs import groups
-from simplcs.cli import main
+from simplcs.cli import _SCENARIO_FNS, main
 from simplcs.linsys import k33_system, write_lcs
 
 
@@ -368,6 +368,14 @@ def test_reproduce_monomial_split(capsys):
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["phi_splits_inclusion"] == "pass"
+
+
+@pytest.mark.parametrize("scenario", sorted(_SCENARIO_FNS))
+def test_reproduce_every_scenario(scenario, capsys):
+    code = main(["reproduce", scenario, "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rep["results"] and set(rep["results"].values()) == {"pass"}
 
 
 def test_reports_are_deterministic(k33_file, capsys):

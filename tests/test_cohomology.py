@@ -22,8 +22,8 @@ from simplcs.simplicial import (BASEPOINT, K33_FUNDAMENTAL_CYCLE, SMap,
                                 bar_nzd_sigma, cells_sset, comm_nerve,
                                 complex_of_system, dump_sset,
                                 k33_torus_fixture, nerve, nzd_sigma,
-                                random_truncated_sset, wedge_nzd,
-                                wedge_subset_of_nzd)
+                                power_map_s, random_truncated_sset,
+                                twisted_iso, wedge_nzd, wedge_subset_of_nzd)
 from simplcs.zmod import ZModMatrix, howell_form, kernel_basis
 
 
@@ -80,7 +80,7 @@ def reference_coboundary(f):
         for i in range(n + 1):
             acc += (-1) ** i * f(f.host.face(n, i, tok))
         vals[tok] = acc
-    return Cochain(f.host, n, f.modulus, vals)
+    return cochain(f.host, n, f.modulus, values=vals)
 
 
 def reference_coboundary_matrix(host, degree, modulus):
@@ -222,6 +222,133 @@ def test_cochain_must_be_total():
         Cochain(x, 1, 2, {})
 
 
+def test_cochain_values_are_positions():
+    x = nerve(2, cap=2)
+    f = Cochain(x, 1, 2, [3, -1])
+    assert f.values == (1, 1) and f((0,)) == 1
+    with pytest.raises(CochainError, match="1 values for 2 simplices"):
+        Cochain(x, 1, 2, [1])
+    with pytest.raises(CochainError, match=r"cochain\(\) takes them keyed"):
+        Cochain(x, 1, 2, {(0,): 1, (1,): 0})
+
+
+def test_cochain_rejects_stray_keys():
+    x = nerve(2, cap=2)
+    with pytest.raises(CochainError, match=r"\('not', 'a', 'simplex'\) is "
+                       "not a degree-2 simplex"):
+        cochain(x, 2, 2, values={("not", "a", "simplex"): 1})
+    # a simplex of another degree is a stray too
+    with pytest.raises(CochainError, match=r"\(1,\) is not a degree-2"):
+        cochain(x, 2, 2, values={(1, 1): 1, (1,): 1})
+    # parse_cochain's resolve targets pass the same check
+    with pytest.raises(CochainError, match="is not a degree-2 simplex"):
+        parse_cochain(x, 2, 2, "t 1\n", resolve={"t": (1,)})
+
+
+# Cochains and simplicial maps are held by position; the definitions on
+# token dictionaries that they replaced are kept here as references.
+
+def token_values(f):
+    """f as a {simplex: value} dictionary."""
+    return dict(zip(f.host.simplices[f.degree], f.values))
+
+
+def reference_combine(f, g, m):
+    """f + m g, by simplex."""
+    a, b = token_values(f), token_values(g)
+    return {tok: (a[tok] + m * b[tok]) % f.modulus for tok in a}
+
+
+def token_degenerate(host, n, tok):
+    return any(host.degeneracy(n - 1, j, host.face(n, j + 1, tok)) == tok
+               for j in range(n))
+
+
+def reference_is_normalized(gamma):
+    host, n = gamma.host, gamma.degree
+    return all(gamma(tok) == 0 for tok in host.simplices[n]
+               if token_degenerate(host, n, tok))
+
+
+def reference_pullback(gamma, f):
+    n = gamma.degree
+    return {tok: gamma(f(n, tok)) for tok in f.source.simplices[n]}
+
+
+def reference_is_bijective(f):
+    for n in range(f.cap + 1):
+        imgs = [f.mapping[n][t] for t in f.source.simplices[n]]
+        if len(set(imgs)) != len(imgs) or len(imgs) != f.target.size(n):
+            return False
+    return True
+
+
+def test_cochain_arithmetic_matches_the_token_dicts():
+    rng = random.Random(2020)
+    normal = set()
+    for host in _position_hosts():
+        for n in range(host.cap + 1):
+            for d in (2, 3, 6):
+                f, g = (cochain(host, n, d,
+                                fn=lambda t: rng.randrange(-d, 2 * d))
+                        for _ in range(2))
+                assert token_values(f.add(g)) == reference_combine(f, g, 1)
+                assert token_values(f.sub(g)) == reference_combine(f, g, -1)
+                zero = cochain(host, n, d)
+                for m in (-1, 0, 2, 5):
+                    assert token_values(f.scale(m)) \
+                        == reference_combine(zero, f, m)
+                assert f.sub(f).is_zero() and zero.is_zero()
+                assert f.is_zero() == (not any(token_values(f).values()))
+                # f with its degenerate values dropped, and with the last
+                # of them put back
+                degenerate = [tok for tok in host.simplices[n]
+                              if token_degenerate(host, n, tok)]
+                kept = {tok: v for tok, v in token_values(f).items()
+                        if tok not in degenerate}
+                cases = [f, cochain(host, n, d, values=kept)]
+                if degenerate:
+                    cases.append(cochain(host, n, d,
+                                         values={**kept, degenerate[-1]: 1}))
+                for h in cases:
+                    assert is_normalized(h) == reference_is_normalized(h)
+                    normal.add(is_normalized(h))
+    assert normal == {True, False}
+
+
+def _smaps():
+    """Power maps of commutative nerves (omega_2 of D8 is not bijective,
+    and omega_3 of Z_6 changes d), power maps of Nbar(Z_2, G) (squaring
+    is not bijective there either), and twisted_iso."""
+    out = [power_map_s(dihedral(8), 2, m, cap=2) for m in (1, 2, 3)]
+    out.append(power_map_s(cyclic(6), 6, 3, d_target=2, cap=2))
+    for spec in ("dihedral:8", "quaternion"):
+        ext = quotient_by_j(build_group(spec))
+        _, host, _ = gamma_phi_d(ext, cap=3)
+        q = ext.quotient
+        for m in (-1, 2):
+            out.append(SMap(host, host, {
+                n: {tok: tuple(q.power(x, m) for x in tok)
+                    for tok in host.simplices[n]}
+                for n in range(host.cap + 1)}))
+    out.append(twisted_iso(quotient_by_j(dihedral(8)), cap=2)[0])
+    return out
+
+
+def test_pullback_and_bijectivity_match_the_token_dicts():
+    rng = random.Random(2021)
+    bijective = set()
+    for f in _smaps():
+        assert f.is_bijective() == reference_is_bijective(f)
+        bijective.add(f.is_bijective())
+        for n in range(f.cap + 1):
+            for d in (2, 3):
+                gamma = cochain(f.target, n, d, fn=lambda t: rng.randrange(d))
+                assert token_values(pullback(gamma, f)) \
+                    == reference_pullback(gamma, f)
+    assert bijective == {True, False}
+
+
 # ------------------------------------------------------- cocycle predicates
 
 def test_coboundaries_are_cocycles():
@@ -257,7 +384,7 @@ def test_cohomologous_self_gives_zero_witness():
     fx = k33_torus_fixture()
     g = fixture_cochain(fx, {"sigma2": 1}, 2)
     u = cohomologous(g, g)
-    assert u is not None and all(v == 0 for v in u.values.values())
+    assert u is not None and all(v == 0 for v in u.values)
 
 
 def test_k33_fixture_classes_by_pairing():

@@ -356,6 +356,38 @@ def test_quotient_sorts_when_basepoint_is_not_least():
     assert q.simplices[1] == (BASEPOINT, ("!", "!"))
 
 
+def test_dict_built_sets_keep_no_input_dict():
+    """Token dictionaries are read into position lists and dropped; the
+    maps built back from the lists equal the given ones on the simplices,
+    keys outside them (here a stray token) being ignored."""
+    rng = random.Random(2022)
+    for x in (nerve(3, cap=2), k33_torus_fixture(cap=3).space,
+              random_truncated_sset(rng, 3, max_nondeg=12)):
+        simplices = {n: list(toks) for n, toks in x.simplices.items()}
+        faces = {k: {**v, "stray": 0} for k, v in x.faces.items()}
+        degs = {k: dict(v) for k, v in x.degeneracies.items()}
+        y = TruncatedSSet(x.cap, simplices, faces, degs)
+        given = [simplices, faces, degs, *faces.values(), *degs.values()]
+        assert not any(v is m for v in vars(y).values() for m in given)
+        assert y.face_pos == x.face_pos and y.deg_pos == x.deg_pos
+        assert y.faces == {k: {t: m[t] for t in y.simplices[k[0]]}
+                           for k, m in faces.items()}
+        assert y.degeneracies == degs
+
+
+def test_quotient_keeps_its_basepoint_positions():
+    x = TruncatedSSet(1, {0: ["!", "a"], 1: [("!", "!"), ("a", "a")]},
+                      {(1, 0): {("!", "!"): "!", ("a", "a"): "a"},
+                       (1, 1): {("!", "!"): "!", ("a", "a"): "a"}},
+                      {(0, 0): {"!": ("!", "!"), "a": ("a", "a")}})
+    for q in (quotient_by_subset(x, {0: ["a"], 1: [("a", "a")]}),
+              bar_nzd_sigma(two_vertex_system((1, 0), d=3), cap=3)):
+        assert [q.simplices[n][q.base_pos[n]] for n in range(q.cap + 1)] \
+            == [BASEPOINT] * (q.cap + 1)
+    assert quotient_by_subset(x, {0: ["a"], 1: [("a", "a")]}).base_pos \
+        == {0: 1, 1: 0}
+
+
 def test_quotient_rejects_non_closed_subset():
     x = nerve(2, cap=2)
     with pytest.raises(SimplicialValidationError):
