@@ -73,14 +73,14 @@ class Cochain:
 
 
 def cochain(host: TruncatedSSet, degree: int, modulus: int,
-            values: Optional[dict] = None, default: int = 0,
+            values: Optional[dict] = None,
             fn: Optional[Callable] = None) -> Cochain:
     """Build a total cochain from sparse values keyed by simplex, or from a
     callable on simplices; a key that is no degree-`degree` simplex raises."""
     if fn is not None:
         return Cochain(host, degree, modulus,
                        list(map(fn, host.simplices[degree])))
-    out, index = [default] * host.size(degree), host.index(degree)
+    out, index = [0] * host.size(degree), host.index(degree)
     for tok, v in (values or {}).items():
         if tok not in index:
             raise CochainError(f"{tok!r} is not a degree-{degree} simplex")
@@ -100,13 +100,8 @@ def is_cocycle(gamma: Cochain) -> bool:
 
 def is_normalized(gamma: Cochain) -> bool:
     """gamma vanishes on every degenerate simplex of its degree."""
-    return not any(map(gamma.values.__getitem__,
-                       _degenerate_positions(gamma.host, gamma.degree)))
-
-
-def _degenerate_positions(host: TruncatedSSet, n: int) -> list[int]:
-    nondeg = set(host.nondegenerate_positions(n))
-    return [k for k in range(host.size(n)) if k not in nondeg]
+    nondeg = set(gamma.host.nondegenerate_positions(gamma.degree))
+    return not any(v for k, v in enumerate(gamma.values) if k not in nondeg)
 
 
 def coboundary_matrix(host: TruncatedSSet, degree: int, modulus: int
@@ -127,21 +122,6 @@ def cohomologous(gamma: Cochain, gamma2: Cochain) -> Optional[Cochain]:
     if sol is None:
         return None
     return Cochain(host, 1, d, sol.particular)
-
-
-def normalize_cocycle(gamma: Cochain) -> Cochain:
-    """A normalized representative of [gamma] (error if none in the truncation)."""
-    if is_normalized(gamma):
-        return gamma
-    host, d = gamma.host, gamma.modulus
-    mat = coboundary_matrix(host, 1, d)[0]
-    degenerate = _degenerate_positions(host, 2)
-    sub = ZModMatrix(mat.array()[degenerate], d, num_cols=mat.num_cols)
-    sol = solve(sub, [gamma.values[k] for k in degenerate])
-    if sol is None:
-        raise CochainError("no normalized representative in this truncation")
-    u = Cochain(host, 1, d, sol.particular)
-    return gamma.sub(coboundary(u))
 
 
 def cohomology_size(host: TruncatedSSet, degree: int, modulus: int) -> int:

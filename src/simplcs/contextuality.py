@@ -899,7 +899,7 @@ def is_matrix_solution(t_mats: Sequence[np.ndarray], system: LinearSystem
 
 
 def quantum_distribution(system: LinearSystem, t_mats: Sequence[np.ndarray],
-                         rho: np.ndarray, cap: int = 2,
+                         rho: np.ndarray,
                          host: Optional[TruncatedSSet] = None
                          ) -> SimplicialDistribution:
     """p_sigma(a) = Tr(rho Pi_sigma(a)) on N(Z_d, Sigma), snapped to rationals."""
@@ -912,7 +912,7 @@ def quantum_distribution(system: LinearSystem, t_mats: Sequence[np.ndarray],
             min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -TOL:
         raise DistributionError("rho is not a density operator")
     if host is None:
-        host = nzd_sigma(complex_of_system(system), d, cap=cap)
+        host = nzd_sigma(complex_of_system(system), d, cap=2)
 
     dim = t_mats[0].shape[0]
 

@@ -870,38 +870,6 @@ class GroupCocycle:
         return bad
 
 
-# ------------------------------------------------------------- power maps
-
-@dataclass(frozen=True)
-class PowerMap:
-    """g -> g^m restricted to the d-torsion part, as a Grp_(d) morphism."""
-
-    group: FinGroupJ
-    exponent: int
-    mapping: dict
-
-    def __call__(self, g: int) -> int:
-        return self.mapping[g]
-
-    def defects(self) -> list[tuple[int, int]]:
-        """Commuting d-torsion pairs where multiplicativity fails (empty)."""
-        g = self.group
-        tor = g.torsion(g.d)
-        bad = []
-        for a in tor:
-            for b in tor:
-                if g.commute(a, b):
-                    if self.mapping[g.mul(a, b)] != g.mul(self.mapping[a],
-                                                          self.mapping[b]):
-                        bad.append((a, b))
-        return bad
-
-
-def power_map(g: FinGroupJ, m: int) -> PowerMap:
-    mapping = {x: g.power(x, m) for x in g.torsion(g.d)}
-    return PowerMap(g, m, mapping)
-
-
 def find_torsion_pair(g: GroupTable, p: int) -> Optional[tuple[int, int]]:
     """Noncommuting p-torsion g, h with g^-1 h also p-torsion (exhaustive)."""
     tor = [x for x in range(g.n) if g.power(x, p) == g.identity]

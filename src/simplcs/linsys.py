@@ -152,6 +152,8 @@ def parse_lcs(text: str) -> LinearSystem:
     if r < 0 or c < 0:
         raise ValueError(f"line {num}: r and c must be nonnegative, "
                          f"got r = {r}, c = {c}")
+    if r == 0 and len(lines) == 1:
+        lines.append((num, ""))     # with no rows, the b line is blank
     if len(lines) != r + 2:
         raise ValueError(f"expected {r} matrix rows plus a b line, "
                          f"got {len(lines) - 1} data lines")
@@ -172,7 +174,7 @@ def parse_lcs(text: str) -> LinearSystem:
         rhs = [int(v) for v in bvals]
     except ValueError as exc:
         raise ValueError(f"line {num}: non-integer b entry") from exc
-    return make_system(rows, rhs, d)
+    return LinearSystem(ZModMatrix(rows, d, num_cols=c), tuple(rhs))
 
 
 def load_lcs(path: str) -> LinearSystem:
@@ -216,7 +218,3 @@ def two_vertex_system(b: Sequence[int], d: int = 2) -> LinearSystem:
         raise ValueError("this system takes two b values")
     return make_system([[1, 1], [1, 0]], b, d,
                        col_labels=("v1", "v2"))
-
-
-def single_vertex_system(b: int, d: int = 2) -> LinearSystem:
-    return make_system([[1]], [b], d, col_labels=("v",))

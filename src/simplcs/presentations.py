@@ -87,23 +87,6 @@ class Presentation:
         return len(self.gens)
 
 
-def make_presentation(gens: Sequence[str],
-                      relators: Sequence[Sequence[tuple]],
-                      j_name: Optional[str] = None) -> Presentation:
-    name_to_idx = {g: i for i, g in enumerate(gens)}
-
-    def conv(rel):
-        out = []
-        for item in rel:
-            g, e = item
-            if isinstance(g, str):
-                g = name_to_idx[g]
-            out.append((g, e))
-        return word_simplify(out)
-
-    return Presentation(tuple(gens), tuple(conv(r) for r in relators), j_name)
-
-
 def commutator_word(a: int, b: int) -> Word:
     return ((a, -1), (b, -1), (a, 1), (b, 1))
 
@@ -191,16 +174,14 @@ class KGroupData:
     image_words: dict         # (g, h) -> word over d-torsion elements of G
 
 
-def k_group(g: FinGroupJ, d: Optional[int] = None) -> KGroupData:
+def k_group(g: FinGroupJ) -> KGroupData:
     """pi_1 of E(Z_d, G): loop generators e_{g,h} with BFS-chosen base paths.
 
     Relators: units e_{g,1} = e_{1,g} = 1, triangle fillers over commuting
     d-torsion pairs, and the loops of the chosen maximal tree (freely trivial,
     since the tree is the union of the base paths).
     """
-    if d is None:
-        d = g.d
-    tor = [t for t in g.torsion(d) if t != g.identity]
+    tor = [t for t in g.torsion(g.d) if t != g.identity]
     reach = {g.identity: ()}
     tree_edges: list[tuple[int, int]] = []
     frontier = [g.identity]
@@ -1400,19 +1381,15 @@ class ReductionMaps:
         return out
 
 
-def reduction_maps(system: LinearSystem, cap: int = 2) -> ReductionMaps:
-    """The reduction maps of system, built once per cap and kept on it (as
+def reduction_maps(system: LinearSystem) -> ReductionMaps:
+    """The reduction maps of system, built once and kept on it (as
     `solution_group` is), so checking several groups shares one
     realization."""
-    cached = vars(system).setdefault("_reduction_maps", {})
-    if cap not in cached:
-        cached[cap] = _reduction_maps(system, cap)
-    return cached[cap]
-
-
-def _reduction_maps(system: LinearSystem, cap: int) -> ReductionMaps:
+    cached = vars(system).get("_reduction_maps")
+    if cached is not None:
+        return cached
     from .cohomology import extract_linear_system, gamma_b, tilde_b
-    gam, q = gamma_b(system, cap=cap)
+    gam, q = gamma_b(system, cap=2)
     extracted = extract_linear_system(q, gam)
     delta_cols: dict = {}
     for v in range(system.num_cols):
@@ -1427,7 +1404,9 @@ def _reduction_maps(system: LinearSystem, cap: int) -> ReductionMaps:
     exponents = np.array([zero if lab == BASEPOINT else lab[0]
                           for lab in extracted.col_labels],
                          dtype=np.intp).reshape(-1, system.num_cols)
-    return ReductionMaps(system, extracted, delta_cols, exponents)
+    cached = ReductionMaps(system, extracted, delta_cols, exponents)
+    vars(system)["_reduction_maps"] = cached
+    return cached
 
 
 def check_reduction_bijection(system: LinearSystem, g: FinGroupJ,
@@ -1466,8 +1445,7 @@ class IsoCheckReport:
 
 
 def theorem_iso_check(x: TruncatedSSet, gamma, d: int,
-                      test_groups: Sequence[FinGroupJ],
-                      cap: int = 2) -> IsoCheckReport:
+                      test_groups: Sequence[FinGroupJ]) -> IsoCheckReport:
     """Check e_{a,x} -> J^a e_x against Gamma(A_X, b_gamma) on instances.
 
     Relator images are reduced against the matching row data (syntactic
@@ -1484,7 +1462,7 @@ def theorem_iso_check(x: TruncatedSSet, gamma, d: int,
     if host is not x:
         raise ValueError("cochain host mismatch")
 
-    xg = twisted_product(x, gamma_fn, d, cap=cap)
+    xg = twisted_product(x, gamma_fn, d, cap=2)
     p1, edge_idx = pi1_commutative(xg, d)
     system = extract_linear_system(x, gamma_fn)
     p2 = solution_group(system)

@@ -185,10 +185,6 @@ class TruncatedSSet:
                                         self.nondegenerate_positions(n)))
         return self._nondeg[n]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** n * len(self.nondegenerate(n))
-                   for n in range(self.cap + 1))
-
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
@@ -601,11 +597,6 @@ def _sum_codes(funcs: list[tuple], nv: int, f: list[int], g: list[int],
 
 # ================================================== wedge, alpha, beta, iota
 
-def row_function(system: LinearSystem, i: int, a: int = 1) -> tuple:
-    """The function a*A_i on the vertex set."""
-    return system.row_multiples[i][a % system.modulus]
-
-
 def wedge_nzd(system: LinearSystem, cap: int = 3
               ) -> tuple[TruncatedSSet, SMap, SMap]:
     """Wedge of one NZ_d circle per row, with alpha into N(Z_d,Sigma) and beta
@@ -683,13 +674,14 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
     k-th degree-n simplex, and `base_pos[n]` the basepoint's position."""
     inside = {}
     for n in range(x.cap + 1):
-        index = x.index(n)
-        inside[n] = set()
-        for tok in subset.get(n, ()):
-            if tok not in index:
+        toks, listed = x.simplices[n], list(subset.get(n, ()))
+        members = set(listed)
+        inside[n] = {k for k, tok in enumerate(toks) if tok in members}
+        missing = members.difference(map(toks.__getitem__, inside[n]))
+        for tok in listed:
+            if tok in missing:
                 raise SimplicialValidationError(
                     f"subset member {tok!r} not a degree-{n} simplex")
-            inside[n].add(index[tok])
     for n in range(1, x.cap + 1):
         if not {row[k] for row in x.face_pos[n]
                 for k in inside[n]} <= inside[n - 1]:
@@ -852,29 +844,6 @@ def twisted_iso(ext: CentralExtensionData, cap: int = 2
     if not smap.is_bijective():
         raise SimplicialValidationError("twisted_iso failed bijectivity")
     return smap, xg, gc
-
-
-# ================================================================== E-space
-
-def e_space(g: FinGroupJ, d: Optional[int] = None, cap: int = 2) -> TruncatedSSet:
-    """E(Z_d,G): simplices G x N(Z_d,G)_n; the free-coordinate absorbs d_i."""
-    if d is None:
-        d = g.d
-    nerve_part = comm_nerve(g, d, cap)
-    degrees = {n: [(g0,) + tok for g0 in range(g.n)
-                   for tok in nerve_part.simplices[n]]
-               for n in range(cap + 1)}
-    # the décalage: d_i and s_j in degree n are d_{i+1} and s_{j+1} in n + 1
-    return build_sset(cap, degrees,
-                      lambda n, i, t: _nerve_face(g.mul, n + 1, i + 1, t),
-                      lambda n, j, t: _nerve_deg(g.identity, n + 1, j + 1, t),
-                      name=f"E(Z_{d},{g.name})")
-
-
-def e_space_projection(e: TruncatedSSet, n_target: TruncatedSSet) -> SMap:
-    mapping = {n: {tok: tok[1:] for tok in e.simplices[n]}
-               for n in range(min(e.cap, n_target.cap) + 1)}
-    return SMap(e, n_target, mapping, name="p_d")
 
 
 # ======================================================== solution-induced maps
@@ -1077,8 +1046,7 @@ def dump_sset(x: TruncatedSSet) -> str:
     return json.dumps(data, indent=1, sort_keys=True)
 
 
-def random_truncated_sset(rng, d: int, max_nondeg: int = 12,
-                          cap: int = 3) -> TruncatedSSet:
+def random_truncated_sset(rng, d: int, max_nondeg: int = 12) -> TruncatedSSet:
     """A random reduced 2-truncated simplicial set (single vertex)."""
     n_edges = rng.randrange(1, max(2, (max_nondeg - 1) // 2))
     n_tris = rng.randrange(0, max_nondeg - n_edges)
@@ -1087,7 +1055,7 @@ def random_truncated_sset(rng, d: int, max_nondeg: int = 12,
     choices = [((), e) for e in edges] + [((0,), "v")]
     for t in range(n_tris):
         cells[2][f"t{t}"] = tuple(rng.choice(choices) for _ in range(3))
-    return cells_sset(cap, cells, name="random2")
+    return cells_sset(3, cells, name="random2")
 
 
 # ============================================================= K33 fixture

@@ -103,16 +103,6 @@ class ZModMatrix:
             self._array = arr
         return self._array
 
-    def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per row, its (column, entry) pairs with a nonzero entry, in
-        ascending column order."""
-        arr = self.array()
-        at, cols = arr.nonzero()
-        pairs = list(zip(cols.tolist(), arr[at, cols].tolist()))
-        ends = np.cumsum(np.bincount(at, minlength=self.num_rows)).tolist()
-        return tuple(map(tuple, map(pairs.__getitem__,
-                                    map(slice, [0] + ends, ends))))
-
     @staticmethod
     def identity(n: int, modulus: int) -> "ZModMatrix":
         return ZModMatrix([[1 if i == j else 0 for j in range(n)]

@@ -4,7 +4,8 @@ import pytest
 
 from simplcs import groups
 from simplcs.cli import _SCENARIO_FNS, main
-from simplcs.linsys import k33_system, write_lcs
+from simplcs.linsys import (k33_system, make_system, parse_lcs,
+                            two_vertex_system, write_lcs)
 
 
 @pytest.fixture
@@ -43,6 +44,27 @@ def test_solve_zero_system_contains_trivial(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert [0, 0] in report["results"]["witnesses"]
+
+
+@pytest.mark.parametrize("system", [
+    k33_system([1, 0, 0, 0, 0, 0]), two_vertex_system((1, 0), d=3),
+    make_system([], [], 2, col_labels=["a", "b"]),
+    make_system([], [], 5),
+])
+def test_lcs_round_trip(system):
+    text = write_lcs(system)
+    back = parse_lcs(text)
+    assert back.matrix == system.matrix and back.rhs == system.rhs
+    assert write_lcs(back) == text
+
+
+def test_solve_zero_row_system(tmp_path, capsys):
+    # no rows: every assignment of the two columns in Z_2 is a solution
+    path = tmp_path / "no_rows.lcs"
+    path.write_text(write_lcs(make_system([], [], 2, col_labels=["a", "b"])))
+    assert main(["solve", str(path), "--group", "cyclic:2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["solution_count"] == 4
 
 
 def test_solve_group_modulus_mismatch(k33_file, capsys):

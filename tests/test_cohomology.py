@@ -9,7 +9,7 @@ from simplcs.cohomology import (CochainError, Cochain, coboundary,
                                 coboundary_matrix, cochain, cohomologous,
                                 cohomology_size, dump_cochain,
                                 extract_linear_system, gamma_b, gamma_phi_d,
-                                is_cocycle, is_normalized, normalize_cocycle,
+                                is_cocycle, is_normalized,
                                 parse_cochain, pullback, tilde_b)
 from simplcs.contextuality import enumerate_deterministic
 from simplcs.groups import build_group, cyclic, dihedral, quaternion, quotient_by_j
@@ -51,7 +51,7 @@ def test_dd_zero_random():
 
 def test_coboundary_zero_cochain_on_point_nerve():
     x = nerve(2, cap=2)
-    f = cochain(x, 0, 2, default=1)  # single vertex valued 1
+    f = cochain(x, 0, 2, fn=lambda t: 1)  # single vertex valued 1
     df = coboundary(f)
     assert df.is_zero()  # f(d0 x) - f(d1 x) with one vertex
 
@@ -411,19 +411,6 @@ def test_k33_fixture_pairing_detects_class_odd_d():
                           for lbl, v in vals.items()) % d
             w = cohomologous(fixture_cochain(fx, {}, d), g)
             assert (w is not None) == (pairing == 0)
-
-
-def test_normalize_cocycle():
-    fx = k33_torus_fixture()
-    g = fixture_cochain(fx, {"sigma2": 1}, 2)
-    # shift by a coboundary that breaks normalization, then restore it
-    u = cochain(fx.space, 1, 2,
-                values={fx.space.degeneracy(0, 0, ((), "A")): 1})
-    shifted = g.add(coboundary(u))
-    assert not is_normalized(shifted)
-    fixed = normalize_cocycle(shifted)
-    assert is_normalized(fixed)
-    assert cohomologous(fixed, g) is not None
 
 
 # ---------------------------------------------------------------- gamma_b

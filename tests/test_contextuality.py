@@ -24,7 +24,7 @@ from simplcs.contextuality import (DistributionError, INT64_EXACT, PAULI_X,
                                    quantum_distribution, random_phase_state,
                                    snap_probability, spectral_measurement,
                                    theta, verdict_report, verify_verdict)
-from simplcs.linsys import two_vertex_system, k33_system, single_vertex_system
+from simplcs.linsys import two_vertex_system, k33_system, make_system
 from simplcs.simplicial import complex_of_system, nerve, nzd_sigma
 
 
@@ -341,7 +341,6 @@ def test_lp_flags_pr_box_on_k33():
     d = 2
     dists = {}
     from simplcs.contextuality import SimplicialDistribution, RationalDist
-    from simplcs.simplicial import row_function
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
 
@@ -451,9 +450,8 @@ def test_quantum_distribution_rows_are_deltas():
     host = host_of(sys_)
     p = quantum_distribution(sys_, mermin_peres_solution(),
                              maximally_mixed(4), host=host)
-    from simplcs.simplicial import row_function
     for i in range(6):
-        tok = (row_function(sys_, i),)
+        tok = (sys_.row_multiples[i][1],)
         assert p(1, tok)((sys_.rhs[i],)) == 1
 
 
@@ -494,7 +492,7 @@ def test_quantum_contextual_for_state_panel():
 
 def test_quantum_identity_solution_single_vertex():
     # the only operator solutions of x = 0 are trivial: p is delta^0 exactly
-    sys_ = single_vertex_system(0)
+    sys_ = make_system([[1]], [0], 2)
     host = host_of(sys_)
     p = quantum_distribution(sys_, [np.eye(2)], maximally_mixed(2), host=host)
     assert p(1, ((1,),))((0,)) == 1

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import numpy as np
@@ -10,7 +9,7 @@ from simplcs.groups import (MAX_ORDER, FinGroupJ, GroupCocycle, GroupTable,
                             build_group, central_product, cyclic, dihedral,
                             direct_product, embed_e1, extraspecial,
                             find_isomorphism, find_torsion_pair, heisenberg,
-                            load_cayley, monomial_split, power_map, quaternion,
+                            load_cayley, monomial_split, quaternion,
                             quotient_by_j, wreath_cyclic)
 from simplcs.linsys import k33_system, make_system
 from simplcs.presentations import solution_group, todd_coxeter
@@ -490,26 +489,6 @@ def test_cocycle_identity_exhaustive_on_corpus():
             gam = GroupCocycle(quotient_by_j(g))
             assert gam.is_normalized()
             assert gam.cocycle_defects() == []
-
-
-def test_power_map_examples():
-    q8 = quaternion()
-    w1 = power_map(q8, 1)
-    assert all(w1(x) == x for x in q8.torsion(2))
-    wm1 = power_map(q8, -1)
-    assert all(wm1(x) == x for x in q8.torsion(2))  # both self-inverse
-    z4 = cyclic(4)
-    assert power_map(z4, 3)(1) == 3
-
-
-def test_power_map_morphism_and_composition():
-    for spec in ("dihedral:8", "quaternion", "cyclic:6", "heisenberg:3"):
-        g = build_group(spec)
-        for m in (-1, 0, 1, 2, 3, 5):
-            assert power_map(g, m).defects() == []
-        for m1, m2 in itertools.product((-1, 1, 2, 3), repeat=2):
-            wa, wb, wc = power_map(g, m1), power_map(g, m2), power_map(g, m1 * m2)
-            assert all(wa(wb(x)) == wc(x) for x in g.torsion(g.d))
 
 
 def test_find_torsion_pair():

@@ -13,12 +13,12 @@ from simplcs.cohomology import cochain, extract_linear_system, gamma_b
 from simplcs.groups import (build_group, central_product, cyclic, dihedral,
                             find_isomorphism, heisenberg, quaternion)
 from simplcs.linsys import (ARRAY_ROWS, LinearSystem, two_vertex_system,
-                            k33_system, make_system, single_vertex_system)
+                            k33_system, make_system)
 from simplcs.presentations import (Hom, Presentation, _Step, abelian_order,
                                    abelianization, check_reduction_bijection,
                                    commutator_word, dump_presentation, elementarization,
                                    enumerate_homs, hom_of_solution, k_group,
-                                   make_presentation, opposite_word_check,
+                                   opposite_word_check,
                                    parse_presentation, pi1, pi1_commutative,
                                    reduction_maps, solution_group, solutions,
                                    theorem_iso_check, tietze_simplify,
@@ -26,6 +26,23 @@ from simplcs.presentations import (Hom, Presentation, _Step, abelian_order,
 from simplcs.simplicial import (comm_nerve, k33_torus_fixture, nerve,
                                 random_truncated_sset, twisted_product)
 from simplcs.zmod import ZModMatrix, solve
+
+
+def make_presentation(gens, relators, j_name=None):
+    """A presentation from relators of (generator name or index, exponent)
+    pairs."""
+    name_to_idx = {g: i for i, g in enumerate(gens)}
+
+    def conv(rel):
+        out = []
+        for item in rel:
+            g, e = item
+            if isinstance(g, str):
+                g = name_to_idx[g]
+            out.append((g, e))
+        return word_simplify(out)
+
+    return Presentation(tuple(gens), tuple(conv(r) for r in relators), j_name)
 
 
 def fixture_cochain(fx, vals, d):
@@ -120,7 +137,7 @@ def test_solution_group_j_commutes_with_zero_columns():
 
 
 def test_solution_group_single_vertex():
-    p = solution_group(single_vertex_system(1, d=3))
+    p = solution_group(make_system([[1]], [1], 3))
     table = todd_coxeter(p)
     assert table.order == 3  # e = J collapses the rest
 
@@ -945,7 +962,9 @@ def loop_solution_group(system):
     relators = [word_simplify([(i, d)]) for i in range(len(gens))]
     pairs = {(v, jdx) for v in range(system.num_cols)}
     words, products = {}, []
-    for key in zip(system.matrix.nonzeros(), system.rhs):
+    nonzeros = [tuple((v, e) for v, e in enumerate(row) if e)
+                for row in system.matrix.rows]
+    for key in zip(nonzeros, system.rhs):
         word = words.get(key)
         if word is None:
             entries, bval = key

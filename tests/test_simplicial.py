@@ -1,21 +1,21 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
 from simplcs.groups import (build_group, cyclic, dihedral, quaternion,
                             quotient_by_j)
 from simplcs.linsys import (RowConditionError, two_vertex_system, k33_system,
-                            make_system, single_vertex_system)
+                            make_system)
 from simplcs.simplicial import (BASEPOINT, K33_EDGE_LABELS,
                                 K33_FUNDAMENTAL_CYCLE, K33_TRIANGLES,
                                 SimplicialValidationError, SMap,
                                 TruncatedSSet,
                                 bar_comm_nerve,
                                 bar_nzd_sigma, cells_sset, comm_nerve,
-                                complex_of_system, dump_sset, e_space,
-                                e_space_projection, is_solution,
+                                complex_of_system, dump_sset, is_solution,
                                 k33_commutator_replay, k33_torus_fixture,
                                 load_sset, map_from_solution, nerve,
                                 nzd_sigma, power_map_s, quotient_by_subset,
@@ -43,7 +43,7 @@ def test_complex_of_k33_is_torus_dual():
 
 
 def test_complex_single_vertex():
-    sigma = complex_of_system(single_vertex_system(0))
+    sigma = complex_of_system(make_system([[1]], [0], 2))
     assert sigma.facets == (frozenset({0}),)
 
 
@@ -98,7 +98,7 @@ def test_nzd_sigma_example_215():
 
 
 def test_nzd_sigma_single_vertex_d3():
-    sigma = complex_of_system(single_vertex_system(0, d=3))
+    sigma = complex_of_system(make_system([[1]], [0], 3))
     x = nzd_sigma(sigma, 3, cap=2)
     assert x.size(1) == 3
 
@@ -265,7 +265,7 @@ def test_smap_validation_reports_first_failure():
 # ------------------------------------------------------- wedge / alpha / beta
 
 def test_wedge_single_row_is_nzd():
-    sys_ = single_vertex_system(1)
+    sys_ = make_system([[1]], [1], 2)
     wedge, alpha, beta = wedge_nzd(sys_, cap=2)
     assert wedge.size(1) == 2  # basepoint + the nontrivial loop
     assert alpha(1, (0, (1,))) == ((1,),)
@@ -394,6 +394,18 @@ def test_quotient_rejects_non_closed_subset():
         quotient_by_subset(x, {1: [(1,)]})  # no degeneracies included
 
 
+@pytest.mark.parametrize("listed, named", [
+    ([(0,), (2,)], (2,)), ([(0, 1)], (0, 1)), (["a", (1,)], "a"),
+    ([(), (0,)], ()), (iter([(0,), (2,), (0, 1)]), (2,)),
+])
+def test_quotient_rejects_a_member_outside_its_degree(listed, named):
+    # the first member in the given order that is no 1-simplex is named
+    with pytest.raises(SimplicialValidationError,
+                       match=rf"subset member {re.escape(repr(named))} "
+                             "not a degree-1 simplex"):
+        quotient_by_subset(nerve(2, cap=2), {0: [()], 1: listed})
+
+
 def test_bar_comm_nerve_d8():
     ext = quotient_by_j(dihedral(8))
     q = bar_comm_nerve(ext, cap=2)
@@ -416,7 +428,6 @@ def test_constructor_structure_maps_are_pinned():
         (wedge_nzd(k33, cap=2)[0], "423c15bbb01551b7"),
         (twisted_product(fx.space, lambda t: int(t == sig2), 2, cap=2),
          "e5056ce4b0141992"),
-        (e_space(dihedral(8)), "37f0ef0a2d5da45e"),
     ]
     for x, digest in cases:
         assert hashlib.sha256(dump_sset(x).encode()).hexdigest()[:16] == digest
@@ -473,26 +484,6 @@ def test_twisted_iso_structure_maps_commute(spec):
     assert smap.is_bijective()  # SMap() already validated commutation
 
 
-# ------------------------------------------------------------- E-space
-
-def test_e_space_sizes():
-    d8d8 = build_group("central_product(dihedral:8,dihedral:8)")
-    e = e_space(d8d8, cap=1)
-    assert e.size(1) == 32 * 20  # |G| x |N(Z_2,G)_1|, 20 involutions incl 1
-    z2 = cyclic(2)
-    ez2 = e_space(z2, cap=3)
-    for n in range(4):
-        assert ez2.size(n) == 2 * 2 ** n
-
-
-def test_e_space_last_face_projects():
-    z2 = cyclic(2)
-    e = e_space(z2, cap=2)
-    assert e.face(1, 1, (1, 1)) == (1,)
-    proj = e_space_projection(e, comm_nerve(z2, cap=2))
-    assert proj(1, (1, 1)) == (1,)
-
-
 # ------------------------------------------------- maps from solutions
 
 def test_map_from_zero_solution_is_constant():
@@ -512,13 +503,12 @@ def test_map_from_solution_sends_rows_to_j_powers():
     solvable = k33_system([0] * 6)
     f, alpha, beta, iota = map_from_solution([0] * 9, solvable, g, cap=2)
     for i in range(6):
-        from simplcs.simplicial import row_function
-        row_tok = (row_function(solvable, i),)
+        row_tok = (solvable.row_multiples[i][1],)
         assert f(1, row_tok) == (g.j_power(solvable.rhs[i]),)
 
 
 def test_single_vertex_solution_map():
-    sys_ = single_vertex_system(1)
+    sys_ = make_system([[1]], [1], 2)
     g = cyclic(2)
     f, *_ = map_from_solution([1], sys_, g, cap=2)
     delta = (tuple([1]),)
@@ -559,7 +549,6 @@ def test_k33_fixture_cell_counts_and_euler():
     assert len(sp.nondegenerate(1)) == 9
     assert len(sp.nondegenerate(2)) == 6
     assert len(sp.nondegenerate(3)) == 0
-    assert sp.euler_characteristic() == 0
     assert sp.is_connected()
 
 

@@ -71,13 +71,10 @@ def test_zmod_matrix_from_array_keeps_it():
         assert m.rows == rows.rows and m == rows
         assert {type(x) for row in m.rows for x in row} == {int}
         assert rows.array().tolist() == kept.tolist()
-        assert m.nonzeros() == rows.nonzeros() == tuple(
-            tuple((c, e) for c, e in enumerate(row) if e) for row in m.rows)
     empty = ZModMatrix([], 3, num_cols=4)
-    assert empty.array().shape == (0, 4) and empty.nonzeros() == ()
-    assert ZModMatrix([[0, 0], [0, 3]], 3).nonzeros() == ((), ())
+    assert empty.array().shape == (0, 4)
     big = ZModMatrix([[2 ** 70 + 1, 0, -1]], 2 ** 65)
-    assert big.nonzeros() == (((0, 1), (2, 2 ** 65 - 1)),)
+    assert big.array().tolist() == [[1, 0, 2 ** 65 - 1]]
     with pytest.raises(ValueError, match="must be 2-D"):
         ZModMatrix(np.zeros(3, dtype=np.int8), 3)
     with pytest.raises(ValueError, match="num_cols disagrees"):
