@@ -152,6 +152,8 @@ def parse_lcs(text: str) -> LinearSystem:
     if r < 0 or c < 0:
         raise ValueError(f"line {num}: r and c must be nonnegative, "
                          f"got r = {r}, c = {c}")
+    if c == 0 and len(lines) == 2:
+        lines[1:1] = [(num, "")] * r    # with no columns, the rows are blank
     if r == 0 and len(lines) == 1:
         lines.append((num, ""))     # with no rows, the b line is blank
     if len(lines) != r + 2:

@@ -595,12 +595,9 @@ def relator_matrix(pres: Presentation) -> list[list[int]]:
 
 def abelianization(pres: Presentation) -> tuple[list[int], int]:
     """(nontrivial invariant factors, free rank) of the abelian quotient."""
-    mat = relator_matrix(pres)
-    d, _, _ = smith_normal_form(mat)
-    k = pres.num_gens()
-    diag = [d[i][i] for i in range(min(len(mat), k))]
-    torsion = [abs(x) for x in diag if abs(x) not in (0, 1)]
-    rank = k - sum(1 for x in diag if x != 0)
+    diag = smith_normal_form(relator_matrix(pres))
+    torsion = [x for x in diag if x not in (0, 1)]
+    rank = pres.num_gens() - sum(1 for x in diag if x != 0)
     return sorted(torsion), rank
 
 

@@ -1046,7 +1046,7 @@ def dump_sset(x: TruncatedSSet) -> str:
     return json.dumps(data, indent=1, sort_keys=True)
 
 
-def random_truncated_sset(rng, d: int, max_nondeg: int = 12) -> TruncatedSSet:
+def random_truncated_sset(rng, max_nondeg: int = 12) -> TruncatedSSet:
     """A random reduced 2-truncated simplicial set (single vertex)."""
     n_edges = rng.randrange(1, max(2, (max_nondeg - 1) // 2))
     n_tris = rng.randrange(0, max_nondeg - n_edges)

@@ -2,8 +2,9 @@
 
 Z_d is not a field for composite d, so row spans are canonicalized with the
 Howell form (the analogue of reduced row echelon form that is canonical for
-row spans over Z_d) and systems are solved through the integer Smith normal
-form. No floating point anywhere.
+row spans over Z_d). One Howell form of [A^T | I] solves Ax = b and gives
+the kernel of A. The integer Smith normal form gives invariant factors over
+Z. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -103,16 +104,6 @@ class ZModMatrix:
             self._array = arr
         return self._array
 
-    @staticmethod
-    def identity(n: int, modulus: int) -> "ZModMatrix":
-        return ZModMatrix([[1 if i == j else 0 for j in range(n)]
-                           for i in range(n)], modulus)
-
-    def _check(self, other: "ZModMatrix") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"mixed moduli: {self.modulus} vs {other.modulus}")
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
 
@@ -129,19 +120,6 @@ class ZModMatrix:
         return tuple(sum(a * x for a, x in zip(row, vec)) % d
                      for row in self.rows)
 
-    def matmul(self, other: "ZModMatrix") -> "ZModMatrix":
-        self._check(other)
-        if self.num_cols != other.num_rows:
-            raise ValueError("dimension mismatch")
-        d = self.modulus
-        cols = other.num_cols
-        out = []
-        for row in self.rows:
-            out.append([sum(row[k] * other.rows[k][j]
-                            for k in range(self.num_cols)) % d
-                        for j in range(cols)])
-        return ZModMatrix(out, d, num_cols=cols)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ZModMatrix) and self.modulus == other.modulus
                 and self.num_cols == other.num_cols and self.rows == other.rows)
@@ -156,14 +134,9 @@ class ZModMatrix:
 
 @dataclass(frozen=True)
 class HowellBasis:
-    """Howell canonical form of a row span plus the row-operation record.
-
-    ``transform @ source = matrix`` row-wise, so every basis row is an explicit
-    Z_d-combination of the input rows.
-    """
+    """Howell canonical form of a row span."""
 
     matrix: ZModMatrix
-    transform: ZModMatrix
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -190,7 +163,10 @@ class HowellBasis:
             size *= n // gcd(v, n)
         return size
 
-    def contains(self, vec: Sequence[int]) -> bool:
+    def reduce(self, vec: Sequence[int]) -> list[int]:
+        """vec less the multiple of each basis row, in turn, that clears
+        the row's pivot column where its pivot divides vec's entry there:
+        all zeros exactly when vec lies in the span."""
         n = self.modulus
         v = [int(e) % n for e in vec]
         if len(v) != self.matrix.num_cols:
@@ -200,7 +176,10 @@ class HowellBasis:
                 q = v[c] // p
                 if q:
                     v = [(a - q * b) % n for a, b in zip(v, row)]
-        return all(e == 0 for e in v)
+        return v
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self.reduce(vec))
 
     def enumerate_span(self) -> list[tuple[int, ...]]:
         """All span elements (closure; intended for bounded inputs only)."""
@@ -223,101 +202,49 @@ class HowellBasis:
 def howell_form(matrix: ZModMatrix) -> HowellBasis:
     """Howell canonical form: identical outputs iff identical row spans."""
     n = matrix.modulus
-    cols = matrix.num_cols
-    nrows = matrix.num_rows
-    # carry the transform alongside each working row
-    work = [(list(matrix.rows[i]),
-             [1 if j == i else 0 for j in range(nrows)])
-            for i in range(nrows)]
-    work = [rw for rw in work if any(rw[0])]
-    pivots: list[tuple[list[int], list[int]]] = []
-
-    def combine(dst, src, factor):
-        return [(a + factor * b) % n for a, b in zip(dst, src)]
-
-    for c in range(cols):
-        hit = [rw for rw in work if rw[0][c] != 0]
-        rest = [rw for rw in work if rw[0][c] == 0]
+    work = [list(row) for row in matrix.rows if any(row)]
+    pivots: list[tuple[int, list[int]]] = []
+    for c in range(matrix.num_cols):
+        hit = [row for row in work if row[c]]
         if not hit:
-            work = rest
             continue
-        r0, t0 = hit[0]
-        for r, t in hit[1:]:
+        rest = [row for row in work if not row[c]]
+        r0 = hit[0]
+        for r in hit[1:]:
             a, b = r0[c], r[c]
             g, x, y = xgcd(a, b)
             # unimodular 2x2 [[x, y], [-b/g, a/g]] acting on (r0, r)
-            nr0 = [(x * p + y * q) % n for p, q in zip(r0, r)]
-            nt0 = [(x * p + y * q) % n for p, q in zip(t0, t)]
-            nr = [((a // g) * q - (b // g) * p) % n for p, q in zip(r0, r)]
-            nt = [((a // g) * q - (b // g) * p) % n for p, q in zip(t0, t)]
-            r0, t0 = nr0, nt0
-            if any(nr):
-                rest.append((nr, nt))
+            r0, r = ([(x * p + y * q) % n for p, q in zip(r0, r)],
+                     [((a // g) * q - (b // g) * p) % n for p, q in zip(r0, r)])
+            if any(r):
+                rest.append(r)
         u = stab_unit(r0[c], n)
         r0 = [(u * a) % n for a in r0]
-        t0 = [(u * a) % n for a in t0]
-        piv = r0[c]  # now gcd(old pivot, n), a divisor of n
-        ann = n // gcd(piv, n)
+        ann = n // gcd(r0[c], n)  # r0[c] is now gcd(old pivot, n)
         if ann != 1:
             ra = [(ann * a) % n for a in r0]
             if any(ra):
-                rest.append((ra, [(ann * a) % n for a in t0]))
-        pivots.append((r0, t0))
+                rest.append(ra)
+        pivots.append((c, r0))
         work = rest
 
     # reduce entries above each pivot into [0, pivot)
-    for i in range(len(pivots)):
-        ri, ti = pivots[i]
-        c = next(k for k, v in enumerate(ri) if v)
-        p = ri[c]
+    for i, (c, ri) in enumerate(pivots):
         for j in range(i):
-            rj, tj = pivots[j]
-            q = rj[c] // p
+            cj, rj = pivots[j]
+            q = rj[c] // ri[c]
             if q:
-                pivots[j] = (combine(rj, ri, -q), combine(tj, ti, -q))
-
-    rows = [r for r, _ in pivots]
-    trans = [t for _, t in pivots]
-    return HowellBasis(ZModMatrix(rows, n, num_cols=cols),
-                       ZModMatrix(trans, n, num_cols=nrows))
+                pivots[j] = (cj, [(a - q * b) % n for a, b in zip(rj, ri)])
+    return HowellBasis(ZModMatrix([r for _, r in pivots], n,
+                                  num_cols=matrix.num_cols))
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]
-                      ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Integer Smith normal form: returns (D, U, V) with U*mat*V = D.
-
-    U, V unimodular; D diagonal with d_i | d_{i+1}.
-    """
+def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
+    """Invariant factors of an integer matrix: the min(m, n) diagonal
+    entries d_1 | d_2 | ... of its Smith normal form, each >= 0."""
     a = [list(map(int, r)) for r in mat]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, f):
-        for r in a:
-            r[dst] += f * r[src]
-        for r in v:
-            r[dst] += f * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     t = 0
     while t < min(m, n):
         # pivot: smallest nonzero |entry| in the remaining block
@@ -329,39 +256,34 @@ def smith_normal_form(mat: Sequence[Sequence[int]]
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        a[t], a[best[0]] = a[best[0]], a[t]
+        for r in a:
+            r[t], r[best[1]] = r[best[1]], r[t]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+        piv = a[t][t]
         dirty = False
         for i in range(t + 1, m):
             if a[i][t]:
-                q = a[i][t] // a[t][t]
-                addmul_row(i, t, -q)
-                if a[i][t]:
-                    dirty = True
+                q = a[i][t] // piv
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                dirty = dirty or a[i][t] != 0
         for j in range(t + 1, n):
             if a[t][j]:
-                q = a[t][j] // a[t][t]
-                addmul_col(j, t, -q)
-                if a[t][j]:
-                    dirty = True
+                q = a[t][j] // piv
+                for r in a:
+                    r[j] -= q * r[t]
+                dirty = dirty or a[t][j] != 0
         if dirty:
             continue
         # enforce divisibility of the rest of the block by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, m)
+                         if any(x % piv for x in a[i][t + 1:])), None)
         if offender is not None:
-            addmul_row(t, offender, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue
         t += 1
-    return a, u, v
+    return [a[i][i] for i in range(min(m, n))]
 
 
 @dataclass(frozen=True)
@@ -389,54 +311,28 @@ def kernel_basis(matrix: ZModMatrix) -> HowellBasis:
 
 
 def solve(matrix: ZModMatrix, rhs: Sequence[int]) -> Optional[LinearSolution]:
-    """Solve matrix @ x = rhs over Z_d; None when no solution exists."""
+    """Solve matrix @ x = rhs over Z_d; None when no solution exists.
+
+    The rows of [A^T | I] span the pairs (Ax, x), so their Howell form
+    reduces (b, 0) to (0, -x) with Ax = b exactly when b lies in the image
+    of A. Its rows with a pivot among the last c columns, cut to those
+    columns, are the Howell form of the kernel."""
     n = matrix.modulus
-    if len(rhs) != matrix.num_rows:
-        raise ValueError("dimension mismatch")
-    rhs = [int(e) % n for e in rhs]
     m, c = matrix.num_rows, matrix.num_cols
-    if c == 0:
-        if all(e == 0 for e in rhs):
-            return LinearSolution((), HowellBasis(
-                ZModMatrix([], n, num_cols=0), ZModMatrix([], n, num_cols=0)), n)
+    if len(rhs) != m:
+        raise ValueError("dimension mismatch")
+    rhs = tuple(int(e) % n for e in rhs)
+    pairs = [list(col) + [0] * c for col in matrix.transpose().rows]
+    for j, row in enumerate(pairs):
+        row[m + j] = 1
+    howell = howell_form(ZModMatrix(pairs, n, num_cols=m + c))
+    v = howell.reduce(rhs + (0,) * c)
+    if any(v[:m]):
         return None
-    if m == 0:
-        ident = ZModMatrix.identity(c, n)
-        return LinearSolution(tuple([0] * c), howell_form(ident), n)
-
-    d, u, v = smith_normal_form(matrix.rows)
-    w = [sum(u[i][k] * rhs[k] for k in range(m)) % n for i in range(m)]
-    k = min(m, c)
-    y = [0] * c
-    kern_gens: list[list[int]] = []
-    for i in range(c):
-        s = d[i][i] if i < k else 0
-        g = gcd(s, n)
-        if i < m:
-            if w[i] % g:
-                return None
-            if g != n:
-                # s*y = w mod n: divide by g, then invert the unit s/g mod n/g
-                sp, np_ = (s % n) // g, n // g
-                gg, x, _ = xgcd(sp, np_)
-                assert gg == 1
-                y[i] = ((w[i] // g) * (x % np_)) % np_
-        # kernel of y_i -> s*y_i mod n is generated by n//gcd(s, n)
-        mult = n // g
-        if mult % n:
-            kern_gens.append([(mult if j == i else 0) for j in range(c)])
-    # rows of the Smith system beyond the column count must vanish
-    for i in range(c, m):
-        if w[i] % n:
-            return None
-
-    x = [sum(v[i][j] * y[j] for j in range(c)) % n for i in range(c)]
-    kern_vecs = []
-    for gen in kern_gens:
-        kern_vecs.append([sum(v[i][j] * gen[j] for j in range(c)) % n
-                          for i in range(c)])
-    kern = howell_form(ZModMatrix(kern_vecs, n, num_cols=c))
+    x = tuple(-e % n for e in v[m:])
+    kernel = [row[m:] for row, (col, _) in zip(howell.rows, howell.pivots())
+              if col >= m]
     # safety: the particular solution must actually solve the system
-    if matrix.apply(x) != tuple(rhs):
+    if matrix.apply(x) != rhs:
         raise ArithmeticError("internal solver error")
-    return LinearSolution(tuple(x), kern, n)
+    return LinearSolution(x, HowellBasis(ZModMatrix(kernel, n, num_cols=c)), n)

@@ -170,7 +170,7 @@ def test_criterion_06_theorem_instances():
 
     rng = random.Random(2026)
     for _ in range(4):
-        x = random_truncated_sset(rng, 2)
+        x = random_truncated_sset(rng)
         gam = cochain(x, 2, 2, fn=lambda t: 0 if x.is_degenerate(2, t)
                       else rng.randrange(2))
         rep = theorem_iso_check(x, gam, 2, [cyclic(2), dihedral(8)])

@@ -50,6 +50,7 @@ def test_solve_zero_system_contains_trivial(tmp_path, capsys):
     k33_system([1, 0, 0, 0, 0, 0]), two_vertex_system((1, 0), d=3),
     make_system([], [], 2, col_labels=["a", "b"]),
     make_system([], [], 5),
+    make_system([[]], [1], 2), make_system([[], [], []], [0, 2, 1], 3),
 ])
 def test_lcs_round_trip(system):
     text = write_lcs(system)
@@ -65,6 +66,16 @@ def test_solve_zero_row_system(tmp_path, capsys):
     assert main(["solve", str(path), "--group", "cyclic:2", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["solution_count"] == 4
+
+
+@pytest.mark.parametrize("rhs, count", [([0, 0], 1), ([0, 1], 0)])
+def test_solve_zero_column_system(tmp_path, capsys, rhs, count):
+    # no columns: the empty assignment solves exactly the all-zero b
+    path = tmp_path / "no_cols.lcs"
+    path.write_text(write_lcs(make_system([[], []], rhs, 2)))
+    assert main(["solve", str(path), "--group", "cyclic:2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["solution_count"] == count
 
 
 def test_solve_group_modulus_mismatch(k33_file, capsys):

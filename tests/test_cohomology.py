@@ -174,7 +174,7 @@ def _position_hosts():
              bar_nzd_sigma(sys_, cap=3),
              comm_nerve(build_group("dihedral:8"), cap=3),
              k33_torus_fixture(cap=3).space]
-            + [random_truncated_sset(rng, 3, max_nondeg=12)
+            + [random_truncated_sset(rng, max_nondeg=12)
                for _ in range(8)])
 
 
@@ -620,7 +620,7 @@ def test_extract_matches_reference_loop():
                 == reference_extract(q, g, nondeg)
     # hosts with repeated faces: random reduced cell sets, random cochains
     for d in (2, 3, 5):
-        x = random_truncated_sset(rng, d, max_nondeg=10)
+        x = random_truncated_sset(rng, max_nondeg=10)
         g = cochain(x, 2, d, fn=lambda tok: rng.randrange(d))
         for nondeg in (False, True):
             assert extract_linear_system(x, g, nondeg) \

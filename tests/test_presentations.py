@@ -495,7 +495,7 @@ def test_theorem_iso_check_checks_every_transported_hom(monkeypatch):
 def test_theorem_iso_check_random_2_truncated():
     rng = random.Random(7)
     for _ in range(6):
-        x = random_truncated_sset(rng, 2)
+        x = random_truncated_sset(rng)
         gam = cochain(x, 2, 2,
                       fn=lambda t: 0 if x.is_degenerate(2, t)
                       else rng.randrange(2))

@@ -362,7 +362,7 @@ def test_dict_built_sets_keep_no_input_dict():
     keys outside them (here a stray token) being ignored."""
     rng = random.Random(2022)
     for x in (nerve(3, cap=2), k33_torus_fixture(cap=3).space,
-              random_truncated_sset(rng, 3, max_nondeg=12)):
+              random_truncated_sset(rng, max_nondeg=12)):
         simplices = {n: list(toks) for n, toks in x.simplices.items()}
         faces = {k: {**v, "stray": 0} for k, v in x.faces.items()}
         degs = {k: dict(v) for k, v in x.degeneracies.items()}
@@ -615,7 +615,7 @@ def test_cells_sset_circle():
 def test_random_truncated_ssets_validate():
     rng = random.Random(11)
     for _ in range(25):
-        x = random_truncated_sset(rng, 2)
+        x = random_truncated_sset(rng)
         total = sum(len(x.nondegenerate(n)) for n in range(3))
         assert total <= 12
         assert x.size(0) == 1

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -12,9 +12,8 @@ from simplcs.zmod import (ZModMatrix, howell_form, kernel_basis,
 
 # ---------------------------------------------------------------- oracles
 
-def brute_solutions(rows, rhs, d):
-    """All x with rows @ x = rhs mod d, by exhaustive enumeration."""
-    c = len(rows[0]) if rows else 0
+def brute_solutions(rows, rhs, d, c):
+    """All x in Z_d^c with rows @ x = rhs mod d, by exhaustive enumeration."""
     out = []
     for x in itertools.product(range(d), repeat=c):
         if all(sum(a * e for a, e in zip(row, x)) % d == v % d
@@ -44,12 +43,21 @@ def random_matrix(rng, r, c, d):
     return [[rng.randrange(d) for _ in range(c)] for _ in range(r)]
 
 
+# moduli with a repeated prime factor or two distinct ones
+MORE_MODULI = (4, 8, 9, 12)
+
+
+def more_shapes(rng, count):
+    """(d, r, c) over MORE_MODULI: count random shapes up to 3 x 3, then
+    every shape up to 3 with no rows or no columns."""
+    out = [(rng.choice(MORE_MODULI), rng.randrange(1, 4), rng.randrange(1, 4))
+           for _ in range(count)]
+    for d in MORE_MODULI:
+        out += [(d, 0, c) for c in range(4)] + [(d, r, 0) for r in range(1, 4)]
+    return out
+
+
 # ---------------------------------------------------------------- ZModMatrix
-
-def test_zmod_matrix_matmul_mixed_modulus_is_error():
-    with pytest.raises(ValueError):
-        ZModMatrix([[1]], 4).matmul(ZModMatrix([[1]], 6))
-
 
 def test_zmod_matrix_reduces_entries_like_int():
     m = ZModMatrix([[-1, 7, True, False, np.int64(-4), np.int64(5)],
@@ -98,7 +106,7 @@ def test_xgcd_and_stab_unit():
 # ---------------------------------------------------------------- Howell form
 
 def test_howell_identity_fixed_point():
-    m = ZModMatrix.identity(2, 4)
+    m = ZModMatrix([[1, 0], [0, 1]], 4)
     h = howell_form(m)
     assert h.matrix == m
 
@@ -112,16 +120,6 @@ def test_howell_two_over_z4_span():
 def test_howell_zero_matrix_empty_basis():
     h = howell_form(ZModMatrix([[0] * 3] * 3, 6))
     assert h.matrix.num_rows == 0
-
-
-def test_howell_transform_records_row_ops():
-    rng = random.Random(1)
-    for _ in range(60):
-        d = rng.choice([2, 3, 4, 6, 8])
-        rows = random_matrix(rng, rng.randrange(1, 4), rng.randrange(1, 4), d)
-        m = ZModMatrix(rows, d)
-        h = howell_form(m)
-        assert h.transform.matmul(m) == h.matrix
 
 
 def test_howell_canonical_for_equal_spans():
@@ -209,39 +207,30 @@ def test_spans_equal_equivalence_relation():
 
 # ---------------------------------------------------------------- smith form
 
+def det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
 def test_smith_normal_form_properties():
+    # oracle: d_1 ... d_k is the gcd of all k x k minors
     rng = random.Random(5)
-    for _ in range(60):
+    for _ in range(300):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         mat = [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)]
-        d, u, v = smith_normal_form(mat)
-        # U*mat*V == D
-        prod = [[sum(u[i][k] * mat[k][j] for k in range(r)) for j in range(c)]
-                for i in range(r)]
-        prod = [[sum(prod[i][k] * v[k][j] for k in range(c)) for j in range(c)]
-                for i in range(r)]
-        assert prod == d
-        for i in range(r):
-            for j in range(c):
-                if i != j:
-                    assert d[i][j] == 0
-        diag = [d[i][i] for i in range(min(r, c))]
+        diag = smith_normal_form(mat)
+        assert len(diag) == min(r, c) and all(x >= 0 for x in diag)
+        for k in range(1, min(r, c) + 1):
+            minors = gcd(*(det([[mat[i][j] for j in cols] for i in rows])
+                           for rows in itertools.combinations(range(r), k)
+                           for cols in itertools.combinations(range(c), k)))
+            assert prod(diag[:k]) == minors
         for a, b in zip(diag, diag[1:]):
-            if a:
-                assert b % a == 0
-            else:
-                assert b == 0
-
-        def det(m):
-            n = len(m)
-            if n == 1:
-                return m[0][0]
-            return sum((-1) ** j * m[0][j] *
-                       det([row[:j] + row[j + 1:] for row in m[1:]])
-                       for j in range(n))
-
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
+            assert b == 0 if a == 0 else b % a == 0
+    assert smith_normal_form([]) == smith_normal_form([[]]) == []
 
 
 # ---------------------------------------------------------------- solve
@@ -256,7 +245,7 @@ def test_solve_unique_2x2_over_z2():
             assert sol.count() == 1
             assert sol.particular == (b2, (b1 + b2) % 2)
             assert sol.enumerate() == brute_solutions([[1, 1], [1, 0]],
-                                                      (b1, b2), 2)
+                                                      (b1, b2), 2, 2)
 
 
 def test_solve_dimension_mismatch():
@@ -266,13 +255,13 @@ def test_solve_dimension_mismatch():
 
 def test_solve_matches_brute_force():
     rng = random.Random(6)
-    for _ in range(150):
-        d = rng.choice([2, 3, 4, 6])
-        r, c = rng.randrange(1, 5), rng.randrange(1, 5)
+    shapes = [(rng.choice([2, 3, 4, 6]), rng.randrange(1, 5), rng.randrange(1, 5))
+              for _ in range(150)]
+    for d, r, c in shapes + more_shapes(rng, 60):
         rows = random_matrix(rng, r, c, d)
         rhs = [rng.randrange(d) for _ in range(r)]
-        oracle = brute_solutions(rows, rhs, d)
-        sol = solve(ZModMatrix(rows, d), rhs)
+        oracle = brute_solutions(rows, rhs, d, c)
+        sol = solve(ZModMatrix(rows, d, num_cols=c), rhs)
         if not oracle:
             assert sol is None
         else:
@@ -283,12 +272,12 @@ def test_solve_matches_brute_force():
 
 def test_kernel_basis_is_howell_of_kernel():
     rng = random.Random(7)
-    for _ in range(60):
-        d = rng.choice([2, 3, 4, 6])
-        r, c = rng.randrange(1, 4), rng.randrange(1, 4)
+    shapes = [(rng.choice([2, 3, 4, 6]), rng.randrange(1, 4), rng.randrange(1, 4))
+              for _ in range(60)]
+    for d, r, c in shapes + more_shapes(rng, 40):
         rows = random_matrix(rng, r, c, d)
-        kern = kernel_basis(ZModMatrix(rows, d))
-        oracle = set(brute_solutions(rows, [0] * r, d))
+        kern = kernel_basis(ZModMatrix(rows, d, num_cols=c))
+        oracle = set(brute_solutions(rows, [0] * r, d, c))
         assert set(kern.enumerate_span()) == oracle
         # canonical: howell of the brute kernel gives the same matrix
         href = howell_form(ZModMatrix(sorted(oracle), d, num_cols=c))
