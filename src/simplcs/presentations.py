@@ -16,12 +16,17 @@ the other relators that close there, as checks. A depth-first search over
 Python bitmasks runs the plan until the leaf bound of its steps so far (the
 product of the domain sizes of the unforced ones) exceeds
 NUMPY_LEAF_BOUND; numpy blocks of partial rows of at most BLOCK_CELLS
-(rows x group order) cells then run it from the start, depth first, so
-memory stays bounded. The relators are sorted out by kind once per
+(rows x group order, 2^16) cells then run it from the start, depth first,
+so memory stays bounded. The relators are sorted out by kind once per
 presentation, and for a solution group once per linear system, from its
 distinct rows, before the presentation itself is built. Every result row
 is then checked against every relator by `check_hom_rows`, which shares no
-code with the plan.
+code with the plan: an exact commutator by the two gathers xy and yx over
+all rows, any other relator letter by letter.
+
+The K-group relators are built on arrays, and `tietze_simplify` keeps an
+occurrence index, so a substitution rewrites only the relators that hold
+its generator.
 
 Isomorphism claims are always settled by completed coset tables or hom-set
 bijections, never by free-group rewriting.
@@ -180,6 +185,12 @@ def k_group(g: FinGroupJ) -> KGroupData:
     Relators: units e_{g,1} = e_{1,g} = 1, triangle fillers over commuting
     d-torsion pairs, and the loops of the chosen maximal tree (freely trivial,
     since the tree is the union of the base paths).
+
+    The relators are built on arrays: the generator of every pair comes
+    from one n x n lookup, and the triangle e_{a,h} e_{h,k} e_{a,k}^-1 of
+    every a and commuting (t, u), h = at and k = hu, at once. Its three
+    letters are three distinct pairs, so dropping the unit letters is the
+    only cancellation. Relators are kept once, in order of first occurrence.
     """
     tor = [t for t in g.torsion(g.d) if t != g.identity]
     reach = {g.identity: ()}
@@ -198,35 +209,49 @@ def k_group(g: FinGroupJ) -> KGroupData:
     if len(reach) != g.n:
         raise ValueError("group is not generated by its d-torsion elements")
 
-    tor_set = set(tor)
-    pairs = [(a, b) for a in range(g.n) for b in range(g.n)
-             if a != b and a != g.identity and b != g.identity
-             and g.mul(g.inv(a), b) in tor_set]
-    pair_idx = {p: k for k, p in enumerate(pairs)}
-    names = [f"k{a}_{b}" for a, b in pairs]
+    n, ident = g.n, g.identity
+    table = g.table_array()
+    torsion = np.zeros(n, dtype=bool)
+    torsion[tor] = True
+    # (a, b) is a pair when a, b != 1 and a^-1 b is d-torsion (so a != b)
+    is_pair = torsion[table[g.power_array(-1)]]
+    is_pair[ident, :] = is_pair[:, ident] = False
+    pair_of = np.full((n, n), -1, dtype=np.intp)   # -1: e_{a,b} is a unit
+    pair_of[is_pair] = np.arange(np.count_nonzero(is_pair))
+    pairs = list(zip(*(x.tolist() for x in np.nonzero(is_pair))))
 
-    def gen_word(a, b):
-        """e_{a,b} after the unit relators e_{1,x} = e_{x,1} = e_{x,x} = 1."""
-        if a == b or a == g.identity or b == g.identity:
-            return ()
-        return ((pair_idx[(a, b)], 1),)
-
-    relators: list[Word] = []
-    for a, b in tree_edges:
-        word = gen_word(a, b)
-        if word:
-            relators.append(word)
-    for a in range(g.n):
-        for t in tor:
-            for u in tor:
-                if g.commute(t, u):
-                    h = g.mul(a, t)
-                    k = g.mul(h, u)
-                    word = word_simplify(gen_word(a, h) + gen_word(h, k)
-                                         + word_inverse(gen_word(a, k)))
-                    if word:
-                        relators.append(word)
-    pres = Presentation(tuple(names), tuple(dict.fromkeys(relators)))
+    # letters coded 2p for e_p and 2p + 1 for e_p^-1, -1 for none
+    tree = np.array(tree_edges, dtype=np.intp).reshape(-1, 2)
+    firsts = 2 * pair_of[tree[:, 0], tree[:, 1]]
+    tree_codes = np.full((len(tree), 3), -1, dtype=np.intp)
+    tree_codes[:, 0] = firsts
+    tor_arr = np.array(tor, dtype=np.intp)
+    t_at, u_at = np.nonzero(g.centralizer_matrix()[np.ix_(tor_arr, tor_arr)])
+    src = np.repeat(np.arange(n), len(t_at))
+    mid = table[src, np.tile(tor_arr[t_at], n)]
+    dst = table[mid, np.tile(tor_arr[u_at], n)]
+    letters = np.stack([pair_of[src, mid], pair_of[mid, dst],
+                        pair_of[src, dst]], axis=1)
+    codes = np.where(letters >= 0, 2 * letters + [0, 0, 1], -1)
+    # close the gaps of the unit letters, the last one first
+    for j in (1, 0):
+        gap = codes[:, j] < 0
+        codes[gap, j:-1] = codes[gap, j + 1:]
+        codes[gap, -1] = -1
+    codes = np.concatenate([tree_codes[firsts >= 0], codes[codes[:, 0] >= 0]])
+    _, first = np.unique(codes, axis=0, return_index=True)
+    codes = codes[np.sort(first)]
+    letter = [(c >> 1, 1 - 2 * (c & 1)) for c in range(2 * len(pairs))]
+    relators: list = [None] * len(codes)
+    sizes = np.count_nonzero(codes >= 0, axis=1)
+    for size in (1, 2, 3):
+        at = np.flatnonzero(sizes == size)
+        words = zip(*(map(letter.__getitem__, col)
+                      for col in codes[at, :size].T.tolist()))
+        for i, word in zip(at.tolist(), words):
+            relators[i] = word
+    pres = Presentation(tuple(f"k{a}_{b}" for a, b in pairs),
+                        tuple(relators))
     image_words = {}
     for a, b in pairs:
         step = g.mul(g.inv(a), b)
@@ -264,101 +289,126 @@ def _canonical_cyclic(word: Word) -> Word:
 def tietze_simplify(pres: Presentation) -> Presentation:
     """Shrink a presentation by unit kills, pair merges, and bounded greedy
     generator elimination. The presented group is unchanged (generator names
-    are not preserved)."""
-    words = [list(w) for w in pres.relators]
+    are not preserved).
+
+    Relators are cyclically reduced and kept once per canonical form (least
+    rotation of the word or its inverse), by id, their place in the input:
+    of two with one form the one of smaller id survives, in its own
+    rotation. Each pass takes the unit relator g^+-1 of least id, else the
+    pair relator g^+-1 h^+-1 of least id, else the greedy (cost, id,
+    position) minimum over the letters x^+-1 whose generator occurs once in
+    their relator, cost (occurrences of x - 1) (length - 1), while the
+    longest relator it could leave stays within TIETZE_MAX_WORD.
+
+    An occurrence index keeps each pass to the relators it changes: the
+    ids of the relators each generator occurs in and its total occurrence
+    count, the owner of each canonical form, the unit and pair relators as
+    sets of ids, and each relator's greedy candidates. A substitution
+    rewrites only the relators that hold its generator."""
     k = pres.num_gens()
     alive = [True] * k
-    # canonical form of every cyclically reduced relator seen: most relators
-    # survive a pass unchanged, so each is canonicalized once
-    forms: dict[Word, Word] = {}
+    words: dict[int, Word] = {}
+    owner: dict[Word, int] = {}         # canonical form -> id
+    rels_of: list[set[int]] = [set() for _ in range(k)]
+    occ = [0] * k                       # total |exponent| over the relators
+    units: set[int] = set()
+    pairs: set[int] = set()
+    cands: dict[int, list[tuple[int, int, int]]] = {}  # id -> (pos, gen, e)
+    forms: dict[Word, Word] = {}        # canonical form of each word seen
+
+    def remove(idx: int) -> None:
+        w = words.pop(idx)
+        del owner[forms[w]]
+        for g, e in w:
+            rels_of[g].discard(idx)
+            occ[g] -= abs(e)
+        units.discard(idx)
+        pairs.discard(idx)
+        cands.pop(idx, None)
+
+    def add(idx: int, w: Word) -> None:
+        """Keep the cyclically reduced relator w as idx, unless a relator of
+        smaller id has its form; one of larger id gives way."""
+        canon = forms.get(w)
+        if canon is None:
+            canon = forms[w] = _canonical_cyclic(w)
+        other = owner.get(canon)
+        if other is not None:
+            if other < idx:
+                return
+            remove(other)
+        words[idx], owner[canon] = w, idx
+        counts: dict[int, int] = {}
+        for g, e in w:
+            rels_of[g].add(idx)
+            occ[g] += abs(e)
+            counts[g] = counts.get(g, 0) + abs(e)
+        if len(w) == 1 and abs(w[0][1]) == 1:
+            units.add(idx)
+        elif len(w) == 2 and abs(w[0][1]) == abs(w[1][1]) == 1:
+            pairs.add(idx)
+        found = [(pos, g, e) for pos, (g, e) in enumerate(w)
+                 if abs(e) == 1 and counts[g] == 1]
+        if found:
+            cands[idx] = found
 
     def substitute(gen: int, repl: Word) -> None:
         alive[gen] = False
-        for idx, w in enumerate(words):
-            if all(g != gen for g, _ in w):
-                continue
+        inverse = word_inverse(repl)
+        rewritten = []
+        for idx in sorted(rels_of[gen]):
+            w = words[idx]
+            remove(idx)
             out: list[tuple[int, int]] = []
             for g, e in w:
                 if g != gen:
                     out.append((g, e))
-                    continue
-                piece = repl if e > 0 else word_inverse(repl)
-                out.extend(list(piece) * abs(e))
-            words[idx] = list(_cyclic_simplify(out))
+                else:
+                    out.extend((repl if e > 0 else inverse) * abs(e))
+            rewritten.append((idx, _cyclic_simplify(out)))
+        for idx, w in rewritten:
+            if w:
+                add(idx, w)
 
-    def normalize() -> None:
-        seen = set()
-        out = []
-        for w in words:
-            cw = tuple(w)
-            canon = forms.get(cw)
-            if canon is None:
-                cw = _cyclic_simplify(cw)
-                if not cw:
-                    continue
-                canon = forms[cw] = _canonical_cyclic(cw)
-            if canon not in seen:
-                seen.add(canon)
-                out.append(list(cw))
-        words[:] = out
-
+    for idx, w in enumerate(pres.relators):
+        w = _cyclic_simplify(w)
+        if w:
+            add(idx, w)
     while True:
-        normalize()
-        acted = False
-        # unit relators g^{+-1} = 1
-        for w in words:
-            if len(w) == 1 and abs(w[0][1]) == 1:
-                substitute(w[0][0], ())
-                acted = True
-                break
-        if acted:
+        if units:
+            substitute(words[min(units)][0][0], ())
             continue
-        # pair relators g^{+-1} h^{+-1} = 1 merge two generators
-        for w in words:
-            if (len(w) == 2 and abs(w[0][1]) == 1 and abs(w[1][1]) == 1
-                    and w[0][0] != w[1][0]):
-                (g, a), (h, b) = w
-                repl: Word = ((h, -b if a == 1 else b),)
-                substitute(g, repl)
-                acted = True
-                break
-        if acted:
+        if pairs:
+            (g, a), (h, b) = words[min(pairs)]
+            substitute(g, ((h, -b if a == 1 else b),))
             continue
-        # greedy elimination: a generator occurring once (exp +-1) in a relator
-        occ: dict[int, int] = {}
-        for w in words:
-            for g, e in w:
-                occ[g] = occ.get(g, 0) + abs(e)
         best = None
-        for ridx, w in enumerate(words):
-            counts: dict[int, int] = {}
-            for g, e in w:
-                counts[g] = counts.get(g, 0) + abs(e)
-            for pos, (g, e) in enumerate(w):
-                if abs(e) == 1 and counts[g] == 1:
-                    cost = (occ[g] - 1) * (len(w) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, ridx, pos, g, e)
+        for idx, found in cands.items():
+            m = len(words[idx]) - 1
+            for pos, g, e in found:
+                key = ((occ[g] - 1) * m, idx, pos)
+                if best is None or key < best[0]:
+                    best = (key, g, e)
         if best is None:
             break
-        _, ridx, pos, g, e = best
+        (_, ridx, pos), g, e = best
         w = words[ridx]
         rest = w[pos + 1:] + w[:pos]       # relator = g^e * rest (cyclically)
-        repl = word_inverse(tuple(rest)) if e == 1 else tuple(rest)
+        repl = word_inverse(rest) if e == 1 else rest
         if occ[g] > 1 and (len(repl) - 1) * (occ[g] - 1) + max(
-                (len(x) for x in words), default=0) > TIETZE_MAX_WORD:
+                map(len, words.values())) > TIETZE_MAX_WORD:
             break
-        del words[ridx]
+        remove(ridx)
         substitute(g, repl)
 
-    normalize()
     remap = {}
     names = []
     for g in range(k):
         if alive[g]:
             remap[g] = len(names)
             names.append(f"g{len(names)}")
-    rels = tuple(tuple((remap[g], e) for g, e in w) for w in words)
+    rels = tuple(tuple((remap[g], e) for g, e in words[idx])
+                 for idx in sorted(words))
     if not names:
         names = ["g0"]
         rels = rels + (((0, 1),),)
@@ -637,7 +687,7 @@ def elementarization(pres: Presentation, p: int) -> int:
 # ---------------------------------------------------------- hom enumeration
 
 NUMPY_LEAF_BOUND = 1 << 8   # plans with more leaves run on numpy blocks
-BLOCK_CELLS = 1 << 13       # (rows x group order) cells of one numpy block
+BLOCK_CELLS = 1 << 16       # (rows x group order) cells of one numpy block
 CHECK_CELLS = 1 << 16       # (rows x relators) cells of one check chunk
 
 
@@ -678,16 +728,22 @@ def check_hom_rows(pres: Presentation, g: GroupTable,
     every relator of pres.
 
     Independent of the search: each distinct relator is multiplied out over
-    all rows at once by gathers in g's flattened table. Relators are grouped
-    by length rounded up to a power of two and padded with exponent-0
-    letters; power rows come from square-and-multiply over whole rows."""
+    all rows at once by gathers in g's flattened table. An exact commutator
+    commutator_word(a, b) holds where xy = yx for the images x of a and y
+    of b, two gathers per row. The other relators are grouped by length
+    rounded up to a power of two and padded with exponent-0 letters; power
+    rows come from square-and-multiply over whole rows."""
     if not len(rows):
         return
     compiled = vars(pres).get("_check_letters")
     if compiled is None:
         by_len: dict[int, list[Word]] = {}
+        comms: list[Word] = []
         for rel in dict.fromkeys(pres.relators):
-            if rel:
+            if len(rel) == 4 and rel == commutator_word(rel[0][0],
+                                                        rel[1][0]):
+                comms.append(rel)
+            elif rel:
                 by_len.setdefault(1 << (len(rel) - 1).bit_length(),
                                   []).append(rel)
         exps = tuple(sorted({0, 1} | {e for rel in pres.relators
@@ -702,8 +758,11 @@ def check_hom_rows(pres: Presentation, g: GroupTable,
             # per letter: generators, power slots, and whether all are x^1
             buckets.append((rels, [(gens, slots, (slots == slot[1]).all())
                                    for gens, slots in letters]))
-        compiled = vars(pres)["_check_letters"] = (exps, buckets)
-    exps, buckets = compiled
+        pair_cols = np.array([(rel[0][0], rel[1][0]) for rel in comms],
+                             dtype=np.intp).reshape(-1, 2).T
+        compiled = vars(pres)["_check_letters"] = (exps, buckets, comms,
+                                                   pair_cols)
+    exps, buckets, comms, (left, right) = compiled
     n, ident = g.n, g.identity
     table = g.table_array().ravel()
 
@@ -722,6 +781,18 @@ def check_hom_rows(pres: Presentation, g: GroupTable,
             out[i] = acc
         return out.ravel()
 
+    def fail(lo: int, bad: np.ndarray, rels: list) -> None:
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise ValueError(f"images do not satisfy the relators: row "
+                             f"{lo + r} fails {rels[c]}")
+
+    if comms:
+        step = max(1, CHECK_CELLS // len(comms))
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            x, y = chunk.take(left, axis=1), chunk.take(right, axis=1)
+            fail(lo, table.take(x * n + y) != table.take(y * n + x), comms)
     powers = g.memo(("check_powers", exps), power_rows)
     for rels, letters in buckets:
         step = max(1, CHECK_CELLS // len(rels))
@@ -733,11 +804,7 @@ def check_hom_rows(pres: Presentation, g: GroupTable,
                 if not plain:
                     x = powers.take(x + slots * n)
                 acc = x if acc is None else table.take(acc * n + x)
-            bad = acc != ident
-            if bad.any():
-                r, c = np.argwhere(bad)[0]
-                raise ValueError(f"images do not satisfy the relators: row "
-                                 f"{lo + r} fails {rels[c]}")
+            fail(lo, acc != ident, rels)
 
 
 class _Kinds:
@@ -1328,7 +1395,8 @@ def solutions(system: LinearSystem, g: FinGroupJ) -> list[tuple[int, ...]]:
     rows = _search(_system_kinds(system), c + 1, g, c)
     if len(rows):
         check_hom_rows(solution_group(system), g, rows)
-    return list(map(tuple, rows[:, :-1].tolist()))
+    columns = rows[:, :-1].T.tolist()
+    return list(zip(*columns)) if c else [()] * len(rows)
 
 
 def hom_of_solution(pres: Presentation, g: FinGroupJ,

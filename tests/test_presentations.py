@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,95 @@ def test_k_group_heisenberg_nontrivial_certificate():
     for t in word:
         acc = g.mul(acc, t)
     assert acc == g.identity  # the loop closes
+
+
+
+def reference_k_group(g):
+    """`k_group` as it was built before its relators went on arrays: one
+    word per tree edge and per (a, t, u), simplified letter by letter."""
+    tor = [t for t in g.torsion(g.d) if t != g.identity]
+    reach = {g.identity: ()}
+    tree_edges = []
+    frontier = [g.identity]
+    while frontier:
+        nxt = []
+        for a in sorted(frontier):
+            for t in tor:
+                b = g.mul(a, t)
+                if b not in reach:
+                    reach[b] = reach[a] + (t,)
+                    tree_edges.append((a, b))
+                    nxt.append(b)
+        frontier = nxt
+    if len(reach) != g.n:
+        raise ValueError("group is not generated by its d-torsion elements")
+
+    tor_set = set(tor)
+    pairs = [(a, b) for a in range(g.n) for b in range(g.n)
+             if a != b and a != g.identity and b != g.identity
+             and g.mul(g.inv(a), b) in tor_set]
+    pair_idx = {p: k for k, p in enumerate(pairs)}
+    names = [f"k{a}_{b}" for a, b in pairs]
+
+    def gen_word(a, b):
+        """e_{a,b} after the unit relators e_{1,x} = e_{x,1} = e_{x,x} = 1."""
+        if a == b or a == g.identity or b == g.identity:
+            return ()
+        return ((pair_idx[(a, b)], 1),)
+
+    relators = []
+    for a, b in tree_edges:
+        word = gen_word(a, b)
+        if word:
+            relators.append(word)
+    for a in range(g.n):
+        for t in tor:
+            for u in tor:
+                if g.commute(t, u):
+                    h = g.mul(a, t)
+                    k = g.mul(h, u)
+                    word = word_simplify(gen_word(a, h) + gen_word(h, k)
+                                         + word_inverse(gen_word(a, k)))
+                    if word:
+                        relators.append(word)
+    pres = Presentation(tuple(names), tuple(dict.fromkeys(relators)))
+    image_words = {}
+    for a, b in pairs:
+        step = g.mul(g.inv(a), b)
+        image_words[(a, b)] = (reach[a] + (step,)
+                               + tuple(g.inv(t) for t in reversed(reach[b])))
+    return presentations.KGroupData(pres, tuple(pairs), dict(reach),
+                                    image_words)
+
+
+
+def test_k_group_matches_the_reference_loop():
+    for spec in ("dihedral:8", "heisenberg:3", "extraspecial:2:2:+",
+                 "cyclic:2"):
+        g = build_group(spec)
+        assert k_group(g) == reference_k_group(g)
+    for spec in ("quaternion", "cyclic:4:2"):
+        g = build_group(spec)
+        with pytest.raises(ValueError) as want:
+            reference_k_group(g)
+        with pytest.raises(ValueError) as got:
+            k_group(g)
+        assert str(got.value) == str(want.value)
+
+
+def test_k_group_tietze_is_pinned():
+    # sha256 prefixes of (generators, relators) of the simplified K-group
+    # presentations of D8 o D8 (570 generators, 6 720 relators) and
+    # heisenberg:3 (650, 6 318), as `reference_tietze_simplify` gives them;
+    # the reference takes seconds on these, so its outputs are pinned
+    cases = [(central_product(dihedral(8), dihedral(8)), 1,
+              "8d4593823695a1e9"),
+             (heisenberg(3), 16, "faa890fb509ce9ee")]
+    for g, gens, digest in cases:
+        simp = tietze_simplify(k_group(g).presentation)
+        assert len(simp.gens) == gens
+        blob = repr((simp.gens, simp.relators)).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
 # ------------------------------------------------------------- hom counting
@@ -692,6 +782,68 @@ def test_check_hom_rows_flags_each_bad_row():
                 presentations.check_hom_rows(pres, g, broken)
         else:  # the change happened to give another hom
             presentations.check_hom_rows(pres, g, broken)
+
+
+def test_check_hom_rows_names_the_one_broken_commutator(monkeypatch):
+    # a, b, c into D8 with c -> 1: a^4, b^4, [a, c] and [b, c] hold on
+    # every row, and [a, b] fails on the one row whose images of a and b
+    # do not commute; small chunks put that row in a later chunk
+    g = dihedral(8)
+    rels = (((0, 4),), ((1, 4),), commutator_word(0, 2),
+            commutator_word(0, 1), commutator_word(1, 2))
+    pres = Presentation(("a", "b", "c"), rels)
+    good = np.array([h.images for h in enumerate_homs(pres, g, pin_j=False)
+                     if h.images[2] == g.identity])
+    x, y = next((x, y) for x in range(g.n) for y in range(g.n)
+                if not g.commute(x, y))
+    for cells in (presentations.CHECK_CELLS, 6):
+        monkeypatch.setattr(presentations, "CHECK_CELLS", cells)
+        presentations.check_hom_rows(pres, g, good)
+        for at in (0, len(good) // 2, len(good)):
+            rows = np.insert(good, at, [x, y, g.identity], axis=0)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"row {at} fails {commutator_word(0, 1)}")):
+                presentations.check_hom_rows(pres, g, rows)
+
+
+def test_check_hom_rows_reads_other_four_letter_relators_by_letter():
+    # a^-1 b^-1 a b^-1 has the shape of a commutator but is not one: on
+    # commuting images it is b^-2, so a commutator check would pass rows
+    # that break it
+    rel = ((0, -1), (1, -1), (0, 1), (1, -1))
+    pres = Presentation(("a", "b"), (rel, commutator_word(0, 1)))
+    for spec in ("dihedral:8", "quaternion"):
+        g = build_group(spec)
+        caught = 0
+        for x in range(g.n):
+            for y in range(g.n):
+                value = g.identity
+                for gen, e in rel:
+                    value = g.mul(value, g.power((x, y)[gen], e))
+                row = np.array([[x, y]])
+                if g.commute(x, y) and value == g.identity:
+                    presentations.check_hom_rows(pres, g, row)
+                    continue
+                fails = [r for r, ok in ((rel, value == g.identity),
+                                         (pres.relators[1], g.commute(x, y)))
+                         if not ok]
+                with pytest.raises(ValueError, match="|".join(
+                        re.escape(f"row 0 fails {r}") for r in fails)):
+                    presentations.check_hom_rows(pres, g, row)
+                caught += g.commute(x, y)
+        assert caught  # commuting rows that only rel rejects
+
+
+@pytest.mark.parametrize("cells", [1, presentations.BLOCK_CELLS])
+def test_executors_agree_at_every_block_size(monkeypatch, cells):
+    monkeypatch.setattr(presentations, "BLOCK_CELLS", cells)
+    for spec, b in (("dihedral:8", [0] * 6),
+                    ("dihedral:8", [0, 1, 1, 0, 0, 0]),
+                    ("quaternion", [0] * 6)):
+        g = build_group(spec)
+        pres = solution_group(k33_system(b))
+        rows = run_executor("rows", pres, g, True)
+        assert rows and run_executor("blocks", pres, g, True) == rows
 
 
 ORACLE_TARGETS = ("dihedral:8", "quaternion", "heisenberg:3")
@@ -1165,6 +1317,161 @@ def test_enumerate_homs_ignores_repeated_relators():
             assert want == brute_homs(pres, g, pin_j=True)
 
 
+def reference_tietze_simplify(pres):
+    """`tietze_simplify` as it was before its occurrence index: every
+    substitution scans every relator, and every pass normalizes them all
+    and recounts the occurrences."""
+    words = [list(w) for w in pres.relators]
+    k = pres.num_gens()
+    alive = [True] * k
+    # canonical form of every cyclically reduced relator seen: most relators
+    # survive a pass unchanged, so each is canonicalized once
+    forms = {}
+
+    def substitute(gen, repl):
+        alive[gen] = False
+        for idx, w in enumerate(words):
+            if all(g != gen for g, _ in w):
+                continue
+            out = []
+            for g, e in w:
+                if g != gen:
+                    out.append((g, e))
+                    continue
+                piece = repl if e > 0 else word_inverse(repl)
+                out.extend(list(piece) * abs(e))
+            words[idx] = list(presentations._cyclic_simplify(out))
+
+    def normalize():
+        seen = set()
+        out = []
+        for w in words:
+            cw = tuple(w)
+            canon = forms.get(cw)
+            if canon is None:
+                cw = presentations._cyclic_simplify(cw)
+                if not cw:
+                    continue
+                canon = forms[cw] = presentations._canonical_cyclic(cw)
+            if canon not in seen:
+                seen.add(canon)
+                out.append(list(cw))
+        words[:] = out
+
+    while True:
+        normalize()
+        acted = False
+        # unit relators g^{+-1} = 1
+        for w in words:
+            if len(w) == 1 and abs(w[0][1]) == 1:
+                substitute(w[0][0], ())
+                acted = True
+                break
+        if acted:
+            continue
+        # pair relators g^{+-1} h^{+-1} = 1 merge two generators
+        for w in words:
+            if (len(w) == 2 and abs(w[0][1]) == 1 and abs(w[1][1]) == 1
+                    and w[0][0] != w[1][0]):
+                (g, a), (h, b) = w
+                repl = ((h, -b if a == 1 else b),)
+                substitute(g, repl)
+                acted = True
+                break
+        if acted:
+            continue
+        # greedy elimination: a generator occurring once (exp +-1) in a relator
+        occ = {}
+        for w in words:
+            for g, e in w:
+                occ[g] = occ.get(g, 0) + abs(e)
+        best = None
+        for ridx, w in enumerate(words):
+            counts = {}
+            for g, e in w:
+                counts[g] = counts.get(g, 0) + abs(e)
+            for pos, (g, e) in enumerate(w):
+                if abs(e) == 1 and counts[g] == 1:
+                    cost = (occ[g] - 1) * (len(w) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, ridx, pos, g, e)
+        if best is None:
+            break
+        _, ridx, pos, g, e = best
+        w = words[ridx]
+        rest = w[pos + 1:] + w[:pos]       # relator = g^e * rest (cyclically)
+        repl = word_inverse(tuple(rest)) if e == 1 else tuple(rest)
+        longest = max((len(x) for x in words), default=0)
+        if occ[g] > 1 and (len(repl) - 1) * (occ[g] - 1) + longest > (
+                presentations.TIETZE_MAX_WORD):
+            break
+        del words[ridx]
+        substitute(g, repl)
+
+    normalize()
+    remap = {}
+    names = []
+    for g in range(k):
+        if alive[g]:
+            remap[g] = len(names)
+            names.append(f"g{len(names)}")
+    rels = tuple(tuple((remap[g], e) for g, e in w) for w in words)
+    if not names:
+        names = ["g0"]
+        rels = rels + (((0, 1),),)
+    return Presentation(tuple(names), rels)
+
+
+
+def test_tietze_matches_the_reference_loop():
+    cases = [pi1(comm_nerve(build_group(spec), cap=2))[0]
+             for spec in ("dihedral:8", "quaternion", "heisenberg:3",
+                          "e1:3:1", "extraspecial:2:2:+",
+                          "extraspecial:2:2:-")]
+    cases += [solution_group(k33_system(b, d=d)) for b, d in (
+        ([0] * 6, 2), ([1, 0, 0, 0, 0, 0], 2), ([0, 1, 1, 0, 0, 0], 2),
+        ([1, 2, 0, 0, 0, 0], 3), ([1, 1, 1, 0, 0, 0], 3))]
+    for pres in cases:
+        assert tietze_simplify(pres) == reference_tietze_simplify(pres)
+
+
+@st.composite
+def tietze_presentations(draw):
+    """Up to five generators, eight relators of up to six letters and three
+    of two letters x^+-1 y^+-1, not reduced, plus rotations and inverses
+    of some of them, so that unit and pair relators, empty words, repeated
+    canonical forms and greedy ties all occur; and a word-length bound,
+    small enough to stop some greedy eliminations."""
+    k = draw(st.integers(1, 5))
+    letter = st.tuples(st.integers(0, k - 1),
+                       st.sampled_from((-2, -1, 1, 2, 3)))
+    short = st.tuples(st.integers(0, k - 1), st.sampled_from((-1, 1)))
+    rels = [tuple(rel) for rel in draw(
+        st.lists(st.lists(letter, min_size=1, max_size=6), max_size=8))
+        + draw(st.lists(st.lists(short, min_size=2, max_size=2),
+                        max_size=3))]
+    if rels:
+        for rel, turn, flip in draw(st.lists(st.tuples(
+                st.sampled_from(rels), st.integers(0, 5), st.booleans()),
+                max_size=3)):
+            turn %= len(rel)
+            rot = rel[turn:] + rel[:turn]
+            rels.append(word_inverse(rot) if flip else rot)
+    bound = draw(st.sampled_from((4, 8, presentations.TIETZE_MAX_WORD)))
+    return (Presentation(tuple(f"x{i}" for i in range(k)),
+                         tuple(draw(st.permutations(rels)))), bound)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(tietze_presentations())
+def test_tietze_matches_the_reference_on_random_presentations(case):
+    pres, bound = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(presentations, "TIETZE_MAX_WORD", bound)
+        assert tietze_simplify(pres) == reference_tietze_simplify(pres)
+
+
+
 def test_tietze_preserves_group_order():
     rng = random.Random(13)
     trials = 0
@@ -1183,6 +1490,15 @@ def test_tietze_preserves_group_order():
         simp = tietze_simplify(pres)
         table2 = todd_coxeter(simp, max_cosets=20000)
         assert table2 is not None and table2.order == table.order
+
+
+def test_presentation_rejects_unknown_generators():
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        Presentation(("a", "a"), ())
+    for bad in (((0, 1), (2, 1)), ((-1, 2),), ((1, 1), (0, 1), (5, -1))):
+        with pytest.raises(ValueError, match="relator uses unknown generator"):
+            Presentation(("a", "b"), (((0, 2),), (), bad))
+    assert Presentation(("a", "b"), ((), ((1, -1), (0, 3)))).num_gens() == 2
 
 
 # ------------------------------------------------------------- presentation IO
