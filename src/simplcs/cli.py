@@ -75,15 +75,11 @@ def _at_least(value: int, option: str, low: int) -> int:
 
 def _load_system(path: str) -> linsys.LinearSystem:
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+        return linsys.load_lcs(path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        sys_ = linsys.parse_lcs(text)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return sys_
 
 
 # ------------------------------------------------------------------ commands
@@ -173,8 +169,12 @@ def cmd_realize(args) -> int:
             raise InputError(f"bad simplicial-set file: {exc}") from exc
         try:
             with open(args.cochain) as fh:
-                gam = cohomology.parse_cochain(host, 2, d, fh.read())
-        except (OSError, cohomology.CochainError) as exc:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {args.cochain}: {exc}") from exc
+        try:
+            gam = cohomology.parse_cochain(host, 2, d, text)
+        except cohomology.CochainError as exc:
             raise InputError(f"bad cochain file: {exc}") from exc
         extracted = cohomology.extract_linear_system(host, gam)
     sys.stdout.write(linsys.write_lcs(extracted))

@@ -12,8 +12,8 @@ import numpy as np
 from .zmod import ZModMatrix
 
 
-# Systems with more rows (and relator graphs with more relators) are sorted
-# out on integer arrays; below it, numpy's per-call cost exceeds the loops'.
+# Systems with more rows find their distinct rows and relator kinds on
+# integer arrays; below it, numpy's per-call cost exceeds the loops'.
 ARRAY_ROWS = 256
 
 

@@ -815,12 +815,14 @@ class _Kinds:
     and the relators on two or more generators, the live ones.
 
     Words are kept as letters: word w is the letters starts[w]:starts[w + 1]
-    of the lists gens and exps, and live relator r is word live[r]."""
+    of the lists gens and exps, and live relator r is word live[r], on the
+    distinct generators members[r]."""
 
     def __init__(self, singles: list, pairs: list, letters: tuple,
-                 live: list):
+                 live: list, members: list):
         self.singles, self.pairs, self.live = singles, pairs, live
         self.gens, self.exps, self.starts = letters
+        self.members = members
         self._graphs: dict = {}
 
     def word(self, w: int) -> Word:
@@ -830,35 +832,25 @@ class _Kinds:
     def words(self) -> list[Word]:
         return list(map(self.word, range(len(self.starts) - 1)))
 
-    def graph(self, k: int, pinned: Optional[int]) -> "_Graph":
-        """The relators that order a search on k generators: the live ones,
-        then the exact commutators that do not involve the pinned generator
-        (its image g.j is central, so they hold). Kept per pinned generator;
-        built on arrays beyond ARRAY_ROWS relators."""
+    def graph(self, k: int, pinned: Optional[int]) -> tuple:
+        """The relators that order a search on k generators, read both ways:
+        the live ones, then the exact commutators that do not involve the
+        pinned generator (its image g.j is central, so they hold). Returns
+        the distinct generators of each relator, the relators through each
+        generator (ascending) and the count of relators on each generator
+        alone; kept per pinned generator."""
         graph = self._graphs.get(pinned)
-        if graph is not None:
-            return graph
-        gens, starts, live = self.gens, self.starts, self.live
-        pairs = [pair for pair in self.pairs if pinned not in pair]
-        if len(live) + len(pairs) <= ARRAY_ROWS:
-            graph = _Graph.of_lists(
-                [list(dict.fromkeys(gens[starts[w]:starts[w + 1]]))
-                 for w in live] + pairs, k)
-        else:
-            # the (relator, generator) of every letter of the live words,
-            # then of the commutators
-            bounds = np.array(starts)
-            rank = np.full(len(starts) - 1, -1)
-            rank[live] = np.arange(len(live))
-            rel_of = np.repeat(rank, np.diff(bounds))
-            keep = rel_of >= 0
-            pair_of = np.repeat(np.arange(len(pairs)) + len(live), 2)
-            graph = _Graph.of_arrays(
-                np.concatenate([rel_of[keep], pair_of]),
-                np.concatenate([np.array(gens, dtype=np.intp)[keep],
-                                np.array(pairs, dtype=np.intp).ravel()]),
-                len(live) + len(pairs), k)
-        self._graphs[pinned] = graph
+        if graph is None:
+            members = self.members + [pair for pair in self.pairs
+                                      if pinned not in pair]
+            rels_at: list[list[int]] = [[] for _ in range(k)]
+            done = [0] * k
+            for r, gens in enumerate(members):
+                for gen in gens:
+                    rels_at[gen].append(r)
+                if len(gens) == 1:
+                    done[gens[0]] += 1
+            graph = self._graphs[pinned] = (members, rels_at, done)
         return graph
 
 
@@ -866,9 +858,9 @@ def _relator_kinds(pres: Presentation) -> _Kinds:
     """The `_Kinds` of pres, kept on it."""
     kinds = vars(pres).get("_relator_kinds")
     if kinds is None:
-        singles, pairs, live = [], [], []
+        singles, pairs, live, members = [], [], [], []
         for rel in dict.fromkeys(pres.relators):
-            gens = {gen for gen, _ in rel}
+            gens = list(dict.fromkeys(gen for gen, _ in rel))
             if len(gens) == 1:
                 singles.append((rel[0][0], sum(e for _, e in rel)))
             elif len(rel) == 4 and rel == commutator_word(rel[0][0],
@@ -876,11 +868,12 @@ def _relator_kinds(pres: Presentation) -> _Kinds:
                 pairs.append((rel[0][0], rel[1][0]))
             elif gens:
                 live.append(rel)
+                members.append(gens)
         letters = ([gen for rel in live for gen, _ in rel],
                    [e for rel in live for _, e in rel],
                    [0, *itertools.accumulate(map(len, live))])
         kinds = vars(pres)["_relator_kinds"] = _Kinds(
-            singles, pairs, letters, list(range(len(live))))
+            singles, pairs, letters, list(range(len(live))), members)
     return kinds
 
 
@@ -890,8 +883,9 @@ def _system_kinds(system: LinearSystem) -> _Kinds:
     on one generator, as singles; the pairs of columns that share a row and
     (v, J) for every column v, ascending; and as words the row products
     prod_v e_v^{A_iv} J^{-b_i} (v ascending, J^0 left out) of all distinct
-    rows, live where they hold two or more generators. Beyond ARRAY_ROWS
-    rows they are found on integer arrays."""
+    rows, live where they hold two or more generators. A row product holds
+    each column once and J at most once, so its letters are its distinct
+    generators. Beyond ARRAY_ROWS rows they are found on integer arrays."""
     kinds = vars(system).get("_relator_kinds")
     if kinds is not None:
         return kinds
@@ -905,7 +899,7 @@ def _system_kinds(system: LinearSystem) -> _Kinds:
         pairs = {(v, c) for v in range(c)}
         gens: list[int] = []
         exps: list[int] = []
-        starts, live = [0], []
+        starts, live, members = [0], [], []
         for row, b in zip(map(system.matrix.rows.__getitem__, first), rhs):
             cols = [v for v, e in enumerate(row) if e]
             pairs.update(itertools.combinations(cols, 2))
@@ -919,8 +913,10 @@ def _system_kinds(system: LinearSystem) -> _Kinds:
                 singles.append((gens[-1], exps[-1]))
             elif size:
                 live.append(len(starts) - 1)
+                members.append(gens[starts[-1]:])
             starts.append(len(gens))
-        kinds = _Kinds(singles, sorted(pairs), (gens, exps, starts), live)
+        kinds = _Kinds(singles, sorted(pairs), (gens, exps, starts), live,
+                       members)
     vars(system)["_relator_kinds"] = kinds
     return kinds
 
@@ -955,52 +951,10 @@ def _array_kinds(rows: np.ndarray, rhs: list, torsion: list) -> _Kinds:
     codes = np.sort(np.concatenate(codes))
     codes = codes[np.diff(codes, prepend=-1) != 0]
     pairs = list(zip(*(x.tolist() for x in np.divmod(codes, c + 1))))
-    return _Kinds(singles, pairs, (gens.tolist(), exps.tolist(),
-                                   starts.tolist()),
-                  np.flatnonzero(lens >= 2).tolist())
-
-
-class _Graph(NamedTuple):
-    """Relators as sets of generators, read both ways: relator r holds the
-    generators members[mstart[r]:mstart[r + 1]], each once, and generator x
-    lies in the relators rels[rstart[x]:rstart[x + 1]], ascending. done[x]
-    counts the relators on x alone."""
-
-    members: list
-    mstart: list
-    rels: list
-    rstart: list
-    done: list
-
-    @classmethod
-    def of_lists(cls, rel_gens: list, k: int) -> "_Graph":
-        """From the generators of each relator, each once."""
-        rels_at: list[list[int]] = [[] for _ in range(k)]
-        done = [0] * k
-        for r, gens in enumerate(rel_gens):
-            for gen in gens:
-                rels_at[gen].append(r)
-            if len(gens) == 1:
-                done[gen] += 1
-        return cls([gen for gens in rel_gens for gen in gens],
-                   [0, *itertools.accumulate(map(len, rel_gens))],
-                   [r for rels in rels_at for r in rels],
-                   [0, *itertools.accumulate(map(len, rels_at))], done)
-
-    @classmethod
-    def of_arrays(cls, rel_of: np.ndarray, gen_of: np.ndarray,
-                  num_rels: int, k: int) -> "_Graph":
-        """From the (relator, generator) of every letter."""
-        codes = np.sort(rel_of * k + gen_of)
-        codes = codes[np.diff(codes, prepend=-1) != 0]
-        rel_of, gen_of = np.divmod(codes, k)
-        mstart = np.searchsorted(rel_of, np.arange(num_rels + 1))
-        by_gen = np.argsort(gen_of, kind="stable")
-        rstart = np.searchsorted(gen_of, np.arange(k + 1), sorter=by_gen)
-        alone = mstart[:-1][np.diff(mstart) == 1]
-        return cls(gen_of.tolist(), mstart.tolist(), rel_of[by_gen].tolist(),
-                   rstart.tolist(),
-                   np.bincount(gen_of[alone], minlength=k).tolist())
+    gens, starts = gens.tolist(), starts.tolist()
+    live = np.flatnonzero(lens >= 2).tolist()
+    return _Kinds(singles, pairs, (gens, exps.tolist(), starts), live,
+                  [gens[starts[w]:starts[w + 1]] for w in live])
 
 
 class _Order:
@@ -1020,11 +974,11 @@ class _Order:
     generators are skipped.
     """
 
-    def __init__(self, graph: _Graph, sizes: Sequence[int]):
-        self.graph, self.sizes = graph, sizes
-        mstart = graph.mstart
-        self.unplaced = [b - a for a, b in zip(mstart, mstart[1:])]
-        self.done = list(graph.done)
+    def __init__(self, members: list, rels_at: list, done: list,
+                 sizes: Sequence[int]):
+        self.members, self.rels_at, self.sizes = members, rels_at, sizes
+        self.unplaced = list(map(len, members))
+        self.done = list(done)
         self.touched = [0] * len(sizes)
         self.placed = [False] * len(sizes)
         self.heap = [(size > 1, -done, 0, size, gen) for gen, (size, done)
@@ -1035,24 +989,23 @@ class _Order:
         """Place the next generator: it, and the relators it closes (it is
         their last unplaced generator), ascending."""
         heap, placed, unplaced = self.heap, self.placed, self.unplaced
-        members, mstart, rels, rstart, _ = self.graph
+        members = self.members
         done, touched, sizes = self.done, self.touched, self.sizes
         gen = heapq.heappop(heap)[4]
         while placed[gen]:
             gen = heapq.heappop(heap)[4]
         placed[gen] = True
         closed, changed = [], set()
-        for r in rels[rstart[gen]:rstart[gen + 1]]:
+        for r in self.rels_at[gen]:
             left = unplaced[r]
             unplaced[r] = left - 1
             if left == 1:
                 closed.append(r)
                 continue
-            lo, hi = mstart[r], mstart[r + 1]
-            first = left == hi - lo
+            first = left == len(members[r])
             if left != 2 and not first:
                 continue
-            for h in members[lo:hi]:
+            for h in members[r]:
                 if placed[h]:
                     continue
                 if left == 2:       # h is now the relator's last unknown
@@ -1098,14 +1051,11 @@ class _Plan:
         doms = [(1 << g.n) - 1] * k
         if pinned is not None:
             doms[pinned] = 1 << g.j
-        roots: dict[int, int] = {}
         for gen, m in kinds.singles:
-            if m not in roots:
-                roots[m] = g.root_masks(m)[g.identity]
-            doms[gen] &= roots[m]
+            doms[gen] &= g.root_masks(m)[g.identity]
         self.kinds, self.doms, self.k = kinds, doms, k
-        graph = kinds.graph(k, pinned)
-        self.order = _Order(graph, [m.bit_count() for m in doms])
+        self.order = _Order(*kinds.graph(k, pinned),
+                            [m.bit_count() for m in doms])
         self.steps: list[_Step] = []
         self.pos: dict[int, int] = {}
         self.bounds: list[int] = []
@@ -1121,14 +1071,13 @@ class _Plan:
         return self.steps[i]
 
     def _place(self) -> None:
-        kinds = self.kinds
-        members, mstart = self.order.graph.members, self.order.graph.mstart
+        kinds, members = self.kinds, self.order.members
         gen, closed = self.order.place()
         num_live = len(kinds.live)
         force, checks, partners = None, [], set()
         for r in closed:
             if r >= num_live:     # a commutator: its other generator
-                a, b = members[mstart[r]:mstart[r] + 2]
+                a, b = members[r]
                 partners.add(b if a == gen else a)
                 continue
             rel = kinds.word(kinds.live[r])
@@ -1164,7 +1113,9 @@ def _run_rows(plan: _Plan, g: FinGroupJ) -> Optional[list[tuple[int, ...]]]:
     out: list[tuple[int, ...]] = []
     steps: list = [None] * k  # made when the search first gets there
 
-    powers: dict = {}               # one power_row lookup per exponent
+    # power_row is memoized per group, but a memo hit costs several times
+    # this dict's; a plan's thousands of letters share a few exponents
+    powers: dict = {}
 
     def letters(word):
         return tuple((h, powers.get(e) or powers.setdefault(e, g.power_row(e)))

@@ -449,6 +449,8 @@ class SMap:
 # ================================================================= nerve spaces
 
 def _nerve_face(mul, n: int, i: int, tok: tuple) -> tuple:
+    """The face law of nerve-shaped simplicial sets: d_i multiplies entries
+    i and i + 1, and d_0 and d_n drop an end."""
     if i == 0:
         return tok[1:]
     if i == n:
@@ -457,20 +459,8 @@ def _nerve_face(mul, n: int, i: int, tok: tuple) -> tuple:
 
 
 def _nerve_deg(identity, n: int, j: int, tok: tuple) -> tuple:
+    """s_j inserts the identity."""
     return tok[:j] + (identity,) + tok[j:]
-
-
-def _nerve_sset(cap: int, degrees: dict[int, Sequence], mul, identity,
-                name: str) -> TruncatedSSet:
-    """A nerve-shaped simplicial set: d_i multiplies entries i and i + 1
-    (d_0 and d_n drop an end), s_j inserts the identity."""
-    faces = {(n, i): {t: _nerve_face(mul, n, i, t) for t in degrees[n]}
-             for n in range(1, cap + 1) for i in range(n + 1)}
-    degeneracies = {(n, j): {t: _nerve_deg(identity, n, j, t)
-                             for t in degrees[n]}
-                    for n in range(cap) for j in range(n + 1)}
-    return TruncatedSSet(cap, degrees, faces, degeneracies, name=name,
-                         basepoint=())
 
 
 def nerve(group_or_d, cap: int = 3) -> TruncatedSSet:
@@ -492,7 +482,9 @@ def nerve(group_or_d, cap: int = 3) -> TruncatedSSet:
         name = f"N({g.name})"
     degrees = {n: [tuple(t) for t in itertools.product(els, repeat=n)]
                for n in range(cap + 1)}
-    return _nerve_sset(cap, degrees, mul, identity, name)
+    return build_sset(cap, degrees, functools.partial(_nerve_face, mul),
+                      functools.partial(_nerve_deg, identity), name,
+                      basepoint=())
 
 
 def comm_nerve(g: FinGroupJ, d: Optional[int] = None, cap: int = 3) -> TruncatedSSet:
@@ -509,7 +501,9 @@ def comm_nerve(g: FinGroupJ, d: Optional[int] = None, cap: int = 3) -> Truncated
                 if all(g.commute(x, y) for y in t):
                     cur.append(t + (x,))
         degrees[n] = cur
-    return _nerve_sset(cap, degrees, g.mul, g.identity, f"N(Z_{d},{g.name})")
+    return build_sset(cap, degrees, functools.partial(_nerve_face, g.mul),
+                      functools.partial(_nerve_deg, g.identity),
+                      f"N(Z_{d},{g.name})", basepoint=())
 
 
 def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
@@ -758,8 +752,9 @@ def bar_comm_nerve(ext: CentralExtensionData, cap: int = 3) -> TruncatedSSet:
     q = ext.quotient
     degrees = {n: sorted({tuple(pi[y] for y in tok) for tok in src.simplices[n]})
                for n in range(cap + 1)}
-    return _nerve_sset(cap, degrees, q.mul, q.identity,
-                       f"Nbar(Z_{g.d},{g.name})")
+    return build_sset(cap, degrees, functools.partial(_nerve_face, q.mul),
+                      functools.partial(_nerve_deg, q.identity),
+                      f"Nbar(Z_{g.d},{g.name})", basepoint=())
 
 
 # ============================================================ twisted products

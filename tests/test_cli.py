@@ -360,6 +360,40 @@ def test_realize_rejects_malformed_sset(tmp_path, capsys, blob, message):
     assert "Traceback" not in captured.err
 
 
+NOT_UTF8 = b"\xff\xfe2 1 1\n1\n0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--group", "cyclic:2"], ["solgroup"],
+])
+def test_non_utf8_system_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "x.lcs"
+    path.write_bytes(NOT_UTF8)
+    assert main([command[0], str(path), *command[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot read {path}: 'utf-8' codec can't decode" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_realize_non_utf8_cochain_is_input_error(tmp_path, capsys):
+    sset_path = tmp_path / "x.json"
+    sset_path.write_text(json.dumps({
+        "cap": 1, "simplices": {"0": ["a"], "1": ["s"]},
+        "faces": {"1,0": {"s": "a"}, "1,1": {"s": "a"}},
+        "degeneracies": {"0,0": {"a": "s"}}}))
+    cochain_path = tmp_path / "g.cochain"
+    cochain_path.write_bytes(NOT_UTF8)
+    code = main(["realize", "--sset", str(sset_path),
+                 "--cochain", str(cochain_path), "--d", "2"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"cannot read {cochain_path}: 'utf-8' codec can't decode"
+            in captured.err)
+    assert "Traceback" not in captured.err
+
+
 def test_realize_cochain_above_the_cap(tmp_path, capsys):
     # one vertex and one edge, cap 1: a degree-2 cochain has no simplices
     sset_path = tmp_path / "x.json"

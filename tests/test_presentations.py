@@ -988,20 +988,17 @@ def eager_generator_order(rel_gens, sizes):
     return order
 
 
-def lazy_generator_order(rel_gens, sizes, arrays):
-    """The order of `presentations._Order`, over a graph built from lists
-    or from arrays; the arrays name every generator of a relator twice, as
-    a word may repeat a letter."""
+def lazy_generator_order(rel_gens, sizes):
+    """The order of `presentations._Order`, over the lists that
+    `_Kinds.graph` gives it: each relator's generators, the relators
+    through each generator (ascending) and the count of relators on each
+    generator alone."""
     k = len(sizes)
-    if arrays:
-        graph = presentations._Graph.of_arrays(
-            np.repeat(np.arange(len(rel_gens)),
-                      [2 * len(gens) for gens in rel_gens]),
-            np.array([gen for gens in rel_gens for gen in (*gens, *gens)],
-                     dtype=np.intp), len(rel_gens), k)
-    else:
-        graph = presentations._Graph.of_lists(list(map(sorted, rel_gens)), k)
-    order = presentations._Order(graph, sizes)
+    members = list(map(sorted, rel_gens))
+    rels_at = [[r for r, gens in enumerate(members) if gen in gens]
+               for gen in range(k)]
+    done = [members.count([gen]) for gen in range(k)]
+    order = presentations._Order(members, rels_at, done, sizes)
     return [order.place()[0] for _ in range(k)]
 
 
@@ -1158,6 +1155,32 @@ def kinds_content(kinds):
     return kinds.singles, kinds.pairs, [kinds.word(w) for w in kinds.live]
 
 
+def reference_graph(pres, pinned):
+    """What `_Kinds.graph` gives, from the distinct relators of pres: the
+    generator sets of the live relators, then of the exact commutators
+    without the pinned generator; the relators through each generator,
+    ascending; and the count of relators on each generator alone."""
+    _, comms, live = eager_relator_kinds(pres)
+    rel_gens = [gens for _, gens in live] + [{a, b} for a, b in comms
+                                             if pinned not in (a, b)]
+    k = pres.num_gens()
+    return (rel_gens,
+            [[r for r, gens in enumerate(rel_gens) if gen in gens]
+             for gen in range(k)],
+            [rel_gens.count({gen}) for gen in range(k)])
+
+
+def assert_graph_matches(kinds, pres):
+    k = pres.num_gens()
+    for pinned in (None, pres.j_index):
+        members, rels_at, done = kinds.graph(k, pinned)
+        want_gens, want_rels, want_done = reference_graph(pres, pinned)
+        assert [len(set(gens)) for gens in members] == list(map(len, members))
+        assert list(map(set, members)) == want_gens
+        assert rels_at == want_rels and done == want_done
+        assert kinds.graph(k, pinned)[0] is members
+
+
 MODULI = (2, 3, 4, 6, 9, 257, 2 ** 64 + 13)
 
 
@@ -1192,8 +1215,9 @@ def repeating_systems(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(repeating_systems())
 def test_solution_group_from_kinds_matches_the_loop(systems):
-    # the presentation built from the distinct rows is the row loop's, and
-    # the kinds kept on the system are those of a fresh copy of it
+    # the presentation built from the distinct rows is the row loop's, the
+    # kinds kept on the system are those of a fresh copy of it, and both
+    # give the relator graph of its distinct relators
     for system in systems:
         pres = solution_group(system)
         assert pres == loop_solution_group(system)
@@ -1203,6 +1227,35 @@ def test_solution_group_from_kinds_matches_the_loop(systems):
                 == kinds_content(presentations._relator_kinds(fresh)))
         assert presentations._relator_kinds(pres) \
             is presentations._system_kinds(system)
+        assert_graph_matches(presentations._system_kinds(system), pres)
+        assert_graph_matches(presentations._relator_kinds(fresh), pres)
+
+
+def test_relator_graph_of_presentations_matches_distinct_relators():
+    # the slot-shaped extraction (6537 rows, array kinds), and words that
+    # repeat a generator (a b a), as no row product does
+    system = slot_shaped_system()
+    assert_graph_matches(presentations._system_kinds(system),
+                         solution_group(system))
+    a, b, j = 0, 1, 2
+    aba = ((a, 1), (b, 1), (a, 1))
+    cases = [Presentation(("a", "b", "J"),
+                          (aba, ((a, 2),), ((b, 1), (b, 1)),
+                           commutator_word(a, j), commutator_word(b, j),
+                           ((a, 1), (j, -1), (b, 2), (j, 1)), aba), "J")]
+    rng = random.Random(31)
+    for _ in range(40):
+        k = rng.randrange(1, 6)
+        words = [tuple((rng.randrange(k), rng.choice((-2, -1, 1, 3)))
+                       for _ in range(rng.randrange(1, 7)))
+                 for _ in range(rng.randrange(0, 8))]
+        words += [commutator_word(*rng.sample(range(k), 2))
+                  for _ in range(rng.randrange(3)) if k > 1]
+        rng.shuffle(words)
+        cases.append(Presentation(tuple(f"x{i}" for i in range(k)),
+                                  tuple(words), rng.choice((None, "x0"))))
+    for pres in cases:
+        assert_graph_matches(presentations._relator_kinds(pres), pres)
 
 
 def test_generator_order_matches_quadratic_reference():
@@ -1222,8 +1275,7 @@ def test_generator_order_matches_quadratic_reference():
     for rel_gens, sizes in cases:
         want = quadratic_generator_order(rel_gens, sizes)
         assert eager_generator_order(rel_gens, sizes) == want
-        for arrays in (False, True):
-            assert lazy_generator_order(rel_gens, sizes, arrays) == want
+        assert lazy_generator_order(rel_gens, sizes) == want
 
 
 def plan_cases():
