@@ -164,9 +164,13 @@ def cmd_realize(args) -> int:
             raise InputError("realize needs --builtin or --sset with --cochain")
         try:
             with open(args.sset) as fh:
-                host = simplicial.load_sset(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"bad simplicial-set file: {exc}") from exc
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {args.sset}: {exc}") from exc
+        try:
+            host = simplicial.load_sset(text)
+        except ValueError as exc:
+            raise InputError(f"{args.sset}: {exc}") from exc
         try:
             with open(args.cochain) as fh:
                 text = fh.read()

@@ -4,9 +4,11 @@ them.
 
 Simplex universes are materialized eagerly per degree (desk scale throughout)
 as hashable tokens, sorted by their repr. Face and degeneracy maps are held
-as per-(degree, index) lists of positions in the next degree's universe, with
-token dictionaries built from them when asked for, and the simplicial
-identities are validated on those lists on construction.
+only as per-(degree, index) lists of positions in the next degree's
+universe, and the simplicial identities are validated on those lists on
+construction. Tokens are resolved to positions once, when `build_sset`
+materializes a set given by formulas; the token readers (`face`,
+`degeneracy`, `SMap.__call__`, `dump_sset`) go through the positions.
 """
 
 from __future__ import annotations
@@ -43,11 +45,8 @@ class CochainError(ValueError):
 class SimplicialComplex:
     """Vertices plus pairwise non-contained facets; simplices are subsets."""
 
-    def __init__(self, num_vertices: int, facets: Iterable[Iterable[int]],
-                 vertex_labels: Optional[Sequence] = None):
+    def __init__(self, num_vertices: int, facets: Iterable[Iterable[int]]):
         self.num_vertices = num_vertices
-        self.vertex_labels = (tuple(vertex_labels) if vertex_labels is not None
-                              else tuple(range(num_vertices)))
         fs = {frozenset(f) for f in facets}
         maximal = [f for f in fs
                    if not any(f < g for g in fs)]
@@ -75,8 +74,7 @@ def complex_of_system(system: LinearSystem) -> SimplicialComplex:
     system.check_row_conditions()
     facets = [frozenset(j for j, e in enumerate(row) if e)
               for row in system.matrix.rows]
-    return SimplicialComplex(system.num_cols, facets,
-                             vertex_labels=system.col_labels)
+    return SimplicialComplex(system.num_cols, facets)
 
 
 # ================================================================ truncated sset
@@ -87,66 +85,22 @@ class TruncatedSSet:
     Every map is held as a list of positions: `face_pos[n][i][k]` is the
     position in `simplices[n - 1]` of the i-th face of `simplices[n][k]`,
     and `deg_pos[n][j][k]` the position in `simplices[n + 1]` of its j-th
-    degeneracy. Token dictionaries given to the constructor are read into
-    those lists once and not kept; the simplicial identities are checked on
-    the lists, and `faces` and `degeneracies` are built from them on first
-    use.
+    degeneracy. Each degree of simplices is distinct and sorted by
+    `_token_key`; `build_sset` makes a set in this form from tokens and
+    formulas. The lists are checked to be complete and in range, and every
+    simplicial identity is checked on them, on construction.
     """
 
     def __init__(self, cap: int, simplices: dict[int, Sequence],
-                 faces: dict[tuple[int, int], dict],
-                 degeneracies: dict[tuple[int, int], dict],
-                 name: str = "", basepoint=None):
-        self._start(cap, {n: tuple(sorted(set(simplices.get(n, ())),
-                                          key=_token_key))
-                          for n in range(cap + 1)}, name, basepoint)
-        self.face_pos = self._positions("face", faces, -1)
-        self.deg_pos = self._positions("degeneracy", degeneracies, 1)
-        self.validate()
-
-    @classmethod
-    def from_positions(cls, cap: int, simplices: dict[int, Sequence],
-                       face_pos: dict[int, list], deg_pos: dict[int, list],
-                       name: str = "", basepoint=None) -> "TruncatedSSet":
-        """A set given by position lists, laid out as `face_pos` and
-        `deg_pos`; each degree of simplices is distinct and sorted by
-        `_token_key`."""
-        self = cls.__new__(cls)
-        self._start(cap, {n: tuple(simplices[n]) for n in range(cap + 1)},
-                    name, basepoint)
+                 face_pos: dict[int, list], deg_pos: dict[int, list]):
+        self.cap = cap
+        self.simplices = {n: tuple(simplices[n]) for n in range(cap + 1)}
         self.face_pos, self.deg_pos = face_pos, deg_pos
-        self.validate()
-        return self
-
-    def _start(self, cap: int, simplices: dict[int, tuple], name: str,
-               basepoint) -> None:
-        self.cap, self.simplices = cap, simplices
-        self.name, self.basepoint = name or "sset", basepoint
-        self._faces = self._degeneracies = None
         self._nondeg: dict[int, tuple] = {}
         self._index: dict[int, dict] = {}
+        self.validate()
 
     # -- structure maps -----------------------------------------------
-
-    @property
-    def faces(self) -> dict[tuple[int, int], dict]:
-        if self._faces is None:
-            self._faces = self._token_maps(self.face_pos, -1)
-        return self._faces
-
-    @property
-    def degeneracies(self) -> dict[tuple[int, int], dict]:
-        if self._degeneracies is None:
-            self._degeneracies = self._token_maps(self.deg_pos, 1)
-        return self._degeneracies
-
-    def _token_maps(self, pos: dict, step: int) -> dict:
-        out = {}
-        for n, rows in pos.items():
-            toks, image = self.simplices[n], self.simplices[n + step]
-            for i, row in enumerate(rows):
-                out[(n, i)] = dict(zip(toks, map(image.__getitem__, row)))
-        return out
 
     def index(self, n: int) -> dict:
         """Degree-n token -> its position in `simplices[n]`."""
@@ -156,10 +110,10 @@ class TruncatedSSet:
         return self._index[n]
 
     def face(self, n: int, i: int, tok):
-        return self.faces[(n, i)][tok]
+        return self.simplices[n - 1][self.face_pos[n][i][self.index(n)[tok]]]
 
     def degeneracy(self, n: int, j: int, tok):
-        return self.degeneracies[(n, j)][tok]
+        return self.simplices[n + 1][self.deg_pos[n][j][self.index(n)[tok]]]
 
     def size(self, n: int) -> int:
         return len(self.simplices[n])
@@ -197,35 +151,11 @@ class TruncatedSSet:
         if failure is not None:
             raise SimplicialValidationError(failure)
 
-    def _degrees(self, step: int) -> range:
-        """The degrees with face maps (step -1) or degeneracies (step 1)."""
-        return range(1, self.cap + 1) if step < 0 else range(self.cap)
-
-    def _positions(self, kind: str, maps: dict, step: int) -> dict:
-        """The token maps of one kind as position lists; the first missing
-        map, or simplex without an image among the next degree's, raises."""
-        out = {}
-        for n in self._degrees(step):
-            toks, index = self.simplices[n], self.index(n + step)
-            out[n] = rows = []
-            for i in range(n + 1):
-                m = maps.get((n, i))
-                if m is None:
-                    raise SimplicialValidationError(
-                        f"missing {kind} map ({n},{i})")
-                try:
-                    rows.append([index[m[t]] for t in toks])
-                except KeyError:
-                    bad = next(t for t in toks
-                               if t not in m or m[t] not in index)
-                    raise SimplicialValidationError(
-                        f"{kind} ({n},{i}) incomplete at {bad!r}") from None
-        return out
-
     def _check_ranges(self) -> None:
-        for kind, pos, step in (("face", self.face_pos, -1),
-                                ("degeneracy", self.deg_pos, 1)):
-            for n in self._degrees(step):
+        for kind, pos, step, degrees in (
+                ("face", self.face_pos, -1, range(1, self.cap + 1)),
+                ("degeneracy", self.deg_pos, 1, range(self.cap))):
+            for n in degrees:
                 rows, size = pos.get(n, ()), self.size(n + step)
                 if len(rows) != n + 1:
                     raise SimplicialValidationError(
@@ -373,19 +303,37 @@ def _first_mismatch(pairs: Iterable[tuple[list, list]]
 
 def build_sset(cap: int, degrees: dict[int, Sequence],
                face_fn: Callable[[int, int, object], object],
-               deg_fn: Callable[[int, int, object], object],
-               name: str = "", basepoint=None) -> TruncatedSSet:
-    """Materialize a formula-defined simplicial set into explicit dictionaries."""
-    faces = {}
-    degeneracies = {}
-    for n in range(1, cap + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = {tok: face_fn(n, i, tok) for tok in degrees[n]}
-    for n in range(cap):
-        for j in range(n + 1):
-            degeneracies[(n, j)] = {tok: deg_fn(n, j, tok) for tok in degrees[n]}
-    return TruncatedSSet(cap, degrees, faces, degeneracies, name=name,
-                         basepoint=basepoint)
+               deg_fn: Callable[[int, int, object], object]) -> TruncatedSSet:
+    """Materialize a formula-defined simplicial set: each degree of tokens
+    is sorted by `_token_key` (repeats dropped), and each face and
+    degeneracy of each token, given by `face_fn(n, i, tok)` and
+    `deg_fn(n, j, tok)`, is written as its position in the next degree. The
+    first map, in (kind, degree, index) order, with an image that is not a
+    simplex raises, naming the first such token."""
+    simplices = {n: tuple(sorted(set(degrees.get(n, ())), key=_token_key))
+                 for n in range(cap + 1)}
+    index = {n: dict(zip(toks, range(len(toks))))
+             for n, toks in simplices.items()}
+
+    def positions(kind: str, fn: Callable, step: int, span: range) -> dict:
+        out = {}
+        for n in span:
+            toks, where = simplices[n], index[n + step]
+            out[n] = rows = []
+            for i in range(n + 1):
+                try:
+                    rows.append([where[fn(n, i, t)] for t in toks])
+                except KeyError:
+                    bad = next(t for t in toks if fn(n, i, t) not in where)
+                    raise SimplicialValidationError(
+                        f"{kind} ({n},{i}) incomplete at {bad!r}") from None
+        return out
+
+    x = TruncatedSSet(cap, simplices,
+                      positions("face", face_fn, -1, range(1, cap + 1)),
+                      positions("degeneracy", deg_fn, 1, range(cap)))
+    x._index.update(index)
+    return x
 
 
 # ===================================================================== smap
@@ -393,39 +341,40 @@ def build_sset(cap: int, degrees: dict[int, Sequence],
 class SMap:
     """Simplicial map: per-degree functions commuting with the structure maps.
 
+    Given as token dictionaries, `mapping[n][tok]` the image of a degree-n
+    source token, which are read into position lists once and not kept:
     `positions[n][k]` is the position in the target's degree n of the image
     of the source's k-th degree-n simplex, for n up to `cap`."""
 
     def __init__(self, source: TruncatedSSet, target: TruncatedSSet,
-                 mapping: dict[int, dict], name: str = ""):
+                 mapping: dict[int, dict]):
         self.source = source
         self.target = target
-        self.mapping = mapping
-        self.name = name or "smap"
         self.cap = min(source.cap, target.cap)
+        self.positions = pos = {}
+        for n in range(self.cap + 1):
+            fmap = mapping.get(n)
+            if fmap is None:
+                raise SimplicialValidationError(f"missing degree-{n} mapping")
+            index = target.index(n)
+            try:
+                pos[n] = [index[fmap[tok]] for tok in source.simplices[n]]
+            except KeyError:
+                bad = next(t for t in source.simplices[n]
+                           if t not in fmap or fmap[t] not in index)
+                raise SimplicialValidationError(
+                    f"map incomplete at degree {n}: {bad!r}") from None
         self.validate()
 
     def __call__(self, n: int, tok):
-        return self.mapping[n][tok]
+        return self.target.simplices[n][
+            self.positions[n][self.source.index(n)[tok]]]
 
     def validate(self) -> None:
         """Commutation with every face and degeneracy, checked on positions
         by list gathers; the first failure in (degree, simplex, index)
         order is reported."""
-        src, tgt = self.source, self.target
-        self.positions = pos = {}
-        for n in range(self.cap + 1):
-            fmap = self.mapping.get(n)
-            if fmap is None:
-                raise SimplicialValidationError(f"missing degree-{n} mapping")
-            index = tgt.index(n)
-            try:
-                pos[n] = [index[fmap[tok]] for tok in src.simplices[n]]
-            except KeyError:
-                bad = next(t for t in src.simplices[n]
-                           if t not in fmap or fmap[t] not in index)
-                raise SimplicialValidationError(
-                    f"map incomplete at degree {n}: {bad!r}") from None
+        src, tgt, pos = self.source, self.target, self.positions
         for kind, sym, degrees, step, src_pos, tgt_pos in (
                 ("face", "d", range(1, self.cap + 1), -1, src.face_pos,
                  tgt.face_pos),
@@ -473,18 +422,15 @@ def nerve(group_or_d, cap: int = 3) -> TruncatedSSet:
             return (a + b) % d
 
         identity = 0
-        name = f"N(Z_{d})"
     else:
         g: GroupTable = group_or_d
         els = tuple(range(g.n))
         mul = g.mul
         identity = g.identity
-        name = f"N({g.name})"
     degrees = {n: [tuple(t) for t in itertools.product(els, repeat=n)]
                for n in range(cap + 1)}
     return build_sset(cap, degrees, functools.partial(_nerve_face, mul),
-                      functools.partial(_nerve_deg, identity), name,
-                      basepoint=())
+                      functools.partial(_nerve_deg, identity))
 
 
 def comm_nerve(g: FinGroupJ, d: Optional[int] = None, cap: int = 3) -> TruncatedSSet:
@@ -502,8 +448,7 @@ def comm_nerve(g: FinGroupJ, d: Optional[int] = None, cap: int = 3) -> Truncated
                     cur.append(t + (x,))
         degrees[n] = cur
     return build_sset(cap, degrees, functools.partial(_nerve_face, g.mul),
-                      functools.partial(_nerve_deg, g.identity),
-                      f"N(Z_{d},{g.name})", basepoint=())
+                      functools.partial(_nerve_deg, g.identity))
 
 
 def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
@@ -571,8 +516,7 @@ def nzd_sigma(sigma: SimplicialComplex, d: int, cap: int = 3) -> TruncatedSSet:
         deg_pos[n] = [[pos.get(k // power[n - j] * power[n - j + 1]
                                + k % power[n - j], -1) for k in keys[n]]
                       for j in range(n + 1)]
-    return TruncatedSSet.from_positions(cap, tokens, face_pos, deg_pos,
-                                        name=f"N(Z_{d},Sigma)", basepoint=())
+    return TruncatedSSet(cap, tokens, face_pos, deg_pos)
 
 
 def _sum_codes(funcs: list[tuple], nv: int, f: list[int], g: list[int],
@@ -608,14 +552,13 @@ def wedge_nzd(system: LinearSystem, cap: int = 3
         toks = {canon(i, t) for i in range(r) for t in nzd.simplices[n]}
         degrees[n] = list(toks)
 
-    def circle_map(maps):
+    def circle_map(nzd_map):
         # each circle is a copy of NZ_d with its zero tuples at the basepoint
         return lambda n, k, tok: (BASEPOINT if tok == BASEPOINT
-                                  else canon(tok[0], maps[(n, k)][tok[1]]))
+                                  else canon(tok[0], nzd_map(n, k, tok[1])))
 
-    wedge = build_sset(cap, degrees, circle_map(nzd.faces),
-                       circle_map(nzd.degeneracies),
-                       name=f"wedge_{r}(NZ_{d})", basepoint=BASEPOINT)
+    wedge = build_sset(cap, degrees, circle_map(nzd.face),
+                       circle_map(nzd.degeneracy))
 
     target = nzd_sigma(complex_of_system(system), d, cap)
     mults = system.row_multiples
@@ -634,10 +577,10 @@ def wedge_nzd(system: LinearSystem, cap: int = 3
 
     alpha = SMap(wedge, target,
                  {n: {tok: alpha_of(n, tok) for tok in degrees[n]}
-                  for n in range(cap + 1)}, name="alpha")
+                  for n in range(cap + 1)})
     beta = SMap(wedge, nzd,
                 {n: {tok: beta_of(n, tok) for tok in degrees[n]}
-                 for n in range(cap + 1)}, name="beta")
+                 for n in range(cap + 1)})
     # alpha must embed the wedge: factors meet only at the basepoint
     if any(len(set(pos)) != len(pos) for pos in alpha.positions.values()):
         raise SimplicialValidationError(
@@ -654,7 +597,7 @@ def iota_map(d: int, g: FinGroupJ, cap: int = 3,
     mapping = {n: {tok: tuple(g.j_power(a) for a in tok)
                    for tok in source.simplices[n]}
                for n in range(min(source.cap, target.cap) + 1)}
-    return SMap(source, target, mapping, name="iota")
+    return SMap(source, target, mapping)
 
 
 # ========================================================== quotient spaces
@@ -721,9 +664,8 @@ def quotient_by_subset(x: TruncatedSSet, subset: dict[int, Iterable]
                 out[n].append(listed)
         return out
 
-    q = TruncatedSSet.from_positions(
-        x.cap, degrees, collapse(x.face_pos, -1), collapse(x.deg_pos, 1),
-        name=f"{x.name}/subset", basepoint=BASEPOINT)
+    q = TruncatedSSet(x.cap, degrees, collapse(x.face_pos, -1),
+                      collapse(x.deg_pos, 1))
     q.parent, q.projection, q.base_pos = x, projection, base
     return q
 
@@ -739,9 +681,7 @@ def wedge_subset_of_nzd(system: LinearSystem, x: TruncatedSSet
 def bar_nzd_sigma(system: LinearSystem, cap: int = 3) -> TruncatedSSet:
     """The reduced realization: N(Z_d,Sigma) with the row circles collapsed."""
     x = nzd_sigma(complex_of_system(system), system.modulus, cap)
-    q = quotient_by_subset(x, wedge_subset_of_nzd(system, x))
-    q.name = f"Nbar(Z_{system.modulus},Sigma)"
-    return q
+    return quotient_by_subset(x, wedge_subset_of_nzd(system, x))
 
 
 def bar_comm_nerve(ext: CentralExtensionData, cap: int = 3) -> TruncatedSSet:
@@ -753,8 +693,7 @@ def bar_comm_nerve(ext: CentralExtensionData, cap: int = 3) -> TruncatedSSet:
     degrees = {n: sorted({tuple(pi[y] for y in tok) for tok in src.simplices[n]})
                for n in range(cap + 1)}
     return build_sset(cap, degrees, functools.partial(_nerve_face, q.mul),
-                      functools.partial(_nerve_deg, q.identity),
-                      f"Nbar(Z_{g.d},{g.name})", basepoint=())
+                      functools.partial(_nerve_deg, q.identity))
 
 
 # ============================================================ twisted products
@@ -799,9 +738,7 @@ def twisted_product(x: TruncatedSSet, gamma: Callable, d: int,
         alpha, tau = tok
         return (nzd.degeneracy(n, j, alpha), x.degeneracy(n, j, tau))
 
-    return build_sset(cap, degrees, face, deg,
-                      name=f"({x.name})_gamma",
-                      basepoint=((), x.basepoint) if x.basepoint is not None else None)
+    return build_sset(cap, degrees, face, deg)
 
 
 def twisted_iso(ext: CentralExtensionData, cap: int = 2
@@ -835,7 +772,7 @@ def twisted_iso(ext: CentralExtensionData, cap: int = 2
 
     mapping = {n: {tok: image(n, tok) for tok in xg.simplices[n]}
                for n in range(cap + 1)}
-    smap = SMap(xg, target, mapping, name="twisted_iso")
+    smap = SMap(xg, target, mapping)
     if not smap.is_bijective():
         raise SimplicialValidationError("twisted_iso failed bijectivity")
     return smap, xg, gc
@@ -889,7 +826,7 @@ def map_from_solution(t_map: Sequence[int], system: LinearSystem,
 
     mapping = {n: {tok: tuple(f1(s) for s in tok) for tok in source.simplices[n]}
                for n in range(cap + 1)}
-    f = SMap(source, target, mapping, name="f_T")
+    f = SMap(source, target, mapping)
     iota = iota_map(d, g, cap, target=target)
     for n in range(cap + 1):
         for tok in wedge.simplices[n]:
@@ -912,13 +849,12 @@ def power_map_s(g: FinGroupJ, d: int, m: int, d_target: Optional[int] = None,
     mapping = {n: {tok: tuple(g.power(x, m) for x in tok)
                    for tok in source.simplices[n]}
                for n in range(cap + 1)}
-    return SMap(source, target, mapping, name=f"omega_{m}")
+    return SMap(source, target, mapping)
 
 
 # ========================================================== generated ssets
 
-def cells_sset(cap: int, cells: dict[int, dict[str, tuple]],
-               name: str = "") -> TruncatedSSet:
+def cells_sset(cap: int, cells: dict[int, dict[str, tuple]]) -> TruncatedSSet:
     """Simplicial set generated by nondegenerate cells with prescribed faces.
 
     ``cells[m]`` maps cell names to their (d_0..d_m) faces; a face is either a
@@ -975,38 +911,69 @@ def cells_sset(cap: int, cells: dict[int, dict[str, tuple]],
 
     return build_sset(cap, degrees,
                       lambda n, i, t: apply_face(i, t),
-                      lambda n, j, t: apply_deg(j, t),
-                      name=name or "cells")
+                      lambda n, j, t: apply_deg(j, t))
 
 
 def load_sset(data) -> TruncatedSSet:
     """Load the explicit JSON schema; identities are validated.
 
-    A value of the wrong JSON type raises ValueError naming its key."""
+    A missing key, a key not of its form, a value of the wrong JSON type, a
+    negative cap and text nested too deeply to decode raise ValueError
+    naming what is wrong. Every face and degeneracy table up to the cap is
+    looked for before any degree is built, so the first one missing is
+    reported whatever the cap."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to decode") from None
     _json_shape(data, ("object",), "the top level")
+    for key in ("cap", "simplices"):
+        if key not in data:
+            raise ValueError(f"the top level has no {key!r} key")
     cap = _json_shape(data["cap"], ("integer",), "'cap'")
+    if cap < 0:
+        raise ValueError(f"'cap' must be at least 0, got {cap}")
     degrees = {}
     for k, toks in _json_shape(data["simplices"], ("object",),
                                "'simplices'").items():
         where = f"'simplices'[{k!r}]"
-        degrees[int(k)] = [_json_shape(t, _TOKEN_KINDS, f"an entry of {where}")
-                           for t in _json_shape(toks, ("array",), where)]
-    for n in range(cap + 1):
-        degrees.setdefault(n, [])
-    maps: dict = {"faces": {}, "degeneracies": {}}
-    for name, out in maps.items():
+        degrees[_int_key(k, "n", "'simplices'")[0]] = [
+            _json_shape(t, _TOKEN_KINDS, f"an entry of {where}")
+            for t in _json_shape(toks, ("array",), where)]
+    tables: dict = {"faces": {}, "degeneracies": {}}
+    for name, out in tables.items():
         for key, table in _json_shape(data.get(name, {}), ("object",),
                                       repr(name)).items():
             where = f"{name!r}[{key!r}]"
-            n, i = (int(p) for p in key.split(","))
             table = _json_shape(table, ("object",), where)
-            out[(n, i)] = {tok: _json_shape(v, _TOKEN_KINDS,
-                                            f"a value of {where}")
-                           for tok, v in table.items()}
-    return TruncatedSSet(cap, degrees, maps["faces"], maps["degeneracies"],
-                         name="loaded")
+            out[_int_key(key, "n,i", repr(name))] = {
+                tok: _json_shape(v, _TOKEN_KINDS, f"a value of {where}")
+                for tok, v in table.items()}
+    for kind, name, span in (("face", "faces", range(1, cap + 1)),
+                             ("degeneracy", "degeneracies", range(cap))):
+        for n in span:
+            for i in range(n + 1):
+                if (n, i) not in tables[name]:
+                    raise SimplicialValidationError(
+                        f"missing {kind} map ({n},{i})")
+    no_image = object()
+
+    def lookup(name):
+        return lambda n, i, tok: tables[name][(n, i)].get(tok, no_image)
+
+    return build_sset(cap, degrees, lookup("faces"), lookup("degeneracies"))
+
+
+def _int_key(key: str, form: str, where: str) -> tuple[int, ...]:
+    """The integers of a JSON key of the form `form` ("n" or "n,i")."""
+    parts = key.split(",")
+    if len(parts) == len(form.split(",")):
+        try:
+            return tuple(map(int, parts))
+        except ValueError:
+            pass
+    raise ValueError(f"{where} key {key!r} is not of the form {form}")
 
 
 # JSON values that can name a simplex (hashable once loaded)
@@ -1028,15 +995,17 @@ def _json_shape(value, kinds: tuple, where: str):
 
 
 def dump_sset(x: TruncatedSSet) -> str:
+    def tables(pos: dict, step: int) -> dict:
+        return {f"{n},{i}": {repr(t): repr(x.simplices[n + step][k])
+                             for t, k in zip(x.simplices[n], row)}
+                for n, rows in pos.items() for i, row in enumerate(rows)}
+
     data = {
         "cap": x.cap,
         "simplices": {str(n): [repr(t) for t in x.simplices[n]]
                       for n in range(x.cap + 1)},
-        "faces": {f"{n},{i}": {repr(t): repr(v) for t, v in x.faces[(n, i)].items()}
-                  for (n, i) in sorted(x.faces)},
-        "degeneracies": {f"{n},{j}": {repr(t): repr(v)
-                                      for t, v in x.degeneracies[(n, j)].items()}
-                         for (n, j) in sorted(x.degeneracies)},
+        "faces": tables(x.face_pos, -1),
+        "degeneracies": tables(x.deg_pos, 1),
     }
     return json.dumps(data, indent=1, sort_keys=True)
 
@@ -1050,7 +1019,7 @@ def random_truncated_sset(rng, max_nondeg: int = 12) -> TruncatedSSet:
     choices = [((), e) for e in edges] + [((0,), "v")]
     for t in range(n_tris):
         cells[2][f"t{t}"] = tuple(rng.choice(choices) for _ in range(3))
-    return cells_sset(3, cells, name="random2")
+    return cells_sset(3, cells)
 
 
 # ============================================================= K33 fixture
@@ -1103,7 +1072,7 @@ def k33_torus_fixture(cap: int = 3) -> K33Fixture:
             "sigma6": ("z3", "x", "s2"),
         },
     }
-    space = cells_sset(cap, cells, name="K33 torus")
+    space = cells_sset(cap, cells)
     edges = {lbl: ((), lbl) for lbl in K33_EDGE_LABELS}
     tris = {lbl: ((), lbl) for lbl in K33_TRIANGLES}
     return K33Fixture(space, edges, tris)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -340,15 +341,37 @@ def test_realize_from_files(tmp_path, capsys):
     assert out.splitlines()[0].startswith("2 ")
 
 
+# one vertex "a" and its degenerate edge "s"
+ONE_LOOP = {"cap": 1, "simplices": {"0": ["a"], "1": ["s"]},
+            "faces": {"1,0": {"s": "a"}, "1,1": {"s": "a"}},
+            "degeneracies": {"0,0": {"a": "s"}}}
+
+
 @pytest.mark.parametrize("blob, message", [
     ({"cap": 1, "simplices": [["a"]]},
      "'simplices' must be a JSON object, got an array"),
     ([{"cap": 1, "simplices": {}}],
      "the top level must be a JSON object, got an array"),
+    ({"simplices": {}}, "the top level has no 'cap' key"),
+    ({"cap": 1}, "the top level has no 'simplices' key"),
+    ({"cap": -1, "simplices": {}}, "'cap' must be at least 0, got -1"),
+    ({**ONE_LOOP, "simplices": {"x": ["a"]}},
+     "'simplices' key 'x' is not of the form n"),
+    ({**ONE_LOOP, "faces": {"1": {"s": "a"}}},
+     "'faces' key '1' is not of the form n,i"),
+    ({**ONE_LOOP, "degeneracies": {"0,0,0": {"a": "s"}}},
+     "'degeneracies' key '0,0,0' is not of the form n,i"),
+    ({**ONE_LOOP, "faces": {"1,0": {"s": "a"}}}, "missing face map (1,1)"),
+    ({**ONE_LOOP, "degeneracies": {}}, "missing degeneracy map (0,0)"),
+    ({**ONE_LOOP, "faces": {"1,0": {"s": "b"}, "1,1": {"s": "a"}}},
+     "face (1,0) incomplete at 's'"),
+    ({**ONE_LOOP, "degeneracies": {"0,0": {}}},
+     "degeneracy (0,0) incomplete at 'a'"),
+    ("[" * 200_000 + "]" * 200_000, "JSON nested too deeply to decode"),
 ])
 def test_realize_rejects_malformed_sset(tmp_path, capsys, blob, message):
     sset_path = tmp_path / "x.json"
-    sset_path.write_text(json.dumps(blob))
+    sset_path.write_text(blob if isinstance(blob, str) else json.dumps(blob))
     cochain_path = tmp_path / "g.cochain"
     cochain_path.write_text("")
     code = main(["realize", "--sset", str(sset_path),
@@ -356,7 +379,33 @@ def test_realize_rejects_malformed_sset(tmp_path, capsys, blob, message):
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"bad simplicial-set file: {message}" in captured.err
+    assert f"input error: {sset_path}: {message}\n" == captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_realize_huge_sset_cap_fails_at_once(tmp_path, capsys):
+    # the face tables are looked for before any degree is built
+    sset_path = tmp_path / "x.json"
+    sset_path.write_text(json.dumps({"cap": 10 ** 9, "simplices": {}}))
+    start = time.perf_counter()
+    code = main(["realize", "--sset", str(sset_path),
+                 "--cochain", str(sset_path), "--d", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err \
+        == f"input error: {sset_path}: missing face map (1,0)\n"
+
+
+def test_realize_non_utf8_sset_is_input_error(tmp_path, capsys):
+    sset_path = tmp_path / "x.json"
+    sset_path.write_bytes(b"\xff\xfe{}")
+    code = main(["realize", "--sset", str(sset_path),
+                 "--cochain", str(sset_path), "--d", "2"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"cannot read {sset_path}: 'utf-8' codec can't decode"
+            in captured.err)
     assert "Traceback" not in captured.err
 
 
@@ -378,10 +427,7 @@ def test_non_utf8_system_is_input_error(tmp_path, capsys, command):
 
 def test_realize_non_utf8_cochain_is_input_error(tmp_path, capsys):
     sset_path = tmp_path / "x.json"
-    sset_path.write_text(json.dumps({
-        "cap": 1, "simplices": {"0": ["a"], "1": ["s"]},
-        "faces": {"1,0": {"s": "a"}, "1,1": {"s": "a"}},
-        "degeneracies": {"0,0": {"a": "s"}}}))
+    sset_path.write_text(json.dumps(ONE_LOOP))
     cochain_path = tmp_path / "g.cochain"
     cochain_path.write_bytes(NOT_UTF8)
     code = main(["realize", "--sset", str(sset_path),
@@ -397,10 +443,7 @@ def test_realize_non_utf8_cochain_is_input_error(tmp_path, capsys):
 def test_realize_cochain_above_the_cap(tmp_path, capsys):
     # one vertex and one edge, cap 1: a degree-2 cochain has no simplices
     sset_path = tmp_path / "x.json"
-    sset_path.write_text(json.dumps({
-        "cap": 1, "simplices": {"0": ["a"], "1": ["s"]},
-        "faces": {"1,0": {"s": "a"}, "1,1": {"s": "a"}},
-        "degeneracies": {"0,0": {"a": "s"}}}))
+    sset_path.write_text(json.dumps(ONE_LOOP))
     cochain_path = tmp_path / "g.cochain"
     cochain_path.write_text("s 1\n")
     code = main(["realize", "--sset", str(sset_path),

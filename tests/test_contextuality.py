@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import random
@@ -109,7 +110,7 @@ def _pushed(weights, along):
     """The outcome weights pushed forward along a map of outcomes."""
     out = {}
     for k, v in weights:
-        kk = along[k]
+        kk = along(k)
         out[kk] = out.get(kk, 0) + v
     return out
 
@@ -134,7 +135,8 @@ def reference_validate(host, d, dists):
             p = dists[(n, tok)]
             for i in range(n + 1):
                 want = dists[(n - 1, host.face(n, i, tok))]
-                if _pushed(p.weights, nzd.faces[(n, i)]) != dict(want.weights):
+                pushed = _pushed(p.weights, functools.partial(nzd.face, n, i))
+                if pushed != dict(want.weights):
                     raise DistributionError(
                         f"face compatibility fails at {tok!r} (d_{i})")
     for n in range(cap):
@@ -142,8 +144,9 @@ def reference_validate(host, d, dists):
             p = dists[(n, tok)]
             for j in range(n + 1):
                 want = dists[(n + 1, host.degeneracy(n, j, tok))]
-                if _pushed(p.weights,
-                           nzd.degeneracies[(n, j)]) != dict(want.weights):
+                pushed = _pushed(p.weights,
+                                 functools.partial(nzd.degeneracy, n, j))
+                if pushed != dict(want.weights):
                     raise DistributionError(
                         f"degeneracy compatibility fails at {tok!r} (s_{j})")
 

@@ -12,9 +12,9 @@ from simplcs.linsys import (RowConditionError, two_vertex_system, k33_system,
 from simplcs.simplicial import (BASEPOINT, K33_EDGE_LABELS,
                                 K33_FUNDAMENTAL_CYCLE, K33_TRIANGLES,
                                 SimplicialValidationError, SMap,
-                                TruncatedSSet,
                                 bar_comm_nerve,
-                                bar_nzd_sigma, cells_sset, comm_nerve,
+                                bar_nzd_sigma, build_sset, cells_sset,
+                                comm_nerve,
                                 complex_of_system, dump_sset, is_solution,
                                 k33_commutator_replay, k33_torus_fixture,
                                 load_sset, map_from_solution, nerve,
@@ -118,16 +118,46 @@ def test_nzd_sigma_k33_counts():
     assert direct == 34
 
 
+def token_maps(x):
+    """x's face and degeneracy maps as token dictionaries keyed (n, i)."""
+    faces = {(n, i): {t: x.face(n, i, t) for t in x.simplices[n]}
+             for n in range(1, x.cap + 1) for i in range(n + 1)}
+    degs = {(n, j): {t: x.degeneracy(n, j, t) for t in x.simplices[n]}
+            for n in range(x.cap) for j in range(n + 1)}
+    return faces, degs
+
+
+def built_from(cap, simplices, faces, degs):
+    """The set `build_sset` makes with lookups into token dictionaries."""
+    return build_sset(cap, simplices, lambda n, i, t: faces[(n, i)][t],
+                      lambda n, j, t: degs[(n, j)][t])
+
+
 def test_validation_catches_broken_faces():
     x = nerve(2, cap=2)
-    faces = dict(x.faces)
-    bad = dict(faces[(2, 0)])
+    faces, degs = token_maps(x)
     # corrupt d_0 of s_0(1): the d_0 s_0 = id identity must catch it
     tok = x.degeneracy(1, 0, (1,))
-    bad[tok] = (1,) if bad[tok] == (0,) else (0,)
-    faces[(2, 0)] = bad
+    faces[(2, 0)][tok] = (1,) if faces[(2, 0)][tok] == (0,) else (0,)
     with pytest.raises(SimplicialValidationError):
-        x.__class__(2, x.simplices, faces, x.degeneracies)
+        built_from(2, x.simplices, faces, degs)
+
+
+@pytest.mark.parametrize("which, key, tok, message", [
+    (0, (2, 1), (1, 1), "face (2,1) incomplete at (1, 1)"),
+    (0, (1, 0), (0,), "face (1,0) incomplete at (0,)"),
+    (1, (1, 0), (1,), "degeneracy (1,0) incomplete at (1,)"),
+])
+def test_build_sset_names_an_image_that_is_no_simplex(which, key, tok,
+                                                      message):
+    # the token whose image is outside the next degree is named, before
+    # any identity is checked
+    x = nerve(2, cap=2)
+    maps = token_maps(x)
+    maps[which][key][tok] = maps[which][key][(1,) * len(tok)] + (7,)
+    with pytest.raises(SimplicialValidationError) as err:
+        built_from(2, x.simplices, *maps)
+    assert str(err.value) == message
 
 
 def reference_identity_failure(cap, simplices, faces, degs):
@@ -169,23 +199,24 @@ def test_validation_reports_first_failing_identity():
     the reference's message."""
     seen = set()
     for x in (nerve(2, cap=3), nerve(3, cap=2)):
-        corruptions = [(0, key, key[0] - 1) for key in x.faces]
-        corruptions += [(1, key, key[0] + 1) for key in x.degeneracies]
+        given = token_maps(x)
+        corruptions = [(0, key, key[0] - 1) for key in given[0]]
+        corruptions += [(1, key, key[0] + 1) for key in given[1]]
         for which, key, target in corruptions:
-            for tok, old in (x.faces, x.degeneracies)[which][key].items():
+            for tok, old in given[which][key].items():
                 for new in x.simplices[target]:
                     if new == old:
                         continue
-                    maps = [{k: dict(v) for k, v in x.faces.items()},
-                            {k: dict(v) for k, v in x.degeneracies.items()}]
+                    maps = [{k: dict(v) for k, v in m.items()}
+                            for m in given]
                     maps[which][key][tok] = new
                     want = reference_identity_failure(x.cap, x.simplices,
                                                       *maps)
                     if want is None:
-                        TruncatedSSet(x.cap, x.simplices, *maps)
+                        built_from(x.cap, x.simplices, *maps)
                         continue
                     with pytest.raises(SimplicialValidationError) as err:
-                        TruncatedSSet(x.cap, x.simplices, *maps)
+                        built_from(x.cap, x.simplices, *maps)
                     assert str(err.value) == want
                     seen.add(want.split(" identity")[0])
     # every kind of identity, d_i s_j with i < j, i in (j, j + 1) and
@@ -233,15 +264,17 @@ def test_smap_validation_reports_first_failure():
               power_map_s(cyclic(6), 6, 3, d_target=2, cap=2),
               power_map_s(dihedral(8), 2, 1, cap=1)):
         src, tgt = w.source, w.target
+        given = {n: {tok: w(n, tok) for tok in src.simplices[n]}
+                 for n in range(w.cap + 1)}
         cases = []
         for n in range(w.cap + 1):
-            for tok, old in w.mapping[n].items():
+            for tok, old in given[n].items():
                 cases += [(n, tok, new) for new in tgt.simplices[n]
                           if new != old]
                 cases += [(n, tok, None), (n, tok, "stray")]
             cases.append((n, None, None))
         for n, tok, new in cases:
-            mapping = {k: dict(v) for k, v in w.mapping.items()}
+            mapping = {k: dict(v) for k, v in given.items()}
             if tok is None:
                 del mapping[n]
             elif new is None:
@@ -345,41 +378,25 @@ def test_gamma_b_sorts_each_token_once(monkeypatch):
             t for t in x.simplices[n] if t in kept)
 
 
-def test_quotient_sorts_when_basepoint_is_not_least():
-    # a vertex whose repr sorts before BASEPOINT's: the quotient sorts
-    x = TruncatedSSet(1, {0: ["!", "a"], 1: [("!", "!"), ("a", "a")]},
+def two_loops():
+    """Two vertices "!" and "a", each with only its degenerate edge; "!"
+    sorts before BASEPOINT."""
+    return built_from(1, {0: ["!", "a"], 1: [("!", "!"), ("a", "a")]},
                       {(1, 0): {("!", "!"): "!", ("a", "a"): "a"},
                        (1, 1): {("!", "!"): "!", ("a", "a"): "a"}},
                       {(0, 0): {"!": ("!", "!"), "a": ("a", "a")}})
+
+
+def test_quotient_sorts_when_basepoint_is_not_least():
+    # a vertex whose repr sorts before BASEPOINT's: the quotient sorts
+    x = two_loops()
     q = quotient_by_subset(x, {0: ["a"], 1: [("a", "a")]})
     assert q.simplices[0] == ("!", BASEPOINT)
     assert q.simplices[1] == (BASEPOINT, ("!", "!"))
 
 
-def test_dict_built_sets_keep_no_input_dict():
-    """Token dictionaries are read into position lists and dropped; the
-    maps built back from the lists equal the given ones on the simplices,
-    keys outside them (here a stray token) being ignored."""
-    rng = random.Random(2022)
-    for x in (nerve(3, cap=2), k33_torus_fixture(cap=3).space,
-              random_truncated_sset(rng, max_nondeg=12)):
-        simplices = {n: list(toks) for n, toks in x.simplices.items()}
-        faces = {k: {**v, "stray": 0} for k, v in x.faces.items()}
-        degs = {k: dict(v) for k, v in x.degeneracies.items()}
-        y = TruncatedSSet(x.cap, simplices, faces, degs)
-        given = [simplices, faces, degs, *faces.values(), *degs.values()]
-        assert not any(v is m for v in vars(y).values() for m in given)
-        assert y.face_pos == x.face_pos and y.deg_pos == x.deg_pos
-        assert y.faces == {k: {t: m[t] for t in y.simplices[k[0]]}
-                           for k, m in faces.items()}
-        assert y.degeneracies == degs
-
-
 def test_quotient_keeps_its_basepoint_positions():
-    x = TruncatedSSet(1, {0: ["!", "a"], 1: [("!", "!"), ("a", "a")]},
-                      {(1, 0): {("!", "!"): "!", ("a", "a"): "a"},
-                       (1, 1): {("!", "!"): "!", ("a", "a"): "a"}},
-                      {(0, 0): {"!": ("!", "!"), "a": ("a", "a")}})
+    x = two_loops()
     for q in (quotient_by_subset(x, {0: ["a"], 1: [("a", "a")]}),
               bar_nzd_sigma(two_vertex_system((1, 0), d=3), cap=3)):
         assert [q.simplices[n][q.base_pos[n]] for n in range(q.cap + 1)] \
