@@ -2,7 +2,9 @@
 
 Solution groups, (commutative) fundamental groups, the K-group of the E-space,
 bounded Todd-Coxeter coset enumeration, hom-set enumeration, abelianization
-via integer Smith form, and the word-level reduction maps.
+and the word-level reduction maps. Every abelianization (of Gamma(A,b), of
+pi1 or of a K-group) comes from one sparse integer Smith form,
+`zmod.smith_normal_form`, on the relators' exponent sums.
 
 Solution sets are hom sets: Sol(A,b;G) is computed as Hom_J(Gamma(A,b), G),
 the homomorphisms of the solution group that send J to J_G, so
@@ -37,6 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -633,55 +636,21 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 10 ** 6
 
 # --------------------------------------------------------------- abelianization
 
-def relator_matrix(pres: Presentation) -> list[list[int]]:
-    rows = []
-    for rel in pres.relators:
-        row = [0] * pres.num_gens()
-        for g, e in rel:
-            row[g] += e
-        rows.append(row)
-    return rows or [[0] * pres.num_gens()]
-
-
 def abelianization(pres: Presentation) -> tuple[list[int], int]:
-    """(nontrivial invariant factors, free rank) of the abelian quotient."""
-    diag = smith_normal_form(relator_matrix(pres))
-    torsion = [x for x in diag if x not in (0, 1)]
+    """(nontrivial invariant factors, free rank) of the abelian quotient:
+    the Smith form of the relators' exponent sums, one sparse row each."""
+    rows: list[dict[int, int]] = [{} for _ in pres.relators]
+    for row, rel in zip(rows, pres.relators):
+        for g, e in rel:
+            row[g] = row.get(g, 0) + e
+    diag = smith_normal_form(rows, pres.num_gens())
     rank = pres.num_gens() - sum(1 for x in diag if x != 0)
-    return sorted(torsion), rank
+    return [x for x in diag if x > 1], rank
 
 
 def abelian_order(pres: Presentation) -> Optional[int]:
     torsion, rank = abelianization(pres)
-    if rank:
-        return None
-    out = 1
-    for t in torsion:
-        out *= t
-    return out
-
-
-def elementarization(pres: Presentation, p: int) -> int:
-    """Dimension of the largest elementary abelian p-quotient."""
-    mat = np.array(relator_matrix(pres), dtype=np.int64) % p
-    rows, cols = mat.shape
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(mat[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pivot = r + nz[0]
-        mat[[r, pivot]] = mat[[pivot, r]]
-        inv = pow(int(mat[r, c]), -1, p)
-        mat[r] = (mat[r] * inv) % p
-        hits = np.nonzero(mat[r + 1:, c])[0]
-        if hits.size:
-            mat[r + 1 + hits] = (mat[r + 1 + hits]
-                                 - np.outer(mat[r + 1 + hits, c], mat[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return cols - r
+    return None if rank else prod(torsion)
 
 
 # ---------------------------------------------------------- hom enumeration

@@ -917,7 +917,8 @@ def cells_sset(cap: int, cells: dict[int, dict[str, tuple]]) -> TruncatedSSet:
 def load_sset(data) -> TruncatedSSet:
     """Load the explicit JSON schema; identities are validated.
 
-    A missing key, a key not of its form, a value of the wrong JSON type, a
+    Simplex ids are JSON strings, like the table keys that look them up. A
+    missing key, a key not of its form, a value of the wrong JSON type, a
     negative cap and text nested too deeply to decode raise ValueError
     naming what is wrong. Every face and degeneracy table up to the cap is
     looked for before any degree is built, so the first one missing is
@@ -927,28 +928,28 @@ def load_sset(data) -> TruncatedSSet:
             data = json.loads(data)
         except RecursionError:
             raise ValueError("JSON nested too deeply to decode") from None
-    _json_shape(data, ("object",), "the top level")
+    _json_shape(data, "object", "the top level")
     for key in ("cap", "simplices"):
         if key not in data:
             raise ValueError(f"the top level has no {key!r} key")
-    cap = _json_shape(data["cap"], ("integer",), "'cap'")
+    cap = _json_shape(data["cap"], "integer", "'cap'")
     if cap < 0:
         raise ValueError(f"'cap' must be at least 0, got {cap}")
     degrees = {}
-    for k, toks in _json_shape(data["simplices"], ("object",),
+    for k, toks in _json_shape(data["simplices"], "object",
                                "'simplices'").items():
         where = f"'simplices'[{k!r}]"
         degrees[_int_key(k, "n", "'simplices'")[0]] = [
-            _json_shape(t, _TOKEN_KINDS, f"an entry of {where}")
-            for t in _json_shape(toks, ("array",), where)]
+            _json_shape(t, "string", f"an entry of {where}")
+            for t in _json_shape(toks, "array", where)]
     tables: dict = {"faces": {}, "degeneracies": {}}
     for name, out in tables.items():
-        for key, table in _json_shape(data.get(name, {}), ("object",),
+        for key, table in _json_shape(data.get(name, {}), "object",
                                       repr(name)).items():
             where = f"{name!r}[{key!r}]"
-            table = _json_shape(table, ("object",), where)
+            table = _json_shape(table, "object", where)
             out[_int_key(key, "n,i", repr(name))] = {
-                tok: _json_shape(v, _TOKEN_KINDS, f"a value of {where}")
+                tok: _json_shape(v, "string", f"a value of {where}")
                 for tok, v in table.items()}
     for kind, name, span in (("face", "faces", range(1, cap + 1)),
                              ("degeneracy", "degeneracies", range(cap))):
@@ -976,20 +977,16 @@ def _int_key(key: str, form: str, where: str) -> tuple[int, ...]:
     raise ValueError(f"{where} key {key!r} is not of the form {form}")
 
 
-# JSON values that can name a simplex (hashable once loaded)
-_TOKEN_KINDS = ("string", "integer", "number", "boolean", "null")
-
-
-def _json_shape(value, kinds: tuple, where: str):
-    """value, after checking that its JSON type is one of `kinds`."""
+def _json_shape(value, want: str, where: str):
+    """value, after checking that its JSON type is `want`."""
     kind = ("object" if isinstance(value, dict) else
             "array" if isinstance(value, list) else
             "string" if isinstance(value, str) else
             "boolean" if isinstance(value, bool) else
             "integer" if isinstance(value, int) else
             "number" if isinstance(value, float) else "null")
-    if kind not in kinds:
-        raise ValueError(f"{where} must be a JSON {' or '.join(kinds)}, "
+    if kind != want:
+        raise ValueError(f"{where} must be a JSON {want}, "
                          f"got {'an' if kind[0] in 'aeiou' else 'a'} {kind}")
     return value
 

@@ -3,12 +3,15 @@
 Z_d is not a field for composite d, so row spans are canonicalized with the
 Howell form (the analogue of reduced row echelon form that is canonical for
 row spans over Z_d). One Howell form of [A^T | I] solves Ax = b and gives
-the kernel of A. The integer Smith normal form gives invariant factors over
-Z. No floating point anywhere.
+the kernel of A. One sparse integer Smith normal form gives invariant
+factors over Z, and with them every abelianization. No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -239,51 +242,74 @@ def howell_form(matrix: ZModMatrix) -> HowellBasis:
                                   num_cols=matrix.num_cols))
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Invariant factors of an integer matrix: the min(m, n) diagonal
-    entries d_1 | d_2 | ... of its Smith normal form, each >= 0."""
-    a = [list(map(int, r)) for r in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero |entry| in the remaining block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None
-                                or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        a[t], a[best[0]] = a[best[0]], a[t]
-        for r in a:
-            r[t], r[best[1]] = r[best[1]], r[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        piv = a[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // piv
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                dirty = dirty or a[i][t] != 0
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // piv
-                for r in a:
-                    r[j] -= q * r[t]
-                dirty = dirty or a[t][j] != 0
-        if dirty:
-            continue
-        # enforce divisibility of the rest of the block by the pivot
-        offender = next((i for i in range(t + 1, m)
-                         if any(x % piv for x in a[i][t + 1:])), None)
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            continue
-        t += 1
-    return [a[i][i] for i in range(min(m, n))]
+def smith_normal_form(rows: Sequence[dict[int, int]],
+                      num_cols: int) -> list[int]:
+    """Invariant factors of an integer matrix of sparse rows ({column:
+    entry}, num_cols columns): the min(m, n) diagonal entries
+    d_1 | d_2 | ... of its Smith normal form, each >= 0, zeros last.
+
+    Elimination over sparse rows (Havas-Holt-Rees, "Recognizing badly
+    presented Z-modules", 1993). The pivot is a smallest |entry|, in a
+    shortest row holding one, in its column with the fewest rows. Row
+    operations reduce the pivot column modulo the pivot; once the pivot is
+    alone there, column operations (which then touch its row only) reduce
+    its row. A row left as its pivot alone is a diagonal entry; any other
+    outcome leaves a smaller entry, so the loop ends. A gcd/lcm pass turns
+    the diagonal into invariant factors."""
+    live: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = defaultdict(set)   # column -> its rows
+    heap, diag = [], []
+
+    def put(i, c, v):
+        if v:
+            live[i][c] = v
+            cols[c].add(i)
+        else:
+            live[i].pop(c, None)
+            cols[c].discard(i)
+
+    def push(i):
+        if live[i]:
+            heapq.heappush(heap, (min(map(abs, live[i].values())),
+                                  len(live[i]), i))
+        else:
+            del live[i]
+
+    for i, row in enumerate(rows):
+        live[i] = {}
+        for c, v in row.items():
+            put(i, c, v)
+        push(i)
+    while heap:
+        least, length, i = heapq.heappop(heap)
+        r = live.get(i)
+        if r is None or (least, length) != (min(map(abs, r.values())), len(r)):
+            continue  # a stale key: the row has a newer one
+        c = min((c for c, v in r.items() if abs(v) == least),
+                key=lambda c: len(cols[c]))
+        p = r[c]
+        for j in cols[c] - {i}:
+            q = live[j][c] // p
+            for c2, v in r.items():
+                put(j, c2, live[j].get(c2, 0) - q * v)
+            push(j)
+        if len(cols[c]) == 1:
+            for c2 in [c2 for c2 in r if c2 != c]:
+                put(i, c2, r[c2] % p)
+            if len(r) == 1:
+                del live[i]
+                diag.append(least)
+                continue
+        push(i)
+    rank = len(diag)
+    diag = [v for v in diag if v > 1]
+    # gcd/lcm on each pair: diag[i] then divides every later entry
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return ([1] * (rank - len(diag)) + diag
+            + [0] * (min(len(rows), num_cols) - rank))
 
 
 @dataclass(frozen=True)

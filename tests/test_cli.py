@@ -368,6 +368,11 @@ ONE_LOOP = {"cap": 1, "simplices": {"0": ["a"], "1": ["s"]},
     ({**ONE_LOOP, "degeneracies": {"0,0": {}}},
      "degeneracy (0,0) incomplete at 'a'"),
     ("[" * 200_000 + "]" * 200_000, "JSON nested too deeply to decode"),
+    # simplex ids are JSON strings, as the keys of the tables they index
+    ({"cap": 1, "simplices": {"0": [0], "1": [1]},
+      "faces": {"1,0": {"1": 0}, "1,1": {"1": 0}},
+      "degeneracies": {"0,0": {"0": 1}}},
+     "an entry of 'simplices'['0'] must be a JSON string, got an integer"),
 ])
 def test_realize_rejects_malformed_sset(tmp_path, capsys, blob, message):
     sset_path = tmp_path / "x.json"

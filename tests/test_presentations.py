@@ -17,7 +17,7 @@ from simplcs.linsys import (ARRAY_ROWS, LinearSystem, two_vertex_system,
                             k33_system, make_system)
 from simplcs.presentations import (Hom, Presentation, _Step, abelian_order,
                                    abelianization, check_reduction_bijection,
-                                   commutator_word, dump_presentation, elementarization,
+                                   commutator_word, dump_presentation,
                                    enumerate_homs, hom_of_solution, k_group,
                                    opposite_word_check,
                                    parse_presentation, pi1, pi1_commutative,
@@ -285,14 +285,20 @@ def test_k_group_heisenberg_nontrivial_certificate():
     assert got is not None
     a, b = got
     assert (a, b) in data.pairs  # the generator e_{g,h} exists
-    dim = elementarization(data.presentation, 3)
-    assert dim > 0  # abelianization nonzero: K(Z_3, H) certified nontrivial
+    # free rank 16: K(Z_3, H) is infinite, so certified nontrivial
+    assert abelianization(data.presentation) == ([], 16)
     # image word of e_{g,h} in pi1 N(Z_3, G) has the documented shape
     word = data.image_words[(a, b)]
     acc = g.identity
     for t in word:
         acc = g.mul(acc, t)
     assert acc == g.identity  # the loop closes
+
+
+def test_k_group_extraspecial_abelianization_trivial():
+    # agrees with criterion 7, where Todd-Coxeter gives this K-group order 1
+    data = k_group(build_group("extraspecial:2:2:+"))
+    assert abelianization(data.presentation) == ([], 0)
 
 
 
@@ -1570,7 +1576,6 @@ def test_abelianization_free_torsion():
     p = make_presentation(["a", "b", "c"], [[("a", 3)], [("b", 3)], [("c", 3)]])
     assert abelianization(p) == ([3, 3, 3], 0)
     assert abelian_order(p) == 27
-    assert elementarization(p, 3) == 3
     free = make_presentation(["a", "b"], [])
     assert abelianization(free) == ([], 2)
     assert abelian_order(free) is None

@@ -31,7 +31,6 @@ TEST_ONLY = {
     "map_from_solution": "the only check of the solution square "
                          "f . alpha = iota . beta",
     "twisted_iso": "the only check that X_gamma is isomorphic to N(Z_d, G)",
-    "elementarization": "the cheap certificate that K(Z_3, H) is nontrivial",
 }
 
 

@@ -216,12 +216,17 @@ def det(m):
 
 
 def test_smith_normal_form_properties():
-    # oracle: d_1 ... d_k is the gcd of all k x k minors
+    # oracle: d_1 ... d_k is the gcd of all k x k minors; the unit-free
+    # pool reaches non-unit pivots and the gcd/lcm pass, and the sparse
+    # pools give zero rows and zero columns
     rng = random.Random(5)
-    for _ in range(300):
+    pools = [range(-6, 7), (0, 2, -2, 3, -3, 4, -4, 6, 9),
+             (0, 0, 0, 0, 1, -1, 2, 6)]
+    for _ in range(600):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
-        mat = [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)]
-        diag = smith_normal_form(mat)
+        pool = rng.choice(pools)
+        mat = [[rng.choice(pool) for _ in range(c)] for _ in range(r)]
+        diag = smith_normal_form([dict(enumerate(row)) for row in mat], c)
         assert len(diag) == min(r, c) and all(x >= 0 for x in diag)
         for k in range(1, min(r, c) + 1):
             minors = gcd(*(det([[mat[i][j] for j in cols] for i in rows])
@@ -230,7 +235,7 @@ def test_smith_normal_form_properties():
             assert prod(diag[:k]) == minors
         for a, b in zip(diag, diag[1:]):
             assert b == 0 if a == 0 else b % a == 0
-    assert smith_normal_form([]) == smith_normal_form([[]]) == []
+    assert smith_normal_form([], 0) == smith_normal_form([{}], 0) == []
 
 
 # ---------------------------------------------------------------- solve
