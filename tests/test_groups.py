@@ -142,6 +142,55 @@ def test_search_tables():
         assert g.table_array() is table and g.centralizer_matrix() is cent
 
 
+def oracle_groups() -> list[FinGroupJ]:
+    """The sweep panel, a relabelled D8∘D8, the Todd–Coxeter group of odd
+    K33 (J its image of J) and cyclic:1, whose exponent is 1."""
+    groups = [build_group(s) for s in SWEEP_PANEL]
+    groups.append(relabelled(groups[4], seed=5))
+    groups[-1].name = "relabelled-d8d8"
+    tc = todd_coxeter(solution_group(k33_system([1, 0, 0, 0, 0, 0])))
+    groups.append(FinGroupJ(tc.group.table, tc.group.identity, tc.j_image, 2,
+                            name="tc-k33-odd"))
+    groups.append(build_group("cyclic:1"))
+    return groups
+
+
+@pytest.mark.parametrize("g", oracle_groups(), ids=lambda g: g.name)
+def test_power_questions_match_repeated_multiplication(g):
+    # every power, order, torsion, root and J-power answer against products
+    # taken one at a time through the multiplication table alone
+    t, n, ident = g.table, g.n, g.identity
+    inverse = [next(y for y in range(n) if t[x][y] == ident)
+               for x in range(n)]
+    rows = {0: [ident] * n}
+    for k in range(1, max(2 * n, 7) + 1):
+        rows[k] = [t[a][x] for a, x in zip(rows[k - 1], range(n))]
+        rows[-k] = [t[a][y] for a, y in zip(rows[1 - k], inverse)]
+    for k in range(-2 * n, 2 * n + 1):
+        got = [g.power(x, k) for x in range(n)]
+        assert got == rows[k] and all(type(y) is int for y in got)
+    orders = [next(k for k in range(1, 2 * n + 1) if rows[k][x] == ident)
+              for x in range(n)]
+    assert [g.order(x) for x in range(n)] == orders
+    for d in range(1, 7):
+        tor = g.torsion(d)
+        assert tor == tuple(x for x in range(n) if rows[d][x] == ident)
+        assert all(type(x) is int for x in tor)
+    for e in range(-3, 8):
+        assert g.power_row(e) == tuple(rows[e])
+        assert g.power_array(e).tolist() == rows[e]
+        masks, roots = g.root_masks(e), g.root_matrix(e)
+        for y in range(n):
+            want = [x for x in range(n) if rows[e][x] == y]
+            assert [x for x in range(n) if masks[y] >> x & 1] == want
+            assert np.flatnonzero(roots[y]).tolist() == want
+    for k in range(-2 * g.d, 2 * g.d + 1):
+        assert g.j_power(k) == rows[k][g.j]
+    for x in range(n):
+        want = next((k for k in range(g.d) if rows[k][g.j] == x), None)
+        assert g.j_exponent(x) == want
+
+
 def test_build_group_examples():
     g = build_group("central_product(dihedral:8,dihedral:8)")
     assert g.n == 32
