@@ -311,8 +311,7 @@ def _scenario_odd_p(rng) -> dict:
 def _scenario_monomial_split(rng) -> dict:
     checks = {}
     big = groups.build_e1(3, 2)
-    one = groups.MonomialElement.one(3, 2)
-    tor = [el for el in big.elements if el.pow(3) == one]
+    tor = [big.elements[x] for x in big.torsion(3)]
     morphism = True
     for a in tor:
         fa = groups.monomial_split(a)

@@ -1038,6 +1038,7 @@ def dump_distribution(p: SimplicialDistribution) -> str:
 
 def parse_distribution(host: TruncatedSSet, d: int, text: str
                        ) -> SimplicialDistribution:
+    """`dump_distribution`'s lines; DistributionError names a bad line."""
     by_repr = {}
     for n in range(min(host.cap, 2) + 1):
         for tok in host.simplices[n]:
@@ -1052,9 +1053,17 @@ def parse_distribution(host: TruncatedSSet, d: int, text: str
         if ident not in by_repr:
             raise DistributionError(f"line {num}: unknown simplex {ident!r}")
         n, tok = by_repr[ident]
-        theta_out = () if csv == "-" else tuple(int(x) for x in csv.split(","))
-        numden = frac.split("/")
-        value = Fraction(int(numden[0]), int(numden[1]) if len(numden) > 1 else 1)
+        try:
+            theta_out = () if csv == "-" else tuple(map(int, csv.split(",")))
+        except ValueError:
+            raise DistributionError(
+                f"line {num}: outcome {csv!r} is not integers") from None
+        top, slash, bottom = frac.partition("/")
+        try:
+            value = Fraction(int(top), int(bottom) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            raise DistributionError(
+                f"line {num}: weight {frac!r} is not a fraction p/q") from None
         acc.setdefault((n, tok), {})[theta_out] = value
     dists = {key: RationalDist.from_dict(v) for key, v in acc.items()}
     return SimplicialDistribution(host, d, dists)

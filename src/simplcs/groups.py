@@ -4,7 +4,8 @@ All group families used anywhere in the package are constructed here, either
 directly (cyclic, dihedral, quaternion, Heisenberg, monomial E_1(p^m), wreath)
 or by closure operations (direct and central products). Tables are validated on
 construction: identity, inverses, associativity (Light's test, exact at every
-order and vectorized with numpy), centrality and exact order of J.
+order and vectorized with numpy), centrality and exact order of J. Every
+power question about a group reads one table built on first use, `powers`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ def _table_array(table) -> np.ndarray:
     return arr
 
 
+def _tuples(arr: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The rows of an index array as tuples of ints, shared per element."""
+    ids = list(range(arr.shape[1]))
+    return tuple(tuple(map(ids.__getitem__, row)) for row in arr.tolist())
+
+
 def _check_index(what: str, x, n: int) -> None:
     if not isinstance(x, (int, np.integer)) or not 0 <= x < n:
         raise GroupValidationError(f"{what} {x!r} is not in range({n})")
@@ -59,24 +66,27 @@ class GroupTable:
     """A finite group as an n x n multiplication table of element indices.
 
     The table is kept as an intp array (`table_array`); the row tuples of
-    `table` are made from it when first read."""
+    `table` are made from it when first read. Every power question (powers,
+    power rows, orders, torsion, roots) reads one table, `powers`, built on
+    first use."""
 
     def __init__(self, table: Sequence[Sequence[int]] | np.ndarray,
                  identity: int, name: str = ""):
-        arr = _table_array(table)
-        self.n = len(arr)
+        self._table_array = _table_array(table)
+        self.n = len(self._table_array)
         _check_index("identity", identity, self.n)
         self.identity = identity
         self.name = name or f"group{self.n}"
-        self._orders: Optional[tuple[int, ...]] = None
-        self._tables: dict = {"table": arr}
+        self._roots: dict = {}
         self._validate()
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
-        ids = list(range(self.n))  # one int object per element, shared
-        return tuple(tuple(map(ids.__getitem__, row.tolist()))
-                     for row in self.table_array())
+        return _tuples(self.table_array())
+
+    def table_array(self) -> np.ndarray:
+        """The Cayley table as a read-only n x n intp array."""
+        return self._table_array
 
     # -- structure -----------------------------------------------------
 
@@ -86,105 +96,96 @@ class GroupTable:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(g), -k)
-        out = self.identity
-        base = g
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
-    def order(self, g: int) -> int:
-        if self._orders is None:
-            orders = []
-            for x in range(self.n):
-                k, y = 1, x
-                while y != self.identity:
-                    y = self.mul(y, x)
-                    k += 1
-                orders.append(k)
-            self._orders = tuple(orders)
-        return self._orders[g]
-
     def commute(self, a: int, b: int) -> bool:
         return self.mul(a, b) == self.mul(b, a)
-
-    # The tables below serve the hom search and its check; each is computed
-    # on first use and cached per group (and per exponent e).
-
-    def memo(self, key, build: Callable):
-        """build(), computed once per group and key."""
-        if key not in self._tables:
-            self._tables[key] = build()
-        return self._tables[key]
-
-    def centralizer_masks(self) -> tuple[int, ...]:
-        """Per element x, the bitmask of its centralizer: bit y is set iff
-        xy = yx."""
-        def build():
-            t = self.table
-            return tuple(
-                sum(1 << y for y, (a, b) in enumerate(zip(row, col)) if a == b)
-                for row, col in zip(t, zip(*t)))
-        return self.memo("centralizer_masks", build)
-
-    def power_row(self, e: int) -> tuple[int, ...]:
-        """x -> x^e for every x at once, by squaring whole rows."""
-        def build():
-            t = self.table
-            base, row, m = self._inv if e < 0 else range(self.n), None, abs(e)
-            while m:
-                if m & 1:
-                    row = base if row is None else [
-                        t[a][b] for a, b in zip(row, base)]
-                m >>= 1
-                if m:
-                    base = [t[b][b] for b in base]
-            return (self.identity,) * self.n if row is None else tuple(row)
-        return self.memo(("power", e), build)
-
-    def root_masks(self, e: int) -> tuple[int, ...]:
-        """y -> the bitmask of the x with x^e = y."""
-        def build():
-            masks = [0] * self.n
-            for x, y in enumerate(self.power_row(e)):
-                masks[y] |= 1 << x
-            return tuple(masks)
-        return self.memo(("roots", e), build)
-
-    def table_array(self) -> np.ndarray:
-        """The Cayley table as a read-only n x n intp array."""
-        return self._tables["table"]
-
-    def power_array(self, e: int) -> np.ndarray:
-        return self.memo(("power_array", e),
-                         lambda: np.array(self.power_row(e), dtype=np.intp))
-
-    def centralizer_matrix(self) -> np.ndarray:
-        """Boolean n x n: entry (x, y) is xy = yx."""
-        def build():
-            t = self.table_array()
-            return t == t.T
-        return self.memo("centralizer", build)
-
-    def root_matrix(self, e: int) -> np.ndarray:
-        """Boolean n x n: entry (y, x) is x^e = y."""
-        def build():
-            out = np.zeros((self.n, self.n), dtype=bool)
-            out[self.power_array(e), np.arange(self.n)] = True
-            return out
-        return self.memo(("root_matrix", e), build)
-
-    def torsion(self, d: int) -> tuple[int, ...]:
-        return tuple(g for g in range(self.n) if self.power(g, d) == self.identity)
 
     def is_abelian(self) -> bool:
         t = self.table_array()
         return bool((t == t.T).all())
+
+    @cached_property
+    def centralizer_masks(self) -> tuple[int, ...]:
+        """Per element x, the bitmask of its centralizer: bit y is set iff
+        xy = yx."""
+        t = self.table
+        return tuple(
+            sum(1 << y for y, (a, b) in enumerate(zip(row, col)) if a == b)
+            for row, col in zip(t, zip(*t)))
+
+    @cached_property
+    def centralizer_matrix(self) -> np.ndarray:
+        """Boolean n x n: entry (x, y) is xy = yx."""
+        t = self.table_array()
+        return t == t.T
+
+    # -- powers --------------------------------------------------------
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """Read-only exponent x n intp array: row k is x -> x^k, for
+        0 <= k < the group's exponent. Row k + 1 is one gather of row k in
+        the table; building stops at the first row that is all identity,
+        so the array is never larger than the table."""
+        t, every = self.table_array(), np.arange(self.n)
+        rows, row = [np.full(self.n, self.identity)], every
+        while (row != self.identity).any():
+            rows.append(row)
+            row = t[row, every]
+        out = np.array(rows, dtype=np.intp)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _power_rows(self) -> tuple[tuple[int, ...], ...]:
+        return _tuples(self.powers)
+
+    @cached_property
+    def exponent(self) -> int:
+        return len(self.powers)
+
+    def power(self, g: int, k: int) -> int:
+        return self._power_rows[k % self.exponent][g]
+
+    def power_row(self, e: int) -> tuple[int, ...]:
+        """x -> x^e for every x at once."""
+        return self._power_rows[e % self.exponent]
+
+    def power_array(self, e: int) -> np.ndarray:
+        return self.powers[e % self.exponent]
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """Per column of `powers`, its first identity row after row 0."""
+        after = np.roll(self.powers, -1, axis=0) == self.identity
+        return tuple((after.argmax(axis=0) + 1).tolist())
+
+    def order(self, g: int) -> int:
+        return self.orders[g]
+
+    def torsion(self, d: int) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(
+            self.power_array(d) == self.identity).tolist())
+
+    # The hom search's root tables, kept per residue of e mod the exponent
+
+    def root_masks(self, e: int) -> tuple[int, ...]:
+        """y -> the bitmask of the x with x^e = y."""
+        key = ("masks", e % self.exponent)
+        if key not in self._roots:
+            masks = [0] * self.n
+            for x, y in enumerate(self.power_row(e)):
+                masks[y] |= 1 << x
+            self._roots[key] = tuple(masks)
+        return self._roots[key]
+
+    def root_matrix(self, e: int) -> np.ndarray:
+        """Boolean n x n: entry (y, x) is x^e = y."""
+        key = ("matrix", e % self.exponent)
+        if key not in self._roots:
+            out = np.zeros((self.n, self.n), dtype=bool)
+            out[self.power_array(e), np.arange(self.n)] = True
+            self._roots[key] = out
+        return self._roots[key]
 
     # -- validation ----------------------------------------------------
 
@@ -239,7 +240,8 @@ class GroupTable:
 
 
 class FinGroupJ(GroupTable):
-    """Group table plus a central element J of order exactly d."""
+    """Group table plus a central element J of order exactly d; J's powers
+    J^0, ..., J^(d-1) are kept as `j_powers`."""
 
     def __init__(self, table, identity: int, j: int, d: int,
                  name: str = "", elements: Optional[tuple] = None):
@@ -251,23 +253,22 @@ class FinGroupJ(GroupTable):
         t = self.table_array()
         if not (t[j] == t[:, j]).all():
             raise GroupValidationError("J is not central")
-        if self.order(j) != d:
+        j_powers, x = [int(identity)], int(j)
+        while x != identity:  # at most n steps: J's order divides n
+            j_powers.append(x)
+            x = int(t[x, j])
+        if len(j_powers) != d:
             raise GroupValidationError(
-                f"J has order {self.order(j)}, expected {d}")
+                f"J has order {len(j_powers)}, expected {d}")
+        self.j_powers = tuple(j_powers)
+        self._j_log = {x: k for k, x in enumerate(j_powers)}
 
     def j_power(self, k: int) -> int:
-        return self.power(self.j, k)
+        return self.j_powers[k % self.d]
 
     def j_exponent(self, g: int) -> Optional[int]:
-        """k with g = J^k, or None if g is not a power of J."""
-        x, k = self.identity, 0
-        while True:
-            if x == g:
-                return k
-            x = self.mul(x, self.j)
-            k += 1
-            if k > self.d:
-                return None
+        """k < d with g = J^k, or None if g is not a power of J."""
+        return self._j_log.get(g)
 
 
 def table_from_elements(elements: Sequence, mult: Callable, identity,
@@ -354,16 +355,12 @@ def semidihedral_minus(p: int) -> FinGroupJ:
 def direct_product(g: FinGroupJ, h: GroupTable) -> FinGroupJ:
     """G x H with J = (J_G, 1)."""
     nh = h.n
-
-    def idx(a, b):
-        return a * nh + b
-
-    # rows/cols enumerate (a, b) with the H coordinate fastest
+    # rows/cols enumerate (a, b) as a * nh + b, the H coordinate fastest
     gt, ht = g.table_array(), h.table_array()
     table = (gt[:, None, :, None] * nh + ht[None, :, None, :]).reshape(
         g.n * nh, g.n * nh)
-    return FinGroupJ(table, idx(g.identity, h.identity),
-                     idx(g.j, h.identity), g.d,
+    return FinGroupJ(table, g.identity * nh + h.identity,
+                     g.j * nh + h.identity, g.d,
                      name=f"product({g.name},{h.name})")
 
 
@@ -373,15 +370,11 @@ def central_product(g: FinGroupJ, h: FinGroupJ) -> FinGroupJ:
         raise GroupValidationError("central product needs equal J orders")
     d = g.d
 
+    # (a J_G^k, b J_H^-k) for every k name one element; the least names it
+    shifts = [(g.j_power(k), h.j_power(-k)) for k in range(d)]
+
     def canonical(a, b):
-        best = (a, b)
-        x, y = a, b
-        for _ in range(d - 1):
-            x = g.mul(x, g.j)
-            y = h.mul(y, h.inv(h.j))
-            if (x, y) < best:
-                best = (x, y)
-        return best
+        return min((g.mul(a, x), h.mul(b, y)) for x, y in shifts)
 
     els = sorted({canonical(a, b) for a in range(g.n) for b in range(h.n)})
 
@@ -789,8 +782,7 @@ class CentralExtensionData:
                 if pi[g.mul(a, b)] != q.mul(pi[a], pi[b]):
                     raise GroupValidationError("projection is not a homomorphism")
         kernel = {a for a in range(g.n) if pi[a] == q.identity}
-        jspan = {g.j_power(k) for k in range(g.d)}
-        if kernel != jspan:
+        if kernel != set(g.j_powers):
             raise GroupValidationError("projection kernel is not <J>")
         for x in range(q.n):
             if pi[phi[x]] != x:
@@ -801,17 +793,13 @@ class CentralExtensionData:
 
 def quotient_by_j(g: FinGroupJ) -> CentralExtensionData:
     """Quotient by <J> with the minimal-index section (identity-preserving)."""
-    jspan = [g.j_power(k) for k in range(g.d)]
     coset_of: dict[int, int] = {}
     reps: list[int] = []
-    for x in range(g.n):
-        if x in coset_of:
-            continue
-        members = sorted(g.mul(x, z) for z in jspan)
-        rep_index = len(reps)
-        reps.append(members[0])
-        for mbr in members:
-            coset_of[mbr] = rep_index
+    for x in range(g.n):  # the least element of each coset comes first
+        if x not in coset_of:
+            for z in g.j_powers:
+                coset_of[g.mul(x, z)] = len(reps)
+            reps.append(x)
     # force the identity's coset to be index 0 with section value = identity
     e_coset = coset_of[g.identity]
     if e_coset != 0:
@@ -872,7 +860,7 @@ class GroupCocycle:
 
 def find_torsion_pair(g: GroupTable, p: int) -> Optional[tuple[int, int]]:
     """Noncommuting p-torsion g, h with g^-1 h also p-torsion (exhaustive)."""
-    tor = [x for x in range(g.n) if g.power(x, p) == g.identity]
+    tor = g.torsion(p)
     tor_set = set(tor)
     for a in tor:
         for b in tor:
@@ -890,14 +878,12 @@ def find_isomorphism(g: GroupTable, h: GroupTable,
         return None
     if g.n > 64:
         raise ValueError("iso search capped at order 64")
-    order_hist_g = sorted(g.order(x) for x in range(g.n))
-    order_hist_h = sorted(h.order(x) for x in range(h.n))
-    if order_hist_g != order_hist_h:
+    if sorted(g.orders) != sorted(h.orders):
         return None
 
     gens: list[int] = []
     generated = {g.identity}
-    for x in sorted(range(g.n), key=lambda t: -g.order(t)):
+    for x in sorted(range(g.n), key=lambda t: -g.orders[t]):
         if x not in generated:
             gens.append(x)
             frontier = list(generated | {x})
@@ -916,8 +902,8 @@ def find_isomorphism(g: GroupTable, h: GroupTable,
             break
 
     h_by_order: dict[int, list[int]] = {}
-    for y in range(h.n):
-        h_by_order.setdefault(h.order(y), []).append(y)
+    for y, k in enumerate(h.orders):
+        h_by_order.setdefault(k, []).append(y)
 
     def extend(images: list[int]) -> Optional[dict[int, int]]:
         # close the partial map generated by gens -> images
@@ -951,7 +937,7 @@ def find_isomorphism(g: GroupTable, h: GroupTable,
             return mapping
         # try all candidates for the next generator
         nxt_gen = gens[len(images)]
-        for cand in h_by_order.get(g.order(nxt_gen), []):
+        for cand in h_by_order.get(g.orders[nxt_gen], []):
             if fix_j and isinstance(g, FinGroupJ) and isinstance(h, FinGroupJ):
                 if nxt_gen == g.j and cand != h.j:
                     continue

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from dataclasses import dataclass, field
 from math import prod
 from typing import NamedTuple, Optional, Sequence
@@ -229,7 +230,7 @@ def k_group(g: FinGroupJ) -> KGroupData:
     tree_codes = np.full((len(tree), 3), -1, dtype=np.intp)
     tree_codes[:, 0] = firsts
     tor_arr = np.array(tor, dtype=np.intp)
-    t_at, u_at = np.nonzero(g.centralizer_matrix()[np.ix_(tor_arr, tor_arr)])
+    t_at, u_at = np.nonzero(g.centralizer_matrix[np.ix_(tor_arr, tor_arr)])
     src = np.repeat(np.arange(n), len(t_at))
     mid = table[src, np.tile(tor_arr[t_at], n)]
     dst = table[mid, np.tile(tor_arr[u_at], n)]
@@ -581,12 +582,18 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 10 ** 6
                  ) -> Optional[CosetTable]:
     """Enumerate cosets of the trivial subgroup; None means inconclusive.
 
+    A relator longer than max_cosets (x^e counts |e| letters) gives None
+    before its path is built, so memory stays bounded; the cost is that a
+    presentation whose other relators close that scan early is inconclusive.
+
     The completed table is the regular action: one permutation of the cosets
     per generator column. Coset c2 is reached from coset 0 along the word of
     a BFS tree over the columns, so the Cayley table's column c2 (c1 times
     c2) follows that word from every coset at once, one tree edge at a time.
     """
     k = pres.num_gens()
+    if any(sum(abs(e) for _, e in w) > max_cosets for w in pres.relators):
+        return None
     paths = [relator_to_path(w, k) for w in pres.relators if w]
     tc = TC(k, paths, max_cosets)
     if not tc.run():
@@ -762,7 +769,10 @@ def check_hom_rows(pres: Presentation, g: GroupTable,
             chunk = rows[lo:lo + step]
             x, y = chunk.take(left, axis=1), chunk.take(right, axis=1)
             fail(lo, table.take(x * n + y) != table.take(y * n + x), comms)
-    powers = g.memo(("check_powers", exps), power_rows)
+    cache = vars(g).setdefault("_check_powers", {})  # per exponent set
+    powers = cache.get(exps)
+    if powers is None:
+        powers = cache[exps] = power_rows()
     for rels, letters in buckets:
         step = max(1, CHECK_CELLS // len(rels))
         for lo in range(0, len(rows), step):
@@ -1076,19 +1086,14 @@ def _run_rows(plan: _Plan, g: FinGroupJ) -> Optional[list[tuple[int, ...]]]:
     result, as soon as the plan's leaf bound up to a step it reaches
     passes NUMPY_LEAF_BOUND: `_run_blocks` takes such plans."""
     table, ident = g.table, g.identity
-    inv, cent = g.power_row(-1), g.centralizer_masks()
+    inv, cent = g.power_row(-1), g.centralizer_masks
     k = len(plan)
     images = [ident] * k
     out: list[tuple[int, ...]] = []
     steps: list = [None] * k  # made when the search first gets there
 
-    # power_row is memoized per group, but a memo hit costs several times
-    # this dict's; a plan's thousands of letters share a few exponents
-    powers: dict = {}
-
     def letters(word):
-        return tuple((h, powers.get(e) or powers.setdefault(e, g.power_row(e)))
-                     for h, e in word)
+        return tuple((h, g.power_row(e)) for h, e in word)
 
     def make_step(i: int) -> bool:
         gen, dom, partners, force, checks = plan[i]
@@ -1155,7 +1160,7 @@ def _run_blocks(plan: _Plan, g: FinGroupJ) -> np.ndarray:
     forced with exponent +-1 has one candidate per row, so it gathers that
     candidate's domain and centralizer entries instead."""
     n, ident = g.n, g.identity
-    table, cent, inv = (g.table_array(), g.centralizer_matrix(),
+    table, cent, inv = (g.table_array(), g.centralizer_matrix,
                         g.power_array(-1))
     k = len(plan)
     pos = plan.pos
@@ -1347,14 +1352,12 @@ class ReductionMaps:
         """Sol(A,b;G) -> Sol(A_X,b_gamma;G): e_s -> prod_v e_v^{s(v)}, v
         ascending, for every solution row at once: one gather per column v
         of A covers every extracted column."""
-        table = g.table_array()
-        powers = np.array([g.power_array(e)
-                           for e in range(self.system.modulus)])
+        table, powers = g.table_array(), g.powers
         out = np.full((len(rows), len(self.exponents)), g.identity,
                       dtype=np.intp)
         for v, exps in enumerate(self.exponents.T):
             if exps.any():
-                out = table[out, powers[exps][:, rows[:, v]].T]
+                out = table[out, powers[exps % g.exponent][:, rows[:, v]].T]
         return out
 
     def pull_solutions(self, rows: np.ndarray, g: FinGroupJ) -> np.ndarray:
@@ -1529,14 +1532,13 @@ def theorem_iso_check(x: TruncatedSSet, gamma, d: int,
     # pin: e_1 = e_{(1, s0 basepoint)} on the p1 side
     e1_tok = ((1,), x.simplices[1][x.deg_pos[0][0][0]])
     e1_gen = edge_idx[e1_tok]
+    # generator k of p1 goes to J^a h(e_tau), with (a, tau) its token
+    tokens = [xg_tokens[k] for k in range(p1.num_gens())]
+    j_exps = np.array([a_vec[0] for a_vec, _ in tokens], dtype=np.intp)
+    cols = [col_pos[tau] for _, tau in tokens]
     for g in test_groups:
         rows2 = _hom_rows(p2, g, pin_j=True)
-        # generator k of p1 goes to J^a h(e_tau), with (a, tau) its token
-        jpow, cols = [], []
-        for k in range(p1.num_gens()):
-            a_vec, tau = xg_tokens[k]
-            jpow.append(g.j_power(a_vec[0] % g.d))
-            cols.append(col_pos[tau])
+        jpow = np.take(g.j_powers, j_exps % g.d)
         rows1 = g.table_array()[jpow, rows2[:, cols]]
         check_hom_rows(p1, g, rows1)  # every transported hom, in full
         if (rows1[:, e1_gen] != g.j).any():
@@ -1563,11 +1565,7 @@ def opposite_word_check(table: CosetTable, gen_elements: Sequence[int],
     For odd d the report must contain no violations (a != 0 forces w != J^a w^op).
     """
     g = table.group
-    j_pows = {}
-    acc = g.identity
-    for a in range(d):
-        j_pows[acc] = a
-        acc = g.mul(acc, j_element)
+    j_pows = {g.power(j_element, a): a for a in range(d)}
     checked = 0
     matches = 0
     violations = []
@@ -1593,8 +1591,10 @@ def opposite_word_check(table: CosetTable, gen_elements: Sequence[int],
 # --------------------------------------------------------- presentation files
 
 def parse_presentation(text: str) -> Presentation:
-    """`gens: a b J` then `rel:` lines (`a^2`, `[a,b]`, `a b J^-1`)."""
+    """`gens: a b J` then `rel:` lines (`a^2`, `[a,b]`, `a b J^-1`). A
+    malformed line raises ValueError naming the line."""
     gens: list[str] = []
+    idx: Optional[dict[str, int]] = None   # set by the `gens:` line
     rels: list[Word] = []
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#")[0].strip()
@@ -1602,22 +1602,27 @@ def parse_presentation(text: str) -> Presentation:
             continue
         if line.startswith("gens:"):
             gens = line[len("gens:"):].split()
+            idx = {g: i for i, g in enumerate(gens)}
             continue
         if not line.startswith("rel:"):
             raise ValueError(f"line {num}: expected `gens:` or `rel:`")
+        if idx is None:
+            raise ValueError(f"line {num}: `rel:` before `gens:`")
         body = line[len("rel:"):].strip()
-        idx = {g: i for i, g in enumerate(gens)}
         if body.startswith("[") and body.endswith("]"):
-            a, b = (s.strip() for s in body[1:-1].split(","))
-            rels.append(commutator_word(idx[a], idx[b]))
+            pair = [idx.get(s.strip()) for s in body[1:-1].split(",")]
+            if len(pair) != 2 or None in pair:
+                raise ValueError(f"line {num}: expected [a,b] on two "
+                                 f"generators, got {body!r}")
+            rels.append(commutator_word(*pair))
             continue
         word = []
-        for tokstr in body.split():
-            if "^" in tokstr:
-                name, e = tokstr.split("^")
-                word.append((idx[name], int(e)))
-            else:
-                word.append((idx[tokstr], 1))
+        for tok in body.split():
+            m = re.fullmatch(r"([^^]+)(?:\^([-+]?\d+))?", tok)
+            if m is None or m[1] not in idx:
+                raise ValueError(f"line {num}: expected a generator, or one "
+                                 f"to an integer power, got {tok!r}")
+            word.append((idx[m[1]], int(m[2] or 1)))
         rels.append(word_simplify(word))
     j_name = "J" if "J" in gens else None
     return Presentation(tuple(gens), tuple(rels), j_name)

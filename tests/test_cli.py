@@ -270,6 +270,20 @@ def test_solgroup_above_max_order_is_inconclusive(tmp_path, capsys):
     assert rep["results"]["abelianization"]["torsion"] == [65, 65]
 
 
+def test_solgroup_relator_longer_than_the_cap_is_inconclusive(tmp_path,
+                                                               capsys):
+    # e0^(10^12) and J^(10^12) are longer than any coset cap: inconclusive
+    # at once, not a MemoryError
+    path = tmp_path / "huge.lcs"
+    path.write_text("1000000000000 1 1\n1\n0\n")
+    assert main(["solgroup", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rep = json.loads(captured.out)
+    assert rep["results"]["todd_coxeter"] == "inconclusive"
+    assert rep["results"]["abelianization"]["torsion"] == [10 ** 12]
+
+
 def test_realize_example_215(capsys):
     code = main(["realize", "--builtin", "two-vertex", "--b", "1", "0"])
     assert code == 0

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -574,6 +575,18 @@ def test_distribution_roundtrip():
     blob = dump_distribution(p)
     q = parse_distribution(host, 2, blob)
     assert q.dists == p.dists
+
+
+@pytest.mark.parametrize("line, message", [
+    ("((0, 0),) 0 1/0", "line 3: weight '1/0' is not a fraction p/q"),
+    ("((0, 0),) 0 1/2/3", "line 3: weight '1/2/3' is not a fraction p/q"),
+    ("((0, 0),) x 1/1", "line 3: outcome 'x' is not integers"),
+    ("((0, 0),) 0 one", "line 3: weight 'one' is not a fraction p/q"),
+])
+def test_distribution_errors_name_their_line(line, message):
+    host = host_of(two_vertex_system((0, 0)))
+    with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+        parse_distribution(host, 2, f"() - 1/1\n# comment\n{line}\n")
 
 
 def test_verdict_report_shapes():

@@ -127,6 +127,14 @@ def test_tc_above_max_order_is_inconclusive():
     assert todd_coxeter(z65sq) is None
 
 
+def test_tc_relator_longer_than_the_cap_is_inconclusive():
+    # a^(10^12) is refused before its 10^12-letter path is built
+    assert todd_coxeter(make_presentation(["a"], [[("a", 10 ** 12)]])) is None
+    z5 = make_presentation(["a"], [[("a", 5)]])
+    assert todd_coxeter(z5, max_cosets=5).order == 5
+    assert todd_coxeter(z5, max_cosets=4) is None
+
+
 # ------------------------------------------------------------ solution group
 
 def test_solution_group_j_commutes_with_zero_columns():
@@ -1570,6 +1578,20 @@ def test_presentation_file_roundtrip():
     blob = dump_presentation(p)
     p2 = parse_presentation(blob)
     assert p2.relators == p.relators
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gens: a\nrel: b\n", "line 2: expected a generator, or one to an "
+                            "integer power, got 'b'"),
+    ("rel: a\ngens: a\n", "line 1: `rel:` before `gens:`"),
+    ("gens: a\n\nrel: a^x\n", "line 3: expected a generator, or one to an "
+                               "integer power, got 'a^x'"),
+    ("gens: a\nrel: [a]\n", "line 2: expected [a,b] on two generators, "
+                             "got '[a]'"),
+])
+def test_presentation_errors_name_their_line(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_presentation(text)
 
 
 def test_abelianization_free_torsion():
