@@ -6,7 +6,7 @@ here for interactive use.
 """
 
 from .groups import FinGroupJ, build_group, quotient_by_j
-from .linsys import LinearSystem, k33_system, load_lcs, parse_lcs, write_lcs
+from .linsys import LinearSystem, k33_system, parse_lcs, write_lcs
 from .presentations import (Presentation, enumerate_homs, solution_group,
                             solutions, todd_coxeter)
 from .simplicial import TruncatedSSet, comm_nerve, k33_torus_fixture, nerve
@@ -16,6 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FinGroupJ", "LinearSystem", "Presentation", "TruncatedSSet",
     "build_group", "comm_nerve", "enumerate_homs", "k33_system",
-    "k33_torus_fixture", "load_lcs", "nerve", "parse_lcs", "quotient_by_j",
+    "k33_torus_fixture", "nerve", "parse_lcs", "quotient_by_j",
     "solution_group", "solutions", "todd_coxeter", "write_lcs",
 ]

@@ -73,11 +73,17 @@ def _at_least(value: int, option: str, low: int) -> int:
     return value
 
 
-def _load_system(path: str) -> linsys.LinearSystem:
+def _read(path: str, parse):
+    """parse(the text of the file at path). A file that cannot be read, or
+    whose text parse rejects with a ValueError, is an input error naming
+    path."""
     try:
-        return linsys.load_lcs(path)
+        with open(path) as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -86,11 +92,8 @@ def _load_system(path: str) -> linsys.LinearSystem:
 
 def cmd_solve(args) -> int:
     max_witnesses = _at_least(args.max_witnesses, "--max-witnesses", 0)
-    sys_ = _load_system(args.system)
-    try:
-        g = build_group(args.group)
-    except GroupValidationError as exc:
-        raise InputError(str(exc)) from exc
+    sys_ = _read(args.system, linsys.parse_lcs)
+    g = build_group(args.group)
     if g.d != sys_.modulus:
         raise InputError(
             f"group J-order {g.d} does not match system modulus {sys_.modulus}")
@@ -110,7 +113,7 @@ def cmd_solve(args) -> int:
 
 def cmd_solgroup(args) -> int:
     cap = _at_least(args.todd_coxeter_cap, "--todd-coxeter-cap", 1)
-    sys_ = _load_system(args.system)
+    sys_ = _read(args.system, linsys.parse_lcs)
     pres = presentations.solution_group(sys_)
     torsion, rank = presentations.abelianization(pres)
     table = presentations.todd_coxeter(pres, max_cosets=cap)
@@ -139,47 +142,28 @@ def cmd_solgroup(args) -> int:
 
 def cmd_realize(args) -> int:
     d = _at_least(args.d, "--d", 2)
-    cap = _at_least(args.cap, "--cap", 2)
-    if args.builtin:
-        want = {"two-vertex": 2, "k33": len(simplicial.K33_TRIANGLES)}
-        if args.b and len(args.b) != want[args.builtin]:
-            raise InputError(f"--builtin {args.builtin} takes "
-                             f"{want[args.builtin]} --b values, "
-                             f"got {len(args.b)}")
-        if args.builtin == "two-vertex":
-            b = args.b if args.b else [1, 0]
-            gam, host = cohomology.gamma_b(
-                linsys.two_vertex_system(b, d), cap=cap)
-            extracted = cohomology.extract_linear_system(host, gam)
-        else:
-            fx = simplicial.k33_torus_fixture(cap=cap)
-            b = args.b if args.b else [0, 0, 0, 0, 0, 1]
-            values = {fx.triangles[lbl]: v
-                      for lbl, v in zip(simplicial.K33_TRIANGLES, b)}
-            gam = cohomology.cochain(fx.space, 2, d, values=values)
-            extracted = cohomology.extract_linear_system(
-                fx.space, gam, nondegenerate_only=True)
+    want = {"two-vertex": 2, "k33": len(simplicial.K33_TRIANGLES)}
+    if args.builtin and args.b and len(args.b) != want[args.builtin]:
+        raise InputError(f"--builtin {args.builtin} takes "
+                         f"{want[args.builtin]} --b values, got {len(args.b)}")
+    if args.builtin == "k33":
+        fx = simplicial.k33_torus_fixture(cap=2)
+        b = args.b or [0, 0, 0, 0, 0, 1]
+        values = {fx.triangles[lbl]: v
+                  for lbl, v in zip(simplicial.K33_TRIANGLES, b)}
+        gam = cohomology.cochain(fx.space, 2, d, values=values)
+        extracted = cohomology.extract_linear_system(
+            fx.space, gam, nondegenerate_only=True)
     else:
-        if not (args.sset and args.cochain):
+        if args.builtin:
+            gam, host = cohomology.gamma_b(
+                linsys.two_vertex_system(args.b or [1, 0], d), cap=2)
+        elif args.sset and args.cochain:
+            host = _read(args.sset, simplicial.load_sset)
+            gam = _read(args.cochain,
+                        lambda text: cohomology.parse_cochain(host, 2, d, text))
+        else:
             raise InputError("realize needs --builtin or --sset with --cochain")
-        try:
-            with open(args.sset) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {args.sset}: {exc}") from exc
-        try:
-            host = simplicial.load_sset(text)
-        except ValueError as exc:
-            raise InputError(f"{args.sset}: {exc}") from exc
-        try:
-            with open(args.cochain) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {args.cochain}: {exc}") from exc
-        try:
-            gam = cohomology.parse_cochain(host, 2, d, text)
-        except cohomology.CochainError as exc:
-            raise InputError(f"bad cochain file: {exc}") from exc
         extracted = cohomology.extract_linear_system(host, gam)
     sys.stdout.write(linsys.write_lcs(extracted))
     return EXIT_PASS
@@ -436,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_re.add_argument("--b", type=int, nargs="*", default=None,
                       help="b values for the builtin cochain")
     p_re.add_argument("--d", type=int, default=2)
-    p_re.add_argument("--cap", type=int, default=2,
-                      help="simplicial truncation cap for the realization")
     p_re.set_defaults(fn=cmd_realize)
 
     p_rp = sub.add_parser("reproduce", help="run a reproduction scenario")

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import CentralExtensionData, GroupCocycle
-from .linsys import LinearSystem
+from .linsys import LinearSystem, data_lines
 from .simplicial import (CochainError, SMap, TruncatedSSet, _face_incidence,
                          _face_sum, bar_comm_nerve, bar_nzd_sigma)
 from .zmod import ZModMatrix, howell_form, kernel_basis, solve
@@ -218,9 +218,11 @@ def extract_linear_system(x: TruncatedSSet, gamma: Cochain,
 
 # ------------------------------------------------------------ cochain file I/O
 
-def parse_cochain(host: TruncatedSSet, degree: int, modulus: int, text: str,
-                  resolve: Optional[dict] = None) -> Cochain:
-    """Lines `simplex-id value`; unlisted simplices default to 0."""
+def parse_cochain(host: TruncatedSSet, degree: int, modulus: int,
+                  text: str) -> Cochain:
+    """Lines `simplex-id value`; unlisted simplices default to 0. A line
+    whose simplex an earlier line already gave a value raises, naming both
+    lines."""
     if degree > host.cap:
         raise CochainError(f"a degree-{degree} cochain needs simplices of "
                            f"degree {degree}, above the host's cap "
@@ -229,19 +231,17 @@ def parse_cochain(host: TruncatedSSet, degree: int, modulus: int, text: str,
     for tok in host.simplices[degree]:
         if isinstance(tok, str):
             by_repr.setdefault(tok, tok)
-    vals = {}
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
+    vals, line_of = {}, {}
+    for num, line in data_lines(text):
         ident, _, val = line.rpartition(" ")
         ident = ident.strip()
-        if resolve and ident in resolve:
-            tok = resolve[ident]
-        elif ident in by_repr:
-            tok = by_repr[ident]
-        else:
+        if ident not in by_repr:
             raise CochainError(f"line {num}: unknown simplex id {ident!r}")
+        tok = by_repr[ident]
+        first = line_of.setdefault(tok, num)
+        if first != num:
+            raise CochainError(f"line {num}: simplex {tok!r} already has "
+                               f"a value, on line {first}")
         try:
             vals[tok] = int(val)
         except ValueError as exc:
@@ -249,10 +249,8 @@ def parse_cochain(host: TruncatedSSet, degree: int, modulus: int, text: str,
     return cochain(host, degree, modulus, values=vals)
 
 
-def dump_cochain(gamma: Cochain, names: Optional[dict] = None) -> str:
+def dump_cochain(gamma: Cochain) -> str:
     """Inverse of parse_cochain; zero values are omitted."""
-    names = names or {}
-    rev = {tok: name for name, tok in names.items()}
-    lines = [f"{rev.get(tok, repr(tok))} {v}" for tok, v in
+    lines = [f"{tok!r} {v}" for tok, v in
              zip(gamma.host.simplices[gamma.degree], gamma.values) if v]
     return "\n".join(lines) + ("\n" if lines else "")

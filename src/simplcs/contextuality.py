@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linsys import LinearSystem
+from .linsys import LinearSystem, data_lines
 from .simplicial import (TruncatedSSet, _face_incidence, complex_of_system,
                          nerve, nzd_sigma)
 from .zmod import ZModMatrix, kernel_basis
@@ -1038,16 +1038,15 @@ def dump_distribution(p: SimplicialDistribution) -> str:
 
 def parse_distribution(host: TruncatedSSet, d: int, text: str
                        ) -> SimplicialDistribution:
-    """`dump_distribution`'s lines; DistributionError names a bad line."""
+    """`dump_distribution`'s lines; DistributionError names a bad line,
+    and both lines of a repeated (simplex, outcome)."""
     by_repr = {}
     for n in range(min(host.cap, 2) + 1):
         for tok in host.simplices[n]:
             by_repr[repr(tok)] = (n, tok)
     acc: dict = {}
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
+    line_of: dict = {}
+    for num, line in data_lines(text):
         head, _, frac = line.rpartition(" ")
         ident, _, csv = head.rpartition(" ")
         if ident not in by_repr:
@@ -1064,6 +1063,11 @@ def parse_distribution(host: TruncatedSSet, d: int, text: str
         except (ValueError, ZeroDivisionError):
             raise DistributionError(
                 f"line {num}: weight {frac!r} is not a fraction p/q") from None
+        first = line_of.setdefault((n, tok, theta_out), num)
+        if first != num:
+            raise DistributionError(
+                f"line {num}: simplex {ident} with outcome {csv} already "
+                f"has a weight, on line {first}")
         acc.setdefault((n, tok), {})[theta_out] = value
     dists = {key: RationalDist.from_dict(v) for key, v in acc.items()}
     return SimplicialDistribution(host, d, dists)

@@ -19,6 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .linsys import data_lines
+
 MAX_ORDER = 4096
 
 
@@ -290,9 +292,8 @@ def cyclic(n: int, jorder: Optional[int] = None) -> FinGroupJ:
         jorder = n
     if n % jorder:
         raise GroupValidationError(f"jorder {jorder} does not divide {n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    j = 1 % n if jorder == n else (n // jorder) % n
-    return FinGroupJ(table, 0, j, jorder,
+    a = np.arange(n, dtype=np.intp)
+    return FinGroupJ((a[:, None] + a) % n, 0, n // jorder % n, jorder,
                      name=f"cyclic:{n}" + ("" if jorder == n else f":{jorder}"))
 
 
@@ -711,16 +712,15 @@ def _family(head: str, rest: list[str]
 
 def load_cayley(path: str) -> FinGroupJ:
     """Cayley file: first line `n d identity_idx J_idx`, then n rows of n
-    indices; `#` starts a comment. A malformed file raises
+    indices, in `data_lines`' convention. A malformed file raises
     GroupValidationError naming the line."""
     try:
         with open(path) as fh:
-            lines = [(num, ln.split("#")[0].split())
-                     for num, ln in enumerate(fh, start=1)]
+            text = fh.read()
     except OSError as exc:
         raise GroupValidationError(
             f"cannot read cayley file {path!r}: {exc.strerror}") from exc
-    lines = [(num, fields) for num, fields in lines if fields]
+    lines = [(num, line.split()) for num, line in data_lines(text)]
     if not lines:
         raise GroupValidationError("cayley file has no header line")
 
@@ -871,14 +871,18 @@ def find_torsion_pair(g: GroupTable, p: int) -> Optional[tuple[int, int]]:
 
 # ------------------------------------------------------------ iso search
 
-def find_isomorphism(g: GroupTable, h: GroupTable,
-                     fix_j: bool = False) -> Optional[dict[int, int]]:
-    """Brute-force isomorphism search (intended for order <= 64)."""
+def find_isomorphism(g: GroupTable, h: GroupTable
+                     ) -> Optional[dict[int, int]]:
+    """Brute-force isomorphism search (intended for order <= 64). When both
+    groups carry a J, the isomorphism maps J to J."""
     if g.n != h.n:
         return None
     if g.n > 64:
         raise ValueError("iso search capped at order 64")
     if sorted(g.orders) != sorted(h.orders):
+        return None
+    pin_j = isinstance(g, FinGroupJ) and isinstance(h, FinGroupJ)
+    if pin_j and g.orders[g.j] != h.orders[h.j]:
         return None
 
     gens: list[int] = []
@@ -938,15 +942,13 @@ def find_isomorphism(g: GroupTable, h: GroupTable,
         # try all candidates for the next generator
         nxt_gen = gens[len(images)]
         for cand in h_by_order.get(g.orders[nxt_gen], []):
-            if fix_j and isinstance(g, FinGroupJ) and isinstance(h, FinGroupJ):
-                if nxt_gen == g.j and cand != h.j:
-                    continue
+            if pin_j and nxt_gen == g.j and cand != h.j:
+                continue
             res = extend(images + [cand])
             if res is not None:
                 return res
         return None
 
-    if fix_j and isinstance(g, FinGroupJ) and isinstance(h, FinGroupJ):
-        if g.j not in gens and g.j != g.identity:
-            gens.insert(0, g.j)
+    if pin_j and g.j not in gens and g.j != g.identity:
+        gens.insert(0, g.j)
     return extend([])

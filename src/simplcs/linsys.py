@@ -133,13 +133,17 @@ def make_system(rows: Sequence[Sequence[int]], rhs: Sequence[int], d: int,
 
 # ------------------------------------------------------------------ .lcs I/O
 
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, content) of each line of text that holds data: `#`
+    starts a comment, and blank lines are skipped. Every line format of the
+    package reads its text through this."""
+    return [(num, line) for num, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#")[0].strip())]
+
+
 def parse_lcs(text: str) -> LinearSystem:
-    """`.lcs`: line 1 `d r c`, then r matrix rows, final line b; `#` comments."""
-    lines = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#")[0].strip()
-        if stripped:
-            lines.append((num, stripped))
+    """`.lcs`: line 1 `d r c`, then r matrix rows, final line b."""
+    lines = data_lines(text)
     if not lines:
         raise ValueError("empty .lcs input")
     num, head = lines[0]
@@ -177,11 +181,6 @@ def parse_lcs(text: str) -> LinearSystem:
     except ValueError as exc:
         raise ValueError(f"line {num}: non-integer b entry") from exc
     return LinearSystem(ZModMatrix(rows, d, num_cols=c), tuple(rhs))
-
-
-def load_lcs(path: str) -> LinearSystem:
-    with open(path) as fh:
-        return parse_lcs(fh.read())
 
 
 def write_lcs(sys_: LinearSystem) -> str:

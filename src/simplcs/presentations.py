@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .groups import MAX_ORDER, FinGroupJ, GroupTable
-from .linsys import ARRAY_ROWS, LinearSystem
+from .linsys import ARRAY_ROWS, LinearSystem, data_lines
 from .simplicial import BASEPOINT, TruncatedSSet, twisted_product
 from .zmod import smith_normal_form
 
@@ -1592,16 +1592,18 @@ def opposite_word_check(table: CosetTable, gen_elements: Sequence[int],
 
 def parse_presentation(text: str) -> Presentation:
     """`gens: a b J` then `rel:` lines (`a^2`, `[a,b]`, `a b J^-1`). A
-    malformed line raises ValueError naming the line."""
+    malformed line, or a second `gens:` line, raises ValueError naming the
+    line."""
     gens: list[str] = []
     idx: Optional[dict[str, int]] = None   # set by the `gens:` line
+    gens_line = 0
     rels: list[Word] = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
+    for num, line in data_lines(text):
         if line.startswith("gens:"):
-            gens = line[len("gens:"):].split()
+            if idx is not None:
+                raise ValueError(f"line {num}: a second `gens:` line, "
+                                 f"after line {gens_line}")
+            gens, gens_line = line[len("gens:"):].split(), num
             idx = {g: i for i, g in enumerate(gens)}
             continue
         if not line.startswith("rel:"):

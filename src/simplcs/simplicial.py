@@ -914,20 +914,20 @@ def cells_sset(cap: int, cells: dict[int, dict[str, tuple]]) -> TruncatedSSet:
                       lambda n, j, t: apply_deg(j, t))
 
 
-def load_sset(data) -> TruncatedSSet:
+def load_sset(text: str) -> TruncatedSSet:
     """Load the explicit JSON schema; identities are validated.
 
     Simplex ids are JSON strings, like the table keys that look them up. A
     missing key, a key not of its form, a value of the wrong JSON type, a
-    negative cap and text nested too deeply to decode raise ValueError
-    naming what is wrong. Every face and degeneracy table up to the cap is
-    looked for before any degree is built, so the first one missing is
-    reported whatever the cap."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply to decode") from None
+    negative cap, a repeated object key or simplex id and text nested too
+    deeply to decode raise ValueError naming what is wrong. Every face and
+    degeneracy table up to the cap is looked for before any degree is
+    built, so the first one missing is reported whatever the cap."""
+    try:
+        data = json.loads(text, object_pairs_hook=lambda pairs: _unique(
+            pairs, "a JSON object has the key"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
     _json_shape(data, "object", "the top level")
     for key in ("cap", "simplices"):
         if key not in data:
@@ -939,9 +939,10 @@ def load_sset(data) -> TruncatedSSet:
     for k, toks in _json_shape(data["simplices"], "object",
                                "'simplices'").items():
         where = f"'simplices'[{k!r}]"
-        degrees[_int_key(k, "n", "'simplices'")[0]] = [
-            _json_shape(t, "string", f"an entry of {where}")
-            for t in _json_shape(toks, "array", where)]
+        ids = [_json_shape(t, "string", f"an entry of {where}")
+               for t in _json_shape(toks, "array", where)]
+        degrees[_int_key(k, "n", "'simplices'")[0]] = list(
+            _unique(zip(ids, ids), f"{where} lists"))
     tables: dict = {"faces": {}, "degeneracies": {}}
     for name, out in tables.items():
         for key, table in _json_shape(data.get(name, {}), "object",
@@ -966,15 +967,26 @@ def load_sset(data) -> TruncatedSSet:
     return build_sset(cap, degrees, lookup("faces"), lookup("degeneracies"))
 
 
+def _unique(pairs: Iterable[tuple], what: str) -> dict:
+    """dict(pairs); a key given twice raises ValueError `<what> <key> twice`."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"{what} {key!r} twice")
+        out[key] = value
+    return out
+
+
 def _int_key(key: str, form: str, where: str) -> tuple[int, ...]:
-    """The integers of a JSON key of the form `form` ("n" or "n,i")."""
-    parts = key.split(",")
-    if len(parts) == len(form.split(",")):
-        try:
-            return tuple(map(int, parts))
-        except ValueError:
-            pass
-    raise ValueError(f"{where} key {key!r} is not of the form {form}")
+    """The integers of a JSON key of the form `form` ("n" or "n,i"), written
+    as `str` writes them, so that no two keys name one degree or map."""
+    try:
+        values = tuple(map(int, key.split(",")))
+    except ValueError:
+        values = ()
+    if len(values) != form.count(",") + 1 or ",".join(map(str, values)) != key:
+        raise ValueError(f"{where} key {key!r} is not of the form {form}")
+    return values
 
 
 def _json_shape(value, want: str, where: str):

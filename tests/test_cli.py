@@ -330,16 +330,6 @@ def test_realize_modulus_below_two(capsys, builtin, d):
     assert f"--d must be at least 2, got {d}" in captured.err
 
 
-@pytest.mark.parametrize("builtin, cap", [
-    ("two-vertex", "1"), ("two-vertex", "0"), ("k33", "-5"),
-])
-def test_realize_cap_below_two(capsys, builtin, cap):
-    assert main(["realize", "--builtin", builtin, "--cap", cap]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"--cap must be at least 2, got {cap}" in captured.err
-
-
 def test_realize_from_files(tmp_path, capsys):
     from simplcs.simplicial import cells_sset, dump_sset
     x = cells_sset(2, {0: {"v": ()}, 1: {"e": ("v", "v")},
@@ -470,9 +460,41 @@ def test_realize_cochain_above_the_cap(tmp_path, capsys):
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("bad cochain file: a degree-2 cochain needs simplices of "
+    assert (f"{cochain_path}: a degree-2 cochain needs simplices of "
             "degree 2, above the host's cap 1") in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_realize_repeated_cochain_line_is_input_error(tmp_path, capsys):
+    from simplcs.simplicial import cells_sset, dump_sset
+    x = cells_sset(2, {0: {"v": ()}, 1: {"e": ("v", "v")},
+                       2: {"t": ("e", "e", ((0,), "v"))}})
+    sset_path = tmp_path / "x.json"
+    sset_path.write_text(dump_sset(x))
+    cochain_path = tmp_path / "g.cochain"
+    cochain_path.write_text("((), 't') 1\n((), 't') 0\n")
+    code = main(["realize", "--sset", str(sset_path),
+                 "--cochain", str(cochain_path), "--d", "2"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # a loaded set's simplex ids are strings
+    assert captured.err == (f"input error: {cochain_path}: line 2: simplex "
+                            "\"((), 't')\" already has a value, on line 1\n")
+
+
+def test_realize_duplicate_sset_key_is_input_error(tmp_path, capsys):
+    sset_path = tmp_path / "x.json"
+    sset_path.write_text('{"cap": 0, "simplices": {"0": ["a"]}, '
+                         '"simplices": {"0": ["b"]}}')
+    cochain_path = tmp_path / "g.cochain"
+    cochain_path.write_text("")
+    code = main(["realize", "--sset", str(sset_path),
+                 "--cochain", str(cochain_path), "--d", "2"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"input error: {sset_path}: a JSON object has the key "
+        "'simplices' twice\n")
 
 
 def test_reproduce_unknown_scenario(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from simplcs.presentations import (commutator_word, pi1, pi1_commutative,
                                    reduction_maps, word_simplify)
 from simplcs.simplicial import (BASEPOINT, K33_FUNDAMENTAL_CYCLE, SMap,
                                 _face_incidence, _face_sum, bar_comm_nerve,
-                                bar_nzd_sigma, cells_sset, comm_nerve,
-                                complex_of_system, dump_sset,
+                                bar_nzd_sigma, build_sset, cells_sset,
+                                comm_nerve, complex_of_system, dump_sset,
                                 k33_torus_fixture, nerve, nzd_sigma,
                                 power_map_s, random_truncated_sset,
                                 twisted_iso, wedge_nzd, wedge_subset_of_nzd)
@@ -240,9 +241,6 @@ def test_cochain_rejects_stray_keys():
     # a simplex of another degree is a stray too
     with pytest.raises(CochainError, match=r"\(1,\) is not a degree-2"):
         cochain(x, 2, 2, values={(1, 1): 1, (1,): 1})
-    # parse_cochain's resolve targets pass the same check
-    with pytest.raises(CochainError, match="is not a degree-2 simplex"):
-        parse_cochain(x, 2, 2, "t 1\n", resolve={"t": (1,)})
 
 
 # Cochains and simplicial maps are held by position; the definitions on
@@ -731,10 +729,9 @@ def test_scaled_classes_differ_on_fixture_odd_d():
 def test_cochain_file_roundtrip():
     fx = k33_torus_fixture()
     g = fixture_cochain(fx, {"sigma2": 1, "sigma5": 1}, 2)
-    names = {lbl: tok for lbl, tok in fx.triangles.items()}
-    blob = dump_cochain(g, names=names)
-    assert "sigma2 1" in blob
-    back = parse_cochain(fx.space, 2, 2, blob, resolve=names)
+    blob = dump_cochain(g)
+    assert f"{fx.triangles['sigma2']!r} 1" in blob
+    back = parse_cochain(fx.space, 2, 2, blob)
     assert back.values == g.values
 
 
@@ -742,3 +739,18 @@ def test_parse_cochain_unknown_id():
     fx = k33_torus_fixture()
     with pytest.raises(CochainError):
         parse_cochain(fx.space, 2, 2, "nonsense 1\n")
+
+
+def test_parse_cochain_repeated_simplex_names_both_lines():
+    fx = k33_torus_fixture()
+    tok = fx.triangles["sigma2"]
+    text = f"{tok!r} 1\n# the same simplex again\n{tok!r} 0\n"
+    with pytest.raises(CochainError, match=re.escape(
+            f"line 3: simplex {tok!r} already has a value, on line 1")):
+        parse_cochain(fx.space, 2, 2, text)
+    # a string simplex written bare and as its repr is one simplex
+    point = build_sset(2, {0: ["v"], 1: ["e"], 2: ["t"]},
+                       lambda n, i, t: "ve"[n - 1], lambda n, j, t: "et"[n])
+    with pytest.raises(CochainError, match=re.escape(
+            "line 2: simplex 't' already has a value, on line 1")):
+        parse_cochain(point, 2, 2, "t 1\n't' 1\n")

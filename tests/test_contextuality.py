@@ -589,6 +589,22 @@ def test_distribution_errors_name_their_line(line, message):
         parse_distribution(host, 2, f"() - 1/1\n# comment\n{line}\n")
 
 
+def test_distribution_repeated_outcome_names_both_lines():
+    host = host_of(two_vertex_system((0, 0)))
+    dets = enumerate_deterministic(host, 2)
+    blob = dump_distribution(theta({f: Fraction(1, len(dets)) for f in dets}))
+    lines = blob.splitlines()
+    again = lines.index("() - 1/1") + 2
+    with pytest.raises(DistributionError, match=re.escape(
+            f"line {again}: simplex () with outcome - already has a "
+            f"weight, on line 1")):
+        parse_distribution(host, 2, "() - 1/3\n" + blob)
+    # the outcome is compared as integers, not as it is written
+    line = next(ln for ln in lines if ln.startswith("((0, 0),) 0 "))
+    with pytest.raises(DistributionError, match="on line 1$"):
+        parse_distribution(host, 2, line.replace(" 0 ", " 00 ") + "\n" + blob)
+
+
 def test_verdict_report_shapes():
     host = host_of(two_vertex_system((0, 0)))
     dets = enumerate_deterministic(host, 2)

@@ -476,15 +476,28 @@ def test_d8_q8_not_isomorphic_but_cp_orders_match():
     assert find_isomorphism(dihedral(8), dihedral(8)) is not None
     # D8*D8 and Q8*Q8 are isomorphic (both 2^{1+4}_+)
     iso = find_isomorphism(central_product(dihedral(8), dihedral(8)),
-                           central_product(quaternion(), quaternion()),
-                           fix_j=True)
+                           central_product(quaternion(), quaternion()))
     assert iso is not None
 
 
 def test_heisenberg_is_extraspecial_plus():
     h = heisenberg(3)
     e = extraspecial(3, 1, "+")
-    assert find_isomorphism(h, e, fix_j=True) is not None
+    assert find_isomorphism(h, e) is not None
+
+
+def test_cyclic_table_is_the_formula():
+    for n in range(1, 13):
+        a = np.arange(n)
+        for jorder in (k for k in range(1, n + 1) if n % k == 0):
+            g = cyclic(n, jorder)
+            assert np.array_equal(g.table_array(), (a[:, None] + a) % n)
+            # J is n / jorder, of order jorder
+            assert (g.j, g.d, g.order(g.j)) == (n // jorder % n, jorder, jorder)
+    g = cyclic(MAX_ORDER)
+    a = np.arange(MAX_ORDER)
+    assert np.array_equal(g.table_array(), (a[:, None] + a) % MAX_ORDER)
+    assert (g.j, g.d) == (1, MAX_ORDER)
 
 
 def test_quotient_by_j_examples():
@@ -560,7 +573,7 @@ def test_find_torsion_pair_e19_and_wreath():
 def test_build_e1_orders():
     e = build_e1(3, 1)
     assert e.n == 27
-    assert find_isomorphism(e, extraspecial(3, 1, "+"), fix_j=True) is not None
+    assert find_isomorphism(e, extraspecial(3, 1, "+")) is not None
     big = build_e1(3, 2)
     assert big.n == 243  # 9^3/9 diag values x 3 shifts
     assert big.order(big.j) == 3

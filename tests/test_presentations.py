@@ -1594,6 +1594,13 @@ def test_presentation_errors_name_their_line(text, message):
         parse_presentation(text)
 
 
+def test_presentation_second_gens_line_names_both_lines():
+    text = "gens: a b\nrel: a^2\n\ngens: c\nrel: c^2\n"
+    with pytest.raises(ValueError, match=re.escape(
+            "line 4: a second `gens:` line, after line 1")):
+        parse_presentation(text)
+
+
 def test_abelianization_free_torsion():
     p = make_presentation(["a", "b", "c"], [[("a", 3)], [("b", 3)], [("c", 3)]])
     assert abelianization(p) == ([3, 3, 3], 0)

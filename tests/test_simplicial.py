@@ -656,3 +656,27 @@ def test_load_sset_rejects_bad_identities():
     }
     with pytest.raises(SimplicialValidationError):
         load_sset(json.dumps(blob))
+
+
+@pytest.mark.parametrize("blob, message", [
+    ('{"cap": 0, "simplices": {"0": ["a"]}, "simplices": {"0": ["b"]}}',
+     "a JSON object has the key 'simplices' twice"),
+    ('{"cap": 0, "simplices": {"0": ["a"], "0": ["b"]}}',
+     "a JSON object has the key '0' twice"),
+    ('{"cap": 0, "simplices": {"0": ["a", "b", "a"]}}',
+     "'simplices'['0'] lists 'a' twice"),
+    # one degree or map has one spelling, so no two keys name it
+    ('{"cap": 0, "simplices": {"0": ["a"], "00": ["b"]}}',
+     "'simplices' key '00' is not of the form n"),
+    ('{"cap": 1, "simplices": {"0": ["a"], "1": ["s"]}, '
+     '"faces": {"1,0": {"s": "a"}, "1,+0": {"s": "a"}}}',
+     "'faces' key '1,+0' is not of the form n,i"),
+])
+def test_load_sset_rejects_repeated_entries(blob, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_sset(blob)
+
+
+def test_build_sset_drops_repeated_tokens():
+    x = build_sset(0, {0: ["b", "a", "b"]}, None, None)
+    assert x.simplices[0] == ("a", "b")
